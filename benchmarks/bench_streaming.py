@@ -19,7 +19,12 @@ and
 * replays a counting-only access-policy stream through a full
   :class:`~repro.session.KnowledgeBase` session, and a coalesced window
   of writes through the :class:`~repro.service.QueryService` writer
-  (``refresh="coalesce"``), asserting one shared epoch per window.
+  (``refresh="coalesce"``), asserting one shared epoch per window;
+* churns the paper's *non-ground* win–move rule through a default
+  session, which grounds incrementally: ``mode == "delta"`` on every step,
+  and true and undefined atoms equal to a from-scratch solve at
+  checkpoints (the grounding it keeps across retractions may add atoms
+  that are false, so false atoms and the base are not compared).
 
 Run with ``pytest benchmarks/bench_streaming.py -s``; smoke mode
 (``REPRO_BENCH_SMOKE=1``) trims stream lengths but keeps every assertion,
@@ -28,6 +33,7 @@ including the ≥5× floor.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
@@ -36,8 +42,11 @@ import pytest
 from _metrics import emit
 from _smoke import SMOKE
 from repro.config import EngineConfig
+from repro.datalog.atoms import Atom
 from repro.datalog.rules import Program, Rule
+from repro.datalog.terms import Constant
 from repro.engine.solver import solve_configured
+from repro.games import random_game_edges
 from repro.service import QueryService
 from repro.session import IncrementalEngine, KnowledgeBase
 from repro.workloads import access_policy_stream, social_graph_stream
@@ -49,6 +58,10 @@ STEPS = 160 if SMOKE else 400
 CHECKPOINTS = 4
 POLICY_USERS = 24 if SMOKE else 60
 POLICY_STEPS = 120 if SMOKE else 300
+GAME_NODES = 300 if SMOKE else 1000
+GAME_HELD_OUT = 30 if SMOKE else 100
+GAME_STEPS = 120 if SMOKE else 400
+WIN_RULE = "wins(X) :- move(X, Y), not wins(Y)."
 
 
 def _split(program: Program) -> tuple[Program, set]:
@@ -268,4 +281,76 @@ def test_coalesced_service_windows(report):
             "coalesced_requests": coalesced,
             "distinct_epochs": len(set(outcomes)),
         },
+    )
+
+
+def _true_and_undefined(solution) -> bytes:
+    """True and undefined atoms, canonically serialised."""
+    model = solution.interpretation
+    lines = sorted(str(atom) for atom in model.true_atoms)
+    lines.extend(
+        sorted(
+            f"undefined {atom}"
+            for atom in solution.base
+            if atom not in model.true_atoms and atom not in model.false_atoms
+        )
+    )
+    return "\n".join(lines).encode("utf-8")
+
+
+@pytest.mark.repro("E19")
+def test_non_ground_win_move_churn(report):
+    """The non-ground win rule, churned through a default session: every
+    update takes the delta path (incremental grounding), and checkpoints
+    agree with a from-scratch solve on every true and undefined atom."""
+    moves = [
+        Atom("move", (Constant(x), Constant(y)))
+        for x, y in random_game_edges(GAME_NODES, 2, seed=5)
+    ]
+    generator = random.Random(5)
+    absent = generator.sample(moves, GAME_HELD_OUT)
+    held_out = set(absent)
+    present = [move for move in moves if move not in held_out]
+    kb = KnowledgeBase(WIN_RULE, facts=present)
+    kb.solution
+    assert kb.is_incremental
+    checkpoints = {(i + 1) * GAME_STEPS // CHECKPOINTS - 1 for i in range(CHECKPOINTS)}
+    latencies: list[float] = []
+    rules_added = 0
+    for step in range(GAME_STEPS):
+        # Alternate retracting a present move and asserting an absent one,
+        # so every operation is a real mutation and the EDB keeps its size.
+        pool = present if step % 2 == 0 else absent
+        move = pool.pop(generator.randrange(len(pool)))
+        start = time.perf_counter()
+        if step % 2 == 0:
+            kb.retract_fact(move)
+            absent.append(move)
+        else:
+            kb.assert_fact(move)
+            present.append(move)
+        kb.solution
+        latencies.append(time.perf_counter() - start)
+        assert kb.last_update.mode == "delta", kb.last_update.describe()
+        rules_added += kb.last_update.rules_added
+        if step in checkpoints:
+            scratch = solve_configured(kb._program(), kb.config)
+            assert _true_and_undefined(kb.solution) == _true_and_undefined(scratch), (
+                f"non-ground session diverged from from-scratch at step {step}"
+            )
+    total = sum(latencies)
+    report(
+        f"non-ground win-move churn ({GAME_NODES} nodes, {GAME_STEPS} ops, session)",
+        [
+            (f"total {total * 1000:9.1f} ms, "
+             f"p99 {_percentile(latencies, 0.99) * 1000:7.3f} ms, "
+             f"{GAME_STEPS / total:8.0f} ops/s, {rules_added} ground rules added",),
+        ],
+    )
+    emit(
+        "streaming",
+        workload=f"win-move-nonground:{GAME_NODES}n",
+        sizes={"nodes": GAME_NODES, "operations": GAME_STEPS},
+        timings={"session_total": total, "session_p99": _percentile(latencies, 0.99)},
+        extra={"rules_added": rules_added, "checkpoints": CHECKPOINTS},
     )

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import EngineConfig
     from ..storage.base import FactStore
 
-__all__ = ["GroundRule", "GroundContext", "build_context"]
+__all__ = ["GroundRule", "GroundContext", "build_context", "extend_context"]
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,12 @@ def build_context(
         ``"relevant"`` (default) instantiates only rules whose positive body
         is supportable — equivalent for the well-founded, stable, stratified,
         Horn and inflationary semantics.  It runs the indexed semi-naive
-        grounder and consumes its rule stream incrementally: facts, rule
-        decomposition and the occurring-atom base are built in the same
-        pass that grounds, with no intermediate program materialised
-        first.  ``"relevant-scan"`` is the same relevant grounding computed
-        by the original linear-scan matcher (the differential oracle).
+        grounder and consumes its rule stream incrementally: facts are
+        split off in the same pass that grounds, with no intermediate
+        program materialised first, and the rules are then decomposed and
+        indexed by :func:`extend_context`.  ``"relevant-scan"`` is the same
+        relevant grounding computed by the original linear-scan matcher
+        (the differential oracle).
         ``"naive"`` is the literal Herbrand instantiation ``P_H``; the
         Fitting semantics needs it because it can leave *underivable* atoms
         undefined rather than false.
@@ -181,8 +182,7 @@ def build_context(
 
         collected: list[Rule] | None = [] if grounded is None else None
         facts: set[Atom] = set()
-        ground_rules: list[GroundRule] = []
-        occurring: set[Atom] = set()
+        rules: list[Rule] = []
         # Already-ground programs bypass the grounder's own budget ticks,
         # so the collection loop checkpoints the ambient meter itself.
         meter = current_meter()
@@ -192,41 +192,31 @@ def build_context(
                 collected.append(rule)
             if rule.is_fact:
                 facts.add(rule.head)
-                occurring.add(rule.head)
-                continue
-            positive = tuple(lit.atom for lit in rule.body if lit.positive)
-            negative = tuple(lit.atom for lit in rule.body if lit.negative)
-            ground_rules.append(GroundRule(rule.head, positive, negative, rule))
-            occurring.add(rule.head)
-            occurring.update(positive)
-            occurring.update(negative)
+            else:
+                rules.append(rule)
         if grounded is None:
             grounded = Program(collected)
 
-        base: set[Atom] = set(occurring)
+        base: set[Atom] = set(facts)
         base.update(extra_atoms)
         if full_base:
             # Widen with the Herbrand base of the *original* program so that the
             # reported models mention every instantiable IDB atom.
             base.update(herbrand_base(program, max_depth=(limits.max_depth if limits else 0)))
 
-        by_positive: dict[Atom, list[int]] = {}
-        by_head: dict[Atom, list[int]] = {}
-        for index, ground_rule in enumerate(ground_rules):
-            meter.tick("ground", stride=512)
-            by_head.setdefault(ground_rule.head, []).append(index)
-            # Deduplicate so a rule is listed once per *distinct* body atom; the
-            # counting propagation in repro.core.eventual relies on this.
-            for atom in set(ground_rule.positive_body):
-                by_positive.setdefault(atom, []).append(index)
-
-        context = GroundContext(
+        # The rules, their atoms and indexes: the facts-and-base context
+        # extended by the non-fact rules, exactly as a growing grounding is.
+        context = extend_context(
+            GroundContext(
+                program=grounded,
+                rules=(),
+                facts=frozenset(facts),
+                base=frozenset(base),
+                rules_by_positive_atom={},
+                rules_by_head={},
+            ),
+            rules,
             program=grounded,
-            rules=tuple(ground_rules),
-            facts=frozenset(facts),
-            base=frozenset(base),
-            rules_by_positive_atom={atom: tuple(ids) for atom, ids in by_positive.items()},
-            rules_by_head={atom: tuple(ids) for atom, ids in by_head.items()},
         )
     if recorder.enabled:
         ground_span.annotate(
@@ -236,3 +226,61 @@ def build_context(
         recorder.count("ground.facts", len(context.facts))
         recorder.count("ground.atoms", len(context.base))
     return context
+
+
+def extend_context(
+    context: GroundContext, rules: Iterable[Rule], program: Program | None = None
+) -> GroundContext:
+    """*context* with the ground non-fact *rules* appended (fact rules are
+    skipped: callers that grow a grounding keep their facts apart).
+
+    This is where every context's rules are split into
+    :class:`GroundRule` pieces and indexed — :func:`build_context` extends
+    an empty one.  Rule ids already issued keep their meaning, so state
+    indexed by them stays valid, and the base grows by the atoms the new
+    rules mention.  *context* itself is left as it was — contexts are
+    shared with published snapshots — and only the index entries of atoms
+    the new rules touch are rebuilt.  The result reports *program*, by
+    default *context*'s program plus the new rules.  Returns *context*
+    when nothing was added.
+    """
+    start = len(context.rules)
+    added: list[GroundRule] = []
+    occurring: set[Atom] = set()
+    new_by_head: dict[Atom, list[int]] = {}
+    new_by_positive: dict[Atom, list[int]] = {}
+    meter = current_meter()
+    for rule in rules:
+        meter.tick("ground", stride=512)
+        if rule.is_fact:
+            continue
+        positive = tuple(lit.atom for lit in rule.body if lit.positive)
+        negative = tuple(lit.atom for lit in rule.body if lit.negative)
+        index = start + len(added)
+        added.append(GroundRule(rule.head, positive, negative, rule))
+        new_by_head.setdefault(rule.head, []).append(index)
+        # Deduplicate so a rule is listed once per *distinct* body atom; the
+        # counting propagation in repro.core.eventual relies on this.
+        for atom in set(positive):
+            new_by_positive.setdefault(atom, []).append(index)
+        occurring.add(rule.head)
+        occurring.update(positive)
+        occurring.update(negative)
+    if not added:
+        return context
+    by_head = dict(context.rules_by_head)
+    for atom, ids in new_by_head.items():
+        by_head[atom] = by_head.get(atom, ()) + tuple(ids)
+    by_positive = dict(context.rules_by_positive_atom)
+    for atom, ids in new_by_positive.items():
+        by_positive[atom] = by_positive.get(atom, ()) + tuple(ids)
+    if program is None:
+        program = Program((*context.program, *(rule.source for rule in added)))
+    return GroundContext(
+        program=program,
+        rules=context.rules + tuple(added),
+        facts=context.facts,
+        base=context.base | occurring,
+        rules_by_positive_atom=by_positive,
+        rules_by_head=by_head,
+    )

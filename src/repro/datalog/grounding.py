@@ -36,7 +36,9 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   separate re-instantiation pass.  :func:`stream_relevant_ground` exposes
   the incremental rule stream directly (consumed by
   :func:`repro.core.context.build_context` to build evaluation contexts
-  without an intermediate program).
+  without an intermediate program); it is the first run of an
+  :class:`IncrementalGrounder`, the same fixpoint as a resumable object a
+  session keeps and resumes from newly asserted facts.
 * ``"scan"`` — the original matcher: a naive envelope fixpoint that
   re-matches every rule against the whole derivable set each round by
   linear scan over per-signature fact lists, then a second pass that
@@ -75,6 +77,7 @@ __all__ = [
     "naive_ground",
     "relevant_ground",
     "stream_relevant_ground",
+    "IncrementalGrounder",
     "ground_program",
 ]
 
@@ -272,19 +275,19 @@ class _SplitRelation:
 class _EnvelopeSpace:
     """The envelope fixpoint's atom space over an optional live base store.
 
-    Without a base this is exactly the per-run :class:`RelationStore` the
-    grounder has always used.  With one, the base's rows (and its lazily
-    built, *persistent* indexes) are probed in place — never copied or
-    re-indexed — and only the atoms derived during this run land in the
-    per-run overlay.  The base must not be mutated while the run's windows
-    are live.
+    Without a base this is exactly the :class:`RelationStore` overlay the
+    grounder owns.  With one, the base's rows (and its lazily built,
+    *persistent* indexes) are probed in place — never copied or
+    re-indexed — and only atoms the base lacks land in the overlay.  The
+    base's sequence bounds are read once, so a space lives for one run:
+    the base must not be mutated while the run's windows are live.
     """
 
     __slots__ = ("base", "overlay", "base_bounds", "_views")
 
-    def __init__(self, base: "FactStore | None"):
+    def __init__(self, base: "FactStore | None", overlay: RelationStore):
         self.base = base
-        self.overlay = RelationStore()
+        self.overlay = overlay
         self.base_bounds: dict[tuple[str, int], int] = dict(base.sizes()) if base else {}
         self._views: dict[tuple[str, int], _SplitRelation] = {}
 
@@ -387,114 +390,206 @@ def stream_relevant_ground(
     *recorder*, when tracing (see :mod:`repro.obs`), accumulates the
     ``ground.rounds`` / ``ground.delta_atoms`` / ``ground.rules_emitted``
     counters — one tally per envelope round, never per row.
+
+    This is the first run of an :class:`IncrementalGrounder`; a caller
+    that wants to resume the grounding after the EDB grows holds the
+    grounder itself.
     """
-    limits = limits or GroundingLimits()
-    budget = _grounding_meter(limits)
-    recorder = recorder if recorder is not None else NULL_RECORDER
-    program.check_safety()
+    yield from IncrementalGrounder(program, limits, store=store, recorder=recorder).ground()
 
-    seen: set[Rule] = set()
-    emitted = 0
 
-    space = _EnvelopeSpace(store)
-    pending: list[Atom] = []
-    pending_set: set[Atom] = set()
+class IncrementalGrounder:
+    """The relevant grounder as a resumable semi-naive envelope fixpoint.
 
-    def derive(atom: Atom) -> None:
-        if atom not in pending_set and atom not in space:
-            pending_set.add(atom)
-            pending.append(atom)
+    :meth:`ground` runs the grounding from scratch — exactly the stream of
+    :func:`stream_relevant_ground` — and leaves the envelope (the atoms
+    derivable in the program with negation erased) and the set of emitted
+    instances behind.  :meth:`extend` then resumes the same fixpoint from
+    facts asserted since: they are the first round's delta, joined against
+    the whole envelope, and only instances never emitted before come out.
+    This is multi-shot incremental grounding in the style of clingo: the
+    envelope only grows, so the instances emitted so far always contain the
+    relevant grounding of the current EDB.
 
-    facts = set(program.fact_atoms())
-    if store is not None:
-        facts.update(store.facts())
-    for fact in sorted(facts, key=str):
-        rule = Rule(fact)
-        if rule not in seen:
-            seen.add(rule)
-            emitted += 1
-            yield rule
-        # Facts already present in the base store are part of round 0's
-        # delta windows by construction; `derive` skips them.
-        derive(fact)
+    Facts retracted since the last run stay in the envelope
+    (:meth:`retain`).  The instances built on them are kept too; each has a
+    positive body atom outside the current envelope, so it never fires and
+    every verdict equals that of a from-scratch grounding, while the atom
+    base may carry extra atoms that are false.
 
-    decomposed: list[tuple[Rule, tuple[Atom, ...], tuple[tuple[str, int], ...]]] = []
-    for rule in program.non_fact_rules():
-        positive = tuple(lit.atom for lit in rule.body if lit.positive)
-        signatures = tuple((atom.predicate, atom.arity) for atom in positive)
-        decomposed.append((rule, positive, signatures))
+    With a live *store*, the envelope is the store's rows plus an overlay
+    the grounder owns (derived atoms, program facts, retained facts and
+    each run's asserted delta).  Store rows are probed in place through
+    sequence windows taken afresh at the start of every run and never kept
+    between runs, because :meth:`repro.storage.MemoryStore.compact` may
+    renumber them; the overlay is append-only, so its windows stay valid.
+    """
 
-    # Rules with no positive conjuncts are ground (safety) and fire exactly
-    # once, seeding the envelope alongside the facts.
-    for rule, positive, _ in decomposed:
-        if positive:
-            continue
-        ground = _instantiate_rule(rule, {})
-        if ground not in seen:
-            seen.add(ground)
-            emitted += 1
-            if emitted > limits.max_rules:
-                raise GroundingError(f"grounding exceeded the limit of {limits.max_rules} rules")
-            yield ground
-        derive(ground.head)
+    def __init__(
+        self,
+        program: Program,
+        limits: GroundingLimits | None = None,
+        store: "FactStore | None" = None,
+        recorder: Recorder | None = None,
+    ):
+        program.check_safety()
+        self._program = program
+        self._limits = limits or GroundingLimits()
+        self._store = store
+        self._recorder = recorder if recorder is not None else NULL_RECORDER
+        self._overlay = RelationStore()
+        self._seen: set[Rule] = set()
+        self._emitted = 0
+        self._decomposed: list[tuple[Rule, tuple[Atom, ...], tuple[tuple[str, int], ...]]] = []
+        for rule in program.non_fact_rules():
+            positive = tuple(lit.atom for lit in rule.body if lit.positive)
+            signatures = tuple((atom.predicate, atom.arity) for atom in positive)
+            self._decomposed.append((rule, positive, signatures))
 
-    # ------------------------------------------------------------------ #
-    # Semi-naive envelope fixpoint fused with rule instantiation: the
-    # round's delta is joined through the hash indexes, emitting each
-    # ground rule exactly once, and newly derived heads become the next
-    # delta.  Variant i pins conjunct i to the delta rows, conjuncts
-    # before i to strictly older rows and conjuncts after i to all rows,
-    # so no binding is enumerated twice.
-    # ------------------------------------------------------------------ #
-    # With a base store, round 0 must also sweep the base rows: old_sizes
-    # starts all-zero, so the first round's delta windows cover them even
-    # when no program fact added anything to the overlay.
-    old_sizes: dict[tuple[str, int], int] = {}
-    base_round = bool(space.base_bounds)
-    while pending or base_round:
-        base_round = False
-        batch = pending
-        pending = []
-        for atom in batch:
-            space.add_atom(atom)
-        pending_set.clear()
-        new_sizes = space.sizes()
-        if recorder.enabled:
-            recorder.count("ground.rounds")
-            recorder.count("ground.delta_atoms", len(batch))
+    def ground(self) -> Iterator[Rule]:
+        """The first run: the facts (sorted), then every rule instance the
+        moment the round supplying its last positive body atom joins it."""
+        space = _EnvelopeSpace(self._store, self._overlay)
+        pending: list[Atom] = []
+        facts = set(self._program.fact_atoms())
+        if self._store is not None:
+            facts.update(self._store.facts())
+        for fact in sorted(facts, key=str):
+            self._emitted += 1
+            yield Rule(fact)
+            # Facts already present in the base store are part of round 0's
+            # delta windows by construction.
+            if fact not in space:
+                pending.append(fact)
+        # With a base store, round 0 must also sweep the base rows:
+        # `old_sizes` starts all-zero, so the first round's delta windows
+        # cover them even when no program fact added to the overlay.
+        yield from self._fixpoint(
+            space, pending, {}, first_round=bool(space.base_bounds), first_run=True
+        )
 
-        for rule, positive, signatures in decomposed:
-            if not positive:
-                continue
-            budget.check("ground")
-            for i, delta_signature in enumerate(signatures):
-                delta_lo = old_sizes.get(delta_signature, 0)
-                delta_hi = new_sizes.get(delta_signature, 0)
-                if delta_hi <= delta_lo:
+    def retain(self, atoms: Iterable[Atom]) -> None:
+        """Keep facts retracted from the store in the envelope, so later
+        runs still join against them."""
+        for atom in atoms:
+            self._overlay.add_atom(atom)
+
+    def extend(self, asserted: Iterable[Atom]) -> Iterator[Rule]:
+        """Resume from facts asserted since the last run, yielding only the
+        rule instances not emitted before.
+
+        Atoms already in the envelope (a retained fact re-asserted, a
+        derivable atom asserted as a fact) need no work: every instance
+        they support was emitted when they entered it.  The new ones are
+        appended to the overlay as the first round's delta; the store's
+        copy of them also falls into the "older" windows of that round, so
+        a binding through two of them may be enumerated twice, which the
+        emitted set absorbs.
+        """
+        new = [atom for atom in asserted if atom not in self._overlay]
+        if not new:
+            return
+        space = _EnvelopeSpace(self._store, self._overlay)
+        old_sizes = space.sizes()
+        for atom in new:
+            self._overlay.add_atom(atom)
+        yield from self._fixpoint(space, [], old_sizes, first_round=True, first_run=False)
+
+    def _fixpoint(
+        self,
+        space: _EnvelopeSpace,
+        pending: list[Atom],
+        old_sizes: dict[tuple[str, int], int],
+        first_round: bool,
+        first_run: bool,
+    ) -> Iterator[Rule]:
+        """Semi-naive envelope fixpoint fused with rule instantiation.
+
+        Each round's delta is joined through the hash indexes, emitting
+        each new ground rule once, and newly derived heads become the next
+        delta.  Variant i pins conjunct i to the delta rows, conjuncts
+        before i to strictly older rows and conjuncts after i to all rows,
+        so no binding is enumerated twice within a run.  *old_sizes* are
+        the row bounds already joined; *first_round* forces one round even
+        when *pending* is empty (the delta is already in place).  On the
+        *first_run*, the rules without positive conjuncts — ground by
+        safety — fire once first, seeding the envelope with their heads,
+        and the ``ground.rules_emitted`` tally includes the facts.
+        """
+        limits = self._limits
+        budget = _grounding_meter(limits)
+        recorder = self._recorder
+        seen = self._seen
+        emitted = self._emitted
+        started = 0 if first_run else emitted
+        pending_set: set[Atom] = set(pending)
+
+        def derive(atom: Atom) -> None:
+            if atom not in pending_set and atom not in space:
+                pending_set.add(atom)
+                pending.append(atom)
+
+        try:
+            for rule, positive, _ in self._decomposed if first_run else ():
+                if positive:
                     continue
-                windows = []
-                for j, signature in enumerate(signatures):
-                    if j < i:
-                        windows.append((0, old_sizes.get(signature, 0)))
-                    elif j == i:
-                        windows.append((delta_lo, delta_hi))
-                    else:
-                        windows.append((0, new_sizes.get(signature, 0)))
-                for binding in join_bindings(positive, windows, space, seed=i):
-                    ground = _instantiate_rule(rule, binding)
-                    if ground not in seen:
-                        seen.add(ground)
-                        emitted += 1
-                        if emitted > limits.max_rules:
-                            raise GroundingError(
-                                f"grounding exceeded the limit of {limits.max_rules} rules"
-                            )
-                        yield ground
-                    derive(ground.head)
-                    budget.tick("ground")
-        old_sizes = new_sizes
-    if recorder.enabled:
-        recorder.count("ground.rules_emitted", emitted)
+                ground = _instantiate_rule(rule, {})
+                if ground not in seen:
+                    seen.add(ground)
+                    emitted += 1
+                    if emitted > limits.max_rules:
+                        raise GroundingError(
+                            f"grounding exceeded the limit of {limits.max_rules} rules"
+                        )
+                    yield ground
+                derive(ground.head)
+
+            while pending or first_round:
+                first_round = False
+                batch = pending
+                pending = []
+                for atom in batch:
+                    space.add_atom(atom)
+                pending_set.clear()
+                new_sizes = space.sizes()
+                if recorder.enabled:
+                    recorder.count("ground.rounds")
+                    recorder.count("ground.delta_atoms", len(batch))
+
+                for rule, positive, signatures in self._decomposed:
+                    if not positive:
+                        continue
+                    budget.check("ground")
+                    for i, delta_signature in enumerate(signatures):
+                        delta_lo = old_sizes.get(delta_signature, 0)
+                        delta_hi = new_sizes.get(delta_signature, 0)
+                        if delta_hi <= delta_lo:
+                            continue
+                        windows = []
+                        for j, signature in enumerate(signatures):
+                            if j < i:
+                                windows.append((0, old_sizes.get(signature, 0)))
+                            elif j == i:
+                                windows.append((delta_lo, delta_hi))
+                            else:
+                                windows.append((0, new_sizes.get(signature, 0)))
+                        for binding in join_bindings(positive, windows, space, seed=i):
+                            ground = _instantiate_rule(rule, binding)
+                            if ground not in seen:
+                                seen.add(ground)
+                                emitted += 1
+                                if emitted > limits.max_rules:
+                                    raise GroundingError(
+                                        f"grounding exceeded the limit of {limits.max_rules} rules"
+                                    )
+                                yield ground
+                            derive(ground.head)
+                            budget.tick("ground")
+                old_sizes = new_sizes
+        finally:
+            self._emitted = emitted
+        if recorder.enabled:
+            recorder.count("ground.rules_emitted", emitted - started)
 
 
 def _instantiate_rule(rule: Rule, binding: dict[Variable, Term]) -> Rule:

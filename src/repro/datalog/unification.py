@@ -166,11 +166,13 @@ def unify_terms(
     """Unify two terms, returning a most general unifier or ``None``.
 
     Uses the standard occurs-check-free Robinson algorithm with an explicit
-    occurs check added (the library never relies on rational trees).
+    occurs check added (the library never relies on rational trees).  The
+    result is idempotent: applying it once to either term yields their
+    common instance.
     """
     current: Substitution = dict(binding or {})
     if _unify_into(left, right, current):
-        return current
+        return _resolved(current)
     return None
 
 
@@ -180,6 +182,20 @@ def _walk(term: Term, binding: Substitution) -> Term:
     while isinstance(term, Variable) and term in binding:
         term = binding[term]
     return term
+
+
+def _resolve(term: Term, binding: Substitution) -> Term:
+    """Substitute *binding* into *term* until no bound variable is left."""
+    term = _walk(term, binding)
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(_resolve(arg, binding) for arg in term.args))
+    return term
+
+
+def _resolved(binding: Substitution) -> Substitution:
+    """Turn the triangular *binding* built by unification (``X -> Y``,
+    ``Y -> a``) into an idempotent one (``X -> a``, ``Y -> a``)."""
+    return {var: _resolve(term, binding) for var, term in binding.items()}
 
 
 def _occurs(variable: Variable, term: Term, binding: Substitution) -> bool:
@@ -225,4 +241,4 @@ def unify_atoms(
     for left_arg, right_arg in zip(left.args, right.args):
         if not _unify_into(left_arg, right_arg, current):
             return None
-    return current
+    return _resolved(current)

@@ -36,10 +36,10 @@ is a function of its local facts, its local rules and the frozen verdicts
 below it, all of which the maintained counters track exactly.
 
 Propagation runs over the condensation order: dirty components are
-processed ascending (callees first), each emits the set of atoms whose
-three-valued verdict actually flipped, and only the rules and components
-*reading* those atoms are touched.  A no-op churn step — the common case
-under redundant support — therefore costs O(1) instead of
+processed by ascending rank (callees first), each emits the set of atoms
+whose three-valued verdict actually flipped, and only the rules and
+components *reading* those atoms are touched.  A no-op churn step — the
+common case under redundant support — therefore costs O(1) instead of
 O(downstream cone).
 
 Truth codes match the kernel's vector encoding (``1`` true, ``2`` false,
@@ -121,8 +121,9 @@ class DeltaMaintainer:
     (model, reports, explanations) stay consistent without copying.
 
     :meth:`apply` then brings everything up to date with one batch of
-    fact flips.  All mutable maintenance state (literal counters, support
-    counters, materialised closures) is primed here from the solved sets;
+    fact flips, and :meth:`extend` takes in rules and components a growing
+    grounding appends.  All mutable maintenance state (literal counters,
+    support counters, materialised closures) is primed from the solved sets;
     after a failed pass the state may be torn, and the owner must discard
     the maintainer along with its solved sets (the engine's existing
     drop-to-unsolved path).
@@ -138,6 +139,7 @@ class DeltaMaintainer:
         comp_false: list[set[Atom]],
         true_atoms: set[Atom],
         false_atoms: set[Atom],
+        rank: Sequence[int],
     ) -> None:
         self._rules = rules
         self._components = components
@@ -146,11 +148,12 @@ class DeltaMaintainer:
         self._comp_false = comp_false
         self._true = true_atoms
         self._false = false_atoms
+        # Processing order: components are visited by ascending rank
+        # (callees first).  The owner keeps the ranks topological as the
+        # condensation grows; the list is shared, not copied.
+        self._rank = rank
 
-        self._kinds: list[str] = [
-            classify_component(component, rules, rules_by_head)
-            for component in components
-        ]
+        self._kinds: list[str] = []
 
         # ---- static rule structure (counting / dred components only) ---- #
         self._rule_head: dict[int, Atom] = {}
@@ -162,7 +165,7 @@ class DeltaMaintainer:
         self._int_watch: dict[Atom, list[int]] = {}
         self._int_count: dict[int, int] = {}
         # Resolve components reading an atom from below.
-        self._readers: dict[Atom, tuple[int, ...]] = {}
+        self._readers: dict[Atom, list[int]] = {}
 
         # ---- mutable maintenance state, primed from the solved sets ----- #
         # Per-rule counts of definitely-violated / undefined external
@@ -181,91 +184,128 @@ class DeltaMaintainer:
         self._need_t: dict[int, int] = {}
         self._need_e: dict[int, int] = {}
 
-        verdict: dict[Atom, int] = {}
-        for atom in component_of:
-            if atom in true_atoms:
-                verdict[atom] = _TRUE
-            elif atom in false_atoms:
-                verdict[atom] = _FALSE
-            else:
-                verdict[atom] = _UNDEF
-        self._verdict = verdict
+        self._verdict: dict[Atom, int] = {}
+        self._add_components(range(len(components)), rules_by_head)
 
-        reader_sets: dict[Atom, set[int]] = {}
-        for index, component in enumerate(components):
-            kind = self._kinds[index]
-            if kind == "resolve":
-                for head in component:
-                    for rule_id in rules_by_head.get(head, ()):
-                        rule = rules[rule_id]
-                        for atom in rule.positive_body:
-                            if atom not in component:
-                                reader_sets.setdefault(atom, set()).add(index)
-                        for atom in rule.negative_body:
-                            if atom not in component:
-                                reader_sets.setdefault(atom, set()).add(index)
-                continue
+    def _add_components(
+        self, indexes: Iterable[int], rules_by_head: Mapping[Atom, tuple[int, ...]]
+    ) -> None:
+        """Classify and prime components appended to the condensation (in
+        index order) from their solved verdicts."""
+        indexes = list(indexes)
+        true_atoms, false_atoms = self._true, self._false
+        verdict = self._verdict
+        # Every verdict first: a rule's external literals may live in any
+        # of the new components, not only in lower-indexed ones.
+        for index in indexes:
+            for atom in self._components[index]:
+                if atom in true_atoms:
+                    verdict[atom] = _TRUE
+                elif atom in false_atoms:
+                    verdict[atom] = _FALSE
+                else:
+                    verdict[atom] = _UNDEF
+        for index in indexes:
+            component = self._components[index]
+            kind = classify_component(component, self._rules, rules_by_head)
+            self._kinds.append(kind)
             if kind == "counting":
                 self._singleton[index] = next(iter(component))
+            elif kind == "dred":
+                self._in_e[index] = component - self._comp_false[index]
             for head in component:
                 for rule_id in rules_by_head.get(head, ()):
-                    rule = rules[rule_id]
-                    self._rule_head[rule_id] = head
-                    self._rule_comp[rule_id] = index
-                    self._local_rules.setdefault(head, []).append(rule_id)
-                    internal: set[Atom] = set()
-                    external: set[tuple[Atom, bool]] = set()
-                    for atom in rule.positive_body:
-                        if atom in component:
-                            internal.add(atom)
-                        else:
-                            external.add((atom, True))
-                    for atom in rule.negative_body:
-                        # Internal negation would have classified the
-                        # component as "resolve" above.
-                        external.add((atom, False))
-                    unsat = undef = 0
-                    for atom, positive in external:
-                        self._watch.setdefault(atom, []).append((rule_id, positive))
-                        code = verdict.get(atom, _FALSE)
-                        if positive:
-                            unsat += code == _FALSE
-                            undef += code == _UNDEF
-                        else:
-                            unsat += code == _TRUE
-                            undef += code == _UNDEF
-                    self._ext_unsat[rule_id] = unsat
-                    self._ext_undef[rule_id] = undef
-                    if kind == "counting":
-                        head_def = self._n_def.get(head, 0)
-                        head_poss = self._n_poss.get(head, 0)
-                        if unsat == 0:
-                            head_poss += 1
-                            if undef == 0:
-                                head_def += 1
-                        self._n_def[head] = head_def
-                        self._n_poss[head] = head_poss
-                    else:
-                        self._int_count[rule_id] = len(internal)
-                        for atom in internal:
-                            self._int_watch.setdefault(atom, []).append(rule_id)
-            if kind == "dred":
-                in_t = comp_true[index]
-                in_e = component - comp_false[index]
-                self._in_e[index] = in_e
-                for head in component:
-                    for rule_id in rules_by_head.get(head, ()):
-                        need_t = need_e = 0
-                        rule = rules[rule_id]
-                        seen: set[Atom] = set()
-                        for atom in rule.positive_body:
-                            if atom in component and atom not in seen:
-                                seen.add(atom)
-                                need_t += atom not in in_t
-                                need_e += atom not in in_e
-                        self._need_t[rule_id] = need_t
-                        self._need_e[rule_id] = need_e
-        self._readers = {atom: tuple(found) for atom, found in reader_sets.items()}
+                    self._add_rule(rule_id, index)
+
+    def _add_rule(self, rule_id: int, index: int) -> None:
+        """Register one rule of component *index* and prime its counters
+        from the current verdicts."""
+        rule = self._rules[rule_id]
+        component = self._components[index]
+        kind = self._kinds[index]
+        if kind == "resolve":
+            for atom in (*rule.positive_body, *rule.negative_body):
+                if atom not in component:
+                    # A component's rules are registered together, so one
+                    # look at the last reader keeps the list duplicate-free
+                    # (a stray repeat would only re-mark a queued index).
+                    found = self._readers.setdefault(atom, [])
+                    if not found or found[-1] != index:
+                        found.append(index)
+            return
+        head = rule.head
+        self._rule_head[rule_id] = head
+        self._rule_comp[rule_id] = index
+        self._local_rules.setdefault(head, []).append(rule_id)
+        internal: set[Atom] = set()
+        external: set[tuple[Atom, bool]] = set()
+        for atom in rule.positive_body:
+            if atom in component:
+                internal.add(atom)
+            else:
+                external.add((atom, True))
+        for atom in rule.negative_body:
+            # Internal negation would have classified the component as
+            # "resolve".
+            external.add((atom, False))
+        unsat = undef = 0
+        verdict = self._verdict
+        for atom, positive in external:
+            self._watch.setdefault(atom, []).append((rule_id, positive))
+            code = verdict.get(atom, _FALSE)
+            if positive:
+                unsat += code == _FALSE
+                undef += code == _UNDEF
+            else:
+                unsat += code == _TRUE
+                undef += code == _UNDEF
+        self._ext_unsat[rule_id] = unsat
+        self._ext_undef[rule_id] = undef
+        if kind == "counting":
+            self._n_poss[head] = self._n_poss.get(head, 0) + (unsat == 0)
+            self._n_def[head] = self._n_def.get(head, 0) + (unsat == 0 and undef == 0)
+            return
+        self._int_count[rule_id] = len(internal)
+        for atom in internal:
+            self._int_watch.setdefault(atom, []).append(rule_id)
+        in_t = self._comp_true[index]
+        in_e = self._in_e[index]
+        self._need_t[rule_id] = sum(atom not in in_t for atom in internal)
+        self._need_e[rule_id] = sum(atom not in in_e for atom in internal)
+
+    def extend(
+        self,
+        rules: Sequence,
+        rules_by_head: Mapping[Atom, tuple[int, ...]],
+        components: Iterable[int],
+        rule_ids: Iterable[int],
+    ) -> bool:
+        """Take in a grown program without re-priming what it kept.
+
+        *rules* / *rules_by_head* are the grown rule context, *components*
+        the indexes the owner appended to the shared condensation lists
+        (already solved into the shared verdict sets), *rule_ids* the rules
+        appended to components that existed before.  None of them may fire
+        under the current verdicts — true of every rule instance an
+        incremental grounder adds, since each has a positive body atom
+        that is still false — so no verdict moves here.  Returns False
+        when a grown component would change maintenance method (a new
+        internal dependency); the maintainer is then stale and the owner
+        must build a fresh one from the solved state.
+        """
+        self._rules = rules
+        grown: dict[int, list[int]] = {}
+        for rule_id in rule_ids:
+            grown.setdefault(self._component_of[rules[rule_id].head], []).append(rule_id)
+        for index in grown:
+            kind = classify_component(self._components[index], rules, rules_by_head)
+            if kind != self._kinds[index]:
+                return False
+        self._add_components(components, rules_by_head)
+        for index, ids in grown.items():
+            for rule_id in ids:
+                self._add_rule(rule_id, index)
+        return True
 
     # ------------------------------------------------------------------ #
     # Maintenance pass
@@ -289,7 +329,7 @@ class DeltaMaintainer:
         truth-vector hook); *step* is called once per processed component
         (budget metering).  Returns the pass's :class:`DeltaOutcome`.
         """
-        heap: list[int] = []
+        heap: list[tuple[int, int]] = []
         queued: set[int] = set()
         fact_dirty: dict[int, list[Atom]] = {}
         # DRed components touched through external literals this pass:
@@ -303,11 +343,12 @@ class DeltaMaintainer:
         kinds = self._kinds
         ext_unsat = self._ext_unsat
         ext_undef = self._ext_undef
+        rank = self._rank
 
         def mark(index: int) -> None:
             if index not in queued:
                 queued.add(index)
-                heappush(heap, index)
+                heappush(heap, (rank[index], index))
 
         for atom in changed:
             index = component_of[atom]
@@ -357,7 +398,7 @@ class DeltaMaintainer:
                 mark(index)
 
         while heap:
-            index = heappop(heap)
+            index = heappop(heap)[1]
             queued.discard(index)
             kind = kinds[index]
             if step is not None:

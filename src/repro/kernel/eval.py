@@ -567,6 +567,25 @@ class ComponentKernel:
                 vector[atom_id] = 1
         self.is_fact = vector
 
+    def load(
+        self,
+        facts: Iterable[Atom],
+        true_atoms: Iterable[Atom],
+        false_atoms: Iterable[Atom],
+    ) -> None:
+        """Seed both vectors from an already-solved model — how a kernel
+        recompiled over a grown grounding takes over its predecessor's
+        verdicts (atoms outside the compiled universe are ignored)."""
+        self.set_facts(facts)
+        truth = bytearray(self.compiled.n_atoms)
+        ids = self._ids
+        for code, atoms in ((1, true_atoms), (2, false_atoms)):
+            for atom in atoms:
+                atom_id = ids.get(atom)
+                if atom_id is not None:
+                    truth[atom_id] = code
+        self.truth = truth
+
     def update_fact(self, atom: Atom, present: bool) -> None:
         atom_id = self._ids.get(atom)
         if atom_id is not None:

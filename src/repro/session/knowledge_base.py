@@ -22,14 +22,20 @@ lazy: the model refreshes on the next read.  Group related updates in
 ``with kb.batch():`` — the block is transactional (an exception rolls the
 whole group back) and the eventual refresh covers the net delta once.
 
-When the rules are ground and the (resolved) semantics is in the
-well-founded family with the modular or kernel engine — the defaults are
-in that family — refreshes are *incremental*: only the SCC components of
-the atom dependency graph reachable from the changed facts are re-solved
+When the (resolved) semantics is in the well-founded family with the
+modular or kernel engine — the defaults are in that family — refreshes
+are *incremental*: only the SCC components of the atom dependency graph
+reachable from the changed facts are re-solved
 (:mod:`repro.session.incremental`; ``engine="kernel"`` additionally runs
 each component solve over the compiled flat-array state of
-:mod:`repro.kernel`).  Any other configuration transparently falls back
-to a full re-solve per refresh, with the same observable results.
+:mod:`repro.kernel`).  Non-ground rules are grounded incrementally too:
+each refresh grounds only the rule instances the newly asserted facts
+enable, and retracted facts keep theirs.  True and undefined atoms are
+always those of a from-scratch solve; :attr:`KnowledgeBase.base` is then
+an over-approximation whose extra atoms are false.  Any other
+configuration — including ``semantics="auto"`` resolving to stratified or
+Horn, and the naive grounder — transparently falls back to a full
+re-solve per refresh, with the same observable results.
 """
 
 from __future__ import annotations
@@ -407,6 +413,7 @@ class KnowledgeBase:
         # Cumulative refresh history (drives `statistics()` / repl `stats`).
         self._refresh_elapsed = 0.0
         self._refresh_modes: dict[str, int] = {}
+        self._rules_added = 0
 
         # Pre-existing backend contents (a reopened persistent store) seed
         # the fact map before we start listening for changes.
@@ -525,8 +532,9 @@ class KnowledgeBase:
         return self._recorder
 
     def statistics(self) -> dict[str, object]:
-        """Session counters plus cumulative refresh history, store stats
-        and — when incremental — component statistics."""
+        """Session counters plus cumulative refresh history (including
+        ``rules_added``, the ground rules incremental grounding appended),
+        store stats and — when incremental — component statistics."""
         self._refresh()
         stats: dict[str, object] = {
             "rules": len(self._rules),
@@ -542,6 +550,7 @@ class KnowledgeBase:
                 self._refresh_elapsed / self._update_count, 6
             )
             stats["refresh_modes"] = dict(self._refresh_modes)
+            stats["rules_added"] = self._rules_added
         if self._last_update is not None:
             stats["last_mode"] = self._last_update.mode
             stats["last_update"] = self._last_update.describe()
@@ -681,10 +690,13 @@ class KnowledgeBase:
             # and add no dependency arcs, so resolving once is safe.
             semantics = resolve_auto_semantics(self._program())
         self._resolved_semantics = semantics
+        # Non-ground rules are grounded incrementally by the engine, with
+        # the relevant grounder (a naive grounding's base is the whole
+        # Herbrand base, which no envelope tracks).
         self._incremental = (
             semantics in _WFS_FAMILY
             and self._config.engine in ("modular", "kernel")
-            and self._rules.is_ground
+            and (self._rules.is_ground or self._config.resolved_grounder == "relevant")
         )
 
     def _refresh(self) -> None:
@@ -727,6 +739,7 @@ class KnowledgeBase:
                     budget=self._config.budget,
                     engine=self._config.engine,
                     maintenance=self._config.maintenance,
+                    limits=self._config.limits,
                 )
             stats = self._engine.refresh_pending(frozenset(self._fact_rules))
             solution = Solution(
@@ -767,6 +780,7 @@ class KnowledgeBase:
         self._update_count += 1
         self._refresh_elapsed += stats.elapsed
         self._refresh_modes[stats.mode] = self._refresh_modes.get(stats.mode, 0) + 1
+        self._rules_added += stats.rules_added
         self._dirty = False
 
     @property

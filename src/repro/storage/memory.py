@@ -24,10 +24,19 @@ from ..datalog.terms import Term
 from ..exceptions import StorageError
 from .base import FactStore
 
-__all__ = ["MemoryStore"]
+__all__ = ["MemoryStore", "garbage_dominates"]
 
 #: Tombstones tolerated in a relation before :meth:`Relation.compact` runs.
 _COMPACT_THRESHOLD = 64
+
+
+def garbage_dominates(dead: int, live: int) -> bool:
+    """The collection rule for dead entries: more than
+    ``_COMPACT_THRESHOLD`` of them, and more than live ones.  A relation's
+    tombstones trigger :meth:`Relation.compact` by it, and a non-ground
+    session's retracted-but-still-grounded facts trigger a re-ground
+    (:mod:`repro.session.incremental`)."""
+    return dead > _COMPACT_THRESHOLD and dead > live
 
 
 class MemoryStore(FactStore):
@@ -66,8 +75,7 @@ class MemoryStore(FactStore):
         if (
             not self._savepoints
             and not self._pinned()
-            and relation.dead > _COMPACT_THRESHOLD
-            and relation.dead > len(relation)
+            and garbage_dominates(relation.dead, len(relation))
         ):
             relation.compact()
         if self._savepoints:

@@ -316,26 +316,50 @@ class SqliteStore(FactStore):
                 return f"facts_{table_id}"
             if not create:
                 return None
-            cursor = self._execute(
-                "INSERT INTO repro_relations (predicate, arity) VALUES (?, ?)",
-                (predicate, arity),
-            )
-            table_id = cursor.lastrowid
-            columns = ", ".join(f"c{i} TEXT NOT NULL" for i in range(arity))
-            unique = ", ".join(f"c{i}" for i in range(arity))
-            if arity:
-                self._execute(
-                    f"CREATE TABLE facts_{table_id} "
-                    f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, {columns}, UNIQUE ({unique}))"
-                )
-            else:
-                # Propositional relation: at most one (argument-less) row.
-                self._execute(
-                    f"CREATE TABLE facts_{table_id} "
-                    f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, present INTEGER UNIQUE)"
-                )
+            table_id = self._create_relation(predicate, arity)
             self._tables[(predicate, arity)] = table_id
         return f"facts_{table_id}"
+
+    def _create_relation(self, predicate: str, arity: int) -> int:
+        """Catalogue a relation and create its table in one transaction.
+
+        As two autocommit statements, a WAL reader re-probing the catalogue
+        could see the row before the table exists.  A savepoint makes the
+        pair atomic and nests inside an open batch savepoint (whose
+        rollback then undoes both).
+        """
+        name = self._next_savepoint_name()
+        with self._mutex:
+            self._execute(f"SAVEPOINT {name}")
+            try:
+                cursor = self._execute(
+                    "INSERT INTO repro_relations (predicate, arity) VALUES (?, ?)",
+                    (predicate, arity),
+                )
+                table_id = cursor.lastrowid
+                if arity:
+                    columns = ", ".join(f"c{i} TEXT NOT NULL" for i in range(arity))
+                    unique = ", ".join(f"c{i}" for i in range(arity))
+                    self._execute(
+                        f"CREATE TABLE facts_{table_id} "
+                        f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, {columns}, UNIQUE ({unique}))"
+                    )
+                else:
+                    # Propositional relation: at most one (argument-less) row.
+                    self._execute(
+                        f"CREATE TABLE facts_{table_id} "
+                        f"(seq INTEGER PRIMARY KEY AUTOINCREMENT, present INTEGER UNIQUE)"
+                    )
+            except BaseException:
+                self._execute(f"ROLLBACK TO {name}")
+                self._execute(f"RELEASE {name}")
+                raise
+            self._execute(f"RELEASE {name}")
+        return table_id
+
+    def _next_savepoint_name(self) -> str:
+        self._savepoint_counter += 1
+        return f"repro_sp_{self._savepoint_counter}"
 
     def _encode_row(self, atom: Atom) -> list[str]:
         return [encode_term(term) for term in atom.args]
@@ -486,8 +510,7 @@ class SqliteStore(FactStore):
     # Savepoints
     # ------------------------------------------------------------------ #
     def savepoint(self) -> object:
-        self._savepoint_counter += 1
-        name = f"repro_sp_{self._savepoint_counter}"
+        name = self._next_savepoint_name()
         self._execute(f"SAVEPOINT {name}")
         self._savepoints.append((name, len(self._journal)))
         return name

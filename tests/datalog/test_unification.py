@@ -65,6 +65,13 @@ class TestUnification:
         unifier = unify_terms(left, right)
         assert apply_substitution(left, unifier) == apply_substitution(right, unifier)
 
+    def test_unifier_is_idempotent_through_variable_chains(self):
+        left = Compound("g", (X, X))
+        right = Compound("g", (Y, a))
+        unifier = unify_terms(left, right)
+        assert unifier == {X: a, Y: a}
+        assert apply_substitution(left, unifier) == apply_substitution(right, unifier)
+
     def test_unify_failure_on_clash(self):
         assert unify_terms(Compound("f", (a,)), Compound("g", (a,))) is None
         assert unify_terms(a, b) is None

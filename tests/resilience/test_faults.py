@@ -157,17 +157,28 @@ class TestBatchRollbackUnderFaults:
         assert _model_lines(kb.solution) == self._oracle(kb)
 
     def test_refresh_fault_then_recovery_serves_consistent_model(self):
-        # The fault trips inside the refresh (a grounding probe); the KB
-        # must keep the delta queued and serve the correct model once the
-        # storage layer heals.
-        store = FaultInjectingStore(MemoryStore(), script={"probe": {2}})
-        kb = KnowledgeBase(WIN_MOVE, store=store)
+        # The fault trips inside the refresh: the incremental grounder joins
+        # the asserted move against the store's rows and the probe fails.
+        # The KB must keep the delta queued and, once the storage layer
+        # heals, serve the correct model without missing a rule instance.
+        rules = WIN_MOVE + "two(X, Z) :- move(X, Y), move(Y, Z).\n"
+        counting = FaultInjectingStore(MemoryStore())
+        dry_run = KnowledgeBase(rules, store=counting)
+        dry_run.load({"move": EDGES})
+        dry_run.solution
+        first_solve_probes = counting.counts["probe"]
+
+        store = FaultInjectingStore(
+            MemoryStore(), script={"probe": {first_solve_probes + 1}}
+        )
+        kb = KnowledgeBase(rules, store=store)
         kb.load({"move": EDGES})
-        kb.solution  # probe #1 — clean
+        kb.solution  # clean
         kb.assert_fact("move", "c", "d")
         with pytest.raises(InjectedFault):
-            kb.solution  # probe #2 — injected fault mid-refresh
+            kb.solution  # the delta refresh's first probe — injected fault
         store.armed = False
         assert _model_lines(kb.solution) == _model_lines(
             solve(kb.solution.program, config=kb.config)
         )
+        assert kb.is_true("two", "b", "d")

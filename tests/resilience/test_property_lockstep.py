@@ -22,6 +22,7 @@ except ImportError:  # pragma: no cover - environment guard
 
 from repro.config import EngineConfig
 from repro.datalog.atoms import Atom
+from repro.datalog.terms import Constant
 from repro.engine.solver import solve_configured
 from repro.resilience import FaultInjectingStore, InjectedFault
 from repro.session import KnowledgeBase
@@ -78,6 +79,60 @@ def _check_against_oracle(kb, store, shadow):
     assert {str(atom) for atom in kb.facts()} == shadow
     oracle = solve_configured(kb._program(), kb.config)
     assert _model_bytes(kb.solution) == _model_bytes(oracle)
+
+
+# A non-ground program: the session grounds incrementally, and the join
+# rule makes each refresh probe the store, so "probe" faults land inside
+# refreshes.  The grounding outlives retractions, so the base may carry
+# extra atoms; they must all be false.
+NON_GROUND = """
+wins(X) :- move(X, Y), not wins(Y).
+two(X, Z) :- move(X, Y), move(Y, Z).
+"""
+
+_moves = st.sampled_from(
+    [Atom("move", (Constant(x), Constant(y))) for x in "abc" for y in "abcd"]
+)
+_move_operations = st.lists(st.tuples(st.booleans(), _moves), min_size=1, max_size=8)
+_refresh_scripts = st.dictionaries(
+    st.sampled_from(["add", "remove", "savepoint", "probe"]),
+    st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+    max_size=3,
+)
+
+
+def _verdict_bytes(solution) -> bytes:
+    model = solution.interpretation
+    lines = sorted(str(atom) for atom in model.true_atoms)
+    lines.extend(
+        sorted(
+            f"undefined {atom}"
+            for atom in solution.base
+            if atom not in model.true_atoms and atom not in model.false_atoms
+        )
+    )
+    return "\n".join(lines).encode("utf-8")
+
+
+def _check_non_ground_against_oracle(kb, store, shadow):
+    store.armed = False
+    assert {str(atom) for atom in kb.facts()} == shadow
+    solution = kb.solution
+    oracle = solve_configured(kb._program(), kb.config)
+    assert _verdict_bytes(solution) == _verdict_bytes(oracle)
+    assert solution.base >= oracle.base
+    assert solution.base - oracle.base <= solution.interpretation.false_atoms
+
+
+def _non_ground_kb(script):
+    store = FaultInjectingStore(MemoryStore(), script=script)
+    store.armed = False
+    kb = KnowledgeBase(NON_GROUND, store=store, facts={"move": [("a", "b"), ("b", "c")]})
+    kb.solution
+    assert kb.is_incremental
+    shadow = {str(atom) for atom in kb.facts()}
+    store.armed = True
+    return kb, store, shadow
 
 
 class TestLockstep:
@@ -167,3 +222,57 @@ class TestLockstep:
             else:
                 shadow.discard(str(atom))
         _check_against_oracle(kb, store, shadow)
+
+    @given(operations=_move_operations, script=_refresh_scripts)
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_non_ground_refresh_faults_match_oracle(self, operations, script):
+        """Incremental grounding under faults: a mutation applies fully or
+        not at all, a refresh that faults (a store probe inside the
+        grounder) leaves the delta queued, and the session never misses a
+        rule instance afterwards."""
+        kb, store, shadow = _non_ground_kb(script)
+        for insert, atom in operations:
+            try:
+                if insert:
+                    kb.assert_fact(atom)
+                else:
+                    kb.retract_fact(atom)
+            except InjectedFault:
+                continue
+            if insert:
+                shadow.add(str(atom))
+            else:
+                shadow.discard(str(atom))
+            try:
+                kb.solution
+            except InjectedFault:
+                pass  # the refresh aborted; the next read retries it
+        _check_non_ground_against_oracle(kb, store, shadow)
+
+    @given(operations=_move_operations, script=_refresh_scripts)
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_non_ground_faulted_batch_is_all_or_nothing(self, operations, script):
+        """A batch that reads inside (grounding new instances) and then
+        faults rolls back; the grounding it grew may stay, but every true
+        and undefined atom matches the oracle."""
+        kb, store, shadow = _non_ground_kb(script)
+        attempted = set(shadow)
+        try:
+            with kb.batch():
+                for insert, atom in operations:
+                    if insert:
+                        kb.assert_fact(atom)
+                        attempted.add(str(atom))
+                    else:
+                        kb.retract_fact(atom)
+                        attempted.discard(str(atom))
+                    kb.solution
+        except InjectedFault:
+            pass  # rolled back: shadow keeps the pre-batch state
+        else:
+            shadow = attempted
+        _check_non_ground_against_oracle(kb, store, shadow)

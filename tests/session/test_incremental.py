@@ -93,11 +93,18 @@ class TestInvalidation:
 
 
 class TestEngineDirect:
-    def test_requires_ground_rules(self):
-        from repro.exceptions import NotGroundError
+    def test_accepts_non_ground_rules(self):
+        from repro.datalog import parse_atom
 
-        with pytest.raises(NotGroundError):
-            IncrementalEngine(parse_program("tc(X, Y) :- edge(X, Y)."))
+        engine = IncrementalEngine(parse_program("tc(X, Y) :- edge(X, Y)."))
+        edge = parse_atom("edge(1, 2)")
+        engine.refresh(frozenset({edge}), None)
+        assert engine.model.is_true(parse_atom("tc(1, 2)"))
+        stats = engine.refresh(frozenset(), {edge})
+        assert stats.mode == "delta"
+        # The instance stays grounded; its head is false, not forgotten.
+        assert engine.model.is_false(parse_atom("tc(1, 2)"))
+        assert parse_atom("tc(1, 2)") in engine.base
 
     def test_refresh_none_forces_full_solve(self):
         rules = parse_program("p :- not q.")
@@ -150,3 +157,84 @@ class TestEngineDirect:
         assert stats.mode == "delta"
         assert stats.floating_changed == 1
         assert engine.base == frozenset()
+
+
+JOIN_TEXT = """
+wins(X) :- move(X, Y), not wins(Y).
+two(X, Z) :- move(X, Y), move(Y, Z).
+"""
+
+
+def _verdicts(solution):
+    model = solution.interpretation
+    undefined = solution.base - model.true_atoms - model.false_atoms
+    return sorted(map(str, model.true_atoms)), sorted(map(str, undefined))
+
+
+class TestIncrementalGrounding:
+    def _kb(self, **config):
+        kb = KnowledgeBase(
+            JOIN_TEXT,
+            facts={"move": [("a", "b"), ("b", "c")]},
+            config=EngineConfig(**config),
+        )
+        kb.solution
+        return kb
+
+    def test_budget_trip_inside_grounding_recovers(self, monkeypatch):
+        from repro.datalog.grounding import IncrementalGrounder
+        from repro.exceptions import Cancelled
+        from repro.resilience import Budget, CancelToken
+
+        token = CancelToken()
+        kb = self._kb(budget=Budget(token=token))
+        extend = IncrementalGrounder.extend
+
+        def cancelled_midway(self, asserted):
+            token.cancel()
+            yield from extend(self, asserted)
+
+        monkeypatch.setattr(IncrementalGrounder, "extend", cancelled_midway)
+        kb.assert_fact("move", "c", "d")
+        with pytest.raises(Cancelled):
+            kb.solution
+        monkeypatch.undo()
+        token.reset()
+        # The aborted grounding may have emitted instances the engine never
+        # received; the recovery re-grounds instead of missing them.
+        assert kb.is_true("two", "b", "d")
+        assert kb.last_update.mode == "initial"
+        assert _verdicts(kb.solution) == _verdicts(_scratch(kb))
+        kb.assert_fact("move", "d", "e")
+        assert kb.is_true("two", "c", "e")
+        assert kb.last_update.mode == "delta"
+
+    def test_rolled_back_batch_keeps_the_grounding(self):
+        kb = self._kb()
+        with pytest.raises(RuntimeError):
+            with kb.batch():
+                kb.assert_fact("move", "c", "d")
+                assert kb.is_true("two", "b", "d")  # grounded inside the batch
+                raise RuntimeError("abort the batch")
+        assert kb.is_false("two", "b", "d")
+        assert kb.last_update.mode == "delta"
+        assert _verdicts(kb.solution) == _verdicts(_scratch(kb))
+        # The instances outlived the rollback: re-asserting grounds nothing.
+        kb.assert_fact("move", "c", "d")
+        assert kb.is_true("two", "b", "d")
+        assert kb.last_update.rules_added == 0
+
+    def test_dominant_retractions_reground(self):
+        edges = [(i, i + 1) for i in range(100)]
+        kb = KnowledgeBase(JOIN_TEXT, facts={"move": edges})
+        kb.solution
+        with kb.batch():
+            for edge in edges[20:]:
+                kb.retract_fact("move", *edge)
+        kb.solution
+        # 80 retracted-but-grounded facts against 20 live ones: the engine
+        # grounds afresh, so the base is exact again.
+        assert kb.last_update.mode == "initial"
+        scratch = _scratch(kb)
+        assert kb.solution.base == scratch.base
+        assert kb.solution.interpretation == scratch.interpretation

@@ -1,9 +1,10 @@
 """Kernel engagement and fallback paths across the session layer.
 
 The compiled kernel (:mod:`repro.kernel`) must engage exactly when it is
-sound — ground rules, well-founded-family semantics, modular-style
-dispatch — and every other configuration must fall back to the object
-engines with identical models.  These tests pin each gate.
+sound — well-founded-family semantics, modular-style dispatch, rules
+that are ground or grounded incrementally — and every other configuration
+must fall back to the object engines with identical models.  These tests
+pin each gate.
 """
 
 import pytest
@@ -64,23 +65,27 @@ class TestKernelEngagement:
         assert kernel_kb.last_update.mode == "delta"
 
 
-class TestFallbacks:
-    def test_non_ground_rules_fall_back_to_rebuild(self):
+    def test_non_ground_rules_take_the_delta_path(self):
         kb = KnowledgeBase(
             GAME_TEXT,
             config=EngineConfig(semantics="well-founded", engine="kernel"),
         )
-        assert not kb.is_incremental
+        assert kb.is_incremental
         kb.solution
         kb.assert_fact("move", "d", "e")
         kb.solution
-        assert kb.last_update.mode == "rebuild"
+        assert kb.last_update.mode == "delta"
+        # The grown grounding was recompiled: the new rule instance runs on
+        # the kernel, not on the object fallback.
+        assert kb._engine._kernel.compiled.n_rules == len(kb._engine.context.rules)
         oracle = KnowledgeBase(
-            GAME_TEXT, config=EngineConfig(semantics="well-founded")
+            GAME_TEXT, config=EngineConfig(semantics="well-founded", engine="monolithic")
         )
         oracle.assert_fact("move", "d", "e")
         assert _interpretation(kb) == _interpretation(oracle)
 
+
+class TestFallbacks:
     def test_monolithic_engine_bypasses_kernel(self):
         kb = KnowledgeBase(
             GROUND_TEXT,

@@ -189,8 +189,20 @@ class TestModes:
         kb = KnowledgeBase("p :- not q. q :- r.", config=EngineConfig(semantics="well-founded"))
         assert kb.is_incremental
 
-    def test_non_ground_rules_fall_back_to_rebuild(self):
+    def test_non_ground_rules_take_the_delta_path(self):
         kb = KnowledgeBase(GAME_TEXT, config=EngineConfig(semantics="well-founded"))
+        assert kb.is_incremental
+        kb.solution
+        kb.assert_fact("move", "d", "e")
+        kb.solution
+        assert kb.last_update.mode == "delta"
+        assert kb.last_update.rules_added == 1
+        assert kb.statistics()["rules_added"] == 1
+
+    def test_naive_grounder_falls_back_to_rebuild(self):
+        kb = KnowledgeBase(
+            GAME_TEXT, config=EngineConfig(semantics="well-founded", grounder="naive")
+        )
         assert not kb.is_incremental
         kb.solution
         kb.assert_fact("move", "d", "e")

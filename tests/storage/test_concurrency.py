@@ -13,6 +13,7 @@ Two batteries the query service leans on:
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 
 import pytest
@@ -34,7 +35,13 @@ class TestSqliteWalConcurrency:
         failures: list[str] = []
 
         def reader_loop():
-            store = SqliteStore(path)
+            # Any exception (e.g. a catalogue row visible before its table)
+            # is a failure of the test, not just of this thread.
+            try:
+                store = SqliteStore(path)
+            except Exception as error:  # noqa: BLE001
+                failures.append(f"reader could not open: {error!r}")
+                return
             try:
                 last = 0
                 while not done.is_set() or last < total:
@@ -50,6 +57,8 @@ class TestSqliteWalConcurrency:
                     last = seen
                     if done.is_set() and last >= total:
                         break
+            except Exception as error:  # noqa: BLE001
+                failures.append(f"reader died: {error!r}")
             finally:
                 store.close()
 
@@ -71,22 +80,55 @@ class TestSqliteWalConcurrency:
         check.close()
         writer.close()
 
+    def test_catalogue_row_commits_with_its_table(self, tmp_path, monkeypatch):
+        # Another connection must never see a relation catalogued whose
+        # table does not exist yet: the two statements commit together.
+        path = tmp_path / "catalogue.db"
+        writer = SqliteStore(path)
+        reader = sqlite3.connect(path)
+        visible: list[int] = []
+        execute = SqliteStore._execute
+
+        def spy(self, sql, parameters=()):
+            cursor = execute(self, sql, parameters)
+            if sql.startswith("INSERT INTO repro_relations"):
+                [(count,)] = reader.execute("SELECT COUNT(*) FROM repro_relations")
+                visible.append(count)
+            return cursor
+
+        monkeypatch.setattr(SqliteStore, "_execute", spy)
+        try:
+            writer.add_atom(parse_atom("fact(1)"))
+            assert visible == [0]
+            [(count,)] = reader.execute("SELECT COUNT(*) FROM repro_relations")
+            assert count == 1
+            assert reader.execute("SELECT COUNT(*) FROM facts_1").fetchone() == (1,)
+        finally:
+            reader.close()
+            writer.close()
+
     def test_rolled_back_batches_never_leak_to_other_connections(self, tmp_path):
         path = tmp_path / "rollback.db"
         writer = SqliteStore(path)
         for atom in _atoms("real", 5):
             writer.add_atom(atom)
         done = threading.Event()
-        leaks: list[int] = []
+        leaks: list[str] = []
 
         def reader_loop():
-            store = SqliteStore(path)
+            try:
+                store = SqliteStore(path)
+            except Exception as error:  # noqa: BLE001
+                leaks.append(f"reader could not open: {error!r}")
+                return
             try:
                 while not done.is_set():
                     ghosts = store.count("ghost", 1)
                     if ghosts:
-                        leaks.append(ghosts)
+                        leaks.append(f"reader observed {ghosts} uncommitted ghost rows")
                         return
+            except Exception as error:  # noqa: BLE001
+                leaks.append(f"reader died: {error!r}")
             finally:
                 store.close()
 
@@ -105,7 +147,7 @@ class TestSqliteWalConcurrency:
         finally:
             done.set()
         reader.join(30)
-        assert not leaks, f"reader observed {leaks[0]} uncommitted ghost rows"
+        assert not leaks, leaks[0]
         assert writer.count("ghost", 1) == 0
         assert writer.count("real", 1) == 35
         writer.close()
