@@ -228,7 +228,8 @@ class EngineConfig:
         Incremental-maintenance granularity, one of
         :data:`MAINTENANCE_MODES`: atom-level ``"delta"`` (default) or
         whole-``"component"`` re-solve.  Only consulted by the
-        incremental session path (ground rules, well-founded family).
+        incremental session path (a semantics that gives the well-founded
+        model of the rules, with the relevant grounder).
     """
 
     semantics: str = DEFAULT_SEMANTICS

@@ -42,9 +42,13 @@ components *reading* those atoms are touched.  A no-op churn step — the
 common case under redundant support — therefore costs O(1) instead of
 O(downstream cone).
 
-Truth codes match the kernel's vector encoding (``1`` true, ``2`` false,
-``0`` undefined), so a :class:`~repro.kernel.ComponentKernel` can be kept
-in sync with a plain per-atom callback.
+The maintainer holds no verdicts of its own: it reads and writes the
+owning engine's aggregate true/false sets, an atom in neither being
+undefined, and keeps only method state — the counting counters and the
+two closures of each DRed component.  Truth codes match the kernel's
+vector encoding (``1`` true, ``2`` false, ``0`` undefined), so a
+:class:`~repro.kernel.ComponentKernel` can be kept in sync with a plain
+per-atom callback.
 """
 
 from __future__ import annotations
@@ -115,10 +119,9 @@ class DeltaMaintainer:
 
     Constructed against the owning engine's *solved* state: the rule
     context (rules + head index), the condensation (components, component
-    membership) and the mutable solved sets — per-component
-    ``comp_true``/``comp_false`` lists and the aggregate ``true``/``false``
-    sets — which the maintainer updates **in place** so the engine's views
-    (model, reports, explanations) stay consistent without copying.
+    membership) and the aggregate ``true``/``false`` sets, which hold every
+    verdict and which the maintainer updates **in place** so the engine's
+    views (model, reports, explanations) stay consistent without copying.
 
     :meth:`apply` then brings everything up to date with one batch of
     fact flips, and :meth:`extend` takes in rules and components a growing
@@ -135,8 +138,6 @@ class DeltaMaintainer:
         rules_by_head: Mapping[Atom, tuple[int, ...]],
         components: list[set[Atom]],
         component_of: Mapping[Atom, int],
-        comp_true: list[set[Atom]],
-        comp_false: list[set[Atom]],
         true_atoms: set[Atom],
         false_atoms: set[Atom],
         rank: Sequence[int],
@@ -144,8 +145,6 @@ class DeltaMaintainer:
         self._rules = rules
         self._components = components
         self._component_of = component_of
-        self._comp_true = comp_true
-        self._comp_false = comp_false
         self._true = true_atoms
         self._false = false_atoms
         # Processing order: components are visited by ascending rank
@@ -177,34 +176,30 @@ class DeltaMaintainer:
         self._n_def: dict[Atom, int] = {}
         self._n_poss: dict[Atom, int] = {}
         self._singleton: dict[int, Atom] = {}
-        # DRed components: the possibly-true envelope (the true closure is
-        # comp_true itself, mutated in place) and per-rule internal
-        # deficits |int_body \ T| / |int_body \ E|.
+        # DRed components: the definite closure T, the possibly-true
+        # envelope E and per-rule internal deficits |int_body \ T| /
+        # |int_body \ E|.
+        self._in_t: dict[int, set[Atom]] = {}
         self._in_e: dict[int, set[Atom]] = {}
         self._need_t: dict[int, int] = {}
         self._need_e: dict[int, int] = {}
 
-        self._verdict: dict[Atom, int] = {}
         self._add_components(range(len(components)), rules_by_head)
+
+    def _code(self, atom: Atom) -> int:
+        """The current verdict of *atom*, read from the aggregate sets."""
+        if atom in self._true:
+            return _TRUE
+        if atom in self._false:
+            return _FALSE
+        return _UNDEF
 
     def _add_components(
         self, indexes: Iterable[int], rules_by_head: Mapping[Atom, tuple[int, ...]]
     ) -> None:
         """Classify and prime components appended to the condensation (in
         index order) from their solved verdicts."""
-        indexes = list(indexes)
         true_atoms, false_atoms = self._true, self._false
-        verdict = self._verdict
-        # Every verdict first: a rule's external literals may live in any
-        # of the new components, not only in lower-indexed ones.
-        for index in indexes:
-            for atom in self._components[index]:
-                if atom in true_atoms:
-                    verdict[atom] = _TRUE
-                elif atom in false_atoms:
-                    verdict[atom] = _FALSE
-                else:
-                    verdict[atom] = _UNDEF
         for index in indexes:
             component = self._components[index]
             kind = classify_component(component, self._rules, rules_by_head)
@@ -212,7 +207,8 @@ class DeltaMaintainer:
             if kind == "counting":
                 self._singleton[index] = next(iter(component))
             elif kind == "dred":
-                self._in_e[index] = component - self._comp_false[index]
+                self._in_t[index] = component & true_atoms
+                self._in_e[index] = component - false_atoms
             for head in component:
                 for rule_id in rules_by_head.get(head, ()):
                     self._add_rule(rule_id, index)
@@ -249,10 +245,9 @@ class DeltaMaintainer:
             # "resolve".
             external.add((atom, False))
         unsat = undef = 0
-        verdict = self._verdict
         for atom, positive in external:
             self._watch.setdefault(atom, []).append((rule_id, positive))
-            code = verdict.get(atom, _FALSE)
+            code = self._code(atom)
             if positive:
                 unsat += code == _FALSE
                 undef += code == _UNDEF
@@ -268,7 +263,7 @@ class DeltaMaintainer:
         self._int_count[rule_id] = len(internal)
         for atom in internal:
             self._int_watch.setdefault(atom, []).append(rule_id)
-        in_t = self._comp_true[index]
+        in_t = self._in_t[index]
         in_e = self._in_e[index]
         self._need_t[rule_id] = sum(atom not in in_t for atom in internal)
         self._need_e[rule_id] = sum(atom not in in_e for atom in internal)
@@ -324,7 +319,8 @@ class DeltaMaintainer:
         *changed* are rule atoms whose EDB status differs from the solved
         state; *facts* is the full new EDB.  *resolve* re-solves one
         ``"resolve"``-kind component against the (already updated)
-        aggregates and returns its new ``(true, false)`` pair; *sync*, when
+        aggregates and returns its new ``(true, false)`` pair, leaving the
+        aggregates to this pass; *sync*, when
         given, receives every verdict flip as ``(atom, code)`` (the kernel
         truth-vector hook); *step* is called once per processed component
         (budget metering).  Returns the pass's :class:`DeltaOutcome`.
@@ -340,6 +336,7 @@ class DeltaMaintainer:
         overdeleted = rederived = 0
 
         component_of = self._component_of
+        true_atoms, false_atoms = self._true, self._false
         kinds = self._kinds
         ext_unsat = self._ext_unsat
         ext_undef = self._ext_undef
@@ -416,16 +413,18 @@ class DeltaMaintainer:
                 changes = self._apply_resolve(index, resolve)
             methods[kind] += 1
             for atom, new in changes:
-                old = self._verdict[atom]
-                self._verdict[atom] = new
-                if old == _TRUE:
-                    self._true.discard(atom)
-                elif old == _FALSE:
-                    self._false.discard(atom)
+                if atom in true_atoms:
+                    old = _TRUE
+                    true_atoms.discard(atom)
+                elif atom in false_atoms:
+                    old = _FALSE
+                    false_atoms.discard(atom)
+                else:
+                    old = _UNDEF
                 if new == _TRUE:
-                    self._true.add(atom)
+                    true_atoms.add(atom)
                 elif new == _FALSE:
-                    self._false.add(atom)
+                    false_atoms.add(atom)
                 if sync is not None:
                     sync(atom, new)
                 atoms_changed += 1
@@ -452,16 +451,8 @@ class DeltaMaintainer:
             new = _UNDEF
         else:
             new = _FALSE
-        if self._verdict[head] == new:
+        if self._code(head) == new:
             return ()
-        comp_true = self._comp_true[index]
-        comp_false = self._comp_false[index]
-        comp_true.clear()
-        comp_false.clear()
-        if new == _TRUE:
-            comp_true.add(head)
-        elif new == _FALSE:
-            comp_false.add(head)
         return ((head, new),)
 
     def _apply_dred(
@@ -485,7 +476,7 @@ class DeltaMaintainer:
             if now_poss != was_poss:
                 e_events.append((rule_id, was_poss, now_poss))
 
-        in_t = self._comp_true[index]
+        in_t = self._in_t[index]
         in_e = self._in_e[index]
         t_added, t_removed, over_t, reder_t = self._dred_circuit(
             in_t, self._need_t, self._def_enabled, t_events,
@@ -496,12 +487,6 @@ class DeltaMaintainer:
             added_facts, removed_facts, facts,
         )
 
-        comp_false = self._comp_false[index]
-        for atom in e_added:
-            comp_false.discard(atom)
-        for atom in e_removed:
-            comp_false.add(atom)
-
         changes: list[tuple[Atom, int]] = []
         for atom in t_added | t_removed | e_added | e_removed:
             if atom in in_t:
@@ -510,7 +495,7 @@ class DeltaMaintainer:
                 new = _UNDEF
             else:
                 new = _FALSE
-            if self._verdict[atom] != new:
+            if self._code(atom) != new:
                 changes.append((atom, new))
         return changes, over_t + over_e, reder_t + reder_e
 
@@ -601,8 +586,6 @@ class DeltaMaintainer:
         self, index: int, resolve: Callable[[int], tuple[set[Atom], set[Atom]]]
     ) -> list[tuple[Atom, int]]:
         new_true, new_false = resolve(index)
-        self._comp_true[index] = new_true
-        self._comp_false[index] = new_false
         changes: list[tuple[Atom, int]] = []
         for atom in self._components[index]:
             if atom in new_true:
@@ -611,6 +594,6 @@ class DeltaMaintainer:
                 new = _FALSE
             else:
                 new = _UNDEF
-            if self._verdict[atom] != new:
+            if self._code(atom) != new:
                 changes.append((atom, new))
         return changes

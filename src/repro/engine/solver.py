@@ -241,9 +241,11 @@ def _solve_with_store(
         limits = config.limits
         strategy = config.strategy
         engine = config.engine
-        if store is not None and (
-            program.is_ground or config.resolved_grounder != "relevant"
-        ):
+        # Fitting's semantics does not take the unfounded-set step: an atom
+        # whose positive body can never be derived stays undefined there,
+        # while the relevant grounder drops its rules and makes it false.
+        grounder = "naive" if semantics == "fitting" else config.resolved_grounder
+        if store is not None and (program.is_ground or grounder != "relevant"):
             # The naive/scan grounders and the ground-program passthrough need
             # the facts materialised as fact rules up front.  Everything else
             # leaves the facts in the store: the streaming grounder probes its
@@ -255,7 +257,7 @@ def _solve_with_store(
         context = build_context(
             program,
             limits=limits,
-            grounder=config.resolved_grounder,
+            grounder=grounder,
             store=store,
             recorder=recorder,
         )
@@ -279,9 +281,9 @@ def _solve_with_store(
                 ).model
         elif semantics == "stratified":
             with recorder.span("evaluate", method="stratified"):
-                interpretation = stratified_model(
-                    program, limits=limits, strategy=strategy
-                ).interpretation
+                # Grounded like the context, so the model is total over the
+                # solution's base.
+                interpretation = stratified_model(program, config=config).interpretation
         elif semantics == "horn":
             with recorder.span("evaluate", method="horn"):
                 interpretation = horn_minimum_model(context, strategy=strategy).interpretation

@@ -105,7 +105,8 @@ def compare_semantics(
 
     afp = alternating_fixpoint(context)
     wfs = well_founded_model(context)
-    fitting = fitting_model(context)
+    # Grounded naively, as the Fitting semantics needs (see fitting_model).
+    fitting = fitting_model(program, limits=limits)
     inflationary = inflationary_model(context)
 
     stratified_interpretation: Optional[PartialInterpretation] = None

@@ -6,7 +6,10 @@ dependency graph only ever reads the verdicts of the components below it.
 This module exploits the same structure in *time*: when the EDB changes,
 the only components whose verdict can move are those with a directed path
 to a changed atom — i.e. the components *upstream* of the change in the
-condensation DAG.  Everything else keeps its frozen verdict.
+condensation DAG.  Everything else keeps its frozen verdict.  The
+well-founded model is also the perfect model of a stratified program and
+the minimum model of a Horn one, so :class:`~repro.session.KnowledgeBase`
+maintains those semantics here too.
 
 :class:`IncrementalEngine` therefore caches, per knowledge base:
 
@@ -15,8 +18,11 @@ condensation DAG.  Everything else keeps its frozen verdict.
   only when the grounding grows (below);
 * a component-level reverse adjacency (``dependents``, built on first
   use): which components read each component's verdict;
-* the solved ``(true, false)`` pair and :class:`ComponentReport` of every
-  component.
+* the :class:`ComponentReport` of every component;
+* one aggregate true set and one aggregate false set holding every
+  verdict — an atom in neither is undefined.  There is no per-component
+  copy: re-solving a component takes its atoms out of the aggregates and
+  puts its new verdicts back.
 
 On :meth:`refresh` with a set of changed fact atoms, the default
 ``maintenance="delta"`` path hands the batch to a
@@ -126,8 +132,10 @@ class UpdateStats:
     delete-and-rederive — the default), ``"incremental"`` when whole
     components downstream of the changed facts were re-evaluated
     (``maintenance="component"``), and ``"rebuild"`` when the owning
-    knowledge base had to re-solve from scratch (a semantics outside the
-    well-founded family, a non-relevant grounder or the monolithic engine).
+    knowledge base had to re-solve from scratch (a semantics whose model
+    differs from the well-founded one, a requested stratified or Horn
+    class the rules do not meet, a non-relevant grounder or the monolithic
+    engine).
     ``components_total`` /
     ``components_recomputed`` / ``components_reused`` quantify the reuse —
     the acceptance benchmark asserts ``components_recomputed`` stays
@@ -222,8 +230,6 @@ class IncrementalEngine:
         # Mutable solved state, populated by the first refresh.
         self._components: list[set[Atom]] = []
         self._component_of: dict[Atom, int] = {}
-        self._comp_true: list[set[Atom]] = []
-        self._comp_false: list[set[Atom]] = []
         self._reports: list[Optional[ComponentReport]] = []
         self._rule_atoms: frozenset[Atom] = frozenset()
         self._dependents: Optional[list[set[int]]] = None
@@ -345,7 +351,7 @@ class IncrementalEngine:
         # new one, so the two never coexist at peak.
         self._delta = None
         self._kernel = None
-        self._components, self._comp_true, self._comp_false = [], [], []
+        self._components = []
         self._rule_atoms = context.base
         self._undef_atom = fresh_undef_atom(self._rule_atoms)
 
@@ -376,8 +382,6 @@ class IncrementalEngine:
         if self._solved:
             self._carry_over(old_atoms, old_component_of, old_reports)
         else:
-            self._comp_true = [set() for _ in self._components]
-            self._comp_false = [set() for _ in self._components]
             self._reports = [None] * len(self._components)
 
     def _carry_over(
@@ -407,8 +411,6 @@ class IncrementalEngine:
                 self._false.add(atom)
         if self._kernel is not None:
             self._kernel.load(facts, self._true, self._false)
-        self._comp_true = [component & self._true for component in self._components]
-        self._comp_false = [component & self._false for component in self._components]
         self._reports = []
         changed = []
         for index, component in enumerate(self._components):
@@ -426,20 +428,20 @@ class IncrementalEngine:
                 self._reports.append(None)
                 changed.append(index)
         for index in changed:
-            self._resolve_in_place(index)
+            self._resolve_in_place(index, facts)
 
-    def _resolve_in_place(self, index: int) -> None:
-        """Solve one component against the current verdicts and store its
-        verdicts and report."""
+    def _resolve_in_place(self, index: int, facts: frozenset[Atom]) -> ComponentReport:
+        """Solve one component against the verdicts below it: its atoms
+        leave the aggregates and its new verdicts enter them.  Returns
+        (and stores) its report."""
         component = self._components[index]
-        comp_true, comp_false, report = self._solve_one(index, component, self._facts)
         self._true.difference_update(component)
         self._false.difference_update(component)
+        comp_true, comp_false, report = self._solve_one(index, component, facts)
         self._true |= comp_true
         self._false |= comp_false
-        self._comp_true[index] = comp_true
-        self._comp_false[index] = comp_false
         self._reports[index] = report
+        return report
 
     def _fold_in(self, start: int) -> bool:
         """Fold the rules appended from index *start* into the solved
@@ -474,8 +476,6 @@ class IncrementalEngine:
                 self._components.append({atom})
                 component_of[atom] = index
                 dependents.append(set())
-                self._comp_true.append(set())
-                self._comp_false.append(set())
                 self._reports.append(None)
                 if atom in heads:
                     ceiling += 1
@@ -504,7 +504,7 @@ class IncrementalEngine:
             meter.check("refresh")
         for index in sorted(new_components, key=rank.__getitem__):
             self._floating.difference_update(self._components[index])
-            self._resolve_in_place(index)
+            self._resolve_in_place(index, self._facts)
         grown = [
             rule_id
             for rule_id in range(start, len(rules))
@@ -782,14 +782,8 @@ class IncrementalEngine:
         methods: dict[str, int] = {}
         meter = current_meter()
         for index in sorted(range(len(self._components)), key=self._rank.__getitem__):
-            component = self._components[index]
             meter.step("refresh")
-            comp_true, comp_false, report = self._solve_one(index, component, facts)
-            self._comp_true[index] = comp_true
-            self._comp_false[index] = comp_false
-            self._reports[index] = report
-            self._true |= comp_true
-            self._false |= comp_false
+            report = self._resolve_in_place(index, facts)
             methods[report.method] = methods.get(report.method, 0) + 1
         return UpdateStats(
             mode="initial",
@@ -905,8 +899,6 @@ class IncrementalEngine:
                 self._rule_context.rules_by_head,
                 self._components,
                 self._component_of,
-                self._comp_true,
-                self._comp_false,
                 self._true,
                 self._false,
                 rank=self._rank,
@@ -918,7 +910,7 @@ class IncrementalEngine:
             # whole-component re-solve against the already-maintained
             # aggregates.  `solve_component` only consults the aggregates
             # for atoms *outside* the component, so the component's own
-            # stale entries need no subtraction first.
+            # entries stay for the maintainer to diff against.
             comp_true, comp_false, report = self._solve_one(
                 index, self._components[index], facts
             )
@@ -976,21 +968,11 @@ class IncrementalEngine:
             order = sorted(affected, key=self._rank.__getitem__)
         if recorder.enabled:
             affected_span.annotate(changed=len(changed), components=len(order))
-        for index in order:
-            self._true -= self._comp_true[index]
-            self._false -= self._comp_false[index]
         methods: dict[str, int] = {}
         meter = current_meter()
         for index in order:
             meter.step("refresh")
-            comp_true, comp_false, report = self._solve_one(
-                index, self._components[index], facts
-            )
-            self._comp_true[index] = comp_true
-            self._comp_false[index] = comp_false
-            self._reports[index] = report
-            self._true |= comp_true
-            self._false |= comp_false
+            report = self._resolve_in_place(index, facts)
             methods[report.method] = methods.get(report.method, 0) + 1
         return UpdateStats(
             mode="incremental",

@@ -22,9 +22,11 @@ lazy: the model refreshes on the next read.  Group related updates in
 ``with kb.batch():`` — the block is transactional (an exception rolls the
 whole group back) and the eventual refresh covers the net delta once.
 
-When the (resolved) semantics is in the well-founded family with the
-modular or kernel engine — the defaults are in that family — refreshes
-are *incremental*: only the SCC components of the atom dependency graph
+When the (resolved) semantics gives the well-founded model of the rules —
+the well-founded family, or ``stratified``/``horn`` on rules of that
+class, whether ``auto`` picked it or the caller asked for it — and the
+engine is the modular or kernel one (the defaults), refreshes are
+*incremental*: only the SCC components of the atom dependency graph
 reachable from the changed facts are re-solved
 (:mod:`repro.session.incremental`; ``engine="kernel"`` additionally runs
 each component solve over the compiled flat-array state of
@@ -32,10 +34,12 @@ each component solve over the compiled flat-array state of
 each refresh grounds only the rule instances the newly asserted facts
 enable, and retracted facts keep theirs.  True and undefined atoms are
 always those of a from-scratch solve; :attr:`KnowledgeBase.base` is then
-an over-approximation whose extra atoms are false.  Any other
-configuration — including ``semantics="auto"`` resolving to stratified or
-Horn, and the naive grounder — transparently falls back to a full
-re-solve per refresh, with the same observable results.
+an over-approximation whose extra atoms are false.  The remaining
+configurations — a semantics whose model differs from the well-founded
+one (Fitting, inflationary, stable), a requested class the rules do not
+meet (which raises on every read), the monolithic engine and the naive
+grounder — re-solve from scratch per refresh, with the same observable
+results.
 """
 
 from __future__ import annotations
@@ -69,6 +73,41 @@ __all__ = ["KnowledgeBase", "ResultSet", "SessionSnapshot"]
 #: Semantics whose model the incremental engine maintains (it computes the
 #: well-founded partial model, which these two name interchangeably).
 _WFS_FAMILY = ("well-founded", "alternating-fixpoint")
+#: Semantics that give the well-founded model on the program classes listed
+#: (classes as :func:`~repro.engine.solver.resolve_auto_semantics` names
+#: them): the perfect model of a stratified program and the minimum model
+#: of a Horn one are its total well-founded model.  On any other class they
+#: raise, so a solution under them always holds the well-founded model.
+_WFS_CLASSES = {"stratified": ("horn", "stratified"), "horn": ("horn",)}
+
+
+def _alternating_result(solution: Solution) -> AlternatingFixpointResult:
+    """What the explainer justifies *solution*'s verdicts against.
+
+    A solution under a semantics that gives the well-founded model (the
+    WFS family, or stratified/Horn, which raise on any other program) is
+    wrapped as is, with the ground context it was solved over: no second
+    solve, and no re-grounding unless the producer dropped the context.
+    Under any other semantics a well-founded model is computed for the
+    explanation.
+    """
+    if solution.semantics not in _WFS_FAMILY and solution.semantics not in _WFS_CLASSES:
+        from ..core.alternating import alternating_fixpoint
+
+        return alternating_fixpoint(solution.program, config=solution.config)
+    context = solution.context
+    if context is None:
+        from ..core.context import build_context
+
+        context = build_context(solution.program, config=solution.config)
+    model = solution.interpretation
+    negative = NegativeSet(model.false_atoms)
+    return AlternatingFixpointResult(
+        context=context,
+        negative_fixpoint=negative,
+        positive_fixpoint=model.true_atoms,
+        stages=(AlternatingStage(0, negative, model.true_atoms),),
+    )
 
 
 def _match_row(row: Sequence[object], pattern: Sequence[object]) -> bool:
@@ -277,28 +316,8 @@ class SessionSnapshot:
             atom = parse_atom(atom)
         with self._lock:
             if self._explainer is None:
-                self._explainer = Explainer(self._alternating_result())
+                self._explainer = Explainer(_alternating_result(self.solution))
             return self._explainer.explain(atom)
-
-    def _alternating_result(self) -> AlternatingFixpointResult:
-        solution = self.solution
-        if solution.semantics in _WFS_FAMILY:
-            context = solution.context
-            if context is None:
-                from ..core.context import build_context
-
-                context = build_context(solution.program, config=solution.config)
-            model = solution.interpretation
-            negative = NegativeSet(model.false_atoms)
-            return AlternatingFixpointResult(
-                context=context,
-                negative_fixpoint=negative,
-                positive_fixpoint=model.true_atoms,
-                stages=(AlternatingStage(0, negative, model.true_atoms),),
-            )
-        from ..core.alternating import alternating_fixpoint
-
-        return alternating_fixpoint(solution.program, config=solution.config)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -685,16 +704,22 @@ class KnowledgeBase:
         if self._incremental is not None:
             return
         semantics = self._config.semantics
-        if semantics == "auto":
+        found = None
+        if semantics == "auto" or semantics in _WFS_CLASSES:
             # Classification is a function of the rules: facts are definite
-            # and add no dependency arcs, so resolving once is safe.
-            semantics = resolve_auto_semantics(self._program())
+            # and add no dependency arcs, so classifying once is safe.
+            found = resolve_auto_semantics(self._rules)
+            if semantics == "auto":
+                semantics = found
         self._resolved_semantics = semantics
+        # The engine maintains the well-founded model, so it serves every
+        # semantics that gives it for these rules; a requested class the
+        # rules do not meet is left to the rebuild, whose evaluator raises.
         # Non-ground rules are grounded incrementally by the engine, with
         # the relevant grounder (a naive grounding's base is the whole
         # Herbrand base, which no envelope tracks).
         self._incremental = (
-            semantics in _WFS_FAMILY
+            (semantics in _WFS_FAMILY or found in _WFS_CLASSES.get(semantics, ()))
             and self._config.engine in ("modular", "kernel")
             and (self._rules.is_ground or self._config.resolved_grounder == "relevant")
         )
@@ -869,49 +894,17 @@ class KnowledgeBase:
         """Justify an atom's verdict in the *well-founded* model of the
         current program (see :mod:`repro.core.explain`).
 
-        Under the well-founded family the explanation is built against the
-        session's maintained model; under other semantics a well-founded
-        model is computed for the explanation (the verdicts coincide for
-        Horn and stratified programs).
+        Under a semantics that gives the well-founded model (the WFS
+        family, stratified, Horn) the explanation is built against the
+        session's model; under other semantics a well-founded model is
+        computed for the explanation.
         """
         if isinstance(atom, str):
             atom = parse_atom(atom)
         self._refresh()
         if self._explainer is None:
-            self._explainer = Explainer(self._alternating_result())
+            self._explainer = Explainer(_alternating_result(self._solution))
         return self._explainer.explain(atom)
-
-    def _alternating_result(self) -> AlternatingFixpointResult:
-        if self._engine is not None:
-            model = self._engine.model
-            negative = NegativeSet(model.false_atoms)
-            return AlternatingFixpointResult(
-                context=self._engine.context,
-                negative_fixpoint=negative,
-                positive_fixpoint=model.true_atoms,
-                stages=(AlternatingStage(0, negative, model.true_atoms),),
-            )
-        if self._resolved_semantics in _WFS_FAMILY and self._solution is not None:
-            # The maintained model already is the well-founded model: wrap
-            # it for the explainer, reusing the solve's ground context
-            # (no second solve, and no re-grounding unless the producer
-            # dropped the context).
-            context = self._solution.context
-            if context is None:
-                from ..core.context import build_context
-
-                context = build_context(self._program(), config=self._config)
-            model = self._solution.interpretation
-            negative = NegativeSet(model.false_atoms)
-            return AlternatingFixpointResult(
-                context=context,
-                negative_fixpoint=negative,
-                positive_fixpoint=model.true_atoms,
-                stages=(AlternatingStage(0, negative, model.true_atoms),),
-            )
-        from ..core.alternating import alternating_fixpoint
-
-        return alternating_fixpoint(self._program(), config=self._config)
 
     def __len__(self) -> int:
         return len(self._fact_rules)

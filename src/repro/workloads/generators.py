@@ -191,28 +191,40 @@ def random_propositional_program(
     max_body: int = 3,
     negation_probability: float = 0.4,
     fact_probability: float = 0.15,
+    layers: int = 0,
 ) -> Program:
     """A random ground propositional program.
 
     Atom names are ``p0 .. p{atoms-1}``.  Each rule picks a random head and
     up to ``max_body`` random body atoms, each negated with the given
-    probability; a slice of the rules become facts.  Deterministic per seed.
+    probability; a slice of the rules become facts.  With *layers* > 0 the
+    atoms are cut into that many consecutive layers, a positive body atom
+    is drawn from the head's layer or below and a negative one from a
+    strictly lower layer (a rule in the lowest layer gets none), so the
+    program is stratified.  Deterministic per seed.
     """
     generator = random.Random(seed)
     names = [f"p{i}" for i in range(max(1, atoms))]
+    span = -(-len(names) // layers) if layers > 0 else 0
     produced: list[Rule] = []
     for _ in range(rules):
-        head = Atom(generator.choice(names), ())
+        head = generator.randrange(len(names))
         if generator.random() < fact_probability:
-            produced.append(Rule(head))
+            produced.append(Rule(Atom(names[head], ())))
             continue
+        # The first atom of the head's layer: a layered positive literal
+        # reads below the layer's end, a negative one below its start.
+        floor = head - head % span if span else 0
         body_size = generator.randint(1, max(1, max_body))
         body: list[Literal] = []
         for _ in range(body_size):
-            atom = Atom(generator.choice(names), ())
+            index = generator.randrange(len(names))
             positive = generator.random() >= negation_probability
-            body.append(Literal(atom, positive))
-        produced.append(Rule(head, tuple(body)))
+            if span:
+                positive = positive or not floor
+                index %= floor + span if positive else floor
+            body.append(Literal(Atom(names[index], ()), positive))
+        produced.append(Rule(Atom(names[head], ()), tuple(body)))
     return Program(produced)
 
 

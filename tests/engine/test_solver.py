@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog import Database, parse_program
 from repro.datalog.atoms import atom
 from repro.engine.solver import SUPPORTED_SEMANTICS, solve
@@ -69,6 +70,17 @@ class TestSolve:
         with pytest.raises(NotStratifiedError):
             solve("p :- not p.", semantics="stratified")
 
+    def test_stratified_model_is_total_over_a_naive_base(self):
+        # The perfect model is grounded like the solution's base: r(b) is
+        # in the naive Herbrand base and false, not left undefined.
+        solution = solve(
+            "r(X) :- s(X), not u(X). s(a). t(b).",
+            config=EngineConfig(semantics="stratified", grounder="naive"),
+        )
+        assert solution.is_total
+        assert solution.is_false("r", "b")
+        assert solution.is_true("r", "a")
+
     def test_stable_semantics_requires_a_stable_model(self):
         with pytest.raises(EvaluationError):
             solve("p :- not p.", semantics="stable")
@@ -92,8 +104,8 @@ class TestEngineSelection:
 
     def test_engines_agree_on_wfs_semantics(self):
         for semantics in ("alternating-fixpoint", "well-founded"):
-            modular = solve(self.GAME, semantics=semantics, engine="modular")
-            monolithic = solve(self.GAME, semantics=semantics, engine="monolithic")
+            modular = solve(self.GAME, semantics, config=EngineConfig(engine="modular"))
+            monolithic = solve(self.GAME, semantics, config=EngineConfig(engine="monolithic"))
             assert modular.interpretation == monolithic.interpretation
             assert modular.engine == "modular"
             assert monolithic.engine == "monolithic"
@@ -106,7 +118,7 @@ class TestEngineSelection:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(EvaluationError):
-            solve(self.GAME, engine="hyperdrive")
+            solve(self.GAME, config=EngineConfig(engine="hyperdrive"))
 
     def test_engine_constant_exported(self):
         from repro.engine.solver import EVALUATION_ENGINES

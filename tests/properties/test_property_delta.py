@@ -8,6 +8,11 @@ SQLite store, and in lockstep with a ``maintenance="component"`` session
 applying the same operations.  This is the soundness contract of
 :mod:`repro.delta`: no counter drift, no over- or under-deletion, no
 stale verdict survives any interleaving.
+
+Default-config sessions over stratified and Horn programs take the same
+path, and their from-scratch oracle is an evaluator independent of the
+engine: ``auto`` resolves them to ``stratified_model`` /
+``horn_minimum_model``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ ATOM_POOL = 12
 
 DELTA = EngineConfig(semantics="well-founded", maintenance="delta")
 COMPONENT = EngineConfig(semantics="well-founded", maintenance="component")
+AUTO = EngineConfig()
 
 
 def _model_bytes(solution) -> bytes:
@@ -49,6 +55,25 @@ def _apply_and_check(kb: KnowledgeBase, operations) -> None:
             f"delta-maintained model diverged after "
             f"{'assert' if insert else 'retract'} {atom}"
         )
+        if kb.epoch > 1:
+            assert kb.last_update.mode == "delta", kb.last_update.describe()
+
+
+def _layered_kb(seed: int, negation: bool, store) -> KnowledgeBase:
+    """A default-config session over a random stratified program (Horn
+    without negation), solved once."""
+    program = random_propositional_program(
+        atoms=ATOM_POOL,
+        rules=18,
+        seed=seed,
+        layers=4,
+        negation_probability=0.4 if negation else 0.0,
+    )
+    kb = KnowledgeBase(program, config=AUTO, store=store)
+    assert kb.semantics in ("stratified", "horn")
+    assert kb.is_incremental
+    kb.solution
+    return kb
 
 
 # Atoms drawn partly from the program's own alphabet (hitting counters,
@@ -106,6 +131,33 @@ class TestDeltaLockstep:
                 (kb.assert_fact if insert else kb.retract_fact)(atom)
         scratch = solve_configured(kb._program(), kb.config)
         assert _model_bytes(kb.solution) == _model_bytes(scratch)
+
+
+class TestStratifiedAndHornSessions:
+    @given(seed=st.integers(min_value=0, max_value=40), negation=st.booleans(),
+           operations=_operations)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_scratch_on_memory_store(self, seed, negation, operations):
+        _apply_and_check(_layered_kb(seed, negation, MemoryStore()), operations)
+
+    @given(seed=st.integers(min_value=0, max_value=12), negation=st.booleans(),
+           operations=_operations)
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_scratch_on_sqlite_store(self, seed, negation, operations):
+        with _layered_kb(seed, negation, SqliteStore(":memory:")) as kb:
+            _apply_and_check(kb, operations)
+
+    @given(seed=st.integers(min_value=0, max_value=10))
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_social_graph_stream_on_the_default_config(self, seed):
+        """The social-graph workload resolves to stratified under ``auto``."""
+        program, ops = social_graph_stream(
+            12, extra_edges=4, back_edges=3, steps=10, seed=seed
+        )
+        kb = KnowledgeBase(program, config=AUTO)
+        assert kb.semantics == "stratified"
+        kb.solution
+        _apply_and_check(kb, [(op.kind == "assert", op.atom) for op in ops])
 
 
 class TestStreamChurn:

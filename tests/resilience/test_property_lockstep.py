@@ -7,7 +7,10 @@ strategy.  A shadow fact set is updated only when an operation succeeds;
 after the sequence the injector is disarmed and the KB must hold exactly
 the shadow facts and serve a model byte-identical to a freshly solved
 oracle of the same program.  This is the lockstep contract: a fault can
-make an operation fail, but never make the session lie.
+make an operation fail, but never make the session lie.  Default-config
+sessions over stratified and Horn programs, which ``auto`` maintains on
+the incremental engine, are held to the same contract against the
+stratified and Horn evaluators.
 """
 
 from __future__ import annotations
@@ -41,22 +44,43 @@ def _model_bytes(solution) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _faulted_kb(seed, script):
-    """A well-founded KB over a random program, with an armed injector.
+def _faulted_kb(program, script, config=EngineConfig(semantics="well-founded")):
+    """A KB over *program* (well-founded by default), with an armed
+    injector.
 
     The injector is disarmed while the session bootstraps (constructor
     loads the program's own facts into the store) so the drawn schedule
     applies only to the operations under test.
     """
-    program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
     store = FaultInjectingStore(MemoryStore(), script=script)
     store.armed = False
-    kb = KnowledgeBase(
-        program, store=store, config=EngineConfig(semantics="well-founded")
-    )
+    kb = KnowledgeBase(program, store=store, config=config)
     shadow = {str(atom) for atom in kb.facts()}
     store.armed = True
     return kb, store, shadow
+
+
+def _apply(kb, operations, shadow, read=False):
+    """Apply *operations*, mirroring each one that succeeds into *shadow*;
+    with *read*, refresh after each (a faulting refresh is retried by the
+    next read)."""
+    for insert, atom in operations:
+        try:
+            if insert:
+                kb.assert_fact(atom)
+            else:
+                kb.retract_fact(atom)
+        except InjectedFault:
+            continue
+        if insert:
+            shadow.add(str(atom))
+        else:
+            shadow.discard(str(atom))
+        if read:
+            try:
+                kb.solution
+            except InjectedFault:
+                pass  # the refresh aborted; the next read retries it
 
 
 _atoms = st.sampled_from(
@@ -89,6 +113,13 @@ NON_GROUND = """
 wins(X) :- move(X, Y), not wins(Y).
 two(X, Z) :- move(X, Y), move(Y, Z).
 """
+# Horn and stratified counterparts, which ``auto`` resolves to ``horn``
+# and ``stratified``.
+HORN_NON_GROUND = """
+reach(X, Y) :- move(X, Y).
+reach(X, Z) :- reach(X, Y), move(Y, Z).
+"""
+STRATIFIED_NON_GROUND = HORN_NON_GROUND + "one_way(X, Y) :- move(X, Y), not reach(Y, X).\n"
 
 _moves = st.sampled_from(
     [Atom("move", (Constant(x), Constant(y))) for x in "abc" for y in "abcd"]
@@ -124,10 +155,10 @@ def _check_non_ground_against_oracle(kb, store, shadow):
     assert solution.base - oracle.base <= solution.interpretation.false_atoms
 
 
-def _non_ground_kb(script):
+def _non_ground_kb(script, rules=NON_GROUND):
     store = FaultInjectingStore(MemoryStore(), script=script)
     store.armed = False
-    kb = KnowledgeBase(NON_GROUND, store=store, facts={"move": [("a", "b"), ("b", "c")]})
+    kb = KnowledgeBase(rules, store=store, facts={"move": [("a", "b"), ("b", "c")]})
     kb.solution
     assert kb.is_incremental
     shadow = {str(atom) for atom in kb.facts()}
@@ -147,19 +178,37 @@ class TestLockstep:
     def test_per_operation_faults_match_oracle(self, seed, operations, script):
         """Each operation applies fully or not at all; the surviving set
         solves to exactly the oracle model."""
-        kb, store, shadow = _faulted_kb(seed, script)
-        for insert, atom in operations:
-            try:
-                if insert:
-                    kb.assert_fact(atom)
-                else:
-                    kb.retract_fact(atom)
-            except InjectedFault:
-                continue
-            if insert:
-                shadow.add(str(atom))
-            else:
-                shadow.discard(str(atom))
+        program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
+        kb, store, shadow = _faulted_kb(program, script)
+        _apply(kb, operations, shadow)
+        _check_against_oracle(kb, store, shadow)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=30),
+        negation=st.booleans(),
+        operations=_operations,
+        script=_scripts,
+    )
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_stratified_and_horn_session_faults_match_oracle(
+        self, seed, negation, operations, script
+    ):
+        """The same contract for a default-config session the engine
+        maintains under ``stratified`` (or ``horn``, without negation),
+        reading after every operation."""
+        program = random_propositional_program(
+            atoms=ATOM_POOL,
+            rules=18,
+            seed=seed,
+            layers=4,
+            negation_probability=0.4 if negation else 0.0,
+        )
+        kb, store, shadow = _faulted_kb(program, script, EngineConfig())
+        assert kb.semantics == ("stratified" if negation else "horn")
+        assert kb.is_incremental
+        _apply(kb, operations, shadow, read=True)
         _check_against_oracle(kb, store, shadow)
 
     @given(
@@ -174,7 +223,8 @@ class TestLockstep:
         """A fault escaping a batch rolls the whole batch back; a clean
         batch applies the whole sequence.  Either way the model matches
         the oracle for whatever state survived."""
-        kb, store, shadow = _faulted_kb(seed, script)
+        program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
+        kb, store, shadow = _faulted_kb(program, script)
         attempted = set(shadow)
         try:
             with kb.batch():
@@ -209,18 +259,7 @@ class TestLockstep:
         )
         shadow = {str(atom) for atom in kb.facts()}
         store.armed = True
-        for insert, atom in operations:
-            try:
-                if insert:
-                    kb.assert_fact(atom)
-                else:
-                    kb.retract_fact(atom)
-            except InjectedFault:
-                continue
-            if insert:
-                shadow.add(str(atom))
-            else:
-                shadow.discard(str(atom))
+        _apply(kb, operations, shadow)
         _check_against_oracle(kb, store, shadow)
 
     @given(operations=_move_operations, script=_refresh_scripts)
@@ -233,22 +272,25 @@ class TestLockstep:
         grounder) leaves the delta queued, and the session never misses a
         rule instance afterwards."""
         kb, store, shadow = _non_ground_kb(script)
-        for insert, atom in operations:
-            try:
-                if insert:
-                    kb.assert_fact(atom)
-                else:
-                    kb.retract_fact(atom)
-            except InjectedFault:
-                continue
-            if insert:
-                shadow.add(str(atom))
-            else:
-                shadow.discard(str(atom))
-            try:
-                kb.solution
-            except InjectedFault:
-                pass  # the refresh aborted; the next read retries it
+        _apply(kb, operations, shadow, read=True)
+        _check_non_ground_against_oracle(kb, store, shadow)
+
+    @given(
+        rules=st.sampled_from([HORN_NON_GROUND, STRATIFIED_NON_GROUND]),
+        operations=_move_operations,
+        script=_refresh_scripts,
+    )
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_stratified_and_horn_non_ground_refresh_faults_match_oracle(
+        self, rules, operations, script
+    ):
+        """Incremental grounding under faults for Horn and stratified
+        rules, which ``auto`` maintains on the engine as well."""
+        kb, store, shadow = _non_ground_kb(script, rules)
+        assert kb.semantics in ("horn", "stratified")
+        _apply(kb, operations, shadow, read=True)
         _check_non_ground_against_oracle(kb, store, shadow)
 
     @given(operations=_move_operations, script=_refresh_scripts)

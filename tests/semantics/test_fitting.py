@@ -1,11 +1,15 @@
 """Unit tests for the Fitting (Kripke–Kleene) semantics."""
 
+from repro.config import EngineConfig
 from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.datalog.atoms import atom
 from repro.datalog.parser import parse_program
+from repro.engine.solver import solve
 from repro.fixpoint.interpretations import PartialInterpretation, TruthValue
+from repro.semantics.comparison import compare_semantics
 from repro.semantics.fitting import fitting_model, fitting_transform
+from repro.session import KnowledgeBase
 from repro.workloads import complement_of_transitive_closure_program, random_propositional_program
 
 
@@ -82,3 +86,33 @@ class TestFittingModel:
         result = fitting_model(parse_program("a. b :- not a. c :- not b."))
         assert result.is_total
         assert result.model.true_atoms == frozenset({atom("a"), atom("c")})
+
+
+class TestFittingThroughTheEntryPoints:
+    """Every entry point grounds naively under Fitting: the relevant
+    grounder drops ``p(a)``'s only rule (its positive body is never
+    derivable), which makes ``p(a)`` false and ``r`` true — the
+    unfounded-set step the Fitting semantics does not take."""
+
+    TEXT = "q(a). p(X) :- q(X), p(X). r :- not p(a)."
+
+    def _check(self, value_of):
+        assert value_of(atom("q", "a")) is TruthValue.TRUE
+        assert value_of(atom("p", "a")) is TruthValue.UNDEFINED
+        assert value_of(atom("r")) is TruthValue.UNDEFINED
+
+    def test_solve(self):
+        self._check(solve(self.TEXT, config=EngineConfig(semantics="fitting")).value_of)
+
+    def test_knowledge_base(self):
+        kb = KnowledgeBase(self.TEXT, config=EngineConfig(semantics="fitting"))
+        self._check(kb.value_of)
+        kb.assert_fact("q(b)")
+        self._check(kb.value_of)
+        assert kb.value_of(atom("p", "b")) is TruthValue.UNDEFINED
+
+    def test_compare_semantics(self):
+        comparison = compare_semantics(parse_program(self.TEXT), enumerate_stable=False)
+        self._check(comparison.fitting.value_of_atom)
+        # The well-founded model does take the unfounded-set step.
+        assert comparison.well_founded.value_of_atom(atom("r")) is TruthValue.TRUE

@@ -2,12 +2,15 @@
 
 import pytest
 
+import repro.core.alternating as alternating
 from repro.config import EngineConfig
 from repro.datalog import Database, parse_atom
 from repro.datalog.terms import Variable
-from repro.exceptions import EvaluationError, NotGroundError
+from repro.engine.solver import solve_configured
+from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
 from repro.session import KnowledgeBase, ResultSet
+from repro.workloads import social_graph_program
 
 WIN_MOVE_RULES = "wins(X) :- move(X, Y), not wins(Y)."
 
@@ -220,6 +223,74 @@ class TestModes:
     def test_auto_resolution_is_visible(self):
         assert KnowledgeBase("a. b :- a.").semantics == "horn"
         assert KnowledgeBase(GAME_TEXT).semantics == "alternating-fixpoint"
+
+
+class TestWellFoundedEquivalentRouting:
+    """Stratified and Horn models are the well-founded model of their
+    programs, so those sessions run on the incremental engine — whether
+    ``auto`` picked the semantics or the caller asked for it."""
+
+    SOCIAL = social_graph_program(12, extra_edges=4, back_edges=3)
+    HORN = "edge(1, 2). edge(2, 3). tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z)."
+
+    @staticmethod
+    def _one_write_is_delta(kb, fact):
+        assert kb.is_incremental
+        kb.solution
+        kb.assert_fact(fact)
+        kb.solution
+        assert kb.last_update.mode == "delta", kb.last_update.describe()
+
+    def test_auto_stratified_session_is_incremental(self):
+        kb = KnowledgeBase(self.SOCIAL, config=EngineConfig())
+        assert kb.semantics == "stratified"
+        self._one_write_is_delta(kb, "muted(3)")
+        assert not kb.is_true("influencer", 3)
+
+    def test_auto_horn_session_is_incremental(self):
+        kb = KnowledgeBase(self.HORN, config=EngineConfig())
+        assert kb.semantics == "horn"
+        self._one_write_is_delta(kb, "edge(3, 4)")
+        assert kb.is_true("tc", 1, 4)
+
+    @pytest.mark.parametrize(
+        "semantics, text, fact",
+        [
+            ("stratified", HORN, "edge(3, 4)"),
+            ("stratified", "p(X) :- q(X), not r(X). q(1). q(2). r(2).", "r(1)"),
+            ("horn", HORN, "edge(3, 4)"),
+        ],
+    )
+    def test_requested_class_met_is_incremental(self, semantics, text, fact):
+        kb = KnowledgeBase(text, config=EngineConfig(semantics=semantics))
+        assert kb.semantics == semantics
+        self._one_write_is_delta(kb, fact)
+        scratch = solve_configured(kb._program(), kb.config)
+        assert kb.solution.interpretation.true_atoms == scratch.interpretation.true_atoms
+
+    def test_stratified_on_unstratified_rules_still_raises(self):
+        kb = KnowledgeBase("p :- not q. q :- not p.", config=EngineConfig(semantics="stratified"))
+        assert not kb.is_incremental
+        with pytest.raises(NotStratifiedError):
+            kb.solution
+
+    def test_horn_on_rules_with_negation_still_raises(self):
+        kb = KnowledgeBase("p :- not q.", config=EngineConfig(semantics="horn"))
+        assert not kb.is_incremental
+        with pytest.raises(EvaluationError):
+            kb.solution
+
+    def test_snapshot_explains_from_the_maintained_state(self, monkeypatch):
+        kb = KnowledgeBase(self.SOCIAL, config=EngineConfig())
+        kb.assert_fact("muted(3)")
+        snapshot = kb.snapshot()
+        # No second solve: the explanation wraps the session's own model.
+        monkeypatch.setattr(
+            alternating, "alternating_fixpoint", lambda *a, **k: pytest.fail("re-solved")
+        )
+        assert snapshot.explain("influencer(3)").verdict == "false"
+        assert snapshot.explain("influencer(4)").verdict == "true"
+        assert kb.explain("reach(5)").verdict == "true"
 
     def test_other_semantics_still_work(self):
         for semantics in ("stratified", "stable", "fitting", "inflationary"):
