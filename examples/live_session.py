@@ -8,8 +8,8 @@ season:
 
 1. load the opening move graph and query who wins;
 2. assert and retract moves and watch verdicts flip — each update
-   re-solves only the dependency-graph components downstream of the
-   change (the ``last_update`` stats show the reuse);
+   maintains only the dependency-graph components the change reaches
+   (the ``last_update`` stats show the reuse);
 3. group a multi-move rebalance in a transactional batch;
 4. explain a verdict against the live model.
 
@@ -59,8 +59,8 @@ def main() -> None:
     print(kb.explain("wins(c)").render())
 
     # ------------------------------------------------------------------ #
-    # 5. Ground programs get incremental maintenance: only components
-    #    downstream of the change are re-solved.
+    # 5. Incremental maintenance touches only the components a change
+    #    reaches; every other component keeps its frozen verdict.
     # ------------------------------------------------------------------ #
     tower = KnowledgeBase(
         layered_program(8, 40), config=EngineConfig(semantics="well-founded")

@@ -19,11 +19,10 @@ Quickstart
 
 For a long-lived, updatable database use a :class:`KnowledgeBase` — facts
 are asserted and retracted against a live session and the solved model
-stays warm across updates.  On *ground* rule sets (propositional or
-pre-grounded programs) under the well-founded defaults, maintenance is
-incremental: only the dependency-graph components downstream of a change
-are re-solved.  Non-ground rules, as below, transparently re-solve in
-full with identical results:
+stays warm across updates.  Under the defaults maintenance is
+incremental, for non-ground rules as below too: the grounding grows by
+the rule instances new facts enable, and atom-level counting and
+delete-and-rederive touch only what a change reaches:
 
 >>> from repro import KnowledgeBase
 >>> kb = KnowledgeBase("wins(X) :- move(X, Y), not wins(Y).")

@@ -1,19 +1,12 @@
 """One validated configuration object for the whole evaluation stack.
 
-Historically the public surface grew one loosely-validated string keyword at
-a time — ``semantics=`` on :func:`repro.engine.solver.solve`, ``strategy=``
-threaded through :mod:`repro.core`, ``engine=`` through the well-founded
-entry points, ``grounder=`` on :func:`repro.core.context.build_context` and
-``matcher=`` on :func:`repro.datalog.grounding.relevant_ground` — each
-validated (or not) at a different layer with a different error message.
-
-:class:`EngineConfig` replaces that sprawl: one frozen dataclass holding
-every evaluation choice, validated *once* at construction with error
-messages that consistently list the accepted values.  It is accepted by
-:class:`repro.session.KnowledgeBase`, :func:`repro.engine.solver.solve`,
-and every ``core``/``semantics`` entry point; the old keyword arguments
-keep working through :func:`resolve_config`, the deprecation shim the
-public entry points funnel legacy calls through.
+:class:`EngineConfig` holds every evaluation choice in one frozen
+dataclass, validated *once* at construction with error messages that
+consistently list the accepted values.  It is accepted by
+:class:`repro.session.KnowledgeBase`, :func:`repro.engine.solver.solve`
+and every ``core``/``semantics`` entry point.  ``solve()`` and
+``KnowledgeBase()`` also take ``semantics=``/``limits=`` conveniences,
+merged into the config by :func:`resolve_config`.
 
 This module is the canonical home of the option tuples.  The historical
 locations (``repro.evaluation.engine``, ``repro.core.modular``,
@@ -23,15 +16,10 @@ locations (``repro.evaluation.engine``, ``repro.core.modular``,
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .datalog.grounding import (
-    DEFAULT_GROUNDING_MATCHER,
-    GROUNDING_MATCHERS,
-    GroundingLimits,
-)
+from .datalog.grounding import GroundingLimits
 from .exceptions import EvaluationError, GroundingError
 from .resilience.budget import Budget
 from .storage import DEFAULT_STORE, SUPPORTED_STORES, open_store, parse_store_spec
@@ -45,22 +33,13 @@ __all__ = [
     "DEFAULT_ENGINE",
     "SUPPORTED_GROUNDERS",
     "DEFAULT_GROUNDER",
-    "GROUNDING_MATCHERS",
-    "DEFAULT_GROUNDING_MATCHER",
     "SUPPORTED_STORES",
     "DEFAULT_STORE",
-    "REFRESH_MODES",
-    "DEFAULT_REFRESH",
-    "MAINTENANCE_MODES",
-    "DEFAULT_MAINTENANCE",
     "validate_semantics",
     "validate_strategy",
     "validate_engine",
     "validate_grounder",
-    "validate_matcher",
     "validate_store",
-    "validate_refresh",
-    "validate_maintenance",
     "EngineConfig",
     "resolve_config",
     "merge_entry_config",
@@ -94,25 +73,13 @@ DEFAULT_STRATEGY = "seminaive"
 EVALUATION_ENGINES = ("modular", "monolithic", "kernel")
 DEFAULT_ENGINE = "modular"
 
-#: Grounders accepted by :func:`repro.core.context.build_context`.
-#: ``"relevant-scan"`` is the legacy spelling of the relevant grounder with
-#: the linear-scan matcher; prefer ``grounder="relevant", matcher="scan"``.
-SUPPORTED_GROUNDERS = ("relevant", "relevant-scan", "naive")
+#: Grounders accepted by :func:`repro.core.context.build_context`: the
+#: relevant instantiation (indexed semi-naive joins) and the literal
+#: Herbrand instantiation Fitting's semantics needs.  The linear-scan
+#: matcher stays reachable as ``relevant_ground(..., matcher="scan")``,
+#: the differential oracle of the indexed one.
+SUPPORTED_GROUNDERS = ("relevant", "naive")
 DEFAULT_GROUNDER = "relevant"
-
-#: Refresh scheduling under write traffic: ``"eager"`` refreshes the model
-#: after every applied write; ``"coalesce"`` lets batching layers (the
-#: query service's writer loop) drain a window of queued writes into one
-#: maintenance pass before refreshing.
-REFRESH_MODES = ("eager", "coalesce")
-DEFAULT_REFRESH = "eager"
-
-#: Incremental-maintenance granularity for ground sessions: ``"delta"``
-#: maintains per-component derivation state at atom level (counting /
-#: delete-and-rederive — :mod:`repro.delta`); ``"component"`` re-solves
-#: every component upstream of a change wholesale.
-MAINTENANCE_MODES = ("delta", "component")
-DEFAULT_MAINTENANCE = "delta"
 
 
 def _unknown(kind: str, value: object, accepted: Sequence[str]) -> str:
@@ -150,15 +117,6 @@ def validate_grounder(grounder: str) -> str:
     return grounder
 
 
-def validate_matcher(matcher: str) -> str:
-    """Return *matcher* if it is known, raising otherwise."""
-    if matcher not in GROUNDING_MATCHERS:
-        raise GroundingError(
-            _unknown("grounding matcher", matcher, GROUNDING_MATCHERS)
-        )
-    return matcher
-
-
 def validate_store(store: str) -> str:
     """Return the store spec if it is well-formed, raising otherwise.
 
@@ -167,22 +125,6 @@ def validate_store(store: str) -> str:
     """
     parse_store_spec(store)
     return store
-
-
-def validate_refresh(refresh: str) -> str:
-    """Return *refresh* if it is known, raising otherwise."""
-    if refresh not in REFRESH_MODES:
-        raise EvaluationError(_unknown("refresh mode", refresh, REFRESH_MODES))
-    return refresh
-
-
-def validate_maintenance(maintenance: str) -> str:
-    """Return *maintenance* if it is known, raising otherwise."""
-    if maintenance not in MAINTENANCE_MODES:
-        raise EvaluationError(
-            _unknown("maintenance mode", maintenance, MAINTENANCE_MODES)
-        )
-    return maintenance
 
 
 @dataclass(frozen=True)
@@ -201,11 +143,6 @@ class EngineConfig:
         Only consulted by the well-founded / alternating-fixpoint semantics.
     grounder:
         One of :data:`SUPPORTED_GROUNDERS`.
-    matcher:
-        Rule-matching implementation of the relevant grounder
-        (:data:`GROUNDING_MATCHERS`), or ``None`` for the default.  Only
-        meaningful with ``grounder="relevant"`` — any other combination is
-        rejected here, in the one place field combinations are checked.
     store:
         Fact-storage backend spec: ``"memory"`` (default) or
         ``"sqlite:PATH"``.  A :class:`~repro.session.KnowledgeBase` built
@@ -220,28 +157,15 @@ class EngineConfig:
         checkpoints in every evaluation phase.  Each solve or refresh that
         honours the config starts the budget afresh (a per-operation
         deadline, not a lifetime allowance).
-    refresh:
-        Refresh scheduling under write traffic, one of
-        :data:`REFRESH_MODES`.  ``"coalesce"`` lets the query service's
-        writer drain a window of queued writes into one refresh.
-    maintenance:
-        Incremental-maintenance granularity, one of
-        :data:`MAINTENANCE_MODES`: atom-level ``"delta"`` (default) or
-        whole-``"component"`` re-solve.  Only consulted by the
-        incremental session path (a semantics that gives the well-founded
-        model of the rules, with the relevant grounder).
     """
 
     semantics: str = DEFAULT_SEMANTICS
     strategy: str = DEFAULT_STRATEGY
     engine: str = DEFAULT_ENGINE
     grounder: str = DEFAULT_GROUNDER
-    matcher: Optional[str] = None
     store: str = DEFAULT_STORE
     limits: Optional[GroundingLimits] = None
     budget: Optional[Budget] = None
-    refresh: str = DEFAULT_REFRESH
-    maintenance: str = DEFAULT_MAINTENANCE
 
     def __post_init__(self) -> None:
         validate_semantics(self.semantics)
@@ -249,15 +173,6 @@ class EngineConfig:
         validate_engine(self.engine)
         validate_grounder(self.grounder)
         validate_store(self.store)
-        validate_refresh(self.refresh)
-        validate_maintenance(self.maintenance)
-        if self.matcher is not None:
-            validate_matcher(self.matcher)
-            if self.grounder != "relevant":
-                raise GroundingError(
-                    f"matcher={self.matcher!r} applies only to the 'relevant' "
-                    f"grounder, not grounder={self.grounder!r}"
-                )
         if self.limits is not None and not isinstance(self.limits, GroundingLimits):
             raise EvaluationError(
                 f"limits must be a GroundingLimits instance, got {self.limits!r}"
@@ -271,9 +186,7 @@ class EngineConfig:
     @property
     def resolved_grounder(self) -> str:
         """The grounder name :func:`~repro.core.context.build_context`
-        consumes, with the matcher folded in."""
-        if self.grounder == "relevant" and self.matcher == "scan":
-            return "relevant-scan"
+        consumes: the ``grounder`` field."""
         return self.grounder
 
     def replace(self, **changes: object) -> "EngineConfig":
@@ -291,12 +204,10 @@ class EngineConfig:
             "semantics": self.semantics,
             "strategy": self.strategy,
             "engine": self.engine,
-            "grounder": self.resolved_grounder,
+            "grounder": self.grounder,
             "store": self.store,
             "limits": self.limits,
             "budget": self.budget.describe() if self.budget is not None else None,
-            "refresh": self.refresh,
-            "maintenance": self.maintenance,
         }
 
 
@@ -312,12 +223,13 @@ def merge_entry_config(
     """Resolve the ``(strategy, engine, limits, grounder, budget)`` tuple a
     ``core`` or ``semantics`` entry point runs with.
 
-    With a *config*, the legacy ``strategy=``/``engine=`` keywords must not
-    also be given (``limits=`` may still override the config's), and the
-    returned grounder is the config's resolved one — entry points forward
-    it to :func:`~repro.core.context.build_context` so a config's grounder
-    choice is honoured everywhere, not only by ``solve``.  The budget is
-    always the config's (there is no legacy keyword spelling); entry
+    With a *config*, the entry point's own ``strategy=``/``engine=``/
+    ``grounder=`` keywords must not also be given (``limits=`` may still
+    override the config's), and the returned grounder is the config's —
+    entry points forward it to :func:`~repro.core.context.build_context`
+    so a config's grounder choice is honoured everywhere, not only by
+    ``solve``.  The budget is always the config's (there is no keyword
+    spelling); entry
     points activate it with :func:`repro.resilience.metered`, which also
     inherits an ambient meter when the budget is ``None`` — so nested
     calls made inside a governed solve stay governed.  Without a config,
@@ -345,7 +257,7 @@ def merge_entry_config(
             config.strategy,
             config.engine,
             limits if limits is not None else config.limits,
-            config.resolved_grounder,
+            config.grounder,
             config.budget,
         )
     return (
@@ -361,59 +273,17 @@ def resolve_config(
     config: Optional[EngineConfig] = None,
     *,
     semantics: Optional[str] = None,
-    strategy: Optional[str] = None,
-    engine: Optional[str] = None,
-    grounder: Optional[str] = None,
-    matcher: Optional[str] = None,
     limits: Optional[GroundingLimits] = None,
-    default_semantics: str = DEFAULT_SEMANTICS,
-    default_engine: str = DEFAULT_ENGINE,
-    warn: bool = False,
-    caller: str = "solve",
 ) -> EngineConfig:
-    """Merge a ``config=`` argument with the legacy per-field keywords.
-
-    When *config* is given, the legacy evaluation keywords
-    (``strategy``/``engine``/``grounder``/``matcher``) must not also be
-    passed — mixing the two spellings is rejected rather than silently
-    resolved.  ``semantics``/``limits`` remain first-class conveniences and
-    override the corresponding config fields.
-
-    When *config* is ``None``, an :class:`EngineConfig` is assembled from
-    the keywords (unset ones fall back to the caller's defaults); with
-    ``warn=True`` explicit legacy keywords additionally emit a
-    :class:`DeprecationWarning` naming the replacement.
+    """Merge a ``config=`` argument with the ``semantics=``/``limits=``
+    conveniences of :func:`~repro.engine.solver.solve` and
+    :class:`~repro.session.KnowledgeBase`: either overrides the
+    corresponding config field.  Without a config, the defaults apply.
     """
-    legacy = {
-        "strategy": strategy,
-        "engine": engine,
-        "grounder": grounder,
-        "matcher": matcher,
-    }
-    passed = sorted(name for name, value in legacy.items() if value is not None)
-    if config is not None:
-        if passed:
-            raise EvaluationError(
-                f"{caller}() got both config= and the legacy "
-                f"{'/'.join(passed)} keyword(s); pass one or the other"
-            )
-        if semantics is not None:
-            config = config.replace(semantics=validate_semantics(semantics))
-        if limits is not None:
-            config = config.replace(limits=limits)
-        return config
-    if warn and passed:
-        warnings.warn(
-            f"the {'/'.join(passed)} keyword argument(s) of {caller}() are "
-            f"deprecated; pass config=EngineConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return EngineConfig(
-        semantics=semantics if semantics is not None else default_semantics,
-        strategy=strategy if strategy is not None else DEFAULT_STRATEGY,
-        engine=engine if engine is not None else default_engine,
-        grounder=grounder if grounder is not None else DEFAULT_GROUNDER,
-        matcher=matcher,
-        limits=limits,
-    )
+    if config is None:
+        config = EngineConfig()
+    if semantics is not None:
+        config = config.replace(semantics=validate_semantics(semantics))
+    if limits is not None:
+        config = config.replace(limits=limits)
+    return config

@@ -32,7 +32,6 @@ from ..datalog.grounding import (
     GroundingLimits,
     herbrand_base,
     naive_ground,
-    relevant_ground,
     stream_relevant_ground,
 )
 from ..datalog.rules import Program, Rule
@@ -125,16 +124,14 @@ def build_context(
         grounder and consumes its rule stream incrementally: facts are
         split off in the same pass that grounds, with no intermediate
         program materialised first, and the rules are then decomposed and
-        indexed by :func:`extend_context`.  ``"relevant-scan"`` is the same
-        relevant grounding computed by the original linear-scan matcher
-        (the differential oracle).
+        indexed by :func:`extend_context`.
         ``"naive"`` is the literal Herbrand instantiation ``P_H``; the
         Fitting semantics needs it because it can leave *underivable* atoms
         undefined rather than false.
     config:
-        An :class:`~repro.config.EngineConfig` supplying ``grounder`` (with
-        the matcher folded in) and ``limits`` together; the per-field
-        keywords, when given, take precedence.
+        An :class:`~repro.config.EngineConfig` supplying ``grounder`` and
+        ``limits`` together; the per-field keywords, when given, take
+        precedence.
     store:
         An optional :class:`~repro.storage.FactStore` supplying EDB facts
         alongside the program's own fact rules.  With the default
@@ -152,7 +149,7 @@ def build_context(
     """
     if config is not None:
         if grounder is None:
-            grounder = config.resolved_grounder
+            grounder = config.grounder
         if limits is None:
             limits = config.limits
     validate_grounder(grounder if grounder is not None else DEFAULT_GROUNDER)
@@ -169,9 +166,6 @@ def build_context(
             rule_stream: Iterable[Rule] = program
         elif grounder == "naive":
             grounded = naive_ground(program, limits)
-            rule_stream = grounded
-        elif grounder == "relevant-scan":
-            grounded = relevant_ground(program, limits, matcher="scan")
             rule_stream = grounded
         else:
             # Consume the indexed grounder's incremental stream directly.

@@ -9,10 +9,9 @@ program's syntactic class (Horn → minimum model, stratified → perfect
 model, otherwise the alternating fixpoint).
 
 Evaluation choices travel in one validated
-:class:`~repro.config.EngineConfig` (``config=``); the historical
-``strategy=``/``engine=`` keywords keep working through a deprecation
-shim.  :func:`solve` itself is a thin one-shot wrapper: it spins up a
-throwaway :class:`repro.session.KnowledgeBase`-style evaluation
+:class:`~repro.config.EngineConfig` (``config=``).  :func:`solve` itself
+is a thin one-shot wrapper: it spins up a throwaway
+:class:`repro.session.KnowledgeBase`-style evaluation
 (:func:`solve_configured`) and returns its solution — long-lived callers
 should hold a ``KnowledgeBase`` instead and let it maintain the model
 incrementally across updates.
@@ -27,7 +26,6 @@ from typing import Iterable, Mapping, Optional, Union
 from ..analysis.classification import classify
 from ..config import (
     DEFAULT_ENGINE,
-    DEFAULT_SEMANTICS,
     DEFAULT_STRATEGY,
     EVALUATION_ENGINES,
     EVALUATION_STRATEGIES,
@@ -244,9 +242,9 @@ def _solve_with_store(
         # Fitting's semantics does not take the unfounded-set step: an atom
         # whose positive body can never be derived stays undefined there,
         # while the relevant grounder drops its rules and makes it false.
-        grounder = "naive" if semantics == "fitting" else config.resolved_grounder
+        grounder = "naive" if semantics == "fitting" else config.grounder
         if store is not None and (program.is_ground or grounder != "relevant"):
-            # The naive/scan grounders and the ground-program passthrough need
+            # The naive grounder and the ground-program passthrough need
             # the facts materialised as fact rules up front.  Everything else
             # leaves the facts in the store: the streaming grounder probes its
             # live indexes and emits the fact rules into the context in one
@@ -323,12 +321,8 @@ def solve(
     semantics: Optional[str] = None,
     database: Optional[Database] = None,
     limits: GroundingLimits | None = None,
-    strategy: Optional[str] = None,
-    engine: Optional[str] = None,
     *,
     store: Optional[FactStore] = None,
-    grounder: Optional[str] = None,
-    matcher: Optional[str] = None,
     config: Optional[EngineConfig] = None,
     recorder: Optional[Recorder] = None,
 ) -> Solution:
@@ -350,36 +344,26 @@ def solve(
         database's backing :class:`~repro.storage.FactStore` is probed in
         place by the grounder, so repeated solves against the same
         database reuse its indexes.
+    limits:
+        Optional :class:`~repro.datalog.grounding.GroundingLimits`,
+        overriding the config's.
     store:
         Optional :class:`~repro.storage.FactStore` supplying the EDB
         directly — everywhere a ``database`` is accepted, a store now is
         too.  Passing both is rejected.
     config:
         An :class:`EngineConfig` carrying every evaluation choice
-        (semantics / strategy / engine / grounder / matcher / limits),
-        validated at construction.  This is the preferred spelling.
-    strategy, engine, grounder, matcher:
-        Deprecated per-field spellings of the config (see
-        :class:`EngineConfig` for their meaning); they keep working but
-        emit a :class:`DeprecationWarning` and cannot be combined with
-        ``config=``.
+        (semantics / strategy / engine / grounder / store / limits /
+        budget), validated at construction.
+    recorder:
+        Optional :class:`~repro.obs.Recorder` tracing the solve (see
+        :func:`solve_configured`).
 
     For repeated queries and evolving fact bases, prefer a stateful
     :class:`repro.session.KnowledgeBase` — it keeps the solved model warm
     and maintains it incrementally instead of re-solving from scratch.
     """
-    resolved = resolve_config(
-        config,
-        semantics=semantics,
-        strategy=strategy,
-        engine=engine,
-        grounder=grounder,
-        matcher=matcher,
-        limits=limits,
-        default_semantics=DEFAULT_SEMANTICS,
-        warn=True,
-        caller="solve",
-    )
+    resolved = resolve_config(config, semantics=semantics, limits=limits)
     return solve_configured(
         program, resolved, database=database, store=store, recorder=recorder
     )

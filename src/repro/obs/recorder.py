@@ -4,8 +4,9 @@ The alternating fixpoint of Van Gelder's paper is a multi-phase
 computation — ground the relevant instantiation, condense the atom
 dependency graph, dispatch each strongly connected component to the
 cheapest sound method, assemble the partial model — and the incremental
-session layer adds a second shape (refresh → affected-set → per-component
-re-solve).  This module gives every phase one telemetry vocabulary:
+session layer adds a second shape (refresh → grounding delta →
+per-component maintenance).  This module gives every phase one telemetry
+vocabulary:
 
 * a **span** is a named, timed, hierarchical region
   (``solve`` → ``ground`` → ``condense`` → per-``component`` →

@@ -266,7 +266,9 @@ def metered(budget: Optional[Budget]) -> Iterator[Meter]:
     ambient meter is already metering this very budget — a config-driven
     entry point calling another with the same config — the outer meter is
     reused too: one budget means one deadline and one step count per
-    operation, not a fresh allowance per nesting level.
+    operation, not a fresh allowance per nesting level.  A different
+    budget starts a meter chained to the ambient one, so a nested budget
+    never lifts the enclosing deadline: whichever is tighter trips first.
     """
     if budget is None or not budget.bounded:
         yield _ACTIVE.get()
@@ -275,7 +277,7 @@ def metered(budget: Optional[Budget]) -> Iterator[Meter]:
     if isinstance(ambient, BudgetMeter) and ambient.budget is budget:
         yield ambient
         return
-    meter = budget.start()
+    meter = budget.start(parent=ambient)
     reset = _ACTIVE.set(meter)
     try:
         yield meter

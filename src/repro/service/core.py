@@ -17,13 +17,15 @@ at once, by splitting the session's surface along its natural grain:
   an injected storage fault, a budget deadline, a refusal to solve —
   rolls the savepoint back, so the knowledge base (and the published
   snapshot) stay at the last good epoch and readers never notice.
-  With ``EngineConfig(refresh="coalesce")`` the writer additionally
-  drains a window of already-queued requests per iteration and applies
-  them under **one** savepoint and **one** model refresh (one delta
-  maintenance pass), acknowledging each request with the shared epoch —
-  under churn this amortises the refresh across the backlog.  A window
-  that fails falls back to applying its requests individually, so one
-  poisoned request cannot fail its neighbours.
+  Each iteration the writer takes every request already queued, up to
+  ``min(queue_size, MAX_COALESCE_WINDOW)``, and applies them under
+  **one** savepoint and **one** model refresh (one delta maintenance
+  pass), acknowledging each request with the shared epoch — under churn
+  this amortises the refresh across the backlog, and with an empty
+  backlog it is one refresh per write.  A window runs under every one of
+  its requests' budgets; a window that fails falls back to applying its
+  requests individually, so one poisoned or expired request cannot fail
+  its neighbours.
 * **Load is shed, not queued without bound.**  When the write queue is
   full (or the concurrent-reader gate is exhausted) the request is
   rejected immediately with :class:`AdmissionRejected`, which the HTTP
@@ -43,6 +45,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -195,10 +198,8 @@ class QueryService:
         self.max_timeout = max_timeout
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._recorder = recorder if recorder is not None else kb.recorder
-        # Batched refresh: with the session configured refresh="coalesce",
-        # the writer drains up to a window of queued requests into one
+        # The writer drains up to this many queued requests into one
         # savepoint + one refresh per iteration.
-        self._coalesce = kb.config.refresh == "coalesce"
         self._coalesce_window = min(queue_size, MAX_COALESCE_WINDOW)
         self._snapshot: Optional[SessionSnapshot] = None
         self._writer: Optional[threading.Thread] = None
@@ -588,13 +589,12 @@ class QueryService:
             window: list[_WriteRequest] = []
             if not shutdown:
                 window.append(item)
-                # Coalescing: opportunistically drain whatever else is
-                # already queued — never blocking — so one savepoint and
-                # one refresh cover the whole backlog.  A sentinel popped
-                # mid-drain is honoured *after* the window (and never
-                # re-queued): the admission lock guarantees nothing was
-                # enqueued behind it.
-                while self._coalesce and len(window) < self._coalesce_window:
+                # Drain whatever else is already queued — never blocking —
+                # so one savepoint and one refresh cover the whole backlog.
+                # A sentinel popped mid-drain is honoured *after* the
+                # window (and never re-queued): the admission lock
+                # guarantees nothing was enqueued behind it.
+                while len(window) < self._coalesce_window:
                     try:
                         extra = self._queue.get_nowait()
                     except queue.Empty:
@@ -647,10 +647,13 @@ class QueryService:
         request's operations, one refresh, one published snapshot; every
         request is acknowledged with the shared epoch.
 
-        Any failure rolls the whole window back and re-applies the
-        requests individually through the single-request path — the
-        healthy ones still land, and only the poisoned one fails, with
-        the same rollback semantics it would have had without coalescing.
+        The window runs under every request's budget at once (each meter
+        chained to the one before), so the tightest deadline governs it.
+        Any failure — a budget trip included — rolls the whole window back
+        and re-applies the requests individually through the
+        single-request path: the healthy ones still land, and only the
+        poisoned or expired one fails, with the same rollback semantics it
+        would have had on its own.
         """
         store = self._kb.store
         token = store.savepoint()
@@ -659,9 +662,10 @@ class QueryService:
                 "service.apply_window",
                 requests=len(requests),
                 operations=sum(len(r.operations) for r in requests),
-            ):
+            ), ExitStack() as budgets:
                 changed_counts: list[int] = []
                 for request in requests:
+                    meter = budgets.enter_context(metered(request.budget))
                     changed = 0
                     for kind, atom in request.operations:
                         if kind == "assert":
@@ -669,6 +673,7 @@ class QueryService:
                         else:
                             changed += bool(self._kb.retract_fact(atom))
                     changed_counts.append(changed)
+                meter.check("service.apply")
                 # The session refreshes lazily, so this is the window's
                 # single maintenance pass over every queued mutation.
                 snapshot = self._kb.snapshot()

@@ -16,31 +16,27 @@ maintains those semantics here too.
 * the decomposed ground rules, head index, SCC condensation order and the
   component membership map — functions of the ground rules, which change
   only when the grounding grows (below);
-* a component-level reverse adjacency (``dependents``, built on first
-  use): which components read each component's verdict;
+* a component-level reverse adjacency (``dependents``, built when the
+  grounding first grows): which components read each component's verdict;
 * the :class:`ComponentReport` of every component;
 * one aggregate true set and one aggregate false set holding every
   verdict — an atom in neither is undefined.  There is no per-component
   copy: re-solving a component takes its atoms out of the aggregates and
   puts its new verdicts back.
 
-On :meth:`refresh` with a set of changed fact atoms, the default
-``maintenance="delta"`` path hands the batch to a
+On :meth:`refresh` with a set of changed fact atoms, the batch goes to a
 :class:`~repro.delta.DeltaMaintainer`, which updates per-component
-derivation state (counting for one-pass components, delete-and-rederive
-for recursive definite ones) at *atom* granularity and re-solves a
-component wholesale only where negation is recursive.  With
-``maintenance="component"`` the original coarser path runs instead: the
-affected components are the forward closure of the changed atoms'
-components under ``dependents``, re-solved bottom-up (ascending
-condensation index) with :func:`repro.core.modular.solve_component`,
-reading the frozen verdicts of untouched components from the shared
-aggregate sets.  Either way, facts
-whose atom occurs in no rule at all ("floating" facts) bypass the
-component machinery entirely: they are unconditionally true, nothing
-depends on them, and retracting one removes it from the base outright —
-exactly what a from-scratch solve of the updated program would produce,
-which is what the differential property suite asserts.
+derivation state at *atom* granularity — counting for one-pass
+components, delete-and-rederive for recursive definite ones (Gupta,
+Mumick & Subrahmanian, SIGMOD 1993) — and re-solves a component
+wholesale with :func:`repro.core.modular.solve_component` only where
+negation is recursive, reading the verdicts of the components below it
+from the shared aggregate sets.  Facts whose atom occurs in no rule at
+all ("floating" facts) bypass the component machinery entirely: they
+are unconditionally true, nothing depends on them, and retracting one
+removes it from the base outright — exactly what a from-scratch solve of
+the updated program would produce, which is what the differential
+property suite asserts.
 
 Non-ground rule sets are grounded incrementally.  The engine keeps the
 :class:`~repro.datalog.grounding.IncrementalGrounder` of its first
@@ -70,8 +66,7 @@ With ``engine="kernel"`` the rule context is additionally compiled to the
 flat int IR of :mod:`repro.kernel` (at construction, and again whenever
 the grounding grows) and every per-component solve runs over a persistent
 :class:`~repro.kernel.ComponentKernel` truth vector instead of object
-sets; the dispatch, the affected-component closure and the returned
-reports are identical.
+sets; the dispatch and the returned reports are identical.
 """
 
 from __future__ import annotations
@@ -85,13 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
 
 from ..analysis.dependency import build_atom_dependency_graph
-from ..config import (
-    DEFAULT_MAINTENANCE,
-    DEFAULT_STRATEGY,
-    validate_engine,
-    validate_maintenance,
-    validate_strategy,
-)
+from ..config import DEFAULT_STRATEGY, validate_engine, validate_strategy
 from ..core.context import GroundContext, extend_context
 from ..core.modular import (
     ComponentReport,
@@ -128,20 +117,18 @@ class UpdateStats:
     """What one model refresh actually did.
 
     ``mode`` is ``"initial"`` for the first solve, ``"delta"`` when
-    atom-level maintenance absorbed the update (per-component counters and
-    delete-and-rederive — the default), ``"incremental"`` when whole
-    components downstream of the changed facts were re-evaluated
-    (``maintenance="component"``), and ``"rebuild"`` when the owning
-    knowledge base had to re-solve from scratch (a semantics whose model
-    differs from the well-founded one, a requested stratified or Horn
-    class the rules do not meet, a non-relevant grounder or the monolithic
-    engine).
+    atom-level maintenance absorbed the update (per-component counters,
+    delete-and-rederive, and a whole-component re-solve where negation is
+    recursive), and ``"rebuild"`` when the owning knowledge base had to
+    re-solve from scratch (a semantics whose model differs from the
+    well-founded one, a requested stratified or Horn class the rules do
+    not meet, the naive grounder or the monolithic engine).
     ``components_total`` /
     ``components_recomputed`` / ``components_reused`` quantify the reuse —
     the acceptance benchmark asserts ``components_recomputed`` stays
     proportional to the affected region, not to the program.  In
     ``"delta"`` mode ``methods`` counts components by *maintenance*
-    method (``counting`` / ``dred`` / ``resolve``) rather than by solver
+    method (``counting`` / ``dred`` / ``resolve``), otherwise by solver
     method.  ``rules_added`` counts the ground rules the refresh appended
     to a non-ground session's grounding: an update that brings new rule
     instances also re-derives the condensation, so it is the one to look
@@ -181,16 +168,9 @@ class UpdateStats:
                 f"component state(s) maintained, {self.components_reused} "
                 f"untouched ({self.reuse_fraction:.0%}){grown}"
             )
-        if self.mode != "incremental":
-            if not self.components_total:
-                return f"{self.mode}: full re-solve of the program"
-            return f"{self.mode}: all {self.components_total} components solved{grown}"
-        return (
-            f"incremental: {self.changed} changed atom(s), "
-            f"{self.components_recomputed}/{self.components_total} components "
-            f"re-evaluated, {self.components_reused} reused "
-            f"({self.reuse_fraction:.0%}){grown}"
-        )
+        if not self.components_total:
+            return f"{self.mode}: full re-solve of the program"
+        return f"{self.mode}: all {self.components_total} components solved{grown}"
 
 
 class IncrementalEngine:
@@ -200,7 +180,7 @@ class IncrementalEngine:
     the engine subscribes to its change events: every mutation of the
     store — from the owning session, a batch rollback's inverse replay, or
     unrelated code holding the store — accumulates into the pending change
-    set that :meth:`refresh_pending` turns into component invalidation.
+    set that :meth:`refresh_pending` turns into one maintenance pass.
     Without a store, callers hand the changed-atom set to :meth:`refresh`
     themselves, as before.
     """
@@ -213,15 +193,12 @@ class IncrementalEngine:
         recorder: Recorder | None = None,
         budget: Budget | None = None,
         engine: str = "modular",
-        maintenance: str = DEFAULT_MAINTENANCE,
         limits: GroundingLimits | None = None,
     ):
         validate_strategy(strategy)
         validate_engine(engine)
-        validate_maintenance(maintenance)
         self._strategy = strategy
         self._engine_name = engine
-        self._maintenance = maintenance
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         # Started afresh by every refresh: the budget is a per-operation
         # deadline, so a long-lived session never "uses up" its allowance.
@@ -556,12 +533,11 @@ class IncrementalEngine:
             rank[index] = slot
         return True
 
-    def _component_dependents(self, folded: Optional[int] = None) -> list[set[int]]:
+    def _component_dependents(self, folded: int) -> list[set[int]]:
         """The component-level reverse adjacency — ``dependents[i]`` holds
-        the components that read component *i*'s verdict — built on first
-        use (only growing groundings and ``maintenance="component"`` need
-        it) from the first *folded* rules (all by default: the ones the
-        condensation already covers), and kept current by
+        the components that read component *i*'s verdict — built when a
+        growing grounding first needs it, from the first *folded* rules
+        (the ones the condensation already covers), and kept current by
         :meth:`_fold_in` from then on."""
         if self._dependents is None:
             component_of = self._component_of
@@ -627,10 +603,10 @@ class IncrementalEngine:
     def refresh_pending(self, facts: frozenset[Atom]) -> UpdateStats:
         """:meth:`refresh` driven by the observed store's change events.
 
-        Before the first solve the refresh is full; afterwards only the
-        components upstream of the pending changes are re-evaluated.  The
-        pending set is drained only on success — a failed refresh leaves
-        it queued so the next call retries the same delta.
+        Before the first solve the refresh is full; afterwards one
+        maintenance pass covers the pending changes.  The pending set is
+        drained only on success — a failed refresh leaves it queued so
+        the next call retries the same delta.
         """
         changed = set(self.pending_changes) if self._solved else None
         stats = self.refresh(facts, changed)
@@ -649,12 +625,6 @@ class IncrementalEngine:
         """The per-component solver in use: ``"modular"`` (object sets) or
         ``"kernel"`` (compiled flat-array state)."""
         return self._engine_name
-
-    @property
-    def maintenance(self) -> str:
-        """The update-maintenance granularity: ``"delta"`` (atom-level
-        counters / DRed) or ``"component"`` (whole-component re-solve)."""
-        return self._maintenance
 
     @property
     def model(self) -> PartialInterpretation:
@@ -865,6 +835,8 @@ class IncrementalEngine:
         return dataclasses.replace(stats, rules_added=rules_added) if rules_added else stats
 
     def _solve_delta_facts(self, facts: frozenset[Atom], changed: set[Atom]) -> UpdateStats:
+        """Atom-level maintenance of the fact flips in *changed*: one
+        :class:`DeltaMaintainer` pass."""
         changed_rule_atoms = changed & self._rule_atoms
         if self._kernel is not None:
             for atom in changed_rule_atoms:
@@ -876,22 +848,6 @@ class IncrementalEngine:
                 self._floating.add(atom)
             else:
                 self._floating.discard(atom)
-        if self._maintenance == "delta":
-            return self._solve_delta_atoms(
-                facts, changed, changed_rule_atoms, floating_changed
-            )
-        return self._solve_delta_components(
-            facts, changed, changed_rule_atoms, floating_changed
-        )
-
-    def _solve_delta_atoms(
-        self,
-        facts: frozenset[Atom],
-        changed: set[Atom],
-        changed_rule_atoms: set[Atom],
-        floating_changed: int,
-    ) -> UpdateStats:
-        """Atom-level maintenance: one :class:`DeltaMaintainer` pass."""
         recorder = self._recorder
         if self._delta is None:
             self._delta = DeltaMaintainer(
@@ -941,45 +897,4 @@ class IncrementalEngine:
             components_reused=len(self._components) - outcome.components,
             floating_changed=floating_changed,
             methods=dict(outcome.methods),
-        )
-
-    def _solve_delta_components(
-        self,
-        facts: frozenset[Atom],
-        changed: set[Atom],
-        changed_rule_atoms: set[Atom],
-        floating_changed: int,
-    ) -> UpdateStats:
-        """Component-level invalidation (``maintenance="component"``)."""
-        recorder = self._recorder
-        with recorder.span("affected") as affected_span:
-            # Forward closure of the changed components under `dependents`.
-            dependents = self._component_dependents()
-            affected: set[int] = {
-                self._component_of[atom] for atom in changed_rule_atoms
-            }
-            frontier = list(affected)
-            while frontier:
-                for reader in dependents[frontier.pop()]:
-                    if reader not in affected:
-                        affected.add(reader)
-                        frontier.append(reader)
-
-            order = sorted(affected, key=self._rank.__getitem__)
-        if recorder.enabled:
-            affected_span.annotate(changed=len(changed), components=len(order))
-        methods: dict[str, int] = {}
-        meter = current_meter()
-        for index in order:
-            meter.step("refresh")
-            report = self._resolve_in_place(index, facts)
-            methods[report.method] = methods.get(report.method, 0) + 1
-        return UpdateStats(
-            mode="incremental",
-            changed=len(changed),
-            components_total=len(self._components),
-            components_recomputed=len(order),
-            components_reused=len(self._components) - len(order),
-            floating_changed=floating_changed,
-            methods=methods,
         )

@@ -26,8 +26,9 @@ When the (resolved) semantics gives the well-founded model of the rules —
 the well-founded family, or ``stratified``/``horn`` on rules of that
 class, whether ``auto`` picked it or the caller asked for it — and the
 engine is the modular or kernel one (the defaults), refreshes are
-*incremental*: only the SCC components of the atom dependency graph
-reachable from the changed facts are re-solved
+*incremental*: atom-level counting and delete-and-rederive maintain the
+components of the atom dependency graph the changed facts reach, and a
+component is re-solved whole only where negation is recursive
 (:mod:`repro.session.incremental`; ``engine="kernel"`` additionally runs
 each component solve over the compiled flat-array state of
 :mod:`repro.kernel`).  Non-ground rules are grounded incrementally too:
@@ -350,14 +351,15 @@ class KnowledgeBase:
         the affected model state.
     config:
         The :class:`~repro.config.EngineConfig` every evaluation runs
-        under.  The legacy per-field keywords (``semantics=``,
-        ``strategy=``, ...) keep working through the same deprecation shim
-        as :func:`repro.engine.solver.solve`.
+        under.
     recorder:
         Optional :class:`~repro.obs.Recorder` instrumenting the session:
         every solve and incremental refresh the knowledge base performs is
         traced through it (``solve`` / ``refresh`` spans and their phase
         children).  Defaults to the zero-cost null recorder.
+    semantics, limits:
+        Optional overrides of the config's fields, as in
+        :func:`repro.engine.solver.solve`.
     """
 
     def __init__(
@@ -369,23 +371,9 @@ class KnowledgeBase:
         config: Optional[EngineConfig] = None,
         recorder: Optional[Recorder] = None,
         semantics: Optional[str] = None,
-        strategy: Optional[str] = None,
-        engine: Optional[str] = None,
-        grounder: Optional[str] = None,
-        matcher: Optional[str] = None,
         limits=None,
     ):
-        self._config = resolve_config(
-            config,
-            semantics=semantics,
-            strategy=strategy,
-            engine=engine,
-            grounder=grounder,
-            matcher=matcher,
-            limits=limits,
-            warn=True,
-            caller="KnowledgeBase",
-        )
+        self._config = resolve_config(config, semantics=semantics, limits=limits)
         if rules is None:
             rules = Program()
         elif isinstance(rules, str):
@@ -721,7 +709,7 @@ class KnowledgeBase:
         self._incremental = (
             (semantics in _WFS_FAMILY or found in _WFS_CLASSES.get(semantics, ()))
             and self._config.engine in ("modular", "kernel")
-            and (self._rules.is_ground or self._config.resolved_grounder == "relevant")
+            and (self._rules.is_ground or self._config.grounder == "relevant")
         )
 
     def _refresh(self) -> None:
@@ -763,7 +751,6 @@ class KnowledgeBase:
                     recorder=self._recorder,
                     budget=self._config.budget,
                     engine=self._config.engine,
-                    maintenance=self._config.maintenance,
                     limits=self._config.limits,
                 )
             stats = self._engine.refresh_pending(frozenset(self._fact_rules))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.context import build_context
 from repro.datalog.atoms import atom
+from repro.datalog.grounding import relevant_ground
 from repro.datalog.parser import parse_program
 from repro.exceptions import GroundingError
 
@@ -63,7 +64,7 @@ class TestGrounderDispatch:
     def test_relevant_and_scan_contexts_agree(self):
         program = parse_program(self.TC)
         streamed = build_context(program, grounder="relevant")
-        scanned = build_context(program, grounder="relevant-scan")
+        scanned = build_context(relevant_ground(program, matcher="scan"))
         assert set(streamed.program.rules) == set(scanned.program.rules)
         assert streamed.facts == scanned.facts
         assert streamed.base == scanned.base

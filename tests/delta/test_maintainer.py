@@ -1,10 +1,10 @@
 """Unit tests for atom-level delta maintenance (repro.delta).
 
 The maintainer is exercised the way its one real caller drives it —
-through :class:`~repro.session.IncrementalEngine` with
-``maintenance="delta"`` — plus direct :func:`classify_component` checks
-on the method dispatch.  Every maintained model is compared against a
-from-scratch solve of the same program.
+through :class:`~repro.session.IncrementalEngine` — plus direct
+:func:`classify_component` checks on the method dispatch.  Every
+maintained model is compared against a from-scratch solve of the same
+program.
 """
 
 import pytest
@@ -23,11 +23,11 @@ WFS = EngineConfig(semantics="well-founded")
 class _Harness:
     """One engine plus the mutable fact set and the rules to re-solve."""
 
-    def __init__(self, text: str, maintenance: str = "delta"):
+    def __init__(self, text: str):
         program = parse_program(text)
         self.rules = Program(rule for rule in program if not rule.is_fact)
         self.facts = {rule.head for rule in program.facts()}
-        self.engine = IncrementalEngine(self.rules, maintenance=maintenance)
+        self.engine = IncrementalEngine(self.rules)
         self.engine.refresh(frozenset(self.facts), None)
 
     def refresh(self, atom_name: str, *, add: bool):
@@ -134,19 +134,6 @@ class TestResolveFallback:
         harness.check()
 
 
-class TestComponentModeStillAvailable:
-    def test_component_maintenance_refreshes_as_incremental(self):
-        harness = _Harness("a. b :- a, not c.", maintenance="component")
-        assert harness.engine.maintenance == "component"
-        stats = harness.refresh("c", add=True)
-        assert stats.mode == "incremental"
-        harness.check()
-
-    def test_unknown_maintenance_rejected(self):
-        with pytest.raises(Exception):
-            IncrementalEngine(Program(), maintenance="telepathy")
-
-
 class TestPendingChanges:
     def test_duplicate_same_direction_events_stay_pending(self):
         # Regression: a listener replay (or a rollback's inverse replay)
@@ -199,12 +186,6 @@ class TestSessionDefaults:
         assert kb.is_false("b")
         assert kb.last_update.mode == "delta"
 
-    def test_component_maintenance_via_config(self):
-        kb = KnowledgeBase(
-            "a. b :- a, not c.",
-            config=WFS.replace(maintenance="component"),
-        )
-        kb.solution
-        kb.assert_fact("c")
-        assert kb.is_false("b")
-        assert kb.last_update.mode == "incremental"
+    def test_engine_takes_no_maintenance_parameter(self):
+        with pytest.raises(TypeError, match="maintenance"):
+            IncrementalEngine(Program(), maintenance="component")

@@ -27,7 +27,7 @@ class TestValidation:
         assert config.semantics == DEFAULT_SEMANTICS
         assert config.strategy == DEFAULT_STRATEGY
         assert config.engine == DEFAULT_ENGINE
-        assert config.grounder == DEFAULT_GROUNDER
+        assert config.grounder == config.resolved_grounder == DEFAULT_GROUNDER
 
     @pytest.mark.parametrize(
         "field, value, error, expected",
@@ -36,7 +36,8 @@ class TestValidation:
             ("strategy", "quantum", EvaluationError, "unknown evaluation strategy 'quantum'"),
             ("engine", "hyperdrive", EvaluationError, "unknown evaluation engine 'hyperdrive'"),
             ("grounder", "psychic", GroundingError, "unknown grounder 'psychic'"),
-            ("matcher", "psychic", GroundingError, "unknown grounding matcher 'psychic'"),
+            # The scan matcher is only relevant_ground's oracle, not a grounder.
+            ("grounder", "relevant-scan", GroundingError, "unknown grounder 'relevant-scan'"),
         ],
     )
     def test_each_field_rejects_unknown_values(self, field, value, error, expected):
@@ -46,22 +47,16 @@ class TestValidation:
         assert expected in message
         assert "expected one of" in message
 
+    @pytest.mark.parametrize("option", ["maintenance", "refresh", "matcher"])
+    def test_removed_options_are_not_fields(self, option):
+        with pytest.raises(TypeError, match=option):
+            EngineConfig(**{option: "component"})
+
     def test_every_valid_combination_constructs(self):
         for semantics in SUPPORTED_SEMANTICS:
             for strategy in EVALUATION_STRATEGIES:
                 for engine in EVALUATION_ENGINES:
                     EngineConfig(semantics=semantics, strategy=strategy, engine=engine)
-
-    def test_matcher_requires_relevant_grounder(self):
-        EngineConfig(grounder="relevant", matcher="scan")
-        with pytest.raises(GroundingError, match="applies only to the 'relevant' grounder"):
-            EngineConfig(grounder="naive", matcher="scan")
-
-    def test_resolved_grounder_folds_matcher(self):
-        assert EngineConfig().resolved_grounder == "relevant"
-        assert EngineConfig(matcher="scan").resolved_grounder == "relevant-scan"
-        assert EngineConfig(matcher="indexed").resolved_grounder == "relevant"
-        assert EngineConfig(grounder="naive").resolved_grounder == "naive"
 
     def test_limits_type_checked(self):
         EngineConfig(limits=GroundingLimits(max_rules=10))
@@ -90,19 +85,6 @@ class TestResolveConfig:
         assert merged.semantics == "stable"
         assert merged.limits.max_rules == 9
 
-    def test_mixing_config_and_legacy_kwargs_rejected(self):
-        with pytest.raises(EvaluationError, match="config="):
-            resolve_config(EngineConfig(), strategy="naive")
-
-    def test_legacy_kwargs_warn_when_asked(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = resolve_config(None, engine="monolithic", warn=True)
-        assert config.engine == "monolithic"
-
-    def test_unset_kwargs_do_not_warn(self, recwarn):
-        resolve_config(None, semantics="stable", warn=True)
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
-
 
 class TestSolveIntegration:
     GAME = "move(a, b). move(b, a). move(b, c). wins(X) :- move(X, Y), not wins(Y)."
@@ -117,13 +99,10 @@ class TestSolveIntegration:
         solution = solve(self.GAME, "well-founded", config=EngineConfig())
         assert solution.semantics == "well-founded"
 
-    def test_solve_rejects_config_plus_legacy(self):
-        with pytest.raises(EvaluationError, match="config="):
-            solve(self.GAME, config=EngineConfig(), engine="monolithic")
-
-    def test_solve_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            solve(self.GAME, strategy="naive")
+    @pytest.mark.parametrize("keyword", ["strategy", "engine", "grounder", "matcher"])
+    def test_solve_takes_no_per_field_keywords(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            solve(self.GAME, **{keyword: "naive"})
 
     def test_entry_points_accept_config(self):
         from repro.core.alternating import alternating_fixpoint

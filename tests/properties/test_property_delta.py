@@ -1,13 +1,11 @@
 """Property: atom-level delta maintenance is invisible.
 
-Random assert/retract/batch churn against sessions running the
-``maintenance="delta"`` fast path (counting + DRed + resolve fallback)
-must stay byte-identical, after *every* refresh, to a from-scratch solve
-of the current program — through both the in-memory and the durable
-SQLite store, and in lockstep with a ``maintenance="component"`` session
-applying the same operations.  This is the soundness contract of
-:mod:`repro.delta`: no counter drift, no over- or under-deletion, no
-stale verdict survives any interleaving.
+Random assert/retract/batch churn against sessions running the delta
+path (counting + DRed + resolve fallback) must stay byte-identical, after
+*every* refresh, to a from-scratch solve of the current program —
+through both the in-memory and the durable SQLite store.  This is the
+soundness contract of :mod:`repro.delta`: no counter drift, no over- or
+under-deletion, no stale verdict survives any interleaving.
 
 Default-config sessions over stratified and Horn programs take the same
 path, and their from-scratch oracle is an evaluator independent of the
@@ -34,8 +32,7 @@ from repro.workloads import random_propositional_program, social_graph_stream
 
 ATOM_POOL = 12
 
-DELTA = EngineConfig(semantics="well-founded", maintenance="delta")
-COMPONENT = EngineConfig(semantics="well-founded", maintenance="component")
+WFS = EngineConfig(semantics="well-founded")
 AUTO = EngineConfig()
 
 
@@ -95,7 +92,7 @@ class TestDeltaLockstep:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_delta_matches_scratch_on_memory_store(self, seed, operations):
         program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
-        kb = KnowledgeBase(program, config=DELTA, store=MemoryStore())
+        kb = KnowledgeBase(program, config=WFS, store=MemoryStore())
         _apply_and_check(kb, operations)
 
     @given(seed=st.integers(min_value=0, max_value=12), operations=_operations)
@@ -103,20 +100,9 @@ class TestDeltaLockstep:
     def test_delta_matches_scratch_on_sqlite_store(self, seed, operations):
         program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
         with KnowledgeBase(
-            program, config=DELTA, store=SqliteStore(":memory:")
+            program, config=WFS, store=SqliteStore(":memory:")
         ) as kb:
             _apply_and_check(kb, operations)
-
-    @given(seed=st.integers(min_value=0, max_value=15), operations=_operations)
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_delta_and_component_sessions_agree(self, seed, operations):
-        program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
-        delta = KnowledgeBase(program, config=DELTA)
-        component = KnowledgeBase(program, config=COMPONENT)
-        for insert, atom in operations:
-            for kb in (delta, component):
-                (kb.assert_fact if insert else kb.retract_fact)(atom)
-            assert _model_bytes(delta.solution) == _model_bytes(component.solution)
 
     @given(seed=st.integers(min_value=0, max_value=15), operations=_operations)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -124,7 +110,7 @@ class TestDeltaLockstep:
         """The whole sequence in one batch: one maintenance pass over the
         union of changes still lands on the from-scratch model."""
         program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
-        kb = KnowledgeBase(program, config=DELTA)
+        kb = KnowledgeBase(program, config=WFS)
         kb.solution
         with kb.batch():
             for insert, atom in operations:
@@ -169,7 +155,7 @@ class TestStreamChurn:
         program, ops = social_graph_stream(
             12, extra_edges=4, back_edges=3, steps=10, seed=seed
         )
-        kb = KnowledgeBase(program, config=DELTA)
+        kb = KnowledgeBase(program, config=WFS)
         kb.solution
         _apply_and_check(
             kb, [(op.kind == "assert", op.atom) for op in ops]

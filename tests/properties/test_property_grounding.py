@@ -47,6 +47,16 @@ def named_workloads():
     ]
 
 
+def contexts(program):
+    """*program* grounded three ways: by the indexed relevant grounder, by
+    the scan matcher's relevant grounding, and by naive instantiation."""
+    return {
+        "relevant": build_context(program, grounder="relevant"),
+        "scan": build_context(relevant_ground(program, matcher="scan")),
+        "naive": build_context(program, grounder="naive"),
+    }
+
+
 class TestGroundRuleSets:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_indexed_and_scan_rule_sets_identical(self, seed):
@@ -75,7 +85,7 @@ class TestWellFoundedEquivalence:
     def test_indexed_vs_scan_contexts(self, seed):
         program = generated(seed)
         fast = alternating_fixpoint(build_context(program, grounder="relevant"))
-        slow = alternating_fixpoint(build_context(program, grounder="relevant-scan"))
+        slow = alternating_fixpoint(build_context(relevant_ground(program, matcher="scan")))
         assert fast.true_atoms() == slow.true_atoms()
         assert fast.false_atoms() == slow.false_atoms()
 
@@ -101,13 +111,10 @@ class TestStableEquivalence:
     def test_stable_model_sets_identical(self, seed):
         program = generated(seed, facts=6, rules=5)
         models = {
-            grounder: {
-                model.true_atoms
-                for model in stable_models(build_context(program, grounder=grounder))
-            }
-            for grounder in ("relevant", "relevant-scan", "naive")
+            name: {model.true_atoms for model in stable_models(context)}
+            for name, context in contexts(program).items()
         }
-        assert models["relevant"] == models["relevant-scan"] == models["naive"]
+        assert models["relevant"] == models["scan"] == models["naive"]
 
 
 class TestHornEquivalence:
@@ -116,7 +123,7 @@ class TestHornEquivalence:
         program = generated(seed, negation_probability=0.0)
         assert program.is_definite
         fast = horn_minimum_model(build_context(program, grounder="relevant"))
-        slow = horn_minimum_model(build_context(program, grounder="relevant-scan"))
+        slow = horn_minimum_model(build_context(relevant_ground(program, matcher="scan")))
         naive = horn_minimum_model(build_context(program, grounder="naive"))
         assert fast.true_atoms == slow.true_atoms == naive.true_atoms
 
@@ -126,14 +133,13 @@ class TestStratifiedEquivalence:
     def test_perfect_model_matches_wfs_on_every_grounding(self, length):
         program = complement_of_transitive_closure_program(chain_edges(length))
         perfect = stratified_model(program).true_atoms
-        for grounder in ("relevant", "relevant-scan", "naive"):
-            wfs = alternating_fixpoint(build_context(program, grounder=grounder))
-            assert wfs.true_atoms() == perfect
+        for context in contexts(program).values():
+            assert alternating_fixpoint(context).true_atoms() == perfect
 
     def test_same_generation_is_identical_across_grounders(self):
         program = same_generation_program(binary_tree_edges(3))
         truths = {
-            grounder: alternating_fixpoint(build_context(program, grounder=grounder)).true_atoms()
-            for grounder in ("relevant", "relevant-scan", "naive")
+            name: alternating_fixpoint(context).true_atoms()
+            for name, context in contexts(program).items()
         }
-        assert truths["relevant"] == truths["relevant-scan"] == truths["naive"]
+        assert truths["relevant"] == truths["scan"] == truths["naive"]

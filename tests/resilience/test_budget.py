@@ -36,6 +36,7 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.obs import TraceRecorder
+from repro.resilience import metered
 from repro.workloads.generators import layered_program, transitive_closure_program
 
 WIN_MOVE = """
@@ -267,6 +268,17 @@ class TestCancellation:
         # either way the worker must terminate cleanly, and when the
         # cancel lands mid-run the abort is a Cancelled.
         assert outcome["result"] in ("cancelled", "completed")
+
+    def test_nested_budget_keeps_the_enclosing_one(self, win_move_4b):
+        # A solve under its own generous budget, inside an operation whose
+        # token is already cancelled, still aborts: the nested meter is
+        # chained to the enclosing one.
+        token = CancelToken()
+        token.cancel()
+        config = EngineConfig(budget=Budget(max_seconds=30))
+        with metered(Budget(token=token)):
+            with pytest.raises(Cancelled):
+                solve(win_move_4b, config=config)
 
     def test_reset_token_allows_reuse(self, win_move_4b):
         token = CancelToken()

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog import parse_atom
 from repro.exceptions import BudgetError, NotGroundError, ReproError
 from repro.fixpoint.interpretations import TruthValue
@@ -18,6 +19,43 @@ from repro.storage import MemoryStore
 
 WIN_MOVE = "wins(X) :- move(X, Y), not wins(Y)."
 MOVES = {"move": [("a", "b"), ("b", "a"), ("b", "c")]}
+
+
+def spawn(target, errors: list, daemon: bool = False) -> threading.Thread:
+    """Run *target* on a started thread that records any exception it
+    raises in *errors*, for the test to assert empty."""
+
+    def run():
+        try:
+            target()
+        except BaseException as error:  # noqa: BLE001 - surfaced by the test
+            errors.append(error)
+
+    thread = threading.Thread(target=run, daemon=daemon)
+    thread.start()
+    return thread
+
+
+def join(thread: threading.Thread, timeout: float) -> None:
+    """Join *thread* for at most *timeout* seconds; fail if it still runs."""
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{thread.name} still running after {timeout}s"
+
+
+def _slow_refreshes_with(kb, atom_text: str, seconds: float) -> None:
+    """Make every refresh of *kb* whose facts hold *atom_text* sleep
+    *seconds* before maintaining the model — maintenance then checks the
+    ambient budget, so a deadline that passed during the sleep trips."""
+    atom = parse_atom(atom_text)
+    engine = kb._engine
+    original = engine.refresh_pending
+
+    def slow(facts):
+        if atom in facts:
+            time.sleep(seconds)
+        return original(facts)
+
+    engine.refresh_pending = slow
 
 
 @pytest.fixture()
@@ -130,16 +168,11 @@ class TestWrites:
                 return original(request)
 
             service._apply = stalled_apply
-            first = threading.Thread(
-                target=lambda: service.assert_fact(parse_atom("move(x, y)"))
-            )
-            first.start()
+            errors: list = []
+            first = spawn(lambda: service.assert_fact(parse_atom("move(x, y)")), errors)
             assert slow.wait(5)
             # Queue slot 1 fills; the next submit must shed immediately.
-            second = threading.Thread(
-                target=lambda: service.assert_fact(parse_atom("move(y, z)"))
-            )
-            second.start()
+            second = spawn(lambda: service.assert_fact(parse_atom("move(y, z)")), errors)
             deadline = time.monotonic() + 5
             while service._queue.qsize() < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -147,8 +180,9 @@ class TestWrites:
                 service.assert_fact(parse_atom("move(z, w)"))
             assert shed.value.retry_after >= 1
             release.set()
-            first.join(5)
-            second.join(5)
+            join(first, 5)
+            join(second, 5)
+            assert not errors, errors
             assert service.stats()["counters"]["service.shed_writes"] == 1
         finally:
             release.set()
@@ -165,6 +199,25 @@ class TestWrites:
         outcome = service.assert_fact(parse_atom("move(q, r)"))
         assert ("q", "r") in set(service.query("move")["rows"])
         assert outcome.epoch == service.snapshot().epoch
+
+    def test_session_budget_keeps_the_request_deadline(self):
+        """The session's own budget, started inside the refresh, must not
+        replace the request's tighter one: the write that overran its
+        deadline is rolled back, not published behind the client's 504."""
+        kb = KnowledgeBase(
+            WIN_MOVE, facts=MOVES, config=EngineConfig(budget=Budget(max_seconds=30))
+        )
+        service = QueryService(kb).start()
+        try:
+            _slow_refreshes_with(kb, "move(c, d)", 0.6)
+            budget = Budget(max_seconds=0.2, token=CancelToken())
+            with pytest.raises(BudgetError):
+                service.assert_fact(parse_atom("move(c, d)"), budget=budget)
+        finally:
+            service.stop()  # drains: the writer is done with the write
+        assert service.snapshot().epoch == 1
+        assert ("c", "d") not in set(kb.query("move"))
+        kb.close()
 
 
 class TestWriterFaults:
@@ -228,12 +281,15 @@ class TestLifecycle:
         kb = KnowledgeBase(WIN_MOVE, facts=MOVES)
         service = QueryService(kb).start()
         results = []
-        thread = threading.Thread(
-            target=lambda: results.append(service.assert_fact(parse_atom("move(m, n)")))
+        errors: list = []
+        thread = spawn(
+            lambda: results.append(service.assert_fact(parse_atom("move(m, n)"))), errors
         )
-        thread.start()
-        thread.join(5)
-        service.stop(drain=True)
+        try:
+            join(thread, 5)
+        finally:
+            service.stop(drain=True)
+        assert not errors, errors
         assert results and results[0].changed == 1
         # After the writer exits, the KB is the caller's again.
         assert ("m", "n") in {tuple(r) for r in kb.query("move")}
@@ -264,6 +320,7 @@ class TestLifecycle:
         service = QueryService(kb).start()
         stop = threading.Event()
         failures: list[dict] = []
+        errors: list = []
 
         def churn():
             i = 0
@@ -271,8 +328,7 @@ class TestLifecycle:
                 service.assert_fact(parse_atom(f"fact({i})"))
                 i += 1
 
-        writer = threading.Thread(target=churn)
-        writer.start()
+        writer = spawn(churn, errors)
         try:
             deadline = time.monotonic() + 1.0
             while time.monotonic() < deadline and not failures:
@@ -284,6 +340,8 @@ class TestLifecycle:
             writer.join(30)
             service.stop()
             kb.close()
+        assert not writer.is_alive(), "churn writer still running after 30s"
+        assert not errors, errors
         assert not failures, f"health flapped under churn: {failures[0]}"
 
     def test_request_enqueued_behind_sentinel_is_failed_not_stranded(self):
@@ -304,10 +362,8 @@ class TestLifecycle:
             return original(request)
 
         service._apply = stalled_apply
-        busy = threading.Thread(
-            target=lambda: service.assert_fact(parse_atom("move(c, d)"))
-        )
-        busy.start()
+        errors: list = []
+        busy = spawn(lambda: service.assert_fact(parse_atom("move(c, d)")), errors)
         try:
             assert entered.wait(5)
             # While the writer is parked mid-apply, recreate the lost
@@ -321,9 +377,9 @@ class TestLifecycle:
             assert stranded.done.wait(5), "writer stranded the request"
             assert isinstance(stranded.error, ServiceClosed)
             assert service._writer is not None
-            service._writer.join(5)
-            assert not service._writer.is_alive()
-            busy.join(5)
+            join(service._writer, 5)
+            join(busy, 5)
+            assert not errors, errors
             # The stranded write never reached the store; the stalled one did.
             rows = {tuple(row) for row in kb.query("move")}
             assert ("c", "d") in rows and ("z", "z") not in rows
@@ -348,6 +404,7 @@ class TestSnapshotConsistency:
         oracle_lock = threading.Lock()
         stop = threading.Event()
         errors: list[str] = []
+        crashes: list = []
 
         def writer():
             nodes = ["c", "d", "e", "f", "g"]
@@ -377,23 +434,24 @@ class TestSnapshotConsistency:
                     )
                     return
 
-        writer_thread = threading.Thread(target=writer)
-        reader_threads = [threading.Thread(target=reader) for _ in range(4)]
-        writer_thread.start()
-        for thread in reader_threads:
-            thread.start()
-        writer_thread.join(30)
-        stop.set()
-        for thread in reader_threads:
-            thread.join(10)
-        service.stop()
-        kb.close()
+        writer_thread = spawn(writer, crashes)
+        reader_threads = [spawn(reader, crashes) for _ in range(4)]
+        try:
+            join(writer_thread, 30)
+        finally:
+            stop.set()
+            for thread in reader_threads:
+                thread.join(10)
+            service.stop()
+            kb.close()
+        assert not any(thread.is_alive() for thread in reader_threads)
+        assert not crashes, crashes
         assert not errors, errors[0]
 
 
 class TestCoalescedWrites:
-    """refresh="coalesce": the writer drains its backlog into one
-    atomically-applied window with a single maintenance pass."""
+    """The writer drains its backlog into one atomically-applied window
+    with a single maintenance pass."""
 
     def _park_writer(self, service):
         """Patch the single-request path so the first apply blocks until
@@ -411,16 +469,11 @@ class TestCoalescedWrites:
         service._apply_and_finish = slow_first
         return parked, release
 
-    def _submit_async(self, service, atom_text, sink, errors):
-        def run():
-            try:
-                sink.append(service.assert_fact(parse_atom(atom_text)))
-            except BaseException as error:  # noqa: BLE001 - surfaced by the test
-                errors.append(error)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        return thread
+    def _submit_async(self, service, atom_text, sink, errors, budget=None):
+        return spawn(
+            lambda: sink.append(service.assert_fact(parse_atom(atom_text), budget=budget)),
+            errors,
+        )
 
     def _await_backlog(self, service, depth):
         deadline = time.monotonic() + 5
@@ -429,11 +482,7 @@ class TestCoalescedWrites:
         assert service._queue.qsize() >= depth, "backlog never formed"
 
     def test_backlog_applies_as_one_window_with_shared_epoch(self):
-        from repro.config import EngineConfig
-
-        kb = KnowledgeBase(
-            WIN_MOVE, facts=MOVES, config=EngineConfig(refresh="coalesce")
-        )
+        kb = KnowledgeBase(WIN_MOVE, facts=MOVES)
         service = QueryService(kb, queue_size=8).start()
         first: list = []
         window: list = []
@@ -449,7 +498,7 @@ class TestCoalescedWrites:
             self._await_backlog(service, 3)
             release.set()
             for thread in [opener, *backlog]:
-                thread.join(10)
+                join(thread, 10)
             assert not errors, errors
             assert len(first) == 1 and len(window) == 3
             # One refresh for the whole window: every outcome carries the
@@ -467,46 +516,56 @@ class TestCoalescedWrites:
             service.stop()
             kb.close()
 
-    def test_eager_service_never_coalesces(self):
-        kb = KnowledgeBase(WIN_MOVE, facts=MOVES)  # refresh="eager" default
+    def test_window_is_capped_at_max_coalesce_window(self, monkeypatch):
+        """A backlog deeper than the cap is applied as a full window and
+        then the remainder, each with its own epoch."""
+        monkeypatch.setattr("repro.service.core.MAX_COALESCE_WINDOW", 2)
+        kb = KnowledgeBase(WIN_MOVE, facts=MOVES)
         service = QueryService(kb, queue_size=8).start()
-        outcomes: list = []
+        first: list = []
+        rest: list = []
         errors: list = []
         try:
             parked, release = self._park_writer(service)
-            opener = self._submit_async(service, "move(c, d)", outcomes, errors)
+            opener = self._submit_async(service, "move(c, d)", first, errors)
             assert parked.wait(5)
             backlog = [
-                self._submit_async(service, f"move(d, e{i})", outcomes, errors)
+                self._submit_async(service, f"move(d, e{i})", rest, errors)
                 for i in range(3)
             ]
             self._await_backlog(service, 3)
             release.set()
             for thread in [opener, *backlog]:
-                thread.join(10)
+                join(thread, 10)
             assert not errors, errors
-            # Four writes, four refreshes, four distinct epochs.
-            assert len({outcome.epoch for outcome in outcomes}) == 4
+            assert len(first) == 1 and len(rest) == 3
+            # Two requests share the capped window's epoch; the third,
+            # left queued, is applied on its own one epoch later.
+            epochs = sorted(outcome.epoch for outcome in rest)
+            assert epochs == [first[0].epoch + 1] * 2 + [first[0].epoch + 2]
             counters = service.stats()["counters"]
-            assert "service.coalesced_windows" not in counters
+            assert counters["service.coalesced_windows"] == 1
+            assert counters["service.coalesced_requests"] == 2
             assert counters["service.writes_applied"] == 4
         finally:
             release.set()
             service.stop()
             kb.close()
 
-    def test_failed_window_falls_back_to_per_request_apply(self):
-        from repro.config import EngineConfig
+    def test_empty_backlog_gives_one_epoch_per_write(self, service):
+        epochs = [
+            service.assert_fact(parse_atom(f"move(d, e{i})")).epoch for i in range(3)
+        ]
+        assert epochs == [2, 3, 4]
+        counters = service.stats()["counters"]
+        assert "service.coalesced_windows" not in counters
+        assert counters["service.writes_applied"] == 3
 
+    def test_failed_window_falls_back_to_per_request_apply(self):
         inner = MemoryStore()
         store = FaultInjectingStore(inner, script={"add": set(range(5, 60))})
         store.armed = False
-        kb = KnowledgeBase(
-            WIN_MOVE,
-            facts=MOVES,
-            store=store,
-            config=EngineConfig(refresh="coalesce"),
-        )
+        kb = KnowledgeBase(WIN_MOVE, facts=MOVES, store=store)
         service = QueryService(
             kb, retry_policy=RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0)
         ).start()
@@ -526,7 +585,7 @@ class TestCoalescedWrites:
             store.armed = True  # every further add faults
             release.set()
             for thread in [opener, *backlog]:
-                thread.join(10)
+                join(thread, 10)
             # The window apply failed, rolled back, and each request was
             # retried individually — and failed with the same injected
             # fault it would have seen without coalescing.
@@ -546,3 +605,37 @@ class TestCoalescedWrites:
             store.armed = False
             service.stop()
             kb.close()
+
+    def test_window_honours_each_request_budget(self):
+        """A window runs under its requests' budgets: the one that overran
+        its deadline rolls the window back, and the per-request fallback
+        fails only that request."""
+        kb = KnowledgeBase(WIN_MOVE, facts=MOVES)
+        service = QueryService(kb, queue_size=8).start()
+        plain: list = []
+        timed: list = []
+        errors: list = []
+        try:
+            parked, release = self._park_writer(service)
+            opener = self._submit_async(service, "move(c, d)", plain, errors)
+            assert parked.wait(5)
+            budget = Budget(max_seconds=0.3, token=CancelToken())
+            backlog = [
+                self._submit_async(service, "move(d, e)", plain, errors),
+                self._submit_async(service, "move(e, f)", timed, errors, budget=budget),
+            ]
+            self._await_backlog(service, 2)
+            # Only refreshes that include the timed write are slow.
+            _slow_refreshes_with(kb, "move(e, f)", 0.6)
+            release.set()
+            for thread in [opener, *backlog]:
+                join(thread, 10)
+        finally:
+            release.set()
+            service.stop()
+        assert len(plain) == 2 and not timed
+        assert len(errors) == 1 and isinstance(errors[0], BudgetError)
+        rows = set(kb.query("move"))
+        assert ("d", "e") in rows and ("e", "f") not in rows
+        assert service.stats()["counters"]["service.coalesce_fallbacks"] == 1
+        kb.close()

@@ -24,6 +24,8 @@ from repro.service.http import ServiceRequestHandler
 from repro.session import KnowledgeBase
 from repro.storage import MemoryStore
 
+from .test_core import join, spawn
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
 
@@ -55,13 +57,15 @@ class _Server:
         self.httpd = ServiceHTTPServer(("127.0.0.1", 0), service)
         host, port = self.httpd.server_address[:2]
         self.base = f"http://{host}:{port}"
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
-        self.thread.start()
+        self.errors: list = []
+        self.thread = spawn(self.httpd.serve_forever, self.errors, daemon=True)
 
     def close(self):
         self.httpd.shutdown()
         self.thread.join(10)
         self.httpd.server_close()
+        assert not self.thread.is_alive(), "server thread still running after 10s"
+        assert not self.errors, self.errors
 
 
 @pytest.fixture()
@@ -70,9 +74,11 @@ def server():
     service = QueryService(kb, max_readers=8).start()
     srv = _Server(service)
     yield srv
-    srv.close()
-    service.stop()
-    kb.close()
+    try:
+        srv.close()
+    finally:
+        service.stop()
+        kb.close()
 
 
 class TestReadEndpoints:
@@ -273,14 +279,11 @@ class TestIdleKeepAliveDrain:
                 head += chunk
             assert head.split(b"\r\n", 1)[0].endswith(b"200 OK")
             # Leave the keep-alive connection open and idle, then drain.
-            done = threading.Event()
-
-            def closer():
-                srv.close()
-                done.set()
-
-            threading.Thread(target=closer, daemon=True).start()
-            assert done.wait(10), "drain hung on the idle keep-alive connection"
+            errors: list = []
+            closer = spawn(srv.close, errors, daemon=True)
+            closer.join(10)
+            assert not closer.is_alive(), "drain hung on the idle keep-alive connection"
+            assert not errors, errors
         finally:
             sock.close()
             service.stop()
@@ -309,6 +312,7 @@ class TestFaultAcceptance:
             # Concurrent readers hammer the endpoint while the write fails.
             stop = threading.Event()
             mismatches: list[bytes] = []
+            errors: list = []
 
             def reader():
                 while not stop.is_set():
@@ -317,9 +321,7 @@ class TestFaultAcceptance:
                         mismatches.append(raw)
                         return
 
-            threads = [threading.Thread(target=reader) for _ in range(4)]
-            for thread in threads:
-                thread.start()
+            threads = [spawn(reader, errors) for _ in range(4)]
 
             status, payload, _, _ = _request(
                 srv.base, "/assert", method="POST", body={"fact": "move(c, d)"}
@@ -330,7 +332,8 @@ class TestFaultAcceptance:
             time.sleep(0.1)  # let readers observe the post-fault world
             stop.set()
             for thread in threads:
-                thread.join(10)
+                join(thread, 10)
+            assert not errors, errors
             assert not mismatches, f"reader saw a torn response: {mismatches[0]!r}"
 
             # Recovery: disarm, write, and the epoch moves on exactly once.

@@ -1,4 +1,6 @@
-"""Unit tests for component-level incremental maintenance."""
+"""Unit tests for the incremental engine: which components an update
+touches, forced full solves, recovery from a failed refresh, and
+incremental grounding of non-ground rules."""
 
 import pytest
 

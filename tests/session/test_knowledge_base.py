@@ -43,12 +43,10 @@ class TestConstruction:
         assert kb.is_true("color", "red")
         assert kb.is_false("color", "blue")
 
-    def test_legacy_kwargs_warn_and_config_conflicts_raise(self):
-        with pytest.warns(DeprecationWarning):
-            kb = KnowledgeBase(GAME_TEXT, strategy="naive")
-        assert kb.config.strategy == "naive"
-        with pytest.raises(EvaluationError, match="config="):
-            KnowledgeBase(GAME_TEXT, strategy="naive", config=EngineConfig())
+    @pytest.mark.parametrize("keyword", ["strategy", "engine", "grounder", "matcher"])
+    def test_takes_no_per_field_keywords(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            KnowledgeBase(GAME_TEXT, **{keyword: "naive"})
 
 
 class TestMutation:
