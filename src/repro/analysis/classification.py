@@ -16,7 +16,7 @@ from .local_stratification import is_locally_stratified
 from .stratification import is_stratified
 from .strictness import analyse_strictness
 
-__all__ = ["ProgramClassification", "classify"]
+__all__ = ["ProgramClassification", "classify", "recommend_semantics"]
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,8 @@ class ProgramClassification:
     @property
     def recommended_semantics(self) -> str:
         """The cheapest semantics that agrees with the well-founded model on
-        this class of programs."""
-        if self.is_definite:
-            return "horn"
-        if self.is_stratified:
-            return "stratified"
-        return "alternating-fixpoint"
+        this class of programs (see :func:`recommend_semantics`)."""
+        return recommend_semantics(self.is_definite, self.is_stratified)
 
     def summary(self) -> dict[str, bool | str]:
         return {
@@ -58,6 +54,18 @@ class ProgramClassification:
             "propositional": self.is_propositional,
             "recommended_semantics": self.recommended_semantics,
         }
+
+
+def recommend_semantics(is_definite: bool, is_stratified: bool) -> str:
+    """The cheapest semantics that agrees with the well-founded model on
+    programs of the class the two bits describe.  These are the only
+    features the recommendation reads; ``semantics="auto"`` computes just
+    them rather than a full :func:`classify`."""
+    if is_definite:
+        return "horn"
+    if is_stratified:
+        return "stratified"
+    return "alternating-fixpoint"
 
 
 def classify(program: Program, check_local: bool = True) -> ProgramClassification:

@@ -12,6 +12,7 @@ the constants and function symbols appearing in the program.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -21,11 +22,44 @@ __all__ = [
     "Variable",
     "Compound",
     "make_term",
+    "KEYWORDS",
+    "is_identifier",
+    "is_variable_name",
     "term_depth",
     "term_constants",
     "term_functions",
     "term_variables",
 ]
+
+
+# The lexical decisions of the rule syntax live here, once: the parser
+# reads identifiers with them, :func:`make_term` coerces strings with them,
+# and :class:`Constant` prints with them, so printed terms parse back.
+
+#: Identifiers the rule syntax reserves: none of them reads as a name.
+KEYWORDS = frozenset({"not"})
+
+#: The characters that continue an identifier: ``str.isalnum`` or ``_``.
+_IDENTIFIER = re.compile(r"\w+")
+
+
+def is_identifier(text: str) -> bool:
+    """Whether *text* is one identifier: a character for which
+    ``str.isalpha`` is true, or ``_``, then ``str.isalnum`` characters or
+    ``_``."""
+    return (text[:1].isalpha() or text[:1] == "_") and _IDENTIFIER.fullmatch(text) is not None
+
+
+def is_variable_name(text: str) -> bool:
+    """Whether *text* names a variable: it starts with an uppercase letter
+    or ``_``."""
+    return text[:1].isupper() or text[:1] == "_"
+
+
+def _reads_as_name(text: str) -> bool:
+    """Whether *text*, written bare, reads back as the constant *text*: an
+    identifier that is neither a variable name nor a keyword."""
+    return is_identifier(text) and not is_variable_name(text) and text not in KEYWORDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,12 +68,22 @@ class Constant:
 
     The payload may be a string, an integer, or any hashable Python value;
     integers and strings cover everything the paper's examples need.
+
+    A string prints bare when it reads back as the same constant, and
+    quoted otherwise (``"Alice"``, ``"12"``, ``"a b"``), so printed rules
+    and atoms parse back to equal ones.  A string holding both ``"`` and
+    ``'`` has no spelling in the rule syntax, which has no escapes; it
+    prints in double quotes and does not parse back.
     """
 
     value: object
 
     def __str__(self) -> str:
-        return str(self.value)
+        value = self.value
+        if isinstance(value, str) and not _reads_as_name(value):
+            quote = "'" if '"' in value else '"'
+            return f"{quote}{value}{quote}"
+        return str(value)
 
     def __repr__(self) -> str:
         return f"Constant({self.value!r})"
@@ -113,7 +157,7 @@ def make_term(value: object) -> Term:
     """
     if isinstance(value, (Constant, Variable, Compound)):
         return value
-    if isinstance(value, str) and value and (value[0].isupper() or value[0] == "_"):
+    if isinstance(value, str) and is_variable_name(value):
         return Variable(value)
     return Constant(value)
 

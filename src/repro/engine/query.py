@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from ..datalog.atoms import Atom, Literal
-from ..datalog.parser import parse_literal, tokenize
+from ..datalog.atoms import Atom
+from ..datalog.parser import parse_query
 from ..datalog.terms import Constant, Term, Variable
 from ..datalog.unification import match_atom
 from ..exceptions import ParseError
@@ -31,20 +31,11 @@ __all__ = ["QueryAnswer", "ask", "answers", "query_has_variables"]
 def query_has_variables(text: str) -> bool:
     """Whether a textual conjunctive query mentions a variable.
 
-    The parser convention makes any identifier starting with an uppercase
-    letter a variable; this scans the identifier tokens of the raw text so
-    the CLI and the repl can route between :func:`ask` and :func:`answers`
-    without parsing twice.
+    The CLI, the repl and ``GET /ask`` route on this between :func:`ask`
+    and :func:`answers`; it parses the query exactly as they do, so a
+    malformed query raises the same :class:`ParseError` either way.
     """
-    token = ""
-    for char in text:
-        if char.isalnum() or char == "_":
-            token += char
-        else:
-            if token and token[0].isupper():
-                return True
-            token = ""
-    return bool(token) and token[0].isupper()
+    return not all(literal.is_ground for literal in parse_query(text))
 
 
 @dataclass(frozen=True)
@@ -66,38 +57,13 @@ class QueryAnswer:
         }
 
 
-def _parse_query(text: str) -> list[Literal]:
-    """Parse a comma-separated conjunction of literals."""
-    literals: list[Literal] = []
-    depth = 0
-    start = 0
-    pieces: list[str] = []
-    for index, char in enumerate(text):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == "," and depth == 0:
-            pieces.append(text[start:index])
-            start = index + 1
-    pieces.append(text[start:])
-    for piece in pieces:
-        piece = piece.strip().rstrip(".")
-        if not piece:
-            continue
-        literals.append(parse_literal(piece))
-    if not literals:
-        raise ParseError("empty query")
-    return literals
-
-
 def ask(solution: Solution, query: str) -> TruthValue:
     """Answer a *ground* conjunctive query three-valuedly.
 
     The conjunction is evaluated with Kleene conjunction over the
     solution's interpretation (negative conjuncts invert the atom's value).
     """
-    literals = _parse_query(query)
+    literals = parse_query(query)
     result = TruthValue.TRUE
     for literal in literals:
         if not literal.is_ground:
@@ -119,7 +85,7 @@ def answers(solution: Solution, query: str) -> Iterator[QueryAnswer]:
     negative conjuncts require the instantiated atom to be false (not
     merely undefined), giving certain answers under partial models.
     """
-    literals = _parse_query(query)
+    literals = parse_query(query)
     positive = [lit for lit in literals if lit.positive]
     negative = [lit for lit in literals if lit.negative]
 

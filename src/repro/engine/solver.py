@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
-from ..analysis.classification import classify
+from ..analysis.classification import recommend_semantics
+from ..analysis.stratification import is_stratified
 from ..config import (
     DEFAULT_ENGINE,
     DEFAULT_STRATEGY,
@@ -159,8 +160,11 @@ def _ground_atom(predicate: str, values: Iterable[object]) -> Atom:
 
 def resolve_auto_semantics(program: Program) -> str:
     """The concrete semantics ``"auto"`` picks for *program*: the cheapest
-    one agreeing with the well-founded model for its syntactic class."""
-    return classify(program, check_local=False).recommended_semantics
+    one agreeing with the well-founded model for its syntactic class.
+    Every definite program is stratified, so only the others pay for the
+    dependency-graph check."""
+    definite = program.is_definite
+    return recommend_semantics(definite, definite or is_stratified(program))
 
 
 def solve_configured(

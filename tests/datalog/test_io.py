@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.datalog.atoms import atom
+from repro.datalog.atoms import atom, ground_atom
 from repro.datalog.database import Database
 from repro.datalog.io import (
     interpretation_from_dict,
@@ -35,6 +35,12 @@ class TestProgramFiles:
         loaded = load_program(path)
         assert loaded == program
         assert path.read_text().startswith("% transitive closure")
+
+    def test_round_trip_keeps_string_constants(self, tmp_path):
+        program = parse_program('knows("Alice", "a b"). knows(bob, "12"). p(X) :- knows(X, "not").')
+        path = tmp_path / "people.lp"
+        save_program(program, path)
+        assert load_program(path).rules == program.rules
 
     def test_load_reports_parse_errors(self, tmp_path):
         path = tmp_path / "bad.lp"
@@ -95,6 +101,14 @@ class TestInterpretationSerialisation:
         interpretation = PartialInterpretation([atom("tc", 1, 2)], [atom("tc", 2, 1)])
         payload = interpretation_to_dict(interpretation)
         rebuilt = interpretation_from_dict(payload)
+        assert rebuilt.true_atoms == interpretation.true_atoms
+        assert rebuilt.false_atoms == interpretation.false_atoms
+
+    def test_dict_round_trip_keeps_string_constants(self):
+        interpretation = PartialInterpretation(
+            [ground_atom("knows", "Alice", "a b")], [ground_atom("knows", "12", "not")]
+        )
+        rebuilt = interpretation_from_dict(interpretation_to_dict(interpretation))
         assert rebuilt.true_atoms == interpretation.true_atoms
         assert rebuilt.false_atoms == interpretation.false_atoms
 

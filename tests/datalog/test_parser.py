@@ -5,7 +5,7 @@ import pytest
 from repro.datalog.atoms import atom, neg, pos
 from repro.datalog.parser import parse_atom, parse_literal, parse_program, parse_rule, tokenize
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Compound, Constant, Variable
+from repro.datalog.terms import KEYWORDS, Compound, Constant, Variable, is_identifier, make_term
 from repro.exceptions import ParseError
 
 
@@ -45,6 +45,89 @@ class TestTokenizer:
     def test_unexpected_character_raises(self):
         with pytest.raises(ParseError):
             tokenize("p ? q")
+
+
+#: (entry point, text, message, line, column) for every kind of error the
+#: parser raises; errors with no position have ``None`` line and column.
+ERRORS = [
+    (parse_program, "p :q.", "unexpected character ':'", 1, 3),
+    (parse_program, "p\t:q.", "unexpected character ':'", 1, 3),
+    (parse_program, "% c\np ? .", "unexpected character '?'", 2, 3),
+    (parse_program, "p(- 1).", "unexpected character '-'", 1, 3),
+    (parse_program, "p(\u00b2).", "unexpected character '\u00b2'", 1, 3),
+    (parse_program, 'p("a\nb"). q ? r.', "unexpected character '?'", 2, 8),
+    (parse_program, 'p("oops', "unterminated string literal", 1, 3),
+    (parse_program, "p(a b). ?", "unexpected character '?'", 1, 9),
+    (parse_program, "P(a).", "atom predicate 'P' must not start with an uppercase letter", 1, 1),
+    (parse_program, "_p.", "atom predicate '_p' must not start with an uppercase letter", 1, 1),
+    (parse_program, "p(a b).", "expected ',' or ')', found 'b'", 1, 5),
+    (parse_program, "p(X(a)).", "expected ',' or ')', found '('", 1, 4),
+    (parse_program, "p(a) :- .", "expected name, found '.'", 1, 9),
+    (parse_program, "not :- q.", "expected name, found 'not'", 1, 1),
+    (parse_program, "p(,).", "expected a term, found ','", 1, 3),
+    (parse_program, "p q.", "expected dot, found 'q'", 1, 3),
+    (parse_program, 'p "x".', "expected dot, found 'x'", 1, 3),
+    (parse_program, "p :- q", "expected dot, found end of input", None, None),
+    (parse_program, "p :-", "expected name, found end of input", None, None),
+    (parse_program, "p(a", "unexpected end of input", None, None),
+    (parse_program, "p(a,", "unexpected end of input", None, None),
+    (parse_rule, "p. q.", "trailing input after rule", None, None),
+    (parse_atom, "p(a) q", "trailing input after atom", None, None),
+    (parse_literal, "not p q", "trailing input after literal", None, None),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(("parse", "text", "message", "line", "column"), ERRORS)
+    def test_message_and_position(self, parse, text, message, line, column):
+        with pytest.raises(ParseError) as raised:
+            parse(text)
+        where = "" if line is None else f" (line {line}, column {column})"
+        assert str(raised.value) == message + where
+        assert (raised.value.line, raised.value.column) == (line, column)
+
+    def test_tokenize_reports_the_same_positions(self):
+        with pytest.raises(ParseError) as raised:
+            tokenize('p("a\nb"). q ? r.')
+        assert (raised.value.line, raised.value.column) == (2, 8)
+        assert [(t.line, t.column) for t in tokenize('p("a\nb"). q.')][-2:] == [(2, 6), (2, 7)]
+
+
+class TestAcceptedLanguage:
+    def test_unicode_decimal_digits_are_numbers(self):
+        assert parse_atom("p(\u0661)") == atom("p", 1)
+
+    def test_identifiers_continue_with_any_alphanumeric(self):
+        assert parse_atom("p(a\u00b2)").args[0] == Constant("a\u00b2")
+
+    def test_numeric_letters_do_not_start_an_identifier(self):
+        # U+216B (ROMAN NUMERAL TWELVE) is uppercase and alphanumeric but
+        # not alphabetic, so it starts no token.
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_atom("p(\u216b)")
+
+    @pytest.mark.parametrize("name", ["a", "x_1", "Alice", "_x", "\u01c5x", "\u00e9t\u00e9"])
+    def test_identifiers_read_as_make_term_reads_them(self, name):
+        # U+01C5 is a titlecase letter: alphabetic but not uppercase.
+        assert is_identifier(name)
+        assert parse_atom(f"p({name})").args[0] == make_term(name)
+
+    @pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+    def test_keywords_read_as_no_term_and_print_quoted(self, keyword):
+        with pytest.raises(ParseError, match="expected a term"):
+            parse_atom(f"p({keyword})")
+        assert parse_atom(f"p({Constant(keyword)})").args[0] == Constant(keyword)
+
+
+class TestInterning:
+    def test_equal_terms_and_atoms_are_one_object(self):
+        program = parse_program("p(a, 1, X) :- q(a, a, 1, X), not p(a, 1, X).")
+        (rule,) = program.rules
+        head, (positive, negative) = rule.head, rule.body
+        assert negative.atom is head
+        assert positive.atom.args[0] is positive.atom.args[1] is head.args[0]
+        assert positive.atom.args[2] is head.args[1]
+        assert positive.atom.args[3] is head.args[2]
 
 
 class TestParseAtomAndLiteral:

@@ -45,6 +45,29 @@ class TestConstruction:
         assert len(items) == 3
 
 
+class TestPrinting:
+    @pytest.mark.parametrize(
+        ("value", "printed"),
+        [
+            ("a", "a"),
+            ("x_1", "x_1"),
+            (-3, "-3"),
+            ("Alice", '"Alice"'),
+            ("_x", '"_x"'),
+            ("12", '"12"'),
+            ("not", '"not"'),
+            ("a b", '"a b"'),
+            ("", '""'),
+            ('say "hi"', "'say \"hi\"'"),
+        ],
+    )
+    def test_strings_are_quoted_unless_they_read_back_bare(self, value, printed):
+        assert str(Constant(value)) == printed
+
+    def test_compound_prints_its_arguments(self):
+        assert str(Compound("f", (Constant("A b"), Variable("X")))) == 'f("A b", X)'
+
+
 class TestMakeTerm:
     def test_uppercase_string_becomes_variable(self):
         assert make_term("X") == Variable("X")

@@ -94,6 +94,17 @@ class TestOtherCommands:
         assert code == 0
         assert "X = c" in output
 
+    def test_query_with_underscore_variable(self, game_file):
+        code, output = run("query", game_file, "wins(_X)")
+        assert code == 0
+        assert output.strip() == "_X = c"
+
+    def test_ground_query_on_capitalised_string(self, tmp_path):
+        path = tmp_path / "people.lp"
+        path.write_text('person("Alice").\n', encoding="utf-8")
+        assert run("query", str(path), 'person("Alice")') == (0, "true\n")
+        assert run("query", str(path), 'person("Bob")') == (1, "false\n")
+
     def test_stable(self, game_file):
         code, output = run("stable", game_file)
         assert code == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.query import answers, ask
+from repro.engine.query import answers, ask, query_has_variables
 from repro.engine.solver import solve
 from repro.exceptions import ParseError
 from repro.fixpoint.interpretations import TruthValue
@@ -86,3 +86,28 @@ class TestAnswers:
     def test_unsafe_negative_query_rejected(self, graph_solution):
         with pytest.raises(ParseError):
             list(answers(graph_solution, "not p(X, Y)"))
+
+
+class TestQueryParsing:
+    @pytest.mark.parametrize(
+        ("query", "expected"),
+        [
+            ("wins(X)", True),
+            ("wins(_X)", True),
+            ("p(a), not q(_)", True),
+            ("wins(c)", False),
+            ('p("Abc")', False),
+            ("p('X Y', 3)", False),
+        ],
+    )
+    def test_query_has_variables_follows_the_parser(self, query, expected):
+        assert query_has_variables(query) is expected
+
+    def test_parentheses_inside_strings_do_not_split_conjuncts(self):
+        solution = solve('p("("). q(a).')
+        assert ask(solution, 'p("("), q(a)') is TruthValue.TRUE
+        assert ask(solution, 'p(")"), q(a).') is TruthValue.FALSE
+
+    def test_trailing_input_rejected(self, graph_solution):
+        with pytest.raises(ParseError, match="trailing input after query"):
+            ask(graph_solution, "p(a, b) p(b, c)")

@@ -83,11 +83,52 @@ def propositional_programs():
     return st.lists(rules, min_size=1, max_size=10).map(Program)
 
 
+#: Constants whose printed form needs quoting or a sign, next to bare ones.
+PRINTABLE_CONSTANTS = [
+    "a", "bob", "x_1", "not", "Alice", "_x", "12", "-3", "a b", "a, b",
+    "f(a)", "it's", 'say "hi"', "", 0, 7, -3,
+]
+
+
+def first_order_terms(max_depth: int = 2):
+    base = st.one_of(
+        st.sampled_from(PRINTABLE_CONSTANTS).map(Constant),
+        st.sampled_from(["X", "_Y", "Long_name1"]).map(Variable),
+    )
+    if max_depth == 0:
+        return base
+    return st.one_of(
+        base,
+        st.tuples(
+            st.sampled_from(["f", "g"]),
+            st.lists(first_order_terms(max_depth - 1), min_size=1, max_size=2),
+        ).map(lambda pair: Compound(pair[0], tuple(pair[1]))),
+    )
+
+
+def first_order_programs():
+    atoms = st.tuples(
+        st.sampled_from(["p", "edge", "q2"]),
+        st.lists(first_order_terms(), max_size=3),
+    ).map(lambda pair: Atom(pair[0], tuple(pair[1])))
+    literals = st.tuples(atoms, st.booleans()).map(lambda p: Literal(p[0], p[1]))
+    rules = st.tuples(atoms, st.lists(literals, max_size=3)).map(
+        lambda p: Rule(p[0], tuple(p[1]))
+    )
+    return st.lists(rules, min_size=1, max_size=8).map(Program)
+
+
 class TestParserRoundTrip:
     @SETTINGS
     @given(program=propositional_programs())
     def test_print_then_parse_is_identity(self, program: Program):
         assert parse_program(str(program)) == program
+
+    @SETTINGS
+    @given(program=first_order_programs())
+    def test_first_order_print_then_parse_is_identity(self, program: Program):
+        # Rule by rule and in order: Program equality is set equality.
+        assert parse_program(str(program)).rules == program.rules
 
 
 class TestGroundingEquivalence:

@@ -130,6 +130,8 @@ class TestReadEndpoints:
         assert status == 200
         assert payload["answers"] == [{"X": "b"}]
         assert payload["pagination"]["total"] == 1
+        status, payload, _, _ = _request(server.base, "/ask?q=wins(_X)")
+        assert status == 200 and payload["answers"] == [{"_X": "b"}]
 
     def test_ask_without_query_is_400(self, server):
         status, payload, _, _ = _request(server.base, "/ask")
