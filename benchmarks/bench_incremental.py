@@ -30,6 +30,7 @@ from _smoke import trim
 from repro.config import EngineConfig
 from repro.core.context import build_context
 from repro.core.modular import modular_well_founded
+from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
 from repro.session import KnowledgeBase
 from repro.workloads import layered_program
@@ -77,7 +78,7 @@ def _best_scratch(program) -> float:
 
 
 def _assert_matches_scratch(kb: KnowledgeBase) -> None:
-    scratch = solve_configured(kb._program(), WFS)
+    scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), WFS)
     assert kb.solution.interpretation == scratch.interpretation, (
         "incrementally maintained model diverged from from-scratch solve"
     )

@@ -5,7 +5,8 @@ hot loop of the solver (grounding, condensation, alternating stages,
 unfounded-set iterations, per-component dispatch).  Like the recorder
 before it (E18), the acceptance criterion is a guard: a run governed by a
 *generous* budget — one that never trips — may cost at most 3% over the
-unbudgeted call path on the bench_modular_wfs workload.  Unbudgeted runs
+unbudgeted call path on the bench_modular_wfs workload, decided from the
+median per-pair ratio of order-alternating batches (``_paired.py``).  Unbudgeted runs
 see the no-op ``NULL_METER`` singleton, so their per-iteration cost is one
 attribute load; budgeted runs pay a strided clock check.  This guard
 catches anyone later tightening the stride or moving per-iteration work
@@ -17,11 +18,10 @@ byte-identical: metering may only observe, never steer.
 Run with ``pytest benchmarks/bench_resilience_overhead.py -s``.
 """
 
-import time
-
 import pytest
 
 from _metrics import emit
+from _paired import paired_ratios
 from _smoke import trim
 from repro.core.context import build_context
 from repro.core.modular import modular_well_founded
@@ -32,11 +32,10 @@ from repro.workloads import layered_program
 # trim() keeps the head of the list and [-1] then picks it).
 LAYERS, SIZE = trim([(4, 40), (12, 200)], keep=1)[-1]
 #: Acceptance ceiling plus a small allowance for timer noise on shared CI
-#: runners — best-of-REPEAT comparisons of near-identical code paths still
-#: jitter by a few percent at millisecond scales.
+#: runners — even the median of paired ratios of near-identical code paths
+#: jitters by a percent or two at millisecond scales.
 OVERHEAD_CEILING = 1.03
 NOISE_MARGIN = 1.02
-REPEAT = 7
 
 #: Generous enough that neither limit can trip on this workload: the run
 #: exercises the full metered path (deadline arithmetic, step counting)
@@ -67,37 +66,31 @@ def test_generous_budget_overhead_acceptance(report):
         modular_well_founded(context)
         _budgeted(context)
 
-    # Interleave the measurements so drift (thermal, scheduler) hits both
-    # arms equally; each arm keeps its own best.
-    plain_best = float("inf")
-    budgeted_best = float("inf")
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        modular_well_founded(context)
-        plain_best = min(plain_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        _budgeted(context)
-        budgeted_best = min(budgeted_best, time.perf_counter() - start)
-
-    overhead = budgeted_best / plain_best
+    # Paired, order-alternating batches: drift (thermal, scheduler) hits
+    # both arms of a pair alike, and the median ratio decides.
+    paired = paired_ratios(lambda: modular_well_founded(context), lambda: _budgeted(context))
+    overhead = paired.median
+    plain, budgeted = paired.baseline_seconds, paired.candidate_seconds
     report(
         f"resilience overhead on layered {LAYERS}x{SIZE}",
         [
-            (f"unbudgeted      {plain_best * 1000:9.3f} ms",),
-            (f"generous budget {budgeted_best * 1000:9.3f} ms  ({overhead:5.3f}x)",),
+            (f"unbudgeted      {plain * 1000:9.3f} ms",),
+            (f"generous budget {budgeted * 1000:9.3f} ms",),
+            (paired.describe(),),
         ],
     )
     emit(
         "resilience",
         workload=f"layered:{LAYERS}x{SIZE}",
         sizes={"layers": LAYERS, "layer_size": SIZE},
-        timings={"unbudgeted": plain_best, "generous_budget": budgeted_best},
+        timings={"unbudgeted": plain, "generous_budget": budgeted},
         speedups={"budgeted_over_unbudgeted": overhead},
+        extra={"pair_ratio_quartiles": paired.quartiles},
     )
     assert overhead <= OVERHEAD_CEILING * NOISE_MARGIN, (
-        f"budget metering overhead must stay within 3%: unbudgeted "
-        f"{plain_best * 1000:.3f} ms, budgeted {budgeted_best * 1000:.3f} ms "
-        f"({(overhead - 1) * 100:.1f}% over)"
+        f"budget metering overhead must stay within 3%: {paired.describe()}, "
+        f"unbudgeted {plain * 1000:.3f} ms, budgeted {budgeted * 1000:.3f} ms "
+        f"per solve ({(overhead - 1) * 100:.1f}% over)"
     )
 
 

@@ -195,7 +195,7 @@ def test_policy_stream_counting_path(report):
         latencies.append(time.perf_counter() - start)
         assert kb.last_update.mode == "delta"
         methods.update(kb.last_update.methods)
-    scratch = solve_configured(kb._program(), WFS)
+    scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), WFS)
     assert _model_bytes(kb.solution.interpretation, kb.solution.base) == _model_bytes(
         scratch.interpretation, scratch.base
     )
@@ -260,7 +260,7 @@ def test_coalesced_service_windows(report):
     # Windows share one epoch per refresh: distinct epochs < acknowledged
     # writes whenever any window coalesced more than one request.
     assert counters.get("service.writes_applied", 0) == len(ops)
-    scratch = solve_configured(kb._program(), WFS)
+    scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), WFS)
     assert _model_bytes(kb.solution.interpretation, kb.solution.base) == _model_bytes(
         scratch.interpretation, scratch.base
     )
@@ -335,7 +335,7 @@ def test_non_ground_win_move_churn(report):
         assert kb.last_update.mode == "delta", kb.last_update.describe()
         rules_added += kb.last_update.rules_added
         if step in checkpoints:
-            scratch = solve_configured(kb._program(), kb.config)
+            scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
             assert _true_and_undefined(kb.solution) == _true_and_undefined(scratch), (
                 f"non-ground session diverged from from-scratch at step {step}"
             )

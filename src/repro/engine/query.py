@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
 from ..datalog.terms import Constant, Term, Variable
 from ..datalog.unification import match_atom
@@ -89,19 +88,18 @@ def answers(solution: Solution, query: str) -> Iterator[QueryAnswer]:
     positive = [lit for lit in literals if lit.positive]
     negative = [lit for lit in literals if lit.negative]
 
-    # Index the true atoms by (predicate, arity) once; every positive
-    # conjunct at every depth of the backtracking search then scans only its
-    # own relation instead of the whole model.
-    by_signature: dict[tuple[str, int], list[Atom]] = {}
-    for atom in solution.true_atoms():
-        by_signature.setdefault((atom.predicate, atom.arity), []).append(atom)
+    # Each positive conjunct, at every depth of the backtracking search,
+    # scans only its own predicate's true atoms, straight from the
+    # solution's per-predicate view: the rest of the model is never read.
+    view = solution.view
+    candidates = [view.predicate(literal.atom.predicate).true_atoms for literal in positive]
 
     def extend(index: int, binding: dict[Variable, Term]) -> Iterator[dict[Variable, Term]]:
         if index == len(positive):
             yield binding
             return
         pattern = positive[index].atom
-        for atom in by_signature.get((pattern.predicate, pattern.arity), ()):
+        for atom in candidates[index]:
             extended = match_atom(pattern, atom, binding)
             if extended is not None:
                 yield from extend(index + 1, extended)

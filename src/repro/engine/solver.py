@@ -19,9 +19,8 @@ incrementally across updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from ..analysis.classification import recommend_semantics
 from ..analysis.stratification import is_stratified
@@ -53,6 +52,7 @@ from ..semantics.fitting import fitting_model
 from ..semantics.horn import horn_minimum_model
 from ..semantics.inflationary import inflationary_model
 from ..semantics.stratified import stratified_model
+from .view import ModelView
 
 __all__ = [
     "Solution",
@@ -67,28 +67,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Solution:
     """The result of solving a program under one semantics.
 
-    Relation views are predicate-indexed: the first call to
-    :meth:`relation` / :meth:`undefined_relation` builds a per-predicate
-    row index over the interpretation once, and every later call (query-
-    heavy sessions hit these constantly) is a dictionary lookup instead of
-    a scan over every true/base atom.
+    Every read — :meth:`relation`, :meth:`undefined_relation`,
+    :meth:`value_of` (and so :func:`~repro.engine.query.ask`),
+    :func:`~repro.engine.query.answers` and session pagination — is
+    answered from one immutable per-predicate
+    :class:`~repro.engine.view.ModelView`, :attr:`view`.  A one-shot solve
+    builds it on first use, with one pass over the true atoms and one over
+    the undefined ones.  A :class:`~repro.session.KnowledgeBase` epoch
+    publishes a solution whose view is derived from the previous epoch's,
+    and whose ``program``, ``base``, ``interpretation`` and ``context``
+    are computed only when first read (see :mod:`repro.session`).
+
+    Solutions are immutable and compare (and hash) by identity: two solves
+    of one program give two unequal solutions.  Compare what they answer
+    instead — ``interpretation``, ``relation(...)`` — since a value
+    comparison would force an epoch's lazy fields.
     """
 
-    program: Program
-    semantics: str
-    interpretation: PartialInterpretation
-    base: frozenset[Atom]
-    strategy: str = DEFAULT_STRATEGY
-    engine: str = DEFAULT_ENGINE
-    config: Optional[EngineConfig] = None
-    #: The ground evaluation context the model was computed over, when the
-    #: producer kept it — lets consumers (e.g. the session explainer) reuse
-    #: the grounding instead of re-running it.
-    context: Optional[object] = None
+    def __init__(
+        self,
+        program: Program,
+        semantics: str,
+        interpretation: PartialInterpretation,
+        base: frozenset[Atom],
+        strategy: str = DEFAULT_STRATEGY,
+        engine: str = DEFAULT_ENGINE,
+        config: Optional[EngineConfig] = None,
+        context: Optional[object] = None,
+    ):
+        # ``context`` is the ground evaluation context the model was
+        # computed over, when the producer kept it — lets consumers (e.g.
+        # the session explainer) reuse the grounding instead of re-running
+        # it.
+        self.__dict__.update(
+            program=program,
+            semantics=semantics,
+            interpretation=interpretation,
+            base=base,
+            strategy=strategy,
+            engine=engine,
+            config=config,
+            context=context,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a Solution is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a Solution is immutable; cannot delete {name!r}")
+
+    @cached_property
+    def view(self) -> ModelView:
+        """The per-predicate view every read is answered from."""
+        interpretation = self.interpretation
+        true_atoms = interpretation.true_atoms
+        return ModelView.build(
+            true_atoms, self.base - true_atoms - interpretation.false_atoms
+        )
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -96,10 +134,7 @@ class Solution:
     def value_of(self, atom: Atom) -> TruthValue:
         """Truth value of a ground atom; atoms outside the base that are not
         EDB facts are false by the closed-world reading."""
-        value = self.interpretation.value_of_atom(atom)
-        if value is TruthValue.UNDEFINED and atom not in self.base:
-            return TruthValue.FALSE
-        return value
+        return self.view.predicate(atom.predicate).value_of(atom)
 
     def is_true(self, predicate: str, *values: object) -> bool:
         return self.value_of(_ground_atom(predicate, values)) is TruthValue.TRUE
@@ -110,34 +145,13 @@ class Solution:
     def is_undefined(self, predicate: str, *values: object) -> bool:
         return self.value_of(_ground_atom(predicate, values)) is TruthValue.UNDEFINED
 
-    @cached_property
-    def _true_rows(self) -> Mapping[str, frozenset[tuple[object, ...]]]:
-        """True tuples indexed by predicate, with constants unwrapped."""
-        rows: dict[str, set[tuple[object, ...]]] = {}
-        for atom in self.interpretation.true_atoms:
-            rows.setdefault(atom.predicate, set()).add(
-                tuple(_unwrap(term) for term in atom.args)
-            )
-        return {predicate: frozenset(found) for predicate, found in rows.items()}
-
-    @cached_property
-    def _undefined_rows(self) -> Mapping[str, frozenset[tuple[object, ...]]]:
-        """Undefined tuples of the base indexed by predicate."""
-        rows: dict[str, set[tuple[object, ...]]] = {}
-        for atom in self.base:
-            if self.interpretation.value_of_atom(atom) is TruthValue.UNDEFINED:
-                rows.setdefault(atom.predicate, set()).add(
-                    tuple(_unwrap(term) for term in atom.args)
-                )
-        return {predicate: frozenset(found) for predicate, found in rows.items()}
-
     def relation(self, predicate: str) -> set[tuple[object, ...]]:
         """The tuples for which *predicate* is true, with constants unwrapped."""
-        return set(self._true_rows.get(predicate, ()))
+        return set(self.view.predicate(predicate).rows())
 
     def undefined_relation(self, predicate: str) -> set[tuple[object, ...]]:
         """Tuples of *predicate* left undefined by a partial semantics."""
-        return set(self._undefined_rows.get(predicate, ()))
+        return set(self.view.predicate(predicate).rows(TruthValue.UNDEFINED))
 
     def true_atoms(self) -> frozenset[Atom]:
         return self.interpretation.true_atoms
@@ -149,9 +163,8 @@ class Solution:
     def is_total(self) -> bool:
         return self.interpretation.is_total_over(self.base)
 
-
-def _unwrap(term: object) -> object:
-    return term.value if isinstance(term, Constant) else term
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Solution(semantics={self.semantics!r}, engine={self.engine!r})"
 
 
 def _ground_atom(predicate: str, values: Iterable[object]) -> Atom:

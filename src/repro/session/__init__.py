@@ -2,10 +2,12 @@
 
 * :class:`KnowledgeBase` — rules plus a mutable EDB, a fluent query
   surface, and a solved model kept warm across updates;
-* :class:`ResultSet` — lazy, predicate-indexed relation views;
+* :class:`ResultSet` — lazy relation views, read straight from the
+  current epoch's per-predicate :class:`~repro.engine.view.ModelView`;
 * :class:`SessionSnapshot` — an immutable, thread-safe view of one model
   epoch (solution + pinned store window), the read unit of
-  :mod:`repro.service`;
+  :mod:`repro.service`; an incremental session publishes each epoch in
+  O(flips), sharing every unflipped predicate with the epoch before;
 * :class:`IncrementalEngine` / :class:`UpdateStats` — the component-level
   invalidation machinery behind incremental refreshes;
 * :func:`run_repl` — the interactive loop behind ``python -m repro repl``;

@@ -67,6 +67,20 @@ flat int IR of :mod:`repro.kernel` (at construction, and again whenever
 the grounding grows) and every per-component solve runs over a persistent
 :class:`~repro.kernel.ComponentKernel` truth vector instead of object
 sets; the dispatch and the returned reports are identical.
+
+What a session publishes per epoch is :attr:`IncrementalEngine.view`, an
+immutable per-predicate :class:`~repro.engine.view.ModelView`.  A refresh
+notes every atom whose verdict or fact status may have moved: the flips
+the maintainer emits through its ``sync`` hook, the changed facts
+(floating ones included) and the components :meth:`_resolve_in_place`
+re-solves when new rule instances are folded in or components merge.
+Reading the view then derives it from the previously read one in
+O(flips) — unflipped predicates shared, flipped ones rebuilt
+copy-on-write — instead of rebuilding anything of the size of the model;
+after a full solve (the first, a re-grounding, recovery from a failed
+refresh) it is built from scratch.  The engine keeps its solved fact set
+current from each refresh's delta too, so a delta refresh copies nothing
+of the size of the EDB.
 """
 
 from __future__ import annotations
@@ -74,7 +88,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
@@ -92,8 +106,9 @@ from ..datalog.atoms import Atom
 from ..datalog.grounding import GroundingLimits, IncrementalGrounder
 from ..datalog.rules import Program
 from ..delta import DeltaMaintainer
+from ..engine.view import ModelView
 from ..exceptions import BudgetError, GroundingError
-from ..fixpoint.interpretations import PartialInterpretation
+from ..fixpoint.interpretations import PartialInterpretation, TruthValue
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import Budget, current_meter, metered
 from ..storage.memory import garbage_dominates
@@ -218,10 +233,12 @@ class IncrementalEngine:
         # Atom-level maintenance state, built lazily after the first full
         # solve and discarded whenever the model or the grounding is rebuilt.
         self._delta: Optional[DeltaMaintainer] = None
-        # The model property's per-epoch cache (the interpretation only
-        # moves on a successful refresh, which bumps the epoch).
-        self._model_cache: Optional[tuple[int, PartialInterpretation]] = None
-        self._base_cache: Optional[tuple[frozenset, frozenset, frozenset]] = None
+        # The published per-predicate view (:attr:`view`), built on first
+        # read after a full solve, and the atoms whose verdict or fact
+        # status may have moved since it was last brought up to date (None
+        # while there is no view to bring up to date).
+        self._view: Optional[ModelView] = None
+        self._flips: Optional[set[Atom]] = None
         # Monotone model-version counter: bumped once per *successful*
         # refresh, so two reads observing the same epoch are guaranteed to
         # observe the same model.  The query service stamps every response
@@ -234,18 +251,19 @@ class IncrementalEngine:
         # against *store* (the EDB the grounder probes in place) by an
         # incremental grounder the engine keeps: `_facts` is then the EDB
         # the grounding covers, `_stale` the retracted facts it still
-        # holds instances for.  Construction may run under an ambient
-        # budget meter (a session refresh constructing its engine), so
-        # each build stage ends with a checkpoint — a deadline elapsing
-        # mid-construction aborts there rather than after the whole
-        # condensation.
+        # holds instances for.  `_facts` is the engine's own set, kept
+        # current from each refresh's delta.  Construction may run under
+        # an ambient budget meter (a session refresh constructing its
+        # engine), so each build stage ends with a checkpoint — a deadline
+        # elapsing mid-construction aborts there rather than after the
+        # whole condensation.
         self._source = rules
         self._nonground = not rules.is_ground
         self._limits = limits
         self._grounding_store = store
         self._grounder: Optional[IncrementalGrounder] = None
         self._stale: set[Atom] = set()
-        self._facts: frozenset[Atom] = frozenset()
+        self._facts: set[Atom] = set()
         if self._nonground:
             self._reground()
         else:
@@ -288,7 +306,7 @@ class IncrementalEngine:
         current_meter().check("refresh")
         self._grounder = grounder
         self._stale = set()
-        self._facts = frozenset(facts)
+        self._facts = facts
         self._rule_context = context
         self._install()
         return len(rules)
@@ -407,11 +425,14 @@ class IncrementalEngine:
         for index in changed:
             self._resolve_in_place(index, facts)
 
-    def _resolve_in_place(self, index: int, facts: frozenset[Atom]) -> ComponentReport:
+    def _resolve_in_place(self, index: int, facts: AbstractSet[Atom]) -> ComponentReport:
         """Solve one component against the verdicts below it: its atoms
-        leave the aggregates and its new verdicts enter them.  Returns
-        (and stores) its report."""
+        leave the aggregates and its new verdicts enter them (and, as
+        possible flips, the view's to-do list).  Returns (and stores) its
+        report."""
         component = self._components[index]
+        if self._flips is not None:
+            self._flips.update(component)
         self._true.difference_update(component)
         self._false.difference_update(component)
         comp_true, comp_false, report = self._solve_one(index, component, facts)
@@ -600,15 +621,16 @@ class IncrementalEngine:
             if added != (atom in self._facts)
         )
 
-    def refresh_pending(self, facts: frozenset[Atom]) -> UpdateStats:
-        """:meth:`refresh` driven by the observed store's change events.
+    def refresh_pending(self, facts: AbstractSet[Atom]) -> UpdateStats:
+        """:meth:`refresh` driven by the observed store's change events;
+        *facts* is the live EDB, as :meth:`refresh` takes it.
 
         Before the first solve the refresh is full; afterwards one
         maintenance pass covers the pending changes.  The pending set is
         drained only on success — a failed refresh leaves it queued so
         the next call retries the same delta.
         """
-        changed = set(self.pending_changes) if self._solved else None
+        changed = self.pending_changes if self._solved else None
         stats = self.refresh(facts, changed)
         self._pending.clear()
         return stats
@@ -628,30 +650,60 @@ class IncrementalEngine:
 
     @property
     def model(self) -> PartialInterpretation:
-        """The current well-founded partial model (cached per epoch — the
-        interpretation only changes on a successful refresh)."""
-        cache = self._model_cache
-        if cache is not None and cache[0] == self._epoch:
-            return cache[1]
-        model = PartialInterpretation(self._true | self._floating, self._false)
-        self._model_cache = (self._epoch, model)
-        return model
+        """The current well-founded partial model, as a new
+        interpretation (O(model): a session reads :attr:`view` instead)."""
+        return PartialInterpretation(self._true | self._floating, self._false)
 
     @property
     def base(self) -> frozenset[Atom]:
-        """The current atom universe: rule atoms plus the current facts
-        (cached until either moves)."""
-        cache = self._base_cache
-        if cache is None or cache[0] is not self._rule_atoms or cache[1] is not self._facts:
-            cache = (self._rule_atoms, self._facts, self._rule_atoms | self._facts)
-            self._base_cache = cache
-        return cache[2]
+        """The current atom universe: rule atoms plus the current facts."""
+        return self._rule_atoms | self._facts
 
     @property
     def context(self) -> GroundContext:
         """A :class:`GroundContext` for the current program state (used by
         the explainer and the stats renderers)."""
-        return dataclasses.replace(self._rule_context, facts=self._facts, base=self.base)
+        return dataclasses.replace(
+            self._rule_context, facts=frozenset(self._facts), base=self.base
+        )
+
+    @property
+    def rule_context(self) -> GroundContext:
+        """The ground rules without the facts.  Growing the grounding
+        replaces this object rather than mutating it, so a published epoch
+        can keep the one it was solved over."""
+        return self._rule_context
+
+    @property
+    def view(self) -> ModelView:
+        """The current model as an immutable
+        :class:`~repro.engine.view.ModelView`, with the facts.
+
+        Built from scratch on the first read after a full solve.  After
+        that each read derives it from the previously read view and the
+        atoms the refreshes in between flipped — maintained verdicts,
+        fact changes and re-solved components — sharing every predicate
+        that did not move.
+        """
+        if self._view is None:
+            self._view = ModelView.build(
+                self._true | self._floating,
+                self._rule_atoms - self._true - self._false,
+                self._facts,
+            )
+        elif self._flips:
+            self._view = self._view.evolve(
+                (atom, self._verdict(atom), atom in self._facts) for atom in self._flips
+            )
+        self._flips = set()
+        return self._view
+
+    def _verdict(self, atom: Atom) -> TruthValue:
+        if atom in self._true or atom in self._floating:
+            return TruthValue.TRUE
+        if atom in self._false or atom not in self._rule_atoms:
+            return TruthValue.FALSE
+        return TruthValue.UNDEFINED
 
     @property
     def component_count(self) -> int:
@@ -678,9 +730,11 @@ class IncrementalEngine:
     # Maintenance
     # ------------------------------------------------------------------ #
     def refresh(
-        self, facts: frozenset[Atom], changed: Optional[Iterable[Atom]] = None
+        self, facts: AbstractSet[Atom], changed: Optional[Iterable[Atom]] = None
     ) -> UpdateStats:
-        """Bring the model up to date with *facts*.
+        """Bring the model up to date with *facts*, the whole current EDB
+        (read during the call, never kept: the engine updates its own
+        fact set from *changed*).
 
         *changed* is the set of atoms whose fact status flipped since the
         last refresh; ``None`` forces a full (re)solve.  Returns the
@@ -693,7 +747,10 @@ class IncrementalEngine:
                 if not self._solved or changed is None:
                     stats = self._solve_all(facts)
                 else:
-                    stats = self._solve_delta(facts, set(changed))
+                    changed = set(changed)
+                    if self._flips is not None:
+                        self._flips.update(changed)
+                    stats = self._solve_delta(facts, changed)
             except BaseException:
                 # A failure mid-delta (including a budget abort) leaves
                 # affected components subtracted from the aggregates but
@@ -703,12 +760,20 @@ class IncrementalEngine:
                 # instead of serving the torn state.
                 self._solved = False
                 self._grounder = None
+                self._view = self._flips = None
                 raise
             finally:
                 if recorder.enabled and meter.active:
                     recorder.count("budget.steps", meter.steps)
                     recorder.count("budget.elapsed_ms", int(meter.elapsed() * 1000))
-            self._facts = facts
+            if stats.mode == "delta":
+                for atom in changed:
+                    if atom in facts:
+                        self._facts.add(atom)
+                    else:
+                        self._facts.discard(atom)
+            else:
+                self._facts = set(facts)
             self._solved = True
             self._epoch += 1
             self._last = dataclasses.replace(
@@ -726,12 +791,14 @@ class IncrementalEngine:
             recorder.count("refresh.rules_added", self._last.rules_added)
         return self._last
 
-    def _solve_all(self, facts: frozenset[Atom]) -> UpdateStats:
+    def _solve_all(self, facts: AbstractSet[Atom]) -> UpdateStats:
         if self._solved:
             # A forced full solve also grounds afresh, so the only grounder
             # resumed below is the construction-time one.
             self._grounder = None
         self._solved = False
+        # The next read of the view builds it from scratch.
+        self._view = self._flips = None
         rules_added = 0
         if self._nonground:
             if self._grounder is None:
@@ -767,7 +834,7 @@ class IncrementalEngine:
         )
 
     def _solve_one(
-        self, index: int, component: set[Atom], facts: frozenset[Atom]
+        self, index: int, component: set[Atom], facts: AbstractSet[Atom]
     ) -> tuple[set[Atom], set[Atom], ComponentReport]:
         """Dispatch one component, wrapping it in a ``component`` span when
         a tracing recorder is attached (the null path adds no calls)."""
@@ -809,13 +876,20 @@ class IncrementalEngine:
             kernel=self._kernel,
         )
 
-    def _solve_delta(self, facts: frozenset[Atom], changed: set[Atom]) -> UpdateStats:
+    def _solve_delta(self, facts: AbstractSet[Atom], changed: set[Atom]) -> UpdateStats:
         rules_added = 0
         if self._grounder is not None:
             asserted = [atom for atom in changed if atom in facts]
             retracted = [atom for atom in changed if atom not in facts]
-            stale = len(self._stale.union(retracted).difference(asserted))
-            if garbage_dominates(stale, len(facts)):
+            # |stale ∪ retracted − asserted|, counted without copying stale
+            # (an atom is asserted or retracted, never both).
+            stale = self._stale
+            count = (
+                len(stale)
+                + sum(atom not in stale for atom in retracted)
+                - sum(atom in stale for atom in asserted)
+            )
+            if garbage_dominates(count, len(facts)):
                 # Retracted facts the grounding still covers dominate: start
                 # the grounding afresh rather than carry their instances.
                 self._grounder = None
@@ -834,7 +908,7 @@ class IncrementalEngine:
         stats = self._solve_delta_facts(facts, changed)
         return dataclasses.replace(stats, rules_added=rules_added) if rules_added else stats
 
-    def _solve_delta_facts(self, facts: frozenset[Atom], changed: set[Atom]) -> UpdateStats:
+    def _solve_delta_facts(self, facts: AbstractSet[Atom], changed: set[Atom]) -> UpdateStats:
         """Atom-level maintenance of the fact flips in *changed*: one
         :class:`DeltaMaintainer` pass."""
         changed_rule_atoms = changed & self._rule_atoms
@@ -873,7 +947,17 @@ class IncrementalEngine:
             self._reports[index] = report
             return comp_true, comp_false
 
-        sync = self._kernel.set_truth if self._kernel is not None else None
+        flips = self._flips
+        kernel = self._kernel
+
+        def sync(atom: Atom, code: int) -> None:
+            # Every verdict flip reaches the kernel's truth vector and the
+            # view's to-do list.
+            if kernel is not None:
+                kernel.set_truth(atom, code)
+            if flips is not None:
+                flips.add(atom)
+
         outcome = self._delta.apply(
             facts,
             changed_rule_atoms,

@@ -41,17 +41,29 @@ one (Fitting, inflationary, stable), a requested class the rules do not
 meet (which raises on every read), the monolithic engine and the naive
 grounder — re-solve from scratch per refresh, with the same observable
 results.
+
+An incremental refresh also *publishes* in O(flips): the epoch's
+:class:`~repro.engine.solver.Solution` answers every read from an
+immutable per-predicate :class:`~repro.engine.view.ModelView` derived
+from the previous epoch's — predicates the refresh did not move are
+shared, flipped ones rebuilt copy-on-write, page orders cached — and its
+``program``, ``base``, ``interpretation`` and ``context`` are computed
+only if read.  Outside maintenance an update then costs O(flips) Python
+work plus a C-level copy of each flipped predicate's moved sets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ..config import EngineConfig, resolve_config
 from ..core.alternating import AlternatingFixpointResult, AlternatingStage
+from ..core.context import GroundContext
 from ..core.explain import Explainer, Explanation
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -60,6 +72,7 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Compound, Constant, Variable
 from ..engine.query import QueryAnswer, answers as query_answers, ask as query_ask
 from ..engine.solver import Solution, resolve_auto_semantics, solve_configured
+from ..engine.view import ModelView, PredicateView
 from ..exceptions import EvaluationError, NotGroundError
 from ..fixpoint.interpretations import PartialInterpretation, TruthValue
 from ..fixpoint.lattice import NegativeSet
@@ -111,6 +124,65 @@ def _alternating_result(solution: Solution) -> AlternatingFixpointResult:
     )
 
 
+class _EpochSolution(Solution):
+    """The :class:`~repro.engine.solver.Solution` of one incremental
+    session epoch.
+
+    Reads go to *view*, the epoch's published
+    :class:`~repro.engine.view.ModelView`.  ``program``, ``base``,
+    ``interpretation`` and ``context`` are computed on first read from the
+    epoch's immutable inputs — the rules, the engine's rule context as of
+    the epoch (replaced, never mutated, when the grounding grows) and the
+    view's fact sets — so publishing the epoch costs none of them.
+    """
+
+    def __init__(
+        self,
+        view: ModelView,
+        rules: Program,
+        rule_context: GroundContext,
+        *,
+        semantics: str,
+        strategy: str,
+        engine: str,
+        config: EngineConfig,
+    ):
+        self.__dict__.update(
+            view=view,
+            semantics=semantics,
+            strategy=strategy,
+            engine=engine,
+            config=config,
+            _rules=rules,
+            _rule_context=rule_context,
+        )
+
+    @cached_property
+    def _facts(self) -> frozenset[Atom]:
+        return self.view.facts()
+
+    @cached_property
+    def program(self) -> Program:
+        return Program([*(Rule(atom) for atom in self._facts), *self._rules])
+
+    @cached_property
+    def base(self) -> frozenset[Atom]:
+        return self._rule_context.base | self._facts
+
+    @cached_property
+    def interpretation(self) -> PartialInterpretation:
+        # Every rule atom is true, false or undefined; facts outside the
+        # rules are true.  So the false atoms are the rule atoms the view
+        # holds as neither.
+        true_atoms = self.view.true_atoms()
+        false_atoms = self._rule_context.base - true_atoms - self.view.undefined_atoms()
+        return PartialInterpretation(true_atoms, false_atoms)
+
+    @cached_property
+    def context(self) -> GroundContext:
+        return dataclasses.replace(self._rule_context, facts=self._facts, base=self.base)
+
+
 def _match_row(row: Sequence[object], pattern: Sequence[object]) -> bool:
     """Does *row* (unwrapped Python values) match *pattern*?
 
@@ -145,9 +217,11 @@ class ResultSet:
     Nothing is computed at construction: iterating (or ``len()``,
     ``in``, :meth:`first`) pulls the owning knowledge base's *current*
     solution — so a result set stays live across updates, and reads after
-    an ``assert_fact`` see the refreshed model.  Row lookup goes through
-    the per-predicate index of :class:`~repro.engine.solver.Solution`
-    rather than a scan of the whole model.
+    an ``assert_fact`` see the refreshed model.  Every read goes to the
+    predicate's entry in the epoch's :class:`~repro.engine.view.ModelView`:
+    with no pattern, ``len``/``in``/``bool`` and :meth:`to_set` use the
+    epoch's frozen row set as is, and iteration walks its cached page
+    order — nothing is copied or sorted per call.
     """
 
     def __init__(
@@ -163,15 +237,14 @@ class ResultSet:
         self._truth = truth
 
     # -- the lazy core --------------------------------------------------- #
-    def _rows(self) -> set[tuple[object, ...]]:
-        solution = self._kb.solution
-        if self._truth is TruthValue.UNDEFINED:
-            rows = solution.undefined_relation(self._predicate)
-        else:
-            rows = solution.relation(self._predicate)
+    def _view(self) -> PredicateView:
+        return self._kb.solution.view.predicate(self._predicate)
+
+    def _rows(self) -> frozenset[tuple[object, ...]]:
+        rows = self._view().rows(self._truth)
         if self._pattern is None:
             return rows
-        return {row for row in rows if _match_row(row, self._pattern)}
+        return frozenset(row for row in rows if _match_row(row, self._pattern))
 
     # -- fluent refinements ---------------------------------------------- #
     def where(self, *pattern: object) -> "ResultSet":
@@ -186,7 +259,11 @@ class ResultSet:
 
     # -- consumption ----------------------------------------------------- #
     def __iter__(self) -> Iterator[tuple[object, ...]]:
-        return iter(sorted(self._rows(), key=repr))
+        order = self._view().order(self._truth)
+        if self._pattern is None:
+            return iter(order)
+        pattern = self._pattern
+        return (row for row in order if _match_row(row, pattern))
 
     def __len__(self) -> int:
         return len(self._rows())
@@ -201,13 +278,11 @@ class ResultSet:
 
     def first(self, default: object = None) -> object:
         """The first row in sorted order, or *default* when empty."""
-        for row in self:
-            return row
-        return default
+        return next(iter(self), default)
 
     def to_set(self) -> frozenset[tuple[object, ...]]:
-        """All rows as a frozen set."""
-        return frozenset(self._rows())
+        """All rows as a frozen set — with no pattern, the epoch's own."""
+        return self._rows()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         qualifier = ".undefined" if self._truth is TruthValue.UNDEFINED else ""
@@ -219,13 +294,19 @@ class SessionSnapshot:
     half of the epoch/refresh handoff the query service is built on.
 
     A snapshot bundles the *epoch* (monotone refresh counter), the
-    refreshed :class:`~repro.engine.solver.Solution` at that epoch (an
-    immutable object: frozen atom sets, predicate-indexed row caches), and
-    a pinned :class:`~repro.storage.StoreSnapshot` over the EDB's
-    ``[0, seq)`` windows.  Everything a read needs is reachable from the
-    snapshot alone, so any number of threads can serve from it while the
-    owning knowledge base keeps mutating — and two responses stamped with
-    the same epoch are guaranteed to have read the same model.
+    refreshed :class:`~repro.engine.solver.Solution` at that epoch, and a
+    pinned :class:`~repro.storage.StoreSnapshot` over the EDB's
+    ``[0, seq)`` windows.  The solution is immutable: its reads go to the
+    epoch's :class:`~repro.engine.view.ModelView`, which shares every
+    predicate the refresh did not move with the epoch before (and refers
+    to no earlier epoch), and whatever it computes lazily — the program,
+    base, interpretation and ground context of the epoch, a predicate's
+    page order — is a pure function of that epoch's immutable inputs, so
+    reader threads racing to compute it get equal values.  Everything a
+    read needs is reachable from the snapshot alone, so any number of
+    threads can serve from it while the owning knowledge base keeps
+    mutating — and two responses stamped with the same epoch are
+    guaranteed to have read the same model.
 
     Query helpers mirror the :class:`KnowledgeBase` read surface
     (:meth:`relation`, :meth:`ask`, :meth:`answers`, :meth:`explain`,
@@ -279,24 +360,20 @@ class SessionSnapshot:
         truth: TruthValue = TruthValue.TRUE,
     ) -> list[tuple[object, ...]]:
         """Sorted, optionally pattern-filtered tuples of one relation —
-        the deterministic ordering pagination relies on.
+        the deterministic ordering pagination relies on, read from the
+        epoch's cached page order (sorted at most once per epoch and
+        predicate).
 
         The pattern matches as a *prefix*: a caller filtering on the
         first argument positions need not know the relation's arity (the
         HTTP layer builds patterns from positional ``a0=..`` parameters).
         """
-        if truth is TruthValue.UNDEFINED:
-            found = self.solution.undefined_relation(predicate)
-        else:
-            found = self.solution.relation(predicate)
-        if pattern is not None:
-            probe = tuple(pattern)
-            found = {
-                row
-                for row in found
-                if len(row) >= len(probe) and _match_row(row[: len(probe)], probe)
-            }
-        return sorted(found, key=repr)
+        order = self.solution.view.predicate(predicate).order(truth)
+        if pattern is None:
+            return list(order)
+        probe = tuple(pattern)
+        width = len(probe)
+        return [row for row in order if len(row) >= width and _match_row(row[:width], probe)]
 
     def ask(self, query: str) -> TruthValue:
         """Three-valued verdict of a ground conjunctive query."""
@@ -329,6 +406,12 @@ class SessionSnapshot:
 
 class KnowledgeBase:
     """A long-lived deductive-database session.
+
+    Each successful refresh publishes one epoch: :attr:`solution` (and
+    :meth:`snapshot`) then hold an immutable solution of that epoch.  On
+    the incremental path it is derived from the previous epoch's in
+    O(flips) — see the module notes — and on the rebuild path it is a
+    fresh one-shot :class:`~repro.engine.solver.Solution`.
 
     Parameters
     ----------
@@ -394,12 +477,10 @@ class KnowledgeBase:
             )
         self._store = store
         self._edb = Database(store=store)
-        # Facts as an insertion-ordered map to their (cached) fact rules:
-        # membership tests are O(1) and `_program()` reuses the Rule
-        # objects instead of re-wrapping every fact per refresh.  The map
-        # is maintained by the store's change events (`_on_store_change`),
-        # so it tracks *every* mutation, not only the session's own.
-        self._fact_rules: dict[Atom, Rule] = {}
+        # The current EDB, for O(1) membership.  The store's change events
+        # (`_on_store_change`) maintain it, so it tracks *every* mutation,
+        # not only the session's own.
+        self._facts: set[Atom] = set()
         # Atoms mutated since the last refresh, mapped to their presence
         # *before* the first mutation: an atom is genuinely pending iff its
         # current presence differs from that original — assert+retract
@@ -409,7 +490,6 @@ class KnowledgeBase:
         self._batch_tokens: list[object] = []
         self._dirty = True
         self._solution: Optional[Solution] = None
-        self._attached: Optional[Program] = None
         self._explainer: Optional[Explainer] = None
         self._engine: Optional[IncrementalEngine] = None
         self._resolved_semantics: Optional[str] = None
@@ -423,9 +503,8 @@ class KnowledgeBase:
         self._rules_added = 0
 
         # Pre-existing backend contents (a reopened persistent store) seed
-        # the fact map before we start listening for changes.
-        for atom in self._store.facts():
-            self._fact_rules[atom] = Rule(atom)
+        # the fact set before we start listening for changes.
+        self._facts.update(self._store.facts())
         self._store.subscribe(self._on_store_change)
 
         for rule in rules.facts():
@@ -505,14 +584,14 @@ class KnowledgeBase:
     def facts(self, predicate: Optional[str] = None) -> Iterator[Atom]:
         """The current EDB facts, optionally restricted to one predicate."""
         if predicate is None:
-            yield from sorted(self._fact_rules, key=str)
+            yield from sorted(self._facts, key=str)
         else:
             yield from sorted(
-                (atom for atom in self._fact_rules if atom.predicate == predicate), key=str
+                (atom for atom in self._facts if atom.predicate == predicate), key=str
             )
 
     def fact_count(self) -> int:
-        return len(self._fact_rules)
+        return len(self._facts)
 
     @property
     def semantics(self) -> str:
@@ -545,7 +624,7 @@ class KnowledgeBase:
         self._refresh()
         stats: dict[str, object] = {
             "rules": len(self._rules),
-            "facts": len(self._fact_rules),
+            "facts": len(self._facts),
             "semantics": self.semantics,
             "incremental": self.is_incremental,
             "store": type(self._store).__name__,
@@ -611,7 +690,7 @@ class KnowledgeBase:
             yield self
         except BaseException:
             # The rollback notifies the inverse of every undone mutation,
-            # which re-synchronises `_fact_rules` / `_changed` through
+            # which re-synchronises `_facts` / `_changed` through
             # `_on_store_change`.
             self._store.rollback_to(token)
             raise
@@ -649,9 +728,9 @@ class KnowledgeBase:
         (the session's own, a batch rollback's inverse replay, or a direct
         mutation of :attr:`store` by other code) lands here."""
         if added:
-            self._fact_rules[atom] = Rule(atom)
+            self._facts.add(atom)
         else:
-            self._fact_rules.pop(atom, None)
+            self._facts.discard(atom)
         self._note_change(atom, added)
 
     def _note_change(self, atom: Atom, added: bool) -> None:
@@ -668,26 +747,11 @@ class KnowledgeBase:
             # event the atom's presence was the opposite direction.
             self._changed[atom] = not added
         self._dirty = True
-        self._attached = None
         self._explainer = None
 
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
-    def _program(self) -> Program:
-        """The full current program (facts plus rules), cached per state.
-
-        Rebuilding after a mutation is O(|EDB| + |rules|) list assembly of
-        cached Rule objects — the remaining linear term of a refresh
-        snapshot (the incremental solve itself touches only the affected
-        components).
-        """
-        if self._attached is None:
-            pieces = list(self._fact_rules.values())
-            pieces.extend(self._rules)
-            self._attached = Program(pieces)
-        return self._attached
-
     def _resolve_mode(self) -> None:
         if self._incremental is not None:
             return
@@ -733,7 +797,7 @@ class KnowledgeBase:
         changed = {
             atom
             for atom, was_present in self._changed.items()
-            if (atom in self._fact_rules) != was_present
+            if (atom in self._facts) != was_present
         }
         if not changed and self._solution is not None:
             # Every mutation since the last refresh cancelled out.
@@ -753,21 +817,20 @@ class KnowledgeBase:
                     engine=self._config.engine,
                     limits=self._config.limits,
                 )
-            stats = self._engine.refresh_pending(frozenset(self._fact_rules))
-            solution = Solution(
-                program=self._program(),
+            stats = self._engine.refresh_pending(self._facts)
+            # Publication is O(flips): the engine derives the epoch's view
+            # from the previous one, and everything else the solution
+            # offers is computed from the epoch's immutable inputs on first
+            # read — from a detached SessionSnapshot too, without touching
+            # the live engine from reader threads.
+            solution = _EpochSolution(
+                self._engine.view,
+                self._rules,
+                self._engine.rule_context,
                 semantics=self._resolved_semantics,
-                interpretation=self._engine.model,
-                base=self._engine.base,
                 strategy=self._config.strategy,
                 engine=self._config.engine,
                 config=self._config,
-                # The engine's context is a cheap frozen view over its
-                # cached rule grounding: carrying it lets a detached
-                # SessionSnapshot build an explainer without re-grounding
-                # (and without touching the live engine from reader
-                # threads).
-                context=self._engine.context,
             )
         else:
             started = time.perf_counter()
@@ -834,7 +897,7 @@ class KnowledgeBase:
             epoch=self._update_count,
             solution=self._solution,
             store_view=self._store.snapshot(),
-            fact_count=len(self._fact_rules),
+            fact_count=len(self._facts),
         )
 
     # ------------------------------------------------------------------ #
@@ -894,11 +957,11 @@ class KnowledgeBase:
         return self._explainer.explain(atom)
 
     def __len__(self) -> int:
-        return len(self._fact_rules)
+        return len(self._facts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"KnowledgeBase({len(self._rules)} rules, {len(self._fact_rules)} facts, "
+            f"KnowledgeBase({len(self._rules)} rules, {len(self._facts)} facts, "
             f"semantics={self._config.semantics!r}, engine={self._config.engine!r})"
         )
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.engine.query import answers, ask, query_has_variables
-from repro.engine.solver import solve
+from repro.engine.solver import Solution, solve
 from repro.exceptions import ParseError
 from repro.fixpoint.interpretations import TruthValue
+from repro.session import KnowledgeBase
 
 GRAPH_TEXT = """
 edge(a, b). edge(b, c). edge(c, d). edge(e, e).
@@ -86,6 +87,21 @@ class TestAnswers:
     def test_unsafe_negative_query_rejected(self, graph_solution):
         with pytest.raises(ParseError):
             list(answers(graph_solution, "not p(X, Y)"))
+
+    def test_session_answers_read_only_the_queried_relation(self, monkeypatch):
+        kb = KnowledgeBase(
+            "wins(X) :- move(X, Y), not wins(Y).",
+            facts={"move": [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")]},
+        )
+        kb.retract_fact("move", "a", "b")
+        solution = kb.solution
+
+        def whole_model(self):
+            raise AssertionError("answers() read every true atom of the model")
+
+        monkeypatch.setattr(Solution, "true_atoms", whole_model)
+        assert {answer["X"] for answer in answers(solution, "wins(X)")} == {"b", "c"}
+        assert {answer["X"] for answer in kb.answers("wins(X), not move(X, a)")} == {"c"}
 
 
 class TestQueryParsing:

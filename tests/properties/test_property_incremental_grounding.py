@@ -170,7 +170,7 @@ def _check(kb: KnowledgeBase) -> None:
     solution = kb.solution
     if kb.epoch > 1:
         assert kb.last_update.mode == "delta", kb.last_update.describe()
-    scratch = solve_configured(kb._program(), kb.config)
+    scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
     assert _verdicts(solution) == _verdicts(scratch)
     assert solution.base >= scratch.base
     for atom in solution.base - scratch.base:
@@ -312,6 +312,7 @@ class TestRegressions:
             assert solution.relation("e") == solution.relation("h") == live, step
             assert not solution.undefined_relation("h"), step
             if step % 50 == 0 or regrounds[-1:] in ([step], [step - 1]):
-                scratch = solve_configured(kb._program(), kb.config)
+                program = Program.union(kb.store.as_program(), kb.rules)
+                scratch = solve_configured(program, kb.config)
                 assert _verdicts(solution) == _verdicts(scratch), step
         assert regrounds and regrounds[0] < 400, regrounds

@@ -21,6 +21,7 @@ except ImportError:  # pragma: no cover - environment guard
 
 from repro.config import EngineConfig
 from repro.datalog.atoms import Atom
+from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
 from repro.session import KnowledgeBase
 from repro.workloads import layered_program, random_propositional_program
@@ -44,7 +45,7 @@ def _apply_and_check(kb: KnowledgeBase, operations) -> None:
             kb.assert_fact(atom)
         else:
             kb.retract_fact(atom)
-        scratch = solve_configured(kb._program(), kb.config)
+        scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
         assert _model_bytes(kb.solution) == _model_bytes(scratch), (
             f"maintained model diverged after "
             f"{'assert' if insert else 'retract'} {atom}"
@@ -115,7 +116,7 @@ class TestRandomPropositional:
         with kb.batch():
             for insert, atom in operations:
                 (kb.assert_fact if insert else kb.retract_fact)(atom)
-        scratch = solve_configured(kb._program(), kb.config)
+        scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
         assert _model_bytes(kb.solution) == _model_bytes(scratch)
 
 

@@ -25,6 +25,7 @@ except ImportError:  # pragma: no cover - environment guard
 
 from repro.config import EngineConfig
 from repro.datalog.atoms import Atom
+from repro.datalog.rules import Program
 from repro.datalog.terms import Constant
 from repro.engine.solver import solve_configured
 from repro.resilience import FaultInjectingStore, InjectedFault
@@ -101,7 +102,7 @@ _scripts = st.dictionaries(
 def _check_against_oracle(kb, store, shadow):
     store.armed = False
     assert {str(atom) for atom in kb.facts()} == shadow
-    oracle = solve_configured(kb._program(), kb.config)
+    oracle = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
     assert _model_bytes(kb.solution) == _model_bytes(oracle)
 
 
@@ -149,7 +150,7 @@ def _check_non_ground_against_oracle(kb, store, shadow):
     store.armed = False
     assert {str(atom) for atom in kb.facts()} == shadow
     solution = kb.solution
-    oracle = solve_configured(kb._program(), kb.config)
+    oracle = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
     assert _verdict_bytes(solution) == _verdict_bytes(oracle)
     assert solution.base >= oracle.base
     assert solution.base - oracle.base <= solution.interpretation.false_atoms

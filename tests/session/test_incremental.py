@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.datalog import parse_program
+from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
 from repro.session import IncrementalEngine, KnowledgeBase
 from repro.workloads import layered_program
@@ -22,7 +23,7 @@ f :- not f.
 
 
 def _scratch(kb):
-    return solve_configured(kb._program(), WFS)
+    return solve_configured(Program.union(kb.store.as_program(), kb.rules), WFS)
 
 
 class TestInvalidation:

@@ -5,6 +5,7 @@ import pytest
 import repro.core.alternating as alternating
 from repro.config import EngineConfig
 from repro.datalog import Database, parse_atom
+from repro.datalog.rules import Program
 from repro.datalog.terms import Variable
 from repro.engine.solver import solve_configured
 from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
@@ -159,6 +160,27 @@ class TestQueries:
         assert list(kb.query("wins")) == []
         assert list(kb.query("wins").undefined) == [("a",), ("b",)]
 
+    def test_unpatterned_reads_share_the_epochs_rows(self):
+        kb = KnowledgeBase(GAME_TEXT)
+        wins = kb.query("wins").to_set()
+        assert kb.query("wins").to_set() is wins
+        assert kb.query("wins").undefined.to_set() is kb.query("wins").undefined.to_set()
+        assert kb.solution.relation("wins") == wins
+        assert kb.solution.relation("wins") is not kb.solution.relation("wins")
+        kb.assert_fact("move", "d", "e")
+        assert kb.query("wins").to_set() == {("b",), ("d",)}
+        assert wins == {("c",)}
+
+    def test_pattern_reads_agree_with_the_unpatterned_ones(self):
+        kb = KnowledgeBase(GAME_TEXT)
+        moves = kb.query("move")
+        from_b = moves.where("b", None)
+        assert list(from_b) == [row for row in moves if row[0] == "b"]
+        assert len(from_b) == 2 and bool(from_b)
+        assert ("b", "c") in from_b and ("a", "b") not in from_b and ("z", "z") not in from_b
+        assert from_b.to_set() == {("b", "a"), ("b", "c")}
+        assert not moves.where("zzz", None)
+
     def test_ask_and_answers(self):
         kb = KnowledgeBase(GAME_TEXT)
         assert kb.ask("wins(c)") is TruthValue.TRUE
@@ -263,8 +285,10 @@ class TestWellFoundedEquivalentRouting:
         kb = KnowledgeBase(text, config=EngineConfig(semantics=semantics))
         assert kb.semantics == semantics
         self._one_write_is_delta(kb, fact)
-        scratch = solve_configured(kb._program(), kb.config)
+        program = Program.union(kb.store.as_program(), kb.rules)
+        scratch = solve_configured(program, kb.config)
         assert kb.solution.interpretation.true_atoms == scratch.interpretation.true_atoms
+        assert kb.solution.program == program
 
     def test_stratified_on_unstratified_rules_still_raises(self):
         kb = KnowledgeBase("p :- not q. q :- not p.", config=EngineConfig(semantics="stratified"))

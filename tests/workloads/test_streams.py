@@ -2,6 +2,7 @@
 
 from repro.config import EngineConfig
 from repro.datalog.atoms import Atom, Constant
+from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
 from repro.session import KnowledgeBase
 from repro.workloads import (
@@ -98,7 +99,7 @@ class TestChurnStream:
         kb = KnowledgeBase(program, config=WFS)
         for op in ops:
             (kb.assert_fact if op.kind == "assert" else kb.retract_fact)(op.atom)
-        scratch = solve_configured(kb._program(), WFS)
+        scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), WFS)
         assert kb.solution.interpretation == scratch.interpretation
 
     def test_stream_op_is_frozen(self):
