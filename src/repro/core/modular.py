@@ -247,7 +247,6 @@ def solve_component(
     strategy: str = DEFAULT_STRATEGY,
     *,
     recorder: Recorder = NULL_RECORDER,
-    kernel=None,
 ) -> tuple[set[Atom], set[Atom], ComponentReport]:
     """Solve one strongly connected component against its solved context.
 
@@ -257,36 +256,9 @@ def solve_component(
     never written.  Returns the component's true set, false set and
     :class:`ComponentReport`.  This is the unit of work shared by the batch
     evaluator below and by the incremental maintenance of
-    :mod:`repro.session` (which re-runs it only for components downstream
-    of a changed fact).
-
-    *kernel* — a :class:`repro.kernel.ComponentKernel` whose truth and
-    fact vectors its owner keeps in sync with *true_atoms* /
-    *false_atoms* / *facts* — routes the solve through the compiled
-    flat-array path; the object path is the automatic fallback whenever
-    the component holds an atom the kernel was not compiled with.
+    :mod:`repro.session` under every engine configuration (which re-runs
+    it only for components downstream of a changed fact).
     """
-    if kernel is not None:
-        fast = kernel.solve_component(component, tracing=recorder.enabled)
-        if fast is not None:
-            comp_true, comp_false, method, rule_count, stages, decrements = fast
-            if recorder.enabled:
-                recorder.count("kernel.decrements", decrements)
-                if method == "alternating":
-                    recorder.count("alternating.stages", stages)
-            return (
-                comp_true,
-                comp_false,
-                ComponentReport(
-                    index=comp_index,
-                    atoms=tuple(component),
-                    method=method,
-                    rules=rule_count,
-                    stages=stages,
-                    true_count=len(comp_true),
-                    false_count=len(comp_false),
-                ),
-            )
     # ---- singleton fast path ---------------------------------------- #
     # The vast majority of components are single atoms with no
     # self-dependency; their verdict falls out of one pass over their

@@ -45,10 +45,9 @@ O(downstream cone).
 The maintainer holds no verdicts of its own: it reads and writes the
 owning engine's aggregate true/false sets, an atom in neither being
 undefined, and keeps only method state — the counting counters and the
-two closures of each DRed component.  Truth codes match the kernel's
-vector encoding (``1`` true, ``2`` false, ``0`` undefined), so a
-:class:`~repro.kernel.ComponentKernel` can be kept in sync with a plain
-per-atom callback.
+two closures of each DRed component.  The owner learns which atoms moved
+through a per-atom callback, which the engine uses to keep its published
+view current.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from ..datalog.atoms import Atom
 
 __all__ = ["DeltaOutcome", "DeltaMaintainer", "classify_component"]
 
-#: Truth codes — identical to the kernel's truth-vector encoding.
+#: Three-valued verdict codes.
 _UNDEF, _TRUE, _FALSE = 0, 1, 2
 
 #: Per-component maintenance methods, cheapest first.
@@ -311,7 +310,7 @@ class DeltaMaintainer:
         changed: Iterable[Atom],
         *,
         resolve: Callable[[int], tuple[set[Atom], set[Atom]]],
-        sync: Optional[Callable[[Atom, int], None]] = None,
+        sync: Optional[Callable[[Atom], None]] = None,
         step: Optional[Callable[[], None]] = None,
     ) -> DeltaOutcome:
         """One maintenance pass over a batch of fact flips.
@@ -320,10 +319,10 @@ class DeltaMaintainer:
         state; *facts* is the full new EDB.  *resolve* re-solves one
         ``"resolve"``-kind component against the (already updated)
         aggregates and returns its new ``(true, false)`` pair, leaving the
-        aggregates to this pass; *sync*, when
-        given, receives every verdict flip as ``(atom, code)`` (the kernel
-        truth-vector hook); *step* is called once per processed component
-        (budget metering).  Returns the pass's :class:`DeltaOutcome`.
+        aggregates to this pass; *sync*, when given, receives every atom
+        whose verdict flipped; *step* is called once per processed
+        component (budget metering).  Returns the pass's
+        :class:`DeltaOutcome`.
         """
         heap: list[tuple[int, int]] = []
         queued: set[int] = set()
@@ -426,7 +425,7 @@ class DeltaMaintainer:
                 elif new == _FALSE:
                     false_atoms.add(atom)
                 if sync is not None:
-                    sync(atom, new)
+                    sync(atom)
                 atoms_changed += 1
                 note(atom, old, new)
 

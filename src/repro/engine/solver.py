@@ -278,9 +278,8 @@ def _solve_with_store(
         )
         if store is not None:
             # The grounded context records the store's facts as fact rules;
-            # use it as the solution's program so downstream consumers (the
-            # stratified evaluator below, stable-model re-solves, explainers)
-            # see the full program.
+            # use it as the solution's program so downstream consumers
+            # (stable-model re-solves, explainers) see the full program.
             program = context.program
             if recorder.enabled:
                 recorder.count("store.candidate_probes", store.probes - probes_before)
@@ -296,9 +295,7 @@ def _solve_with_store(
                 ).model
         elif semantics == "stratified":
             with recorder.span("evaluate", method="stratified"):
-                # Grounded like the context, so the model is total over the
-                # solution's base.
-                interpretation = stratified_model(program, config=config).interpretation
+                interpretation = stratified_model(context, config=config).interpretation
         elif semantics == "horn":
             with recorder.span("evaluate", method="horn"):
                 interpretation = horn_minimum_model(context, strategy=strategy).interpretation

@@ -13,9 +13,9 @@ hot loop touches with a contiguous ``array('i')``:
   stored as ``comp_of`` plus the CSR partition ``comp_off``/``comp_atoms``.
 
 Compilation is cached on the (frozen) context via :func:`get_kernel` — the
-same idiom as :func:`repro.evaluation.indexes.get_index` — so a session
-that evaluates one grounding many times (the incremental engine, the query
-service, repeated CLI runs over one context) pays the compile exactly once.
+same idiom as :func:`repro.evaluation.indexes.get_index` — so a caller
+that evaluates one grounding many times (repeated runs over one context)
+pays the compile exactly once.
 """
 
 from __future__ import annotations
@@ -222,8 +222,9 @@ def get_kernel(
 ) -> CompiledProgram:
     """The compiled kernel of *context*, built once and cached on it.
 
-    Contexts are frozen and shared across operators, so the cache turns a
-    long session over one grounding into compile-once / evaluate-many.
+    Contexts are frozen and shared across operators, so the cache turns
+    repeated evaluation of one grounding into compile-once /
+    evaluate-many.
     """
     cached = getattr(context, _KERNEL_ATTRIBUTE, None)
     if cached is None:

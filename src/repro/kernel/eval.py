@@ -42,7 +42,6 @@ from .compile import CompiledProgram, get_kernel
 
 __all__ = [
     "KernelResult",
-    "ComponentKernel",
     "evaluate_compiled",
     "kernel_well_founded",
     "kernel_model",
@@ -98,23 +97,20 @@ class KernelResult:
 # Core evaluation
 # --------------------------------------------------------------------- #
 def evaluate_compiled(
-    compiled: CompiledProgram,
-    fact_ids: Optional[Iterable[int]] = None,
-    tracing: bool = False,
+    compiled: CompiledProgram, tracing: bool = False
 ) -> Tuple[bytearray, List[int], int, int]:
     """Evaluate every component of *compiled* bottom-up.
 
     Returns ``(truth, method_counts, stages, decrements)`` where *truth* is
     the dense truth vector and *method_counts* the per-method component
-    tallies in :data:`_METHODS` order.  *fact_ids* overrides the compiled
-    context's EDB (the incremental engine refreshes facts without
-    recompiling); ``decrements`` is only tallied when *tracing* is set, the
-    same contract as the object engine's ``dg.decrements``.
+    tallies in :data:`_METHODS` order; ``decrements`` is only tallied when
+    *tracing* is set, the same contract as the object engine's
+    ``dg.decrements``.
     """
     n_atoms = compiled.n_atoms
     truth = bytearray(n_atoms)
     is_fact = bytearray(n_atoms)
-    for atom_id in compiled.fact_ids if fact_ids is None else fact_ids:
+    for atom_id in compiled.fact_ids:
         is_fact[atom_id] = 1
 
     (
@@ -525,224 +521,3 @@ def kernel_well_founded(
 def kernel_model(program: Program | GroundContext, **kwargs) -> PartialInterpretation:
     """Convenience wrapper returning just the well-founded partial model."""
     return kernel_well_founded(program, **kwargs).model
-
-
-# --------------------------------------------------------------------- #
-# Component-at-a-time state (incremental maintenance)
-# --------------------------------------------------------------------- #
-class ComponentKernel:
-    """Long-lived kernel state for component-at-a-time evaluation.
-
-    The :class:`~repro.session.incremental.IncrementalEngine` owns one of
-    these per session (compiled from the rule-only context) and keeps its
-    ``is_fact`` vector in sync with the EDB; each
-    :func:`repro.core.modular.solve_component` call then runs over the
-    persistent int truth vector instead of the object-level sets.  The
-    engine re-solves affected components in ascending condensation order,
-    so the truth entries a component reads (its own and lower components')
-    are always current even while higher components still hold stale codes.
-    """
-
-    __slots__ = ("compiled", "truth", "is_fact", "_ids")
-
-    def __init__(self, compiled: CompiledProgram):
-        self.compiled = compiled
-        self.truth = bytearray(compiled.n_atoms)
-        self.is_fact = bytearray(compiled.n_atoms)
-        self._ids = compiled.table.ids
-
-    # ---- EDB synchronisation ----------------------------------------- #
-    def reset(self) -> None:
-        """Forget every verdict (a full re-solve is about to run)."""
-        self.truth = bytearray(self.compiled.n_atoms)
-
-    def set_facts(self, facts: Iterable[Atom]) -> None:
-        """Replace the fact vector wholesale (atoms outside the compiled
-        universe — floating facts — are ignored; the engine handles them)."""
-        vector = bytearray(self.compiled.n_atoms)
-        ids = self._ids
-        for atom in facts:
-            atom_id = ids.get(atom)
-            if atom_id is not None:
-                vector[atom_id] = 1
-        self.is_fact = vector
-
-    def load(
-        self,
-        facts: Iterable[Atom],
-        true_atoms: Iterable[Atom],
-        false_atoms: Iterable[Atom],
-    ) -> None:
-        """Seed both vectors from an already-solved model — how a kernel
-        recompiled over a grown grounding takes over its predecessor's
-        verdicts (atoms outside the compiled universe are ignored)."""
-        self.set_facts(facts)
-        truth = bytearray(self.compiled.n_atoms)
-        ids = self._ids
-        for code, atoms in ((1, true_atoms), (2, false_atoms)):
-            for atom in atoms:
-                atom_id = ids.get(atom)
-                if atom_id is not None:
-                    truth[atom_id] = code
-        self.truth = truth
-
-    def update_fact(self, atom: Atom, present: bool) -> None:
-        atom_id = self._ids.get(atom)
-        if atom_id is not None:
-            self.is_fact[atom_id] = 1 if present else 0
-
-    def set_truth(self, atom: Atom, code: int) -> None:
-        """Write one verdict (``0`` unknown, ``1`` true, ``2`` false) into
-        the persistent truth vector.  Atom-level delta maintenance uses
-        this to keep the vector current for verdicts it derives outside
-        :meth:`solve_component`; atoms outside the compiled universe are
-        ignored."""
-        atom_id = self._ids.get(atom)
-        if atom_id is not None:
-            self.truth[atom_id] = code
-
-    # ---- Component solving ------------------------------------------- #
-    def solve_component(
-        self, component: Iterable[Atom], tracing: bool = False
-    ) -> Optional[Tuple[Set[Atom], Set[Atom], str, int, int, int]]:
-        """Solve one component over the persistent truth vector.
-
-        Returns ``(true, false, method, rules, stages, decrements)`` with
-        the atom sets decoded back to objects, or ``None`` when some
-        component atom is unknown to the compiled table (the caller falls
-        back to the object path).  The component's own truth entries are
-        reset first, so re-solving after an EDB change is self-contained.
-        """
-        ids = self._ids
-        members: List[int] = []
-        for atom in component:
-            atom_id = ids.get(atom)
-            if atom_id is None:
-                return None
-            members.append(atom_id)
-
-        truth = self.truth
-        for atom_id in members:
-            truth[atom_id] = 0
-
-        true_ids, false_ids, method, rule_count, stages, decrements = _solve_members(
-            self.compiled, truth, self.is_fact, members, tracing
-        )
-        for atom_id in true_ids:
-            truth[atom_id] = 1
-        for atom_id in false_ids:
-            truth[atom_id] = 2
-
-        atoms = self.compiled.table.atoms
-        return (
-            {atoms[i] for i in true_ids},
-            {atoms[i] for i in false_ids},
-            method,
-            rule_count,
-            stages,
-            decrements,
-        )
-
-
-def _solve_members(
-    compiled: CompiledProgram,
-    truth: bytearray,
-    is_fact: bytearray,
-    members: List[int],
-    tracing: bool,
-) -> Tuple[Iterable[int], Iterable[int], str, int, int, int]:
-    """Solve one component (given as member ids) against *truth*.
-
-    Shared by :class:`ComponentKernel`; the batch evaluator inlines the
-    same logic (the singleton path especially) to keep its loop flat.
-    Returns ``(true_ids, false_ids, method, rules, stages, decrements)``
-    without writing the truth vector.
-    """
-    (
-        heads,
-        pos_off,
-        pos_atoms,
-        neg_off,
-        neg_atoms,
-        head_off,
-        head_rules,
-        _comp_off,
-        _comp_atoms,
-        comp_of,
-    ) = compiled.hot()
-
-    if len(members) == 1 and not compiled.self_dep[members[0]]:
-        head = members[0]
-        satisfied = is_fact[head]
-        possible = False
-        marker_seen = False
-        rule_count = head_off[head + 1] - head_off[head]
-        for slot in range(head_off[head], head_off[head + 1]):
-            rule = head_rules[slot]
-            killed = False
-            marker = False
-            for cursor in range(pos_off[rule], pos_off[rule + 1]):
-                value = truth[pos_atoms[cursor]]
-                if value == 1:
-                    continue
-                if value == 2:
-                    killed = True
-                    break
-                marker = True
-            if killed:
-                continue
-            for cursor in range(neg_off[rule], neg_off[rule + 1]):
-                value = truth[neg_atoms[cursor]]
-                if value == 2:
-                    continue
-                if value == 1:
-                    killed = True
-                    break
-                marker = True
-            if killed:
-                continue
-            if marker:
-                marker_seen = True
-                possible = True
-            else:
-                satisfied = True
-        method = "stratified" if marker_seen else "horn"
-        stages = 2 if marker_seen else 1
-        if satisfied:
-            return (members, (), method, rule_count, stages, 0)
-        if possible:
-            return ((), (), method, rule_count, stages, 0)
-        return ((), members, method, rule_count, stages, 0)
-
-    comp_index = comp_of[members[0]]
-    local_rules, has_negation, any_marker = _partial_evaluate(
-        members,
-        comp_index,
-        comp_of,
-        truth,
-        heads,
-        pos_off,
-        pos_atoms,
-        neg_off,
-        neg_atoms,
-        head_off,
-        head_rules,
-    )
-    local_facts = [atom_id for atom_id in members if is_fact[atom_id]]
-    if has_negation:
-        comp_true, comp_false, stages, decrements = _alternating_ints(
-            set(members), local_rules, local_facts, tracing
-        )
-        return (comp_true, comp_false, "alternating", len(local_rules), stages, decrements)
-    definite, decrements = _closure_ints(local_rules, local_facts, False, tracing)
-    if any_marker:
-        envelope, spent = _closure_ints(local_rules, local_facts, True, tracing)
-        decrements += spent
-        method = "stratified"
-        stages = 2
-    else:
-        envelope = definite
-        method = "horn"
-        stages = 1
-    comp_false = [atom_id for atom_id in members if atom_id not in envelope]
-    return (definite, comp_false, method, len(local_rules), stages, decrements)

@@ -44,7 +44,7 @@ class StratifiedModelResult:
 
 
 def stratified_model(
-    program: Program,
+    program: Program | GroundContext,
     limits: GroundingLimits | None = None,
     strategy: str | None = None,
     config: "EngineConfig | None" = None,
@@ -59,14 +59,20 @@ def stratified_model(
     everything true so far.  Raises
     :class:`~repro.exceptions.NotStratifiedError` when the program is not
     stratified (e.g. the win–move program of Example 5.2).  A *config*
-    supplies ``strategy``/``limits`` together.
+    supplies ``strategy``/``limits`` together.  A pre-built
+    :class:`GroundContext` is evaluated as it is, and stratified by its
+    ground program.
     """
     strategy, _, limits, grounder, budget = merge_entry_config(
         config, strategy=strategy, limits=limits
     )
     with metered(budget):
-        stratification = stratify(program)
-        context = build_context(program, limits=limits, grounder=grounder)
+        if isinstance(program, GroundContext):
+            context = program
+            stratification = stratify(context.program)
+        else:
+            stratification = stratify(program)
+            context = build_context(program, limits=limits, grounder=grounder)
         engine = get_engine(strategy)
 
         # Atoms confirmed true so far (across completed strata).

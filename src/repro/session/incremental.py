@@ -62,11 +62,9 @@ store's tombstone threshold (:func:`repro.storage.memory.garbage_dominates`),
 and when its instances pass ``GroundingLimits.max_rules``: only a fresh
 grounding of the current facts reports that limit.
 
-With ``engine="kernel"`` the rule context is additionally compiled to the
-flat int IR of :mod:`repro.kernel` (at construction, and again whenever
-the grounding grows) and every per-component solve runs over a persistent
-:class:`~repro.kernel.ComponentKernel` truth vector instead of object
-sets; the dispatch and the returned reports are identical.
+A session configured with ``engine="kernel"`` runs this same path: the
+compiled kernel of :mod:`repro.kernel` is a one-shot evaluator, so the
+aggregate sets are the only copy of a session's verdicts.
 
 What a session publishes per epoch is :attr:`IncrementalEngine.view`, an
 immutable per-predicate :class:`~repro.engine.view.ModelView`.  A refresh
@@ -94,7 +92,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
 
 from ..analysis.dependency import build_atom_dependency_graph
-from ..config import DEFAULT_STRATEGY, validate_engine, validate_strategy
+from ..config import DEFAULT_STRATEGY, validate_strategy
 from ..core.context import GroundContext, extend_context
 from ..core.modular import (
     ComponentReport,
@@ -191,13 +189,11 @@ class UpdateStats:
 class IncrementalEngine:
     """Keeps the modular well-founded model warm across EDB updates.
 
-    Pass a :class:`~repro.storage.FactStore` (or call :meth:`observe`) and
-    the engine subscribes to its change events: every mutation of the
-    store — from the owning session, a batch rollback's inverse replay, or
-    unrelated code holding the store — accumulates into the pending change
-    set that :meth:`refresh_pending` turns into one maintenance pass.
-    Without a store, callers hand the changed-atom set to :meth:`refresh`
-    themselves, as before.
+    The owner hands :meth:`refresh` the current EDB and the atoms whose
+    fact status flipped since the last refresh; a
+    :class:`~repro.session.KnowledgeBase` derives them from its store's
+    change events.  *store*, when given, is the EDB the grounder of
+    non-ground rules probes in place.
     """
 
     def __init__(
@@ -207,13 +203,10 @@ class IncrementalEngine:
         store: "FactStore | None" = None,
         recorder: Recorder | None = None,
         budget: Budget | None = None,
-        engine: str = "modular",
         limits: GroundingLimits | None = None,
     ):
         validate_strategy(strategy)
-        validate_engine(engine)
         self._strategy = strategy
-        self._engine_name = engine
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         # Started afresh by every refresh: the budget is a per-operation
         # deadline, so a long-lived session never "uses up" its allowance.
@@ -271,17 +264,6 @@ class IncrementalEngine:
             current_meter().check("refresh")
             self._install()
 
-        # Store-event plumbing: the *last seen direction* per mutated atom
-        # since the last successful refresh.  Keying by direction (rather
-        # than a symmetric presence toggle) means duplicate same-direction
-        # events — a listener replay, a rollback's inverse replay — cannot
-        # cancel a genuinely pending change; an atom is pending iff its
-        # last direction disagrees with the solved base.
-        self._pending: dict[Atom, bool] = {}
-        self._observed: "FactStore | None" = None
-        if store is not None:
-            self.observe(store)
-
     # ------------------------------------------------------------------ #
     # Grounding
     # ------------------------------------------------------------------ #
@@ -334,8 +316,8 @@ class IncrementalEngine:
 
     def _install(self) -> None:
         """(Re)derive everything that is a function of the rule context —
-        the atom universe, the kernel IR, the condensation and its reverse
-        adjacency — after construction or a growth of the grounding.  A
+        the atom universe, the condensation and its reverse adjacency —
+        after construction or a growth of the grounding.  A
         solved model is carried over onto the new components
         (:meth:`_carry_over`); the maintainer is rebuilt lazily."""
         meter = current_meter()
@@ -345,20 +327,9 @@ class IncrementalEngine:
         # Release what describes the old condensation before building the
         # new one, so the two never coexist at peak.
         self._delta = None
-        self._kernel = None
         self._components = []
         self._rule_atoms = context.base
         self._undef_atom = fresh_undef_atom(self._rule_atoms)
-
-        # With engine="kernel" the rule context is compiled to the flat
-        # int IR; every per-component solve then runs over the persistent
-        # ComponentKernel state (truth + fact vectors, kept in sync below)
-        # instead of the object-level sets.
-        if self._engine_name == "kernel":
-            from ..kernel import ComponentKernel, get_kernel
-
-            self._kernel = ComponentKernel(get_kernel(context, self._recorder))
-            meter.check("refresh")
 
         graph = build_atom_dependency_graph(context)
         meter.check("refresh")
@@ -404,8 +375,6 @@ class IncrementalEngine:
                 self._true.add(atom)
             else:
                 self._false.add(atom)
-        if self._kernel is not None:
-            self._kernel.load(facts, self._true, self._false)
         self._reports = []
         changed = []
         for index, component in enumerate(self._components):
@@ -489,17 +458,10 @@ class IncrementalEngine:
                 if owner != reader and not self._add_dependency(reader, owner, rule_id):
                     return False
 
-        meter = current_meter()
         self._rule_atoms = self._rule_context.base
         undef = self._undef_atom.predicate
         if any(next(iter(self._components[index])).predicate == undef for index in new_components):
             self._undef_atom = fresh_undef_atom(self._rule_atoms)
-        if self._kernel is not None:
-            from ..kernel import ComponentKernel, get_kernel
-
-            self._kernel = ComponentKernel(get_kernel(self._rule_context, self._recorder))
-            self._kernel.load(self._facts, self._true, self._false)
-            meter.check("refresh")
         for index in sorted(new_components, key=rank.__getitem__):
             self._floating.difference_update(self._components[index])
             self._resolve_in_place(index, self._facts)
@@ -590,63 +552,11 @@ class IncrementalEngine:
         return found
 
     # ------------------------------------------------------------------ #
-    # Store change events
-    # ------------------------------------------------------------------ #
-    def observe(self, store: "FactStore") -> None:
-        """Subscribe to *store*'s change events (replacing any previous
-        subscription); mutations accumulate for :meth:`refresh_pending`."""
-        if self._observed is not None:
-            self._observed.unsubscribe(self._record_change)
-        self._observed = store
-        store.subscribe(self._record_change)
-
-    def detach(self) -> None:
-        """Unsubscribe from the observed store, if any."""
-        if self._observed is not None:
-            self._observed.unsubscribe(self._record_change)
-            self._observed = None
-
-    def _record_change(self, atom: Atom, added: bool) -> None:
-        self._pending[atom] = added
-
-    @property
-    def pending_changes(self) -> frozenset[Atom]:
-        """Atoms whose fact status flipped since the last refresh (as seen
-        through the observed store's events): the last recorded direction
-        disagrees with the solved base, so assert+retract pairs cancel
-        while repeated same-direction events stay pending."""
-        return frozenset(
-            atom
-            for atom, added in self._pending.items()
-            if added != (atom in self._facts)
-        )
-
-    def refresh_pending(self, facts: AbstractSet[Atom]) -> UpdateStats:
-        """:meth:`refresh` driven by the observed store's change events;
-        *facts* is the live EDB, as :meth:`refresh` takes it.
-
-        Before the first solve the refresh is full; afterwards one
-        maintenance pass covers the pending changes.  The pending set is
-        drained only on success — a failed refresh leaves it queued so
-        the next call retries the same delta.
-        """
-        changed = self.pending_changes if self._solved else None
-        stats = self.refresh(facts, changed)
-        self._pending.clear()
-        return stats
-
-    # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
     @property
     def strategy(self) -> str:
         return self._strategy
-
-    @property
-    def engine(self) -> str:
-        """The per-component solver in use: ``"modular"`` (object sets) or
-        ``"kernel"`` (compiled flat-array state)."""
-        return self._engine_name
 
     @property
     def model(self) -> PartialInterpretation:
@@ -810,11 +720,6 @@ class IncrementalEngine:
         # Any previous maintenance state described the old solved model;
         # a fresh maintainer is primed lazily from the new one.
         self._delta = None
-        if self._kernel is not None:
-            # Every component is about to be re-solved in order, so a fresh
-            # truth vector suffices; the fact vector is rebuilt wholesale.
-            self._kernel.reset()
-            self._kernel.set_facts(facts)
         self._floating = set(facts - self._rule_atoms)
         methods: dict[str, int] = {}
         meter = current_meter()
@@ -852,7 +757,6 @@ class IncrementalEngine:
                     self._undef_atom,
                     self._strategy,
                     recorder=recorder,
-                    kernel=self._kernel,
                 )
                 comp_span.annotate(
                     index=index,
@@ -873,7 +777,6 @@ class IncrementalEngine:
             self._false,
             self._undef_atom,
             self._strategy,
-            kernel=self._kernel,
         )
 
     def _solve_delta(self, facts: AbstractSet[Atom], changed: set[Atom]) -> UpdateStats:
@@ -912,9 +815,6 @@ class IncrementalEngine:
         """Atom-level maintenance of the fact flips in *changed*: one
         :class:`DeltaMaintainer` pass."""
         changed_rule_atoms = changed & self._rule_atoms
-        if self._kernel is not None:
-            for atom in changed_rule_atoms:
-                self._kernel.update_fact(atom, atom in facts)
         floating_changed = 0
         for atom in changed - self._rule_atoms:
             floating_changed += 1
@@ -947,22 +847,13 @@ class IncrementalEngine:
             self._reports[index] = report
             return comp_true, comp_false
 
+        # Every verdict flip goes on the view's to-do list.
         flips = self._flips
-        kernel = self._kernel
-
-        def sync(atom: Atom, code: int) -> None:
-            # Every verdict flip reaches the kernel's truth vector and the
-            # view's to-do list.
-            if kernel is not None:
-                kernel.set_truth(atom, code)
-            if flips is not None:
-                flips.add(atom)
-
         outcome = self._delta.apply(
             facts,
             changed_rule_atoms,
             resolve=resolve,
-            sync=sync,
+            sync=flips.add if flips is not None else None,
             step=lambda: meter.step("refresh"),
         )
         if recorder.enabled:

@@ -29,9 +29,11 @@ engine is the modular or kernel one (the defaults), refreshes are
 *incremental*: atom-level counting and delete-and-rederive maintain the
 components of the atom dependency graph the changed facts reach, and a
 component is re-solved whole only where negation is recursive
-(:mod:`repro.session.incremental`; ``engine="kernel"`` additionally runs
-each component solve over the compiled flat-array state of
-:mod:`repro.kernel`).  Non-ground rules are grounded incrementally too:
+(:mod:`repro.session.incremental`).  Both engine settings take this one
+path and keep the model once, in the engine's aggregate verdict sets:
+the compiled kernel of :mod:`repro.kernel` is a one-shot evaluator.
+The session subscribes to its store once and hands the engine each
+refresh's net change set.  Non-ground rules are grounded incrementally too:
 each refresh grounds only the rule instances the newly asserted facts
 enable, and retracted facts keep theirs.  True and undefined atoms are
 always those of a from-scratch solve; :attr:`KnowledgeBase.base` is then
@@ -570,8 +572,6 @@ class KnowledgeBase:
         Idempotent.  The knowledge base must not be used afterwards.
         """
         self._store.unsubscribe(self._on_store_change)
-        if self._engine is not None:
-            self._engine.detach()
         if self._owns_store:
             self._store.close()
 
@@ -806,18 +806,16 @@ class KnowledgeBase:
             return
         if self._incremental:
             if self._engine is None:
-                # The engine subscribes to the store, so from here on it
-                # sees every mutation itself; its first refresh is full.
+                # The engine's first refresh is full; it ignores *changed*.
                 self._engine = IncrementalEngine(
                     self._rules,
                     strategy=self._config.strategy,
                     store=self._store,
                     recorder=self._recorder,
                     budget=self._config.budget,
-                    engine=self._config.engine,
                     limits=self._config.limits,
                 )
-            stats = self._engine.refresh_pending(self._facts)
+            stats = self._engine.refresh(self._facts, changed)
             # Publication is O(flips): the engine derives the epoch's view
             # from the previous one, and everything else the solution
             # offers is computed from the epoch's immutable inputs on first

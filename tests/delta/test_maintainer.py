@@ -13,7 +13,7 @@ from repro.config import EngineConfig
 from repro.datalog import parse_program
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import Program
-from repro.delta import DeltaMaintainer, classify_component
+from repro.delta import classify_component
 from repro.engine.solver import solve_configured
 from repro.session import IncrementalEngine, KnowledgeBase
 
@@ -131,50 +131,6 @@ class TestResolveFallback:
         harness.check()
         stats = harness.refresh("gate", add=False)
         assert "resolve" in stats.methods
-        harness.check()
-
-
-class TestPendingChanges:
-    def test_duplicate_same_direction_events_stay_pending(self):
-        # Regression: a listener replay (or a rollback's inverse replay)
-        # delivers the same direction twice; a symmetric toggle would
-        # cancel the change and the refresh would silently skip it.
-        harness = _Harness("a. b :- a.")
-        engine = harness.engine
-        atom = Atom("c", ())
-        engine._record_change(atom, True)
-        engine._record_change(atom, True)
-        assert atom in engine.pending_changes
-        harness.facts.add(atom)
-        engine.refresh_pending(frozenset(harness.facts))
-        assert engine.pending_changes == frozenset()
-
-    def test_assert_retract_pair_cancels(self):
-        harness = _Harness("a. b :- a.")
-        engine = harness.engine
-        atom = Atom("c", ())
-        engine._record_change(atom, True)
-        engine._record_change(atom, False)
-        assert engine.pending_changes == frozenset()
-
-    def test_failed_refresh_keeps_pending_queued(self, monkeypatch):
-        harness = _Harness("a. b :- a, not c.")
-        engine = harness.engine
-        atom = Atom("c", ())
-        engine._record_change(atom, True)
-        harness.facts.add(atom)
-
-        def boom(self, *args, **kwargs):
-            raise RuntimeError("maintenance pass died")
-
-        monkeypatch.setattr(DeltaMaintainer, "apply", boom)
-        with pytest.raises(RuntimeError):
-            engine.refresh_pending(frozenset(harness.facts))
-        # Drained only on success: the same delta is retried next call.
-        assert atom in engine.pending_changes
-        monkeypatch.undo()
-        engine.refresh_pending(frozenset(harness.facts))
-        assert engine.pending_changes == frozenset()
         harness.check()
 
 

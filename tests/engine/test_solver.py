@@ -5,6 +5,8 @@ import pytest
 from repro.config import EngineConfig
 from repro.datalog import Database, parse_program
 from repro.datalog.atoms import atom
+from repro.datalog.grounding import IncrementalGrounder
+from repro.datalog.rules import Program
 from repro.engine.solver import SUPPORTED_SEMANTICS, solve
 from repro.exceptions import EvaluationError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
@@ -69,6 +71,30 @@ class TestSolve:
     def test_stratified_semantics_on_unstratified_program_fails(self):
         with pytest.raises(NotStratifiedError):
             solve("p :- not p.", semantics="stratified")
+
+    @pytest.mark.parametrize("source", ["text", "database"])
+    def test_stratified_solve_grounds_once(self, monkeypatch, source):
+        if source == "text":
+            program, database = TC_TEXT, None
+        else:
+            parsed = parse_program(TC_TEXT)
+            program = Program(rule for rule in parsed if not rule.is_fact)
+            database = Database.from_facts(rule.head for rule in parsed.facts())
+        calls = []
+        ground = IncrementalGrounder.ground
+
+        def counting(self):
+            calls.append(self)
+            return ground(self)
+
+        monkeypatch.setattr(IncrementalGrounder, "ground", counting)
+        solution = solve(program, database=database)
+        assert solution.semantics == "stratified"
+        assert len(calls) == 1
+        monkeypatch.undo()
+        reference = solve(program, semantics="well-founded", database=database)
+        assert solution.interpretation == reference.interpretation
+        assert solution.base == reference.base
 
     def test_stratified_model_is_total_over_a_naive_base(self):
         # The perfect model is grounded like the solution's base: r(b) is

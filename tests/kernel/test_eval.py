@@ -5,10 +5,8 @@ from repro.datalog import parse_atom, parse_program
 from repro.datalog.atoms import atom
 from repro.games.winmove import figure4a_edges, solve_game, win_move_program
 from repro.kernel import (
-    ComponentKernel,
     compile_context,
     evaluate_compiled,
-    get_kernel,
     kernel_model,
     kernel_well_founded,
 )
@@ -95,58 +93,3 @@ class TestKernelResult:
         assert totals["components.alternating"] == 1
         assert "kernel.stages" in totals
         assert "kernel.decrements" in totals
-
-
-class TestComponentKernel:
-    def test_component_at_a_time_matches_batch(self):
-        text = "r. q :- r. p :- not q. win :- q, not lose. lose :- not win."
-        context = build_context(parse_program(text))
-        compiled = get_kernel(context)
-        batch = kernel_well_founded(context).model
-
-        kernel = ComponentKernel(compiled)
-        kernel.reset()
-        kernel.set_facts({parse_atom("r")})
-        true_atoms: set = set()
-        false_atoms: set = set()
-        for comp in range(compiled.n_components):
-            members = {
-                compiled.table.atom_of(i)
-                for i in compiled.comp_atoms[
-                    compiled.comp_off[comp] : compiled.comp_off[comp + 1]
-                ]
-            }
-            solved = kernel.solve_component(members)
-            assert solved is not None
-            comp_true, comp_false, method, rules, stages, decrements = solved
-            true_atoms |= comp_true
-            false_atoms |= comp_false
-        assert true_atoms == set(batch.true_atoms)
-        assert false_atoms == set(batch.false_atoms)
-
-    def test_update_fact_flips_downstream_components(self):
-        context = build_context(parse_program("p :- not q."))
-        kernel = ComponentKernel(get_kernel(context))
-        kernel.reset()
-        kernel.set_facts(set())
-        q = parse_atom("q")
-
-        def solve(name):
-            comp_true, comp_false, *_ = kernel.solve_component({parse_atom(name)})
-            return bool(comp_true)
-
-        assert solve("q") is False
-        assert solve("p") is True
-        kernel.update_fact(q, True)
-        assert solve("q") is True
-        assert solve("p") is False
-        kernel.update_fact(q, False)
-        assert solve("q") is False
-
-    def test_facts_outside_the_table_are_ignored(self):
-        context = build_context(parse_program("p :- not q."))
-        kernel = ComponentKernel(get_kernel(context))
-        kernel.reset()
-        kernel.set_facts({parse_atom("stranger(1)")})  # no KeyError
-        kernel.update_fact(parse_atom("stranger(2)"), True)
-        assert kernel.solve_component({parse_atom("stranger(1)")}) is None

@@ -48,14 +48,14 @@ def _slow_refreshes_with(kb, atom_text: str, seconds: float) -> None:
     ambient budget, so a deadline that passed during the sleep trips."""
     atom = parse_atom(atom_text)
     engine = kb._engine
-    original = engine.refresh_pending
+    original = engine.refresh
 
-    def slow(facts):
+    def slow(facts, changed=None):
         if atom in facts:
             time.sleep(seconds)
-        return original(facts)
+        return original(facts, changed)
 
-    engine.refresh_pending = slow
+    engine.refresh = slow
 
 
 @pytest.fixture()

@@ -150,6 +150,12 @@ class TestEngineDirect:
         assert engine.model.is_false(parse_atom("p"))
         assert baseline.is_true(parse_atom("p"))
 
+    def test_takes_no_engine_parameter(self):
+        # Every engine setting maintains its model on the one path, so
+        # there is no per-component solver to choose.
+        with pytest.raises(TypeError, match="engine"):
+            IncrementalEngine(Program(), engine="kernel")
+
     def test_empty_rule_set_is_pure_fact_store(self):
         from repro.datalog import parse_atom
 

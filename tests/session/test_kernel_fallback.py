@@ -1,21 +1,19 @@
-"""Kernel engagement and fallback paths across the session layer.
+"""Kernel-config sessions and the fallback paths around them.
 
-The compiled kernel (:mod:`repro.kernel`) must engage exactly when it is
-sound — a semantics that gives the well-founded model for the rules,
-modular-style dispatch, rules that are ground or grounded incrementally —
-and every other configuration must fall back to the object engines with
-identical models.  These tests pin each gate.
+``engine="kernel"`` selects the compiled one-shot evaluator of
+:mod:`repro.kernel`.  A session configured with it takes the same
+incremental path as a modular one — a semantics that gives the
+well-founded model for the rules, rules that are ground or grounded
+incrementally — with its model held once, in the engine's aggregate
+sets, and every other configuration rebuilds with identical models.
+These tests pin each gate.
 """
 
 import pytest
 
 from repro.config import EngineConfig
-from repro.core.context import build_context
-from repro.datalog import parse_atom, parse_program
 from repro.engine.solver import solve
-from repro.kernel import ComponentKernel, get_kernel
 from repro.session import KnowledgeBase
-from repro.session.incremental import IncrementalEngine
 
 GAME_TEXT = """
 move(a, b). move(b, a). move(b, c). move(c, d).
@@ -39,7 +37,8 @@ class TestKernelEngagement:
         )
         assert kb.is_incremental
         kb.solution  # force the lazily-built engine
-        assert kb._engine.engine == "kernel"
+        # Solved component by component, not by a one-shot rebuild.
+        assert kb.last_update.components_total > 0
 
     def test_kernel_kb_matches_modular_kb_across_updates(self):
         config = lambda engine: EngineConfig(semantics="well-founded", engine=engine)
@@ -75,11 +74,29 @@ class TestKernelEngagement:
         kb.assert_fact("move", "d", "e")
         kb.solution
         assert kb.last_update.mode == "delta"
-        # The grown grounding was recompiled: the new rule instance runs on
-        # the kernel, not on the object fallback.
-        assert kb._engine._kernel.compiled.n_rules == len(kb._engine.context.rules)
         oracle = KnowledgeBase(
             GAME_TEXT, config=EngineConfig(semantics="well-founded", engine="monolithic")
+        )
+        oracle.assert_fact("move", "d", "e")
+        assert _interpretation(kb) == _interpretation(oracle)
+
+    def test_fold_in_compiles_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session compiled the kernel IR")
+
+        monkeypatch.setattr("repro.kernel.compile.compile_context", refuse)
+        kb = KnowledgeBase(
+            GAME_TEXT,
+            config=EngineConfig(semantics="well-founded", engine="kernel"),
+        )
+        kb.solution
+        kb.assert_fact("move", "d", "e")
+        kb.solution
+        # The new rule instance was folded into the solved condensation.
+        assert kb.last_update.mode == "delta"
+        assert kb.last_update.rules_added == 1
+        oracle = KnowledgeBase(
+            GAME_TEXT, config=EngineConfig(semantics="well-founded", engine="modular")
         )
         oracle.assert_fact("move", "d", "e")
         assert _interpretation(kb) == _interpretation(oracle)
@@ -113,30 +130,3 @@ class TestFallbacks:
         plain = solve(text, config=EngineConfig(semantics=semantics, engine="modular"))
         assert with_kernel.interpretation == plain.interpretation
         assert kb.solution.interpretation.true_atoms == plain.interpretation.true_atoms
-        if kb.is_incremental:
-            assert kb._engine.engine == "kernel"
-
-    def test_solve_component_unknown_atom_returns_none(self):
-        context = build_context(parse_program("p :- not q."))
-        kernel = ComponentKernel(get_kernel(context))
-        kernel.reset()
-        assert kernel.solve_component({parse_atom("stranger")}) is None
-        # Known atoms still resolve.
-        assert kernel.solve_component({parse_atom("p")}) is not None
-
-    def test_object_path_covers_a_declining_kernel(self, monkeypatch):
-        """When the kernel declines a component (returns None), the object
-        path must transparently produce the same model."""
-        rules = parse_program("p :- not q. q :- r. win :- not lose. lose :- not win.")
-        engine = IncrementalEngine(rules, engine="kernel")
-        monkeypatch.setattr(
-            ComponentKernel, "solve_component", lambda self, c, tracing=False: None
-        )
-        engine.refresh(frozenset({parse_atom("r")}), None)
-        fallback_model = engine.model
-        monkeypatch.undo()
-        oracle = IncrementalEngine(rules, engine="modular")
-        oracle.refresh(frozenset({parse_atom("r")}), None)
-        assert fallback_model == oracle.model
-        assert fallback_model.is_true(parse_atom("q"))
-        assert fallback_model.is_false(parse_atom("p"))

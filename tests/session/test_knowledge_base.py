@@ -7,6 +7,7 @@ from repro.config import EngineConfig
 from repro.datalog import Database, parse_atom
 from repro.datalog.rules import Program
 from repro.datalog.terms import Variable
+from repro.delta import DeltaMaintainer
 from repro.engine.solver import solve_configured
 from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
@@ -126,6 +127,21 @@ class TestBatch:
         kb.retract_fact("move", "d", "e")
         assert kb.solution is solution  # net delta empty: same snapshot
         assert kb._update_count == refreshes
+
+    @pytest.mark.parametrize("engine", ["modular", "kernel"])
+    def test_replayed_same_direction_event_still_refreshes(self, engine):
+        # A listener replay (or a rollback's inverse replay) can deliver
+        # the same direction twice; the duplicate must not cancel the
+        # change, so the next read still refreshes.
+        kb = KnowledgeBase(GAME_TEXT, config=EngineConfig(engine=engine))
+        solution = kb.solution
+        atom = parse_atom("move(d, e)")
+        kb.store.add_atom(atom)
+        kb._on_store_change(atom, True)  # the replayed event
+        assert kb.solution is not solution
+        assert kb.is_false("wins", "c")
+        assert kb.last_update.mode == "delta"
+        assert kb.last_update.changed == 1
 
 
 class TestQueries:
@@ -347,6 +363,24 @@ class TestWellFoundedEquivalentRouting:
         kb.retract_fact("q")
         assert kb.is_true("r")
         assert kb.is_false("q")
+
+    def test_failed_incremental_refresh_keeps_the_delta_queued(self, monkeypatch):
+        kb = KnowledgeBase("a. b :- a, not c.")
+        assert kb.is_incremental
+        assert kb.is_true("b")
+        kb.assert_fact("c")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("maintenance pass died")
+
+        monkeypatch.setattr(DeltaMaintainer, "apply", boom)
+        with pytest.raises(RuntimeError):
+            kb.solution
+        monkeypatch.undo()
+        # The session still holds the change; the engine dropped its torn
+        # state, so the retried read solves the current EDB in full.
+        assert kb.is_false("b")
+        assert kb.last_update.mode == "initial"
 
     def test_solution_object_is_stable_between_updates(self):
         kb = KnowledgeBase(GAME_TEXT)

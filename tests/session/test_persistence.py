@@ -136,7 +136,16 @@ class TestStoreEvents:
         kb.store.remove("x")
         assert kb.is_true("p")
         assert kb.last_update.mode == "delta"
-        assert kb._engine.pending_changes == frozenset()
+        assert not kb._changed
+
+    @pytest.mark.parametrize("engine", ["modular", "kernel"])
+    def test_a_session_listens_to_its_store_once(self, engine):
+        kb = KnowledgeBase(GAME, facts=MOVES, config=EngineConfig(engine=engine))
+        kb.solution
+        assert kb.is_incremental
+        assert kb.store._listeners == [kb._on_store_change]
+        kb.close()
+        assert kb.store._listeners == []
 
     def test_cancelling_store_mutations_skip_refresh(self):
         kb = KnowledgeBase(GAME, facts=MOVES)
