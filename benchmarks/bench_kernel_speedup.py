@@ -1,24 +1,24 @@
-"""Compiled kernel versus object-level engines on the acceptance workloads.
+"""Compiled kernel on the acceptance workloads.
 
-The object-level modular engine already beats the monolithic alternating
-fixpoint by dispatching per SCC, but it still pays CPython object costs on
-every inference: hashing ``Atom`` instances into dicts, allocating
-frozensets per component, chasing pointers through rule objects.  The
-compiled kernel (:mod:`repro.kernel`) interns the ground atom universe
+The compiled kernel (:mod:`repro.kernel`) interns the ground atom universe
 into dense integer ids once, lowers rules into flat ``array('i')``
 segments, and evaluates with Dowling–Gallier counters over a single
-``bytearray`` truth vector — same dispatch, no per-inference objects.
+``bytearray`` truth vector — the per-component dispatch of
+:func:`repro.core.modular.solve_component`, with no per-inference objects
+(no ``Atom`` hashing, no frozensets per component, no pointer chasing
+through rule objects).
 
-The kernel is compile-once / evaluate-many: the IR is cached on the
-``GroundContext`` (that is what the session, incremental, and service
-layers reuse across refreshes), so the headline timing here is the
-evaluation with a warm IR cache and the one-off compile is timed and
-emitted separately.
+The IR is cached on the ``GroundContext``, so repeated evaluation of one
+grounding compiles once: the timings here are the evaluation with a warm
+IR cache, and the one-off compile is timed and emitted separately.  A
+one-shot ``solve`` pays both; a session compiles nothing, since it
+maintains its model over atom objects (:mod:`repro.session.incremental`).
 
-Every workload asserts the partial models are **byte-identical** across
-kernel, object modular, and monolithic alternating fixpoint before any
-timing is trusted, and the per-atom memory footprint of the kernel state
-is measured against the object-level model representation.
+Every workload asserts the partial models are **byte-identical** between
+the kernel and the monolithic alternating fixpoint before any timing is
+trusted, and the per-atom memory footprint of the kernel state is
+measured against the object-level model representation.  On the layered
+workload the kernel must beat the monolithic fixpoint by ≥20×.
 
 Run with ``pytest benchmarks/bench_kernel_speedup.py -s``.
 """
@@ -32,48 +32,33 @@ from _metrics import emit
 from _smoke import SMOKE
 from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
-from repro.core.modular import modular_well_founded
 from repro.games.graphs import chain_edges, random_game_edges
 from repro.games.winmove import win_move_program
-from repro.kernel import compile_context, kernel_well_founded
+from repro.kernel import get_kernel, kernel_well_founded
 from repro.workloads import layered_program, random_propositional_program
 
 REPEAT = 3
 
-# (name, program factory, full-size speedup floor).  The two primary
-# acceptance workloads carry the 10x floor from the ISSUE; the random
-# workloads have denser alternating components where the object engine
-# is less disadvantaged, so they carry the 5x floor.  Smoke mode trims
-# every workload and relaxes every floor to the CI-wide 5x.
+# (name, program factory); smoke mode trims every workload.
 if SMOKE:
     WORKLOADS = [
-        ("layered:4x60", lambda: layered_program(4, 60), 5.0),
-        ("win_move:chain:400", lambda: win_move_program(chain_edges(400)), 5.0),
+        ("layered:4x60", lambda: layered_program(4, 60)),
+        ("win_move:chain:400", lambda: win_move_program(chain_edges(400))),
         (
             "win_move:random_game:300",
             lambda: win_move_program(random_game_edges(300, out_degree=3, seed=7)),
-            5.0,
         ),
-        (
-            "random_prop:40x120",
-            lambda: random_propositional_program(40, 120, seed=3),
-            5.0,
-        ),
+        ("random_prop:40x120", lambda: random_propositional_program(40, 120, seed=3)),
     ]
 else:
     WORKLOADS = [
-        ("layered:12x200", lambda: layered_program(12, 200), 10.0),
-        ("win_move:chain:2000", lambda: win_move_program(chain_edges(2000)), 10.0),
+        ("layered:12x200", lambda: layered_program(12, 200)),
+        ("win_move:chain:2000", lambda: win_move_program(chain_edges(2000))),
         (
             "win_move:random_game:1000",
             lambda: win_move_program(random_game_edges(1000, out_degree=3, seed=7)),
-            5.0,
         ),
-        (
-            "random_prop:80x240",
-            lambda: random_propositional_program(80, 240, seed=3),
-            5.0,
-        ),
+        ("random_prop:80x240", lambda: random_propositional_program(80, 240, seed=3)),
     ]
 
 
@@ -94,21 +79,13 @@ def _render(true_atoms, false_atoms) -> bytes:
 
 
 def _assert_byte_identical(context):
-    """Kernel, object modular, and monolithic AFP models, byte for byte."""
+    """Kernel and monolithic AFP models, byte for byte."""
     kernel = kernel_well_founded(context)
-    modular = modular_well_founded(context)
     monolithic = alternating_fixpoint(context, keep_stages=False)
-    blobs = {
-        "kernel": _render(kernel.model.true_atoms, kernel.model.false_atoms),
-        "modular": _render(modular.model.true_atoms, modular.model.false_atoms),
-        "monolithic": _render(
-            monolithic.positive_fixpoint, monolithic.negative_fixpoint.atoms
-        ),
-    }
-    assert blobs["kernel"] == blobs["modular"] == blobs["monolithic"], (
-        "well-founded models diverge across kernel/modular/monolithic"
-    )
-    return kernel, modular
+    assert _render(kernel.model.true_atoms, kernel.model.false_atoms) == _render(
+        monolithic.positive_fixpoint, monolithic.negative_fixpoint.atoms
+    ), "well-founded models diverge between kernel and monolithic"
+    return kernel
 
 
 def _object_model_bytes(model) -> int:
@@ -124,23 +101,19 @@ def _object_model_bytes(model) -> int:
 
 @pytest.mark.repro("E16")
 @pytest.mark.parametrize(
-    ("workload", "factory", "floor"),
-    WORKLOADS,
-    ids=[name for name, _, _ in WORKLOADS],
+    ("workload", "factory"), WORKLOADS, ids=[name for name, _ in WORKLOADS]
 )
-def test_kernel_speedup(report, workload, factory, floor):
-    """Kernel evaluation beats the object modular engine by the per-workload
-    floor, with byte-identical models and a per-atom memory drop."""
+def test_kernel_workload(report, workload, factory):
+    """Kernel models byte-identical to the monolithic fixpoint, and a
+    per-atom memory drop against the object model; timings reported."""
     context = build_context(factory())
 
     compile_start = time.perf_counter()
-    compiled = compile_context(context)
+    compiled = get_kernel(context)
     compile_seconds = time.perf_counter() - compile_start
 
-    kernel_result, modular_result = _assert_byte_identical(context)
-
+    kernel_result = _assert_byte_identical(context)
     kernel = _best_time(lambda: kernel_well_founded(context))
-    modular = _best_time(lambda: modular_well_founded(context))
 
     stats = compiled.statistics()
     atoms = max(1, stats["atoms"])
@@ -148,18 +121,15 @@ def test_kernel_speedup(report, workload, factory, floor):
     # compile-once cost, reported separately per atom for context.
     kernel_state_per_atom = 1.0
     ir_bytes_per_atom = stats["bytes"] / atoms
-    object_bytes = _object_model_bytes(modular_result.model)
+    object_bytes = _object_model_bytes(kernel_result.model)
     object_per_atom = object_bytes / atoms
 
-    speedup = modular / kernel
     report(
-        f"{workload}: compiled kernel vs object modular WFS",
+        f"{workload}: compiled kernel WFS",
         [
             (f"atoms {stats['atoms']}, rules {stats['rules']}, components {stats['components']}",),
             (f"kernel  {kernel * 1000:9.2f} ms  (warm IR cache)",),
-            (f"modular {modular * 1000:9.2f} ms",),
             (f"compile {compile_seconds * 1000:9.2f} ms  (once per grounding)",),
-            (f"speedup {speedup:9.1f}x  (floor {floor:.0f}x)",),
             (
                 f"memory/atom: truth {kernel_state_per_atom:.0f} B + IR {ir_bytes_per_atom:.0f} B"
                 f"  vs object model {object_per_atom:.0f} B",
@@ -175,12 +145,7 @@ def test_kernel_speedup(report, workload, factory, floor):
             "components": stats["components"],
             "body_entries": stats["body_entries"],
         },
-        timings={
-            "kernel": kernel,
-            "modular": modular,
-            "kernel_compile": compile_seconds,
-        },
-        speedups={"kernel_over_modular": speedup},
+        timings={"kernel": kernel, "kernel_compile": compile_seconds},
         extra={
             "methods": kernel_result.method_counts(),
             "memory_per_atom_bytes": {
@@ -198,11 +163,6 @@ def test_kernel_speedup(report, workload, factory, floor):
         "kernel per-atom footprint must undercut the object model: "
         f"{kernel_state_per_atom + ir_bytes_per_atom:.1f} B vs {object_per_atom:.1f} B"
     )
-    assert modular >= floor * kernel, (
-        f"kernel must be ≥{floor:.0f}x faster than object modular on {workload}: "
-        f"kernel {kernel * 1000:.2f} ms, modular {modular * 1000:.2f} ms "
-        f"({speedup:.1f}x)"
-    )
 
 
 @pytest.mark.repro("E16")
@@ -211,7 +171,7 @@ def test_kernel_vs_monolithic(report):
     component dispatch win with the flat-array win."""
     layers, size = (4, 60) if SMOKE else (12, 200)
     context = build_context(layered_program(layers, size))
-    compile_context(context)
+    get_kernel(context)
     _assert_byte_identical(context)
     kernel = _best_time(lambda: kernel_well_founded(context))
     monolithic = _best_time(lambda: alternating_fixpoint(context, keep_stages=False))
@@ -236,13 +196,9 @@ def test_kernel_vs_monolithic(report):
 
 
 @pytest.mark.repro("E16")
-@pytest.mark.parametrize("engine", ["kernel", "modular"])
-def test_timed_kernel_wfs(benchmark, engine):
-    """pytest-benchmark recording for EXPERIMENTS.md-style comparison."""
+def test_timed_kernel_wfs(benchmark):
+    """pytest-benchmark recording of the warm-IR evaluation."""
     context = build_context(layered_program(4, 40))
-    if engine == "kernel":
-        compile_context(context)
-        result = benchmark(lambda: kernel_well_founded(context))
-    else:
-        result = benchmark(lambda: modular_well_founded(context))
+    get_kernel(context)
+    result = benchmark(lambda: kernel_well_founded(context))
     assert result.model.false_atoms

@@ -1,10 +1,10 @@
 """Experiment E18 — the observability layer must be free when disabled.
 
 The ``repro.obs`` recorder threads through every phase of the solver
-(grounding, condensation, per-component dispatch, assembly), so the PR's
-acceptance criterion is a guard, not a speedup: with the default
-:class:`~repro.obs.NullRecorder` the instrumented engine may cost at most
-3% over the uninstrumented call path on the bench_modular_wfs workload,
+(classification, grounding, compile, evaluation, assembly), so the
+acceptance criterion is a guard, not a speedup: with an explicit
+:class:`~repro.obs.NullRecorder` a one-shot ``solve`` may cost at most
+3% over the default call path on the bench_modular_wfs workload,
 decided from the median per-pair ratio of order-alternating batches
 (``_paired.py``).
 The hot loops hoist a single ``recorder.enabled`` check and branch to
@@ -27,8 +27,7 @@ import pytest
 from _metrics import emit
 from _paired import paired_ratios
 from _smoke import trim
-from repro.core.context import build_context
-from repro.core.modular import modular_well_founded
+from repro.engine.solver import solve
 from repro.obs import NullRecorder, TraceRecorder
 from repro.workloads import layered_program
 
@@ -62,25 +61,25 @@ def _render(model) -> bytes:
 @pytest.mark.repro("E18")
 def test_null_recorder_overhead_acceptance(report):
     """NullRecorder ≤3% over the default call path on the layered workload."""
-    context = build_context(layered_program(LAYERS, SIZE))
+    program = layered_program(LAYERS, SIZE)
     null_recorder = NullRecorder()
 
     # Warm both arms first — the very first solves pay one-off costs
     # (allocator growth, branch warmup) that would land on whichever arm
     # runs first and masquerade as recorder overhead.
     for _ in range(2):
-        modular_well_founded(context)
-        modular_well_founded(context, recorder=null_recorder)
+        solve(program)
+        solve(program, recorder=null_recorder)
 
     # Paired, order-alternating batches: drift (thermal, scheduler) hits
     # both arms of a pair alike, and the median ratio decides.
     paired = paired_ratios(
-        lambda: modular_well_founded(context),
-        lambda: modular_well_founded(context, recorder=null_recorder),
+        lambda: solve(program),
+        lambda: solve(program, recorder=null_recorder),
     )
     overhead = paired.median
     default, null = paired.baseline_seconds, paired.candidate_seconds
-    traced = _best_time(lambda: modular_well_founded(context, recorder=TraceRecorder()))
+    traced = _best_time(lambda: solve(program, recorder=TraceRecorder()))
     report(
         f"obs overhead on layered {LAYERS}x{SIZE}",
         [
@@ -112,15 +111,15 @@ def test_null_recorder_overhead_acceptance(report):
 def test_models_identical_and_null_records_nothing():
     """Same partial model byte-for-byte whichever recorder observes the run,
     and the null recorder leaves no trace of the observation."""
-    context = build_context(layered_program(4, 20))
+    program = layered_program(4, 20)
     null_recorder = NullRecorder()
     tracing = TraceRecorder()
 
-    default = modular_well_founded(context)
-    nulled = modular_well_founded(context, recorder=null_recorder)
-    traced = modular_well_founded(context, recorder=tracing)
+    default = solve(program)
+    nulled = solve(program, recorder=null_recorder)
+    traced = solve(program, recorder=tracing)
 
-    blobs = {_render(r.model) for r in (default, nulled, traced)}
+    blobs = {_render(r.interpretation) for r in (default, nulled, traced)}
     assert len(blobs) == 1, "recorder choice changed the well-founded model"
     assert not null_recorder.enabled
     assert not hasattr(null_recorder, "spans")

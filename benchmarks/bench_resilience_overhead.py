@@ -1,12 +1,13 @@
 """Experiment E19 — budget metering must be (nearly) free when unused.
 
 The :mod:`repro.resilience` budget meter threads checkpoints through every
-hot loop of the solver (grounding, condensation, alternating stages,
-unfounded-set iterations, per-component dispatch).  Like the recorder
-before it (E18), the acceptance criterion is a guard: a run governed by a
-*generous* budget — one that never trips — may cost at most 3% over the
-unbudgeted call path on the bench_modular_wfs workload, decided from the
-median per-pair ratio of order-alternating batches (``_paired.py``).  Unbudgeted runs
+hot loop of the solver (grounding, compile, per-component dispatch,
+alternating stages, unfounded-set iterations).  Like the recorder before
+it (E18), the acceptance criterion is a guard: a one-shot ``solve``
+governed by a *generous* budget — one that never trips — may cost at most
+3% over the unbudgeted call path on the bench_modular_wfs workload,
+decided from the median per-pair ratio of order-alternating batches
+(``_paired.py``).  Unbudgeted runs
 see the no-op ``NULL_METER`` singleton, so their per-iteration cost is one
 attribute load; budgeted runs pay a strided clock check.  This guard
 catches anyone later tightening the stride or moving per-iteration work
@@ -23,9 +24,9 @@ import pytest
 from _metrics import emit
 from _paired import paired_ratios
 from _smoke import trim
-from repro.core.context import build_context
-from repro.core.modular import modular_well_founded
-from repro.resilience import Budget, metered
+from repro.config import EngineConfig
+from repro.engine.solver import solve
+from repro.resilience import Budget
 from repro.workloads import layered_program
 
 # The bench_modular_wfs acceptance workload (trimmed in smoke mode, where
@@ -40,7 +41,7 @@ NOISE_MARGIN = 1.02
 #: Generous enough that neither limit can trip on this workload: the run
 #: exercises the full metered path (deadline arithmetic, step counting)
 #: without ever aborting.
-GENEROUS = Budget(max_seconds=3600.0, max_steps=10**9)
+GENEROUS = EngineConfig(budget=Budget(max_seconds=3600.0, max_steps=10**9))
 
 
 def _render(model) -> bytes:
@@ -49,26 +50,21 @@ def _render(model) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _budgeted(context):
-    with metered(GENEROUS):
-        return modular_well_founded(context)
-
-
 @pytest.mark.repro("E19")
 def test_generous_budget_overhead_acceptance(report):
     """A never-tripping budget ≤3% over the unmetered path."""
-    context = build_context(layered_program(LAYERS, SIZE))
+    program = layered_program(LAYERS, SIZE)
 
     # Warm both arms — first solves pay one-off costs (allocator growth,
     # branch warmup) that would otherwise land on whichever arm runs first
     # and masquerade as metering overhead.
     for _ in range(2):
-        modular_well_founded(context)
-        _budgeted(context)
+        solve(program)
+        solve(program, config=GENEROUS)
 
     # Paired, order-alternating batches: drift (thermal, scheduler) hits
     # both arms of a pair alike, and the median ratio decides.
-    paired = paired_ratios(lambda: modular_well_founded(context), lambda: _budgeted(context))
+    paired = paired_ratios(lambda: solve(program), lambda: solve(program, config=GENEROUS))
     overhead = paired.median
     plain, budgeted = paired.baseline_seconds, paired.candidate_seconds
     report(
@@ -98,7 +94,7 @@ def test_generous_budget_overhead_acceptance(report):
 def test_budgeted_model_identical():
     """Metering may only observe: same partial model byte-for-byte with
     and without a governing budget."""
-    context = build_context(layered_program(4, 20))
-    plain = modular_well_founded(context)
-    budgeted = _budgeted(context)
-    assert _render(plain.model) == _render(budgeted.model)
+    program = layered_program(4, 20)
+    plain = solve(program)
+    budgeted = solve(program, config=GENEROUS)
+    assert _render(plain.interpretation) == _render(budgeted.interpretation)

@@ -50,7 +50,6 @@ from .core import (
     ModularResult,
     afp_model,
     alternating_fixpoint,
-    modular_well_founded,
     stable_models,
     well_founded_model,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "ModularResult",
     "afp_model",
     "alternating_fixpoint",
-    "modular_well_founded",
     "stable_models",
     "well_founded_model",
     "EngineConfig",

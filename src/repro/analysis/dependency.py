@@ -12,8 +12,8 @@ Two instantiations of the same structure live here:
   driving stratification, strictness and the Section 8.2 analyses;
 * :class:`AtomDependencyGraph` — the *ground-atom-level* graph of a ground
   program (or :class:`~repro.core.context.GroundContext`), driving local
-  stratification and the component-wise well-founded evaluator of
-  :mod:`repro.core.modular`.
+  stratification and the component-wise maintenance of
+  :mod:`repro.session.incremental`.
 
 Both share one iterative Tarjan SCC implementation (:func:`tarjan_scc`),
 which emits components callees-first — i.e. already in the bottom-up
@@ -265,8 +265,8 @@ class AtomDependencyGraph:
     of its body atoms, labelled with the polarity the body atom occurs with
     (merged to *mixed* across occurrences).  Internally an arc is stored as
     membership of the target in the per-source positive and/or negative
-    target sets — the representation the hot consumers
-    (:mod:`repro.core.modular`, local stratification) actually probe — and
+    target sets — the representation local stratification actually
+    probes — and
     ``adjacency`` keeps the deduplicated successor lists the SCC
     computation walks.
     """

@@ -9,8 +9,8 @@ and every ``core``/``semantics`` entry point.  ``solve()`` and
 merged into the config by :func:`resolve_config`.
 
 This module is the canonical home of the option tuples.  The historical
-locations (``repro.evaluation.engine``, ``repro.core.modular``,
-``repro.engine.solver``) re-export them unchanged.
+locations (``repro.evaluation.engine``, ``repro.engine.solver``)
+re-export them unchanged.
 """
 
 from __future__ import annotations
@@ -65,13 +65,15 @@ DEFAULT_SEMANTICS = "auto"
 EVALUATION_STRATEGIES = ("seminaive", "naive")
 DEFAULT_STRATEGY = "seminaive"
 
-#: Well-founded evaluation engines: component-wise over the SCC condensation
-#: of the atom dependency graph, the monolithic alternating fixpoint it is
-#: differentially tested against, and the compiled flat-array kernel
-#: (:mod:`repro.kernel`) that interns atoms to dense ints and evaluates the
-#: same component dispatch over ``array``/``bytearray`` state.
-EVALUATION_ENGINES = ("modular", "monolithic", "kernel")
-DEFAULT_ENGINE = "modular"
+#: Well-founded evaluation engines of a one-shot solve: the compiled
+#: flat-array kernel (:mod:`repro.kernel`), which interns atoms to dense
+#: ints and solves the SCC condensation of the atom dependency graph
+#: component by component, and the paper's monolithic alternating
+#: fixpoint, the reference it is differentially tested against.  A session
+#: configured with the kernel maintains its model incrementally instead
+#: (see :mod:`repro.session`).
+EVALUATION_ENGINES = ("kernel", "monolithic")
+DEFAULT_ENGINE = "kernel"
 
 #: Grounders accepted by :func:`repro.core.context.build_context`: the
 #: relevant instantiation (indexed semi-naive joins) and the literal

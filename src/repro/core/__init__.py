@@ -11,10 +11,10 @@
   the AFP partial model (Section 5);
 * :mod:`repro.core.wellfounded` — unfounded sets and the ``W_P`` fixpoint
   (Section 6), the independent baseline for Theorem 7.8;
-* :mod:`repro.core.modular` — the component-wise well-founded evaluator:
-  SCC condensation of the atom dependency graph with cheapest-sound-method
-  dispatch per component (Horn closure / stratified double closure / local
-  alternating fixpoint);
+* :mod:`repro.core.modular` — one strongly connected component of the
+  atom dependency graph solved against the components below it, by the
+  cheapest sound method (Horn closure / stratified double closure / local
+  alternating fixpoint): the unit a session maintains its model with;
 * :mod:`repro.core.stable` — stable models via ``S̃_P`` fixpoints.
 """
 
@@ -40,15 +40,7 @@ from .eventual import (
     minimum_model,
 )
 from .explain import BlockedRule, Derivation, Explainer, Explanation, explain
-from .modular import (
-    DEFAULT_ENGINE,
-    EVALUATION_ENGINES,
-    ComponentReport,
-    ModularResult,
-    modular_model,
-    modular_well_founded,
-    validate_engine,
-)
+from .modular import ComponentReport, ModularResult
 from .stability import (
     gelfond_lifschitz_reduct,
     is_stable_set,
@@ -95,13 +87,8 @@ __all__ = [
     "Explainer",
     "Explanation",
     "explain",
-    "DEFAULT_ENGINE",
-    "EVALUATION_ENGINES",
     "ComponentReport",
     "ModularResult",
-    "modular_model",
-    "modular_well_founded",
-    "validate_engine",
     "gelfond_lifschitz_reduct",
     "is_stable_set",
     "reduct_minimum_model",

@@ -182,14 +182,12 @@ def alternating_fixpoint(
     (large runs need not hold every intermediate interpretation alive;
     ``stage_count`` still reports the true trace length).
 
-    With ``engine="modular"`` the model is computed component-wise by
-    :func:`repro.core.modular.modular_well_founded` (SCC condensation of
-    the atom dependency graph, cheapest-sound-method dispatch per
-    component) instead of by monolithic alternation, and with
-    ``engine="kernel"`` by the compiled flat-array evaluator
-    (:func:`repro.kernel.kernel_well_founded` — same dispatch, dense-int
-    IR); the result then carries a single synthetic stage holding the
-    fixpoint, since no global ``Ĩ_k`` sequence exists.  The models are
+    With ``engine="kernel"`` the model is computed component-wise by the
+    compiled flat-array evaluator (:func:`repro.kernel.kernel_well_founded`:
+    SCC condensation of the atom dependency graph, cheapest-sound-method
+    dispatch per component, dense-int IR) instead of by monolithic
+    alternation; the result then carries a single synthetic stage holding
+    the fixpoint, since no global ``Ĩ_k`` sequence exists.  The models are
     identical (Theorem 7.8 plus the splitting property of the well-founded
     semantics); the monolithic engine remains the differential oracle.
 
@@ -203,16 +201,12 @@ def alternating_fixpoint(
     )
     recorder = recorder if recorder is not None else NULL_RECORDER
     with metered(budget) as meter:
-        if engine != "monolithic":
-            # Deferred imports: cycle with the engine dispatch.
-            if engine == "kernel":
-                from ..kernel import kernel_well_founded as delegate
-            else:
-                from .modular import modular_well_founded as delegate
+        if engine == "kernel":
+            from ..kernel import kernel_well_founded  # deferred: import cycle
 
             # The delegated call inherits the meter ambiently, so the
             # budget governs the component dispatch as well.
-            modular = delegate(
+            kernel = kernel_well_founded(
                 program,
                 limits=limits,
                 full_base=full_base,
@@ -221,10 +215,10 @@ def alternating_fixpoint(
                 grounder=grounder,
                 recorder=recorder,
             )
-            negative = NegativeSet(modular.model.false_atoms)
-            positive = modular.model.true_atoms
+            negative = NegativeSet(kernel.model.false_atoms)
+            positive = kernel.model.true_atoms
             return AlternatingFixpointResult(
-                context=modular.context,
+                context=kernel.context,
                 negative_fixpoint=negative,
                 positive_fixpoint=positive,
                 stages=(AlternatingStage(0, negative, positive),),

@@ -1,4 +1,4 @@
-"""Component-wise alternating fixpoint: SCC-decomposed well-founded evaluation.
+"""Component-wise alternating fixpoint: solve one SCC at a time.
 
 The monolithic alternating fixpoint (Section 5) re-derives the *entire*
 ground program at every stage ``Ĩ_{k+1} = S̃_P(Ĩ_k)``, so a program made of
@@ -6,74 +6,62 @@ ground program at every stage ``Ĩ_{k+1} = S̃_P(Ĩ_k)``, so a program made of
 stages × whole-program ``S_P`` cost.  But the well-founded semantics is
 *relevant*: an atom's verdict only depends on the atoms it transitively
 depends on (the Section 8 dependency-graph analyses, here at ground-atom
-granularity).  This module exploits that:
+granularity).  So the model can be assembled over the strongly connected
+components of the atom dependency graph
+(:func:`repro.analysis.dependency.build_atom_dependency_graph`), solved
+callees first, each solved component's true/false atoms frozen as fixed
+context for the components above it.
 
-1. condense the ground program's atom-level dependency graph
-   (:func:`repro.analysis.dependency.build_atom_dependency_graph`) into
-   strongly connected components, topologically ordered callees-first;
-2. evaluate components bottom-up, freezing each solved component's
-   true/false atoms as fixed context for the components above it;
-3. per component, dispatch to the cheapest sound method:
+:func:`solve_component` solves one component against that context,
+dispatching to the cheapest sound method:
 
-   * ``"horn"`` — no negation left after partial evaluation against the
-     solved context: one semi-naive counter closure; underivable atoms of
-     the component are false;
-   * ``"stratified"`` — negation only points *downward* (the component is
-     locally stratified within itself) but some body literal rests on an
-     atom left *undefined* below: two counter closures — the definite
-     closure gives the true atoms, the closure that also fires through the
-     undefined literals gives the envelope of possibly-true atoms; atoms
-     outside the envelope are false, inside-but-underived undefined;
-   * ``"alternating"`` — negation through recursion inside the component:
-     the full alternating fixpoint, run over just this component's rules
-     with a component-local base.  Undefined literals from below are
-     replaced by one designated undefined atom (defined by the canonical
-     ``u ← ¬u`` rule), which is exactly the three-valued partial
-     evaluation of the splitting property of the well-founded semantics.
-     The local :class:`~repro.core.context.GroundContext` caches its
-     :class:`~repro.evaluation.indexes.RuleIndex`, so all of the
-     component's ``S_P`` stages share one index build.
+* ``"horn"`` — no negation left after partial evaluation against the
+  solved context: one semi-naive counter closure; underivable atoms of
+  the component are false;
+* ``"stratified"`` — negation only points *downward* (the component is
+  locally stratified within itself) but some body literal rests on an
+  atom left *undefined* below: two counter closures — the definite
+  closure gives the true atoms, the closure that also fires through the
+  undefined literals gives the envelope of possibly-true atoms; atoms
+  outside the envelope are false, inside-but-underived undefined;
+* ``"alternating"`` — negation through recursion inside the component:
+  the full alternating fixpoint, run over just this component's rules
+  with a component-local base.  Undefined literals from below are
+  replaced by one designated undefined atom (defined by the canonical
+  ``u ← ¬u`` rule), which is exactly the three-valued partial
+  evaluation of the splitting property of the well-founded semantics.
+  The local :class:`~repro.core.context.GroundContext` caches its
+  :class:`~repro.evaluation.indexes.RuleIndex`, so all of the
+  component's ``S_P`` stages share one index build.
 
-On layered workloads (stacked win–move towers, chained same-generation
-blocks — see :func:`repro.workloads.generators.layered_program`) this turns
-quadratic-in-layers work into near-linear work; the equality of the
-assembled model with the monolithic alternating fixpoint and with the
-unfounded-set characterisation is checked by the differential property
-tests and by ``benchmarks/bench_modular_wfs.py``.
+Two callers run this dispatch, one per job.  A one-shot solve runs its
+compiled form over interned ints (:mod:`repro.kernel`); a session
+(:mod:`repro.session.incremental`) calls :func:`solve_component` over
+atom objects, for every component on its first solve and afterwards for
+each component an update forces it to re-solve.  Its solved state reads
+back as a :class:`ModularResult`.  The equality of both with the
+monolithic alternating fixpoint and with the unfounded-set
+characterisation is checked by the differential property tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ..analysis.dependency import build_atom_dependency_graph
-from ..config import (
-    DEFAULT_ENGINE,
-    DEFAULT_STRATEGY,
-    EVALUATION_ENGINES,
-    EngineConfig,
-    merge_entry_config,
-    validate_engine,
-)
+from ..config import DEFAULT_STRATEGY
 from ..datalog.atoms import Atom, Literal
-from ..datalog.grounding import GroundingLimits
 from ..datalog.rules import Program, Rule
 from ..fixpoint.interpretations import PartialInterpretation
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..resilience.budget import metered
+from .alternating import alternating_fixpoint
 from .context import GroundContext, build_context
 
 __all__ = [
-    "EVALUATION_ENGINES",
-    "DEFAULT_ENGINE",
-    "validate_engine",
     "ComponentReport",
     "ModularResult",
     "fresh_undef_atom",
     "solve_component",
-    "modular_well_founded",
-    "modular_model",
 ]
 
 #: Fallback predicate name for the designated undefined atom injected into
@@ -254,10 +242,10 @@ def solve_component(
     evaluated (everything this component's rules can reach outside itself
     must be decided or deliberately left undefined there); they are read,
     never written.  Returns the component's true set, false set and
-    :class:`ComponentReport`.  This is the unit of work shared by the batch
-    evaluator below and by the incremental maintenance of
-    :mod:`repro.session` under every engine configuration (which re-runs
-    it only for components downstream of a changed fact).
+    :class:`ComponentReport`.  This is the unit of work of the incremental
+    maintenance of :mod:`repro.session`, which runs it for every component
+    on a full solve and afterwards only for components downstream of a
+    changed fact.
     """
     # ---- singleton fast path ---------------------------------------- #
     # The vast majority of components are single atoms with no
@@ -362,126 +350,6 @@ def solve_component(
     )
 
 
-# --------------------------------------------------------------------- #
-# The component-wise evaluator
-# --------------------------------------------------------------------- #
-def modular_well_founded(
-    program: Program | GroundContext,
-    limits: GroundingLimits | None = None,
-    full_base: bool = False,
-    extra_atoms: Iterable[Atom] = (),
-    strategy: str | None = None,
-    config: Optional[EngineConfig] = None,
-    grounder: str | None = None,
-    recorder: Recorder | None = None,
-) -> ModularResult:
-    """Compute the well-founded partial model component by component.
-
-    Accepts either a :class:`~repro.datalog.rules.Program` (grounded first)
-    or a pre-built :class:`GroundContext`.  *strategy* selects the engine
-    used inside the per-component alternating fixpoints; a *config* supplies
-    ``strategy``/``limits`` together (the two spellings are exclusive).
-
-    A tracing *recorder* (see :mod:`repro.obs`) captures the evaluation's
-    phase structure: a ``condense`` span around the SCC condensation, one
-    ``component`` span per SCC (annotated with the fields of its
-    :class:`ComponentReport`), and an ``assemble`` span around the final
-    model construction, plus per-method component counters.
-    """
-    strategy, _, limits, grounder, budget = merge_entry_config(
-        config, strategy=strategy, limits=limits, grounder=grounder
-    )
-    recorder = recorder if recorder is not None else NULL_RECORDER
-    with metered(budget) as meter:
-        if isinstance(program, GroundContext):
-            context = program
-        else:
-            context = build_context(
-                program,
-                limits=limits,
-                full_base=full_base,
-                extra_atoms=extra_atoms,
-                grounder=grounder,
-                recorder=recorder,
-            )
-
-        with recorder.span("condense") as condense_span:
-            graph = build_atom_dependency_graph(context)
-            meter.check("component")
-            components = graph.condensation_order()
-            meter.check("component")
-        undef_atom = fresh_undef_atom(context.base)
-
-        rules = context.rules
-        rules_by_head: Mapping[Atom, tuple[int, ...]] = context.rules_by_head
-        facts = context.facts
-
-        true_atoms: set[Atom] = set()
-        false_atoms: set[Atom] = set()
-        reports: list[ComponentReport] = []
-
-        tracing = recorder.enabled
-        if tracing:
-            condense_span.annotate(components=len(components))
-            recorder.count("components.total", len(components))
-            # Trace path: one `components` group span holding a `component`
-            # child per SCC, so the loop's own bookkeeping is accounted to the
-            # phase rather than falling between spans.
-            with recorder.span("components"):
-                for comp_index, component in enumerate(components):
-                    meter.step("component")
-                    with recorder.span("component") as comp_span:
-                        comp_true, comp_false, report = solve_component(
-                            component,
-                            comp_index,
-                            rules,
-                            rules_by_head,
-                            facts,
-                            true_atoms,
-                            false_atoms,
-                            undef_atom,
-                            strategy,
-                            recorder=recorder,
-                        )
-                        comp_span.annotate(
-                            index=comp_index,
-                            method=report.method,
-                            size=report.size,
-                            rules=report.rules,
-                            stages=report.stages,
-                            true=report.true_count,
-                            false=report.false_count,
-                        )
-                        recorder.count(f"components.{report.method}")
-                    true_atoms.update(comp_true)
-                    false_atoms.update(comp_false)
-                    reports.append(report)
-        else:
-            for comp_index, component in enumerate(components):
-                meter.step("component")
-                comp_true, comp_false, report = solve_component(
-                    component,
-                    comp_index,
-                    rules,
-                    rules_by_head,
-                    facts,
-                    true_atoms,
-                    false_atoms,
-                    undef_atom,
-                    strategy,
-                )
-                true_atoms.update(comp_true)
-                false_atoms.update(comp_false)
-                reports.append(report)
-
-    with recorder.span("assemble") as assemble_span:
-        model = PartialInterpretation(true_atoms, false_atoms)
-        result = ModularResult(context=context, model=model, components=tuple(reports))
-    if tracing:
-        assemble_span.annotate(true=len(true_atoms), false=len(false_atoms))
-    return result
-
-
 def _solve_singleton(
     component: set[Atom],
     rules,
@@ -556,8 +424,6 @@ def _solve_alternating(
     atoms are forced into the local base via ``extra_atoms`` so that atoms
     whose rules were all killed still come out false.
     """
-    from .alternating import alternating_fixpoint  # deferred: cycle with engine dispatch
-
     needs_undef = any(marker for (_, _, _, marker) in local_rules)
     pieces: list[Rule] = [Rule(fact) for fact in local_facts]
     for head, positive, negative, marker in local_rules:
@@ -575,8 +441,3 @@ def _solve_alternating(
     comp_true = set(result.positive_fixpoint) & component
     comp_false = set(result.negative_fixpoint.atoms) & component
     return comp_true, comp_false, result.iterations
-
-
-def modular_model(program: Program | GroundContext, **kwargs) -> PartialInterpretation:
-    """Convenience wrapper returning just the well-founded partial model."""
-    return modular_well_founded(program, **kwargs).model

@@ -148,9 +148,8 @@ def well_founded_model(
     interpretations, so iterating from the empty interpretation converges;
     the stages are recorded for inspection and for the Figure 2 benchmark.
 
-    With ``engine="modular"`` the model is instead assembled component by
-    component (:func:`repro.core.modular.modular_well_founded`), and with
-    ``engine="kernel"`` by the compiled flat-array evaluator
+    With ``engine="kernel"`` the model is instead assembled component by
+    component by the compiled flat-array evaluator
     (:func:`repro.kernel.kernel_well_founded`); the resulting ``stages``
     collapse to ``(empty, model)`` since no global ``W_P`` sequence is run.
     The default monolithic iteration remains the independent unfounded-set
@@ -162,15 +161,12 @@ def well_founded_model(
     )
     recorder = recorder if recorder is not None else NULL_RECORDER
     with metered(budget) as meter:
-        if engine != "monolithic":
-            if engine == "kernel":
-                from ..kernel import kernel_well_founded as delegate
-            else:
-                from .modular import modular_well_founded as delegate
+        if engine == "kernel":
+            from ..kernel import kernel_well_founded  # deferred: import cycle
 
             # Inherits the meter ambiently — the budget governs the
             # delegated component dispatch too.
-            result = delegate(
+            result = kernel_well_founded(
                 program,
                 limits=limits,
                 full_base=full_base,

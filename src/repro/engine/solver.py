@@ -202,9 +202,10 @@ def solve_configured(
     historical ``database.attach`` path produced.
 
     *recorder* (see :mod:`repro.obs`) instruments the whole call as one
-    ``solve`` span whose children are the pipeline phases (``ground``,
-    then ``condense``/``component``/``assemble`` under the modular engine
-    or a single ``evaluate`` span otherwise); the default
+    ``solve`` span whose children are the pipeline phases (``classify``
+    under ``auto``, ``ground``, then ``compile``/``evaluate``/``assemble``
+    when the kernel evaluates the well-founded model, or a single
+    ``evaluate`` span otherwise); the default
     :class:`~repro.obs.NullRecorder` records nothing at near-zero cost.
     """
     if isinstance(program, str):

@@ -3,14 +3,16 @@
 The kernel compiles a frozen :class:`~repro.core.context.GroundContext`
 into dense integers once (:mod:`repro.kernel.intern`,
 :mod:`repro.kernel.compile`) and evaluates the well-founded model with
-counter propagation over flat arrays (:mod:`repro.kernel.eval`).  Select it
-with ``engine="kernel"`` on :class:`~repro.config.EngineConfig`,
-:func:`~repro.engine.solver.solve` or the CLI; the object-level engines
-remain the differential oracles.
+counter propagation over flat arrays (:mod:`repro.kernel.eval`).  It is
+the default engine (``engine="kernel"`` on
+:class:`~repro.config.EngineConfig`) of every one-shot well-founded
+solve; the monolithic alternating fixpoint and the ``W_P`` unfounded-set
+iteration remain the differential oracles.
 
 The kernel is a one-shot evaluator.  A :class:`~repro.session.KnowledgeBase`
-configured with it maintains its model like the modular engine does, in
-the aggregate verdict sets of :mod:`repro.session.incremental`.
+configured with it maintains its model in the aggregate verdict sets of
+:mod:`repro.session.incremental` instead, re-solving components with
+:func:`repro.core.modular.solve_component`.
 """
 
 from .compile import CompiledProgram, compile_context, get_kernel

@@ -3,7 +3,7 @@
 One ``bytearray`` truth vector (``0`` unknown, ``1`` true, ``2`` false)
 carries the entire partial model; components are solved in the compiled
 callees-first order with the same cheapest-sound-method dispatch as
-:mod:`repro.core.modular`, but over ints:
+:func:`repro.core.modular.solve_component`, but over ints:
 
 * singleton components resolve in one pass over their rules' CSR segments
   (no closure machinery, no set construction);
@@ -19,9 +19,16 @@ callees-first order with the same cheapest-sound-method dispatch as
   Unfounded atoms fall out as the complement of the final envelope, via
   the same counter decrements.
 
-The object-level modular engine stays the differential oracle: the
-Hypothesis suite asserts byte-identical models across ``kernel``,
-``modular`` and ``monolithic`` for every semantics family.
+This is the one-shot well-founded evaluator.  The Hypothesis suite
+asserts its models byte-identical to the monolithic alternating fixpoint,
+the ``W_P`` unfounded-set iteration and a session's full solve (the
+object-level :func:`~repro.core.modular.solve_component` per component).
+
+Budgets are checked once per :data:`_METER_STRIDE` components and once
+per stage of an alternating component (``meter.step("alternating")``, as
+the object-level :func:`~repro.core.alternating.alternating_fixpoint`
+does), so one large component still honours a deadline, a step cap and a
+cancel token.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from ..datalog.rules import Program
 from ..exceptions import EvaluationError
 from ..fixpoint.interpretations import PartialInterpretation
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..resilience.budget import current_meter, metered
+from ..resilience.budget import Meter, current_meter, metered
 from .compile import CompiledProgram, get_kernel
 
 __all__ = [
@@ -206,7 +213,7 @@ def evaluate_compiled(
         if has_negation:
             comp_set = set(members)
             comp_true, comp_false, stages, spent = _alternating_ints(
-                comp_set, local_rules, local_facts, tracing
+                comp_set, local_rules, local_facts, tracing, meter
             )
             decrements += spent
             method_counts[2] += 1
@@ -349,6 +356,7 @@ def _alternating_ints(
     local_rules: List[Tuple[int, List[int], List[int], bool]],
     local_facts: List[int],
     tracing: bool,
+    meter: Meter,
 ) -> Tuple[Set[int], Set[int], int, int]:
     """Per-component alternating fixpoint over int sets.
 
@@ -356,7 +364,8 @@ def _alternating_ints(
     internal negative body is entirely assumed false; undefined-marker
     rules are additionally gated on the stage parity (see the module
     docstring — this is the compiled form of the ``u ← ¬u`` construction).
-    Termination compares consecutive even (underestimate) stages.
+    Termination compares consecutive even (underestimate) stages.  Each
+    stage counts one *meter* step.
     """
     decrements = 0
     # The watch lists and counter seeds are shared across every S_P stage
@@ -417,6 +426,7 @@ def _alternating_ints(
     index = 0
     while True:
         index += 1
+        meter.step("alternating")
         if index > _MAX_STAGES:
             raise EvaluationError("kernel alternating fixpoint did not converge")
         assumed_false = comp_set - positive

@@ -7,7 +7,7 @@ exportable as JSONL traces or human-readable span-tree tables.
 
 Entry points accept ``recorder=`` throughout the stack —
 ``solve_configured``, ``build_context`` / ``stream_relevant_ground``,
-``modular_well_founded``, ``IncrementalEngine``, ``KnowledgeBase`` — and
+``kernel_well_founded``, ``IncrementalEngine``, ``KnowledgeBase`` — and
 the CLI surfaces the subsystem as ``repro profile`` and ``--trace-out``.
 """
 

@@ -5,7 +5,7 @@ Two halves:
 * :mod:`repro.resilience.budget` — the :class:`Budget` /
   :class:`CancelToken` / :class:`BudgetMeter` machinery giving every
   fixpoint phase (grounding, semi-naive rounds, alternation stages,
-  unfounded-set iterations, modular component dispatch, incremental
+  unfounded-set iterations, per-component dispatch, incremental
   refresh) a wall-clock deadline, a step cap, and cooperative
   cancellation, raising the :class:`~repro.exceptions.BudgetExceeded` /
   :class:`~repro.exceptions.Cancelled` hierarchy;

@@ -2,8 +2,8 @@
 
 The grounding layer has always honoured a wall-clock budget
 (``GroundingLimits.max_seconds``), but nothing bounded the alternating
-fixpoint, the unfounded-set iteration, the per-component modular
-dispatch, or an incremental refresh.  This module generalises that
+fixpoint, the unfounded-set iteration, the per-component dispatch, or
+an incremental refresh.  This module generalises that
 mechanism into one :class:`Budget` carried on
 :class:`~repro.config.EngineConfig`:
 

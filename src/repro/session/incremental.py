@@ -1,6 +1,6 @@
 """Incremental maintenance of the component-wise well-founded model.
 
-The component-wise evaluator of :mod:`repro.core.modular` already exploits
+Component-wise evaluation (:mod:`repro.core.modular`) already exploits
 the *relevance* of the well-founded semantics in space: an SCC of the atom
 dependency graph only ever reads the verdicts of the components below it.
 This module exploits the same structure in *time*: when the EDB changes,
@@ -187,7 +187,7 @@ class UpdateStats:
 
 
 class IncrementalEngine:
-    """Keeps the modular well-founded model warm across EDB updates.
+    """Keeps the component-wise well-founded model warm across EDB updates.
 
     The owner hands :meth:`refresh` the current EDB and the atoms whose
     fact status flipped since the last refresh; a

@@ -25,17 +25,17 @@ whole group back) and the eventual refresh covers the net delta once.
 When the (resolved) semantics gives the well-founded model of the rules —
 the well-founded family, or ``stratified``/``horn`` on rules of that
 class, whether ``auto`` picked it or the caller asked for it — and the
-engine is the modular or kernel one (the defaults), refreshes are
-*incremental*: atom-level counting and delete-and-rederive maintain the
-components of the atom dependency graph the changed facts reach, and a
-component is re-solved whole only where negation is recursive
-(:mod:`repro.session.incremental`).  Both engine settings take this one
-path and keep the model once, in the engine's aggregate verdict sets:
-the compiled kernel of :mod:`repro.kernel` is a one-shot evaluator.
-The session subscribes to its store once and hands the engine each
-refresh's net change set.  Non-ground rules are grounded incrementally too:
-each refresh grounds only the rule instances the newly asserted facts
-enable, and retracted facts keep theirs.  True and undefined atoms are
+engine is the kernel (the default), refreshes are *incremental*:
+atom-level counting and delete-and-rederive maintain the components of
+the atom dependency graph the changed facts reach, and a component is
+re-solved whole only where negation is recursive
+(:mod:`repro.session.incremental`).  The model is kept once, in the
+engine's aggregate verdict sets: the compiled kernel of
+:mod:`repro.kernel` is a one-shot evaluator.  The session subscribes to
+its store once and hands the engine each refresh's net change set.
+Non-ground rules are grounded incrementally too: each refresh grounds
+only the rule instances the newly asserted facts enable, and retracted
+facts keep theirs.  True and undefined atoms are
 always those of a from-scratch solve; :attr:`KnowledgeBase.base` is then
 an over-approximation whose extra atoms are false.  The remaining
 configurations — a semantics whose model differs from the well-founded
@@ -772,7 +772,7 @@ class KnowledgeBase:
         # Herbrand base, which no envelope tracks).
         self._incremental = (
             (semantics in _WFS_FAMILY or found in _WFS_CLASSES.get(semantics, ()))
-            and self._config.engine in ("modular", "kernel")
+            and self._config.engine != "monolithic"
             and (self._rules.is_ground or self._config.grounder == "relevant")
         )
 

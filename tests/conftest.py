@@ -1,11 +1,14 @@
-"""Shared fixtures: the paper's worked examples as ready-made programs."""
+"""Shared fixtures: the paper's worked examples as ready-made programs,
+and the session engine's full solve as a one-shot evaluator."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.datalog import parse_program
+from repro.datalog.rules import Program
 from repro.games import figure4a_edges, figure4b_edges, figure4c_edges, win_move_program
+from repro.session import IncrementalEngine
 
 
 EXAMPLE_5_1_TEXT = """
@@ -73,3 +76,21 @@ def figure4_programs():
         "b": win_move_program(figure4b_edges()),
         "c": win_move_program(figure4c_edges()),
     }
+
+
+def _session_full_solve(program):
+    """Solve *program* the way a session does on its first refresh: the
+    rules go to an :class:`IncrementalEngine`, the facts to its full
+    ``refresh``, and every component to ``solve_component``.  Returns the
+    engine's :class:`~repro.core.modular.ModularResult`."""
+    rules = Program(rule for rule in program if not rule.is_fact)
+    engine = IncrementalEngine(rules)
+    engine.refresh(frozenset(rule.head for rule in program.facts()))
+    return engine.modular_result()
+
+
+@pytest.fixture(scope="session")
+def session_full_solve():
+    """The session engine's full solve (session-scoped, so Hypothesis
+    tests may take it)."""
+    return _session_full_solve

@@ -1,16 +1,15 @@
-"""Unit tests for the component-wise well-founded evaluator."""
+"""Unit tests for component-wise well-founded evaluation.
+
+A session solves every component of its ground program with
+:func:`repro.core.modular.solve_component`; the ``session_full_solve``
+fixture (``tests/conftest.py``) runs that full solve and returns its
+:class:`~repro.core.modular.ModularResult` of per-component reports.
+"""
 
 import pytest
 
+from repro.config import DEFAULT_ENGINE, EVALUATION_ENGINES, validate_engine
 from repro.core.alternating import alternating_fixpoint
-from repro.core.context import build_context
-from repro.core.modular import (
-    DEFAULT_ENGINE,
-    EVALUATION_ENGINES,
-    modular_model,
-    modular_well_founded,
-    validate_engine,
-)
 from repro.core.wellfounded import well_founded_model
 from repro.datalog import parse_program
 from repro.datalog.atoms import Atom
@@ -18,94 +17,86 @@ from repro.exceptions import EvaluationError
 from repro.workloads import layered_program
 
 
-def _assert_same_model(program):
-    """The modular model must equal both monolithic characterisations."""
-    modular = modular_well_founded(program)
-    afp = alternating_fixpoint(program)
-    wfs = well_founded_model(program)
-    assert modular.model == afp.model == wfs.model
-    return modular
+@pytest.fixture
+def assert_same_model(session_full_solve):
+    def check(program):
+        """The session's model must equal both monolithic characterisations."""
+        modular = session_full_solve(program)
+        afp = alternating_fixpoint(program)
+        wfs = well_founded_model(program)
+        assert modular.model == afp.model == wfs.model
+        return modular
+
+    return check
 
 
 class TestModelEquality:
-    def test_win_move(self, win_move_4b):
-        modular = _assert_same_model(win_move_4b)
+    def test_win_move(self, assert_same_model, win_move_4b):
+        modular = assert_same_model(win_move_4b)
         assert not modular.is_total
 
-    def test_example_5_1(self, example_5_1):
-        _assert_same_model(example_5_1)
+    def test_example_5_1(self, assert_same_model, example_5_1):
+        assert_same_model(example_5_1)
 
-    def test_example_3_1(self, example_3_1):
-        _assert_same_model(example_3_1)
+    def test_example_3_1(self, assert_same_model, example_3_1):
+        assert_same_model(example_3_1)
 
-    def test_ntc(self, ntc_program):
-        modular = _assert_same_model(ntc_program)
+    def test_ntc(self, assert_same_model, ntc_program):
+        modular = assert_same_model(ntc_program)
         # Stratified program: nothing is left undefined anywhere.
         assert modular.is_total
 
-    def test_layered(self):
-        _assert_same_model(layered_program(3, 5))
+    def test_layered(self, assert_same_model):
+        assert_same_model(layered_program(3, 5))
 
-    def test_empty_program(self):
-        modular = modular_well_founded(parse_program(""))
+    def test_empty_program(self, session_full_solve):
+        modular = session_full_solve(parse_program(""))
         assert modular.component_count == 0
         assert modular.model.true_atoms == frozenset()
         assert modular.model.false_atoms == frozenset()
 
-    def test_facts_only(self):
-        modular = modular_well_founded(parse_program("a. b."))
+    def test_facts_only(self, session_full_solve):
+        modular = session_full_solve(parse_program("a. b."))
         assert modular.model.true_atoms == {Atom("a"), Atom("b")}
         assert modular.is_total
 
-    def test_accepts_prebuilt_context(self, win_move_4b):
-        context = build_context(win_move_4b)
-        from_context = modular_well_founded(context)
-        assert from_context.context is context
-        assert from_context.model == modular_well_founded(win_move_4b).model
-
-    def test_modular_model_wrapper(self, win_move_4b):
-        assert modular_model(win_move_4b) == alternating_fixpoint(win_move_4b).model
-
-    def test_extra_atoms_come_out_false(self):
-        extra = Atom("ghost")
-        modular = modular_well_founded(parse_program("p."), extra_atoms=[extra])
-        assert extra in modular.model.false_atoms
-
 
 class TestMethodDispatch:
-    def test_horn_component(self):
-        modular = modular_well_founded(parse_program("a. b :- a. c :- b, a."))
+    def test_horn_component(self, session_full_solve):
+        modular = session_full_solve(parse_program("a. b :- a. c :- b, a."))
         assert set(modular.method_counts()) == {"horn"}
         assert modular.is_total
 
-    def test_positive_recursion_is_one_horn_component(self):
-        modular = modular_well_founded(parse_program("p :- q. q :- p. r."))
+    def test_positive_recursion_is_one_horn_component(self, session_full_solve):
+        modular = session_full_solve(parse_program("p :- q. q :- p. r."))
         sizes = {report.size for report in modular.components}
         assert 2 in sizes  # the {p, q} loop collapses into one component
         assert set(modular.method_counts()) == {"horn"}
         assert modular.model.false_atoms >= {Atom("p"), Atom("q")}
 
-    def test_downward_negation_resolves_to_horn(self):
+    def test_downward_negation_resolves_to_horn(self, session_full_solve):
         # Negation only points at already-decided atoms below: nothing is
         # left undefined, so both components solve as Horn closures.
-        modular = modular_well_founded(parse_program("a. b :- not c. c :- not a."))
+        modular = session_full_solve(parse_program("a. b :- not c. c :- not a."))
         assert set(modular.method_counts()) == {"horn"}
         assert modular.model.true_atoms == {Atom("a"), Atom("b")}
 
-    def test_negation_through_recursion_is_alternating(self):
-        modular = modular_well_founded(parse_program("p :- not q. q :- not p."))
+    def test_negation_through_recursion_is_alternating(self, session_full_solve):
+        modular = session_full_solve(parse_program("p :- not q. q :- not p."))
         assert modular.method_counts() == {"alternating": 1}
         assert modular.model.undefined_atoms(modular.context.base) == {Atom("p"), Atom("q")}
 
-    def test_self_negation_singleton_is_alternating(self):
-        modular = modular_well_founded(parse_program("p :- not p."))
+    def test_self_negation_singleton_is_alternating(self, session_full_solve):
+        modular = session_full_solve(parse_program("p :- not p."))
         assert modular.method_counts() == {"alternating": 1}
         assert modular.undefined_atoms == {Atom("p")}
 
-    def test_literals_on_undefined_atoms_are_stratified(self):
+    def test_literals_on_undefined_atoms_are_stratified(self, session_full_solve):
         # q (positive) and r (negative) both rest on the undefined p from
         # the component below; s rests on both observers.
-        modular = modular_well_founded(parse_program("p :- not p. q :- p. r :- not p. s :- q, r."))
+        modular = session_full_solve(
+            parse_program("p :- not p. q :- p. r :- not p. s :- q, r.")
+        )
         methods = {
             next(iter(report.atoms)).predicate: report.method
             for report in modular.components
@@ -116,19 +107,19 @@ class TestMethodDispatch:
         assert methods["s"] == "stratified"
         assert modular.undefined_atoms == {Atom("p"), Atom("q"), Atom("r"), Atom("s")}
 
-    def test_killed_rule_does_not_force_alternating(self):
+    def test_killed_rule_does_not_force_alternating(self, session_full_solve):
         # The rule `p :- not q, not a` mentions q negatively inside the
         # {p, q} loop but is killed by the true atom a below; the surviving
         # residual rules are purely positive, so the component must solve
         # as one Horn closure, not a per-component alternating fixpoint.
-        modular = modular_well_founded(parse_program("a. p :- q. q :- p. p :- not q, not a."))
+        modular = session_full_solve(parse_program("a. p :- q. q :- p. p :- not q, not a."))
         loop = next(report for report in modular.components if report.size == 2)
         assert loop.method == "horn"
         assert modular.model.false_atoms == {Atom("p"), Atom("q")}
 
-    def test_layered_dispatch_counts(self):
+    def test_layered_dispatch_counts(self, session_full_solve):
         layers, size = 3, 6
-        modular = modular_well_founded(layered_program(layers, size))
+        modular = session_full_solve(layered_program(layers, size))
         counts = modular.method_counts()
         # One undefined triangle per layer...
         assert counts["alternating"] == layers
@@ -137,8 +128,8 @@ class TestMethodDispatch:
         # Everything else (chains, bridges, bases) resolves as Horn.
         assert counts["horn"] == modular.component_count - 3 * layers
 
-    def test_component_reports_are_consistent(self, example_5_1):
-        modular = modular_well_founded(example_5_1)
+    def test_component_reports_are_consistent(self, session_full_solve, example_5_1):
+        modular = session_full_solve(example_5_1)
         for report in modular.components:
             assert report.size >= 1
             assert report.true_count + report.false_count + report.undefined_count == report.size
@@ -147,15 +138,15 @@ class TestMethodDispatch:
         total = sum(report.size for report in modular.components)
         assert total == len(modular.context.base)
 
-    def test_statistics_shape(self, win_move_4b):
-        stats = modular_well_founded(win_move_4b).statistics()
+    def test_statistics_shape(self, session_full_solve, win_move_4b):
+        stats = session_full_solve(win_move_4b).statistics()
         assert stats["components"] > 0
         assert "methods" in stats and "stages" in stats
         assert stats["atoms"] == 8
 
 
 class TestUndefMarkerAtom:
-    def test_fresh_name_avoids_collision(self):
+    def test_fresh_name_avoids_collision(self, session_full_solve):
         # A program that already uses the designated predicate name: the
         # marker must pick a fresh one and the reserved-looking atom must
         # still get its ordinary verdict.
@@ -165,12 +156,12 @@ class TestUndefMarkerAtom:
         builder.proposition("_wfs_undef", "-p")
         builder.proposition("p", "-p")
         program = builder.build()
-        modular = modular_well_founded(program)
+        modular = session_full_solve(program)
         assert modular.model == alternating_fixpoint(program).model
         assert Atom("_wfs_undef") in modular.undefined_atoms
 
-    def test_marker_atom_never_leaks_into_model(self):
-        modular = modular_well_founded(parse_program("p :- not p. q :- p, not q."))
+    def test_marker_atom_never_leaks_into_model(self, session_full_solve):
+        modular = session_full_solve(parse_program("p :- not p. q :- p, not q."))
         mentioned = set(modular.model.true_atoms) | set(modular.model.false_atoms)
         assert all(not atom.predicate.startswith("_wfs_undef") for atom in mentioned)
         assert all(
@@ -190,23 +181,25 @@ class TestEngineDispatch:
 
     def test_alternating_fixpoint_engine_dispatch(self, win_move_4b):
         monolithic = alternating_fixpoint(win_move_4b, engine="monolithic")
-        modular = alternating_fixpoint(win_move_4b, engine="modular")
-        assert modular.model == monolithic.model
-        # The modular run has no global stage sequence: one synthetic row.
-        assert len(modular.stages) == 1
-        assert modular.iterations == 0
+        kernel = alternating_fixpoint(win_move_4b, engine="kernel")
+        assert kernel.model == monolithic.model
+        # The kernel run has no global stage sequence: one synthetic row.
+        assert len(kernel.stages) == 1
+        assert kernel.iterations == 0
 
     def test_well_founded_model_engine_dispatch(self, win_move_4b):
         monolithic = well_founded_model(win_move_4b, engine="monolithic")
-        modular = well_founded_model(win_move_4b, engine="modular")
-        assert modular.model == monolithic.model
-        assert modular.stages[-1] == modular.model
+        kernel = well_founded_model(win_move_4b, engine="kernel")
+        assert kernel.model == monolithic.model
+        assert kernel.stages[-1] == kernel.model
 
     def test_unknown_engine_raises(self, win_move_4b):
-        with pytest.raises(EvaluationError):
-            alternating_fixpoint(win_move_4b, engine="warp")
-        with pytest.raises(EvaluationError):
-            well_founded_model(win_move_4b, engine="warp")
+        # "modular" too: the object-level batch evaluator is gone.
+        for engine in ("warp", "modular"):
+            with pytest.raises(EvaluationError, match=f"unknown evaluation engine '{engine}'"):
+                alternating_fixpoint(win_move_4b, engine=engine)
+            with pytest.raises(EvaluationError, match=f"unknown evaluation engine '{engine}'"):
+                well_founded_model(win_move_4b, engine=engine)
 
 
 class TestKeepStages:

@@ -144,13 +144,13 @@ class TestOtherCommands:
 
 class TestEngineOption:
     def test_solve_accepts_engine(self, game_file):
-        modular = run("solve", game_file, "--engine", "modular", "--predicate", "wins")
+        kernel = run("solve", game_file, "--engine", "kernel", "--predicate", "wins")
         monolithic = run("solve", game_file, "--engine", "monolithic", "--predicate", "wins")
-        assert modular == monolithic
-        assert modular[0] == 0
+        assert kernel == monolithic
+        assert kernel[0] == 0
 
-    def test_trace_modular_prints_component_stats(self, game_file):
-        code, output = run("trace", game_file, "--engine", "modular")
+    def test_trace_kernel_prints_component_counts(self, game_file):
+        code, output = run("trace", game_file, "--engine", "kernel")
         assert code == 0
         assert "components:" in output
         assert "alternating" in output
@@ -162,7 +162,7 @@ class TestEngineOption:
         assert "S_P" in output and "components:" not in output
 
     def test_query_accepts_engine(self, game_file):
-        code, output = run("query", game_file, "wins(c)", "--engine", "modular")
+        code, output = run("query", game_file, "wins(c)", "--engine", "kernel")
         assert code == 0
         assert output.strip() == "true"
 
@@ -171,6 +171,6 @@ class TestBenchCommand:
     def test_bench_reports_engine_split(self, game_file):
         code, output = run("bench", game_file, "--repeat", "1")
         assert code == 0
-        assert "modular" in output and "monolithic" in output
+        assert "kernel vs monolithic" in output
         assert "components:" in output
         assert output.count("models agree: yes") == 2

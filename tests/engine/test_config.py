@@ -35,6 +35,13 @@ class TestValidation:
             ("semantics", "magic", EvaluationError, "unknown semantics 'magic'"),
             ("strategy", "quantum", EvaluationError, "unknown evaluation strategy 'quantum'"),
             ("engine", "hyperdrive", EvaluationError, "unknown evaluation engine 'hyperdrive'"),
+            # The object-level batch evaluator is gone; the kernel replaced it.
+            (
+                "engine",
+                "modular",
+                EvaluationError,
+                "unknown evaluation engine 'modular'; expected one of kernel, monolithic",
+            ),
             ("grounder", "psychic", GroundingError, "unknown grounder 'psychic'"),
             # The scan matcher is only relevant_ground's oracle, not a grounder.
             ("grounder", "relevant-scan", GroundingError, "unknown grounder 'relevant-scan'"),
@@ -106,8 +113,8 @@ class TestSolveIntegration:
 
     def test_entry_points_accept_config(self):
         from repro.core.alternating import alternating_fixpoint
-        from repro.core.modular import modular_well_founded
         from repro.core.wellfounded import well_founded_model
+        from repro.kernel import kernel_well_founded
         from repro.semantics.horn import horn_minimum_model
         from repro.semantics.stratified import stratified_model
 
@@ -115,11 +122,17 @@ class TestSolveIntegration:
         afp = alternating_fixpoint(self.GAME_PROGRAM(), config=config)
         wfs = well_founded_model(self.GAME_PROGRAM(), config=config)
         assert afp.model == wfs.model
-        modular = modular_well_founded(self.GAME_PROGRAM(), config=config)
-        assert modular.model == afp.model
+        kernel = kernel_well_founded(self.GAME_PROGRAM(), config=config)
+        assert kernel.model == afp.model
         horn = horn_minimum_model(self.HORN_PROGRAM(), config=config)
         stratified = stratified_model(self.HORN_PROGRAM(), config=config)
         assert horn.true_atoms == stratified.true_atoms
+
+    def test_knowledge_base_rejects_the_removed_modular_engine(self):
+        from repro.session import KnowledgeBase
+
+        with pytest.raises(EvaluationError, match="unknown evaluation engine 'modular'"):
+            KnowledgeBase(self.GAME, config=EngineConfig(engine="modular"))
 
     def test_entry_points_reject_config_plus_kwargs(self):
         from repro.core.alternating import alternating_fixpoint
@@ -169,8 +182,9 @@ class TestCliConsistency:
         assert "unknown evaluation strategy 'quantum'" in err
         assert "seminaive, naive" in err
 
-    @pytest.mark.parametrize("command", ["solve", "trace", "query", "explain"])
-    def test_unknown_engine_same_everywhere(self, game_file, command, capsys):
+    @pytest.mark.parametrize("engine", ["hyperdrive", "modular"])
+    @pytest.mark.parametrize("command", ["solve", "trace", "query", "explain", "bench"])
+    def test_unknown_engine_same_everywhere(self, game_file, command, engine, capsys):
         from repro.cli import main
 
         argv = [command, game_file]
@@ -178,11 +192,10 @@ class TestCliConsistency:
             argv.append("wins(c)")
         if command == "explain":
             argv.append("wins(c)")
-        argv += ["--engine", "hyperdrive"]
+        argv += ["--engine", engine]
         assert main(argv, out=io.StringIO()) == 2
         err = capsys.readouterr().err
-        assert "unknown evaluation engine 'hyperdrive'" in err
-        assert "modular, monolithic" in err
+        assert f"unknown evaluation engine '{engine}'; expected one of kernel, monolithic" in err
 
     def test_unknown_semantics_matches_library_message(self, game_file, capsys):
         from repro.cli import main
@@ -217,4 +230,5 @@ class TestCliConsistency:
         with pytest.raises(SystemExit):
             main(["bench", game_file, "--strategy", "naive"], out=io.StringIO())
         with pytest.raises(SystemExit):
-            main(["stable", game_file, "--engine", "modular"], out=io.StringIO())
+            main(["stable", game_file, "--engine", "kernel"], out=io.StringIO())
+

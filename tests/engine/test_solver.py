@@ -130,17 +130,17 @@ class TestEngineSelection:
 
     def test_engines_agree_on_wfs_semantics(self):
         for semantics in ("alternating-fixpoint", "well-founded"):
-            modular = solve(self.GAME, semantics, config=EngineConfig(engine="modular"))
+            kernel = solve(self.GAME, semantics, config=EngineConfig(engine="kernel"))
             monolithic = solve(self.GAME, semantics, config=EngineConfig(engine="monolithic"))
-            assert modular.interpretation == monolithic.interpretation
-            assert modular.engine == "modular"
+            assert kernel.interpretation == monolithic.interpretation
+            assert kernel.engine == "kernel"
             assert monolithic.engine == "monolithic"
 
-    def test_default_engine_is_modular(self):
+    def test_default_engine_is_kernel(self):
         from repro.engine.solver import DEFAULT_ENGINE
 
-        assert DEFAULT_ENGINE == "modular"
-        assert solve(self.GAME).engine == "modular"
+        assert DEFAULT_ENGINE == "kernel"
+        assert solve(self.GAME).engine == "kernel"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(EvaluationError):
@@ -149,4 +149,4 @@ class TestEngineSelection:
     def test_engine_constant_exported(self):
         from repro.engine.solver import EVALUATION_ENGINES
 
-        assert set(EVALUATION_ENGINES) == {"modular", "monolithic", "kernel"}
+        assert EVALUATION_ENGINES == ("kernel", "monolithic")

@@ -1,8 +1,9 @@
 """Unit tests for flat-array kernel evaluation."""
 
+from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.datalog import parse_atom, parse_program
-from repro.datalog.atoms import atom
+from repro.datalog.atoms import Atom, atom
 from repro.games.winmove import figure4a_edges, solve_game, win_move_program
 from repro.kernel import (
     compile_context,
@@ -93,3 +94,19 @@ class TestKernelResult:
         assert totals["components.alternating"] == 1
         assert "kernel.stages" in totals
         assert "kernel.decrements" in totals
+
+
+class TestEntryPoint:
+    def test_accepts_prebuilt_context(self, win_move_4b):
+        context = build_context(win_move_4b)
+        from_context = kernel_well_founded(context)
+        assert from_context.context is context
+        assert from_context.model == kernel_well_founded(win_move_4b).model
+
+    def test_kernel_model_wrapper(self, win_move_4b):
+        assert kernel_model(win_move_4b) == alternating_fixpoint(win_move_4b).model
+
+    def test_extra_atoms_come_out_false(self):
+        extra = Atom("ghost")
+        result = kernel_well_founded(parse_program("p."), extra_atoms=[extra])
+        assert extra in result.model.false_atoms

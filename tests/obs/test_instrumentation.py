@@ -12,8 +12,6 @@ the grounding/alternation/storage counters.
 import pytest
 
 from repro.config import EngineConfig
-from repro.core.modular import modular_well_founded
-from repro.datalog import parse_program
 from repro.engine.solver import solve
 from repro.obs import NullRecorder, TraceRecorder
 from repro.reporting import render_model
@@ -52,7 +50,7 @@ class TestNullRecorderIsInvisible:
 
 
 class TestSolvePhaseTree:
-    def test_modular_solve_phases_and_counters(self):
+    def test_kernel_solve_phases_and_counters(self):
         recorder = TraceRecorder()
         program = layered_program(2, 5)
         solve(program, config=EngineConfig(semantics="well-founded"), recorder=recorder)
@@ -60,15 +58,16 @@ class TestSolvePhaseTree:
         root = recorder.find("solve")
         assert root is not None
         children = [span.name for span in root.children]
-        for phase in ("ground", "condense", "components", "assemble"):
-            assert phase in children
-        components = root.children[children.index("components")]
-        assert components.children, "per-component spans expected"
-        assert all(span.name == "component" for span in components.children)
+        assert children == ["ground", "compile", "evaluate", "assemble"]
+        evaluate = root.children[children.index("evaluate")]
+        assert evaluate.attributes["method"] == "kernel"
 
         totals = recorder.counter_totals()
         assert totals["ground.rules"] > 0
-        assert totals["components.total"] == len(components.children)
+        assert totals["kernel.atoms"] > 0
+        assert totals["components.total"] == evaluate.attributes["components"]
+        # One undefined triangle per layer.
+        assert totals["components.alternating"] == 2
         # Every counter in the vocabulary is a non-negative tally.
         assert all(value >= 0 for value in totals.values())
 
@@ -81,11 +80,13 @@ class TestSolvePhaseTree:
 
     def test_alternating_counters_on_cyclic_program(self):
         recorder = TraceRecorder()
-        result = modular_well_founded(parse_program(WIN_MOVE), recorder=recorder)
-        assert result.model.undefined_atoms  # a/b draw each other
+        solution = solve(WIN_MOVE, recorder=recorder)
+        # wins(a) and wins(b) read each other negatively: one alternating
+        # component, which b's escape to c decides.
+        assert solution.is_true("wins", "b") and solution.is_false("wins", "a")
         totals = recorder.counter_totals()
         assert totals.get("components.alternating", 0) >= 1
-        assert totals.get("alternating.stages", 0) >= 1
+        assert totals.get("kernel.stages", 0) >= 1
 
 
 #: Ground rules, so the session qualifies for incremental maintenance.

@@ -14,9 +14,8 @@ The churn mixes single operations, batches, rolled-back batches and
 refreshes that fail (a step budget that trips, an injected fault in the
 maintenance pass) and are retried.  Non-ground sessions fold new rule
 instances in, merge components when a cycle closes (the carry-over path)
-and cross the re-grounding threshold (``garbage_dominates``).  Every
-combination of memory and SQLite store with the modular and kernel
-engines is covered.
+and cross the re-grounding threshold (``garbage_dominates``).  Both the
+memory and the SQLite store are covered.
 
 The oracle's program is built from the rules and the store's facts, never
 from the published view.
@@ -173,35 +172,33 @@ def _store(kind: str):
     return MemoryStore() if kind == "memory" else SqliteStore(":memory:")
 
 
-_combinations = pytest.mark.parametrize(
-    "engine, store", [(e, s) for e in ("modular", "kernel") for s in ("memory", "sqlite")]
-)
+_stores = pytest.mark.parametrize("store", ["memory", "sqlite"])
+
+WFS = EngineConfig(semantics="well-founded")
 
 
 class TestRetainedSnapshots:
-    @_combinations
+    @_stores
     @given(
         initial=st.sets(st.sampled_from(_MOVES), max_size=6),
         steps=_steps(_MOVES),
         sweep_at=st.integers(min_value=0, max_value=9),
     )
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_non_ground_rules(self, engine, store, initial, steps, sweep_at):
-        config = EngineConfig(semantics="well-founded", engine=engine)
-        with KnowledgeBase(NON_GROUND, facts=initial, store=_store(store), config=config) as kb:
+    def test_non_ground_rules(self, store, initial, steps, sweep_at):
+        with KnowledgeBase(NON_GROUND, facts=initial, store=_store(store), config=WFS) as kb:
             assert kb.is_incremental
             retained = _run(kb, steps, sweep_at=min(sweep_at, len(steps) - 1))
             for snapshot, program in retained:
-                _check(snapshot, program, config, ground=False)
+                _check(snapshot, program, WFS, ground=False)
 
-    @_combinations
+    @_stores
     @given(seed=st.integers(min_value=0, max_value=40), steps=_steps(_PROPOSITIONS))
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_ground_rules(self, engine, store, seed, steps):
-        config = EngineConfig(semantics="well-founded", engine=engine)
+    def test_ground_rules(self, store, seed, steps):
         program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
-        with KnowledgeBase(program, store=_store(store), config=config) as kb:
+        with KnowledgeBase(program, store=_store(store), config=WFS) as kb:
             assert kb.is_incremental
             retained = _run(kb, steps)
             for snapshot, epoch_program in retained:
-                _check(snapshot, epoch_program, config, ground=True)
+                _check(snapshot, epoch_program, WFS, ground=True)

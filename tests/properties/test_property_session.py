@@ -2,8 +2,8 @@
 
 Random assert/retract sequences against a :class:`KnowledgeBase` must
 yield, after *every* step, a model byte-identical to solving the current
-program from scratch — across the modular (incremental) and monolithic
-(full re-solve) engines.  This is the end-to-end soundness contract of
+program from scratch — across the kernel (incremental) and monolithic
+(full re-solve) engine configurations.  This is the end-to-end soundness contract of
 :mod:`repro.session.incremental`: component-level invalidation, floating
 facts, batch cancellation and base bookkeeping all have to agree with the
 one-shot pipeline exactly.
@@ -69,10 +69,10 @@ _operations = st.lists(
 class TestRandomPropositional:
     @given(seed=st.integers(min_value=0, max_value=40), operations=_operations)
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_modular_engine_matches_scratch(self, seed, operations):
+    def test_kernel_engine_matches_scratch(self, seed, operations):
         program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
         kb = KnowledgeBase(
-            program, config=EngineConfig(semantics="well-founded", engine="modular")
+            program, config=EngineConfig(semantics="well-founded", engine="kernel")
         )
         assert kb.is_incremental
         _apply_and_check(kb, operations)
@@ -91,19 +91,19 @@ class TestRandomPropositional:
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_engines_agree_with_each_other(self, seed, operations):
         program = random_propositional_program(atoms=ATOM_POOL, rules=18, seed=seed)
-        modular = KnowledgeBase(
-            program, config=EngineConfig(semantics="well-founded", engine="modular")
+        kernel = KnowledgeBase(
+            program, config=EngineConfig(semantics="well-founded", engine="kernel")
         )
         monolithic = KnowledgeBase(
             program, config=EngineConfig(semantics="well-founded", engine="monolithic")
         )
         for insert, atom in operations:
-            for kb in (modular, monolithic):
+            for kb in (kernel, monolithic):
                 if insert:
                     kb.assert_fact(atom)
                 else:
                     kb.retract_fact(atom)
-            assert _model_bytes(modular.solution) == _model_bytes(monolithic.solution)
+            assert _model_bytes(kernel.solution) == _model_bytes(monolithic.solution)
 
     @given(seed=st.integers(min_value=0, max_value=15), operations=_operations)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,13 +3,14 @@
 The contract under test (repro.resilience.budget): a Budget carried on
 EngineConfig aborts the evaluation from whichever phase is running when a
 limit trips — grounding, semi-naive propagation, alternation stages,
-unfounded-set iterations, per-component modular dispatch, incremental
-refresh — raising the BudgetExceeded / Cancelled hierarchy with the
+unfounded-set iterations, per-component dispatch and the stages of one
+alternating component, incremental refresh — raising the BudgetExceeded / Cancelled hierarchy with the
 tripping phase attached, and leaving the session recoverable.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -21,10 +22,10 @@ from repro import (
     EngineConfig,
     KnowledgeBase,
     alternating_fixpoint,
-    modular_well_founded,
     solve,
     well_founded_model,
 )
+from repro.core.context import build_context
 from repro.datalog import parse_program
 from repro.exceptions import (
     BudgetError,
@@ -35,6 +36,8 @@ from repro.exceptions import (
     GroundingTimeout,
     ReproError,
 )
+from repro.games import win_move_program
+from repro.kernel import kernel_well_founded
 from repro.obs import TraceRecorder
 from repro.resilience import metered
 from repro.workloads.generators import layered_program, transitive_closure_program
@@ -142,14 +145,18 @@ class TestPhaseAborts:
             well_founded_model(win_move_4b, config=config)
         assert excinfo.value.phase in ("unfounded", "alternating")
 
-    def test_component_phase_step_budget(self, win_move_4b):
-        config = EngineConfig(engine="modular", budget=Budget(max_steps=1))
+    def test_component_phase_step_budget(self):
+        # A 200-atom Horn chain is 200 components: the kernel counts one
+        # step per 128 of them, and no alternation steps.
+        chain = "a0. " + " ".join(f"a{i + 1} :- a{i}." for i in range(199))
+        config = EngineConfig(budget=Budget(max_steps=1))
         with pytest.raises(BudgetExceeded) as excinfo:
-            modular_well_founded(win_move_4b, config=config)
+            kernel_well_founded(parse_program(chain), config=config)
         assert excinfo.value.phase == "component"
+        assert excinfo.value.steps == 2
 
     def test_refresh_phase_step_budget(self):
-        # Ground definite rules + modular engine → the incremental path,
+        # Ground definite rules + the default engine → the incremental path,
         # whose per-component units are metered as "refresh" steps; the
         # singleton components themselves add no alternation steps, so the
         # step that crosses the limit is a refresh unit.
@@ -230,6 +237,55 @@ class TestDeadline:
         solution = solve(win_move_4b, config=config)
         baseline = solve(win_move_4b)
         assert solution.interpretation == baseline.interpretation
+
+
+# --------------------------------------------------------------------- #
+# One large component: the budget is consulted between its stages
+# --------------------------------------------------------------------- #
+def _single_component_game(rungs: int = 800):
+    """A win–move game whose ``wins`` atoms form one alternating
+    component: moves ``a_i → a_{i+1}``, ``a_i → t``, ``t → s``,
+    ``t → a_0`` and ``a_rungs → s``.  With 800 rungs the kernel runs
+    2,407 stages inside it, after 1,605 one-atom components."""
+    edges = [(f"a{i}", f"a{i + 1}") for i in range(rungs)]
+    edges += [(f"a{i}", "t") for i in range(rungs + 1)]
+    edges += [("t", "s"), ("t", "a0"), (f"a{rungs}", "s")]
+    return win_move_program(edges)
+
+
+@pytest.fixture(scope="module")
+def single_component_game():
+    return _single_component_game()
+
+
+class TestSingleComponentBudget:
+    def test_step_cap_trips_inside_the_component(self, single_component_game):
+        # 13 strided component steps, then one step per alternating stage.
+        config = EngineConfig(budget=Budget(max_steps=50))
+        with pytest.raises(BudgetExceeded) as excinfo:
+            solve(single_component_game, config=config)
+        assert excinfo.value.phase == "alternating"
+        assert excinfo.value.steps == 51
+
+    def test_deadline_trips_inside_the_component(self, single_component_game):
+        # Compile once (the IR is cached on the context), then give the
+        # evaluation a quarter of its unbudgeted time.  Collecting first
+        # keeps a full collection of the rest of the suite's garbage out
+        # of the abort latency being measured.
+        context = build_context(single_component_game)
+        kernel_well_founded(context)
+        start = time.monotonic()
+        kernel_well_founded(context)
+        baseline = time.monotonic() - start
+        deadline = max(baseline / 4, 0.05)
+        config = EngineConfig(budget=Budget(max_seconds=deadline))
+        gc.collect()
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as excinfo:
+            kernel_well_founded(context, config=config)
+        elapsed = time.monotonic() - start
+        assert elapsed < 2 * deadline, (elapsed, deadline)
+        assert excinfo.value.phase == "alternating"
 
 
 # --------------------------------------------------------------------- #

@@ -45,16 +45,15 @@ def _visible(entry):
     return entry.true_atoms, entry.undefined_atoms, entry.facts
 
 
-@pytest.mark.parametrize("engine", ["modular", "kernel"])
 @pytest.mark.parametrize("ground", [False, True], ids=["non-ground", "ground"])
-def test_one_flip_shares_every_unflipped_predicate(engine, ground):
+def test_one_flip_shares_every_unflipped_predicate(ground):
     rules = RULES
     if ground:
         # Ground over the facts as they are after the flip below, so the
         # ground rules already cover it.
         grown = {**FACTS, "move": FACTS["move"] + [("c", "d")]}
         rules = _ground(RULES, grown)
-    kb = KnowledgeBase(rules, facts=FACTS, config=EngineConfig(engine=engine))
+    kb = KnowledgeBase(rules, facts=FACTS)
     before = _entries(kb.solution.view)
     kb.assert_fact("move", "c", "d")
     after = _entries(kb.solution.view)

@@ -128,12 +128,11 @@ class TestBatch:
         assert kb.solution is solution  # net delta empty: same snapshot
         assert kb._update_count == refreshes
 
-    @pytest.mark.parametrize("engine", ["modular", "kernel"])
-    def test_replayed_same_direction_event_still_refreshes(self, engine):
+    def test_replayed_same_direction_event_still_refreshes(self):
         # A listener replay (or a rollback's inverse replay) can deliver
         # the same direction twice; the duplicate must not cancel the
         # change, so the next read still refreshes.
-        kb = KnowledgeBase(GAME_TEXT, config=EngineConfig(engine=engine))
+        kb = KnowledgeBase(GAME_TEXT)
         solution = kb.solution
         atom = parse_atom("move(d, e)")
         kb.store.add_atom(atom)

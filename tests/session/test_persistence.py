@@ -138,9 +138,8 @@ class TestStoreEvents:
         assert kb.last_update.mode == "delta"
         assert not kb._changed
 
-    @pytest.mark.parametrize("engine", ["modular", "kernel"])
-    def test_a_session_listens_to_its_store_once(self, engine):
-        kb = KnowledgeBase(GAME, facts=MOVES, config=EngineConfig(engine=engine))
+    def test_a_session_listens_to_its_store_once(self):
+        kb = KnowledgeBase(GAME, facts=MOVES)
         kb.solution
         assert kb.is_incremental
         assert kb.store._listeners == [kb._on_store_change]
