@@ -23,9 +23,9 @@
 * ``compare FILE``    — show per-atom verdicts under every semantics;
 * ``bench FILE``      — time the grounding phase (indexed hash-join
   grounder versus the scan oracle, for non-ground programs), the naive
-  versus semi-naive evaluation strategies, and the compiled kernel versus
-  the monolithic well-founded engine on the program, with the kernel's
-  per-method component counts;
+  versus semi-naive evaluation strategies on the monolithic engine, and
+  the compiled kernel versus the monolithic well-founded engine on the
+  program, with the kernel's per-method component counts;
 * ``profile [FILE]``  — run one traced solve (``repro.obs``) and print
   the hierarchical span tree, counter totals and phase coverage; with
   ``--workload layered:12x200`` a generated workload replaces the file.
@@ -129,8 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "--strategy",
                 default=DEFAULT_STRATEGY,
                 metavar="NAME",
-                help=f"fixpoint evaluation strategy: {', '.join(EVALUATION_STRATEGIES)} "
-                f"(default: {DEFAULT_STRATEGY})",
+                help=f"S_P evaluation scheme of the object-level evaluators (monolithic "
+                f"AFP, W_P, horn, stratified, stable): {', '.join(EVALUATION_STRATEGIES)} "
+                f"(default: {DEFAULT_STRATEGY}); the kernel and sessions have one "
+                "counter-driven scheme",
             )
         if engine:
             sub.add_argument(
@@ -208,14 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="time grounding, strategies and the kernel vs monolithic engines on the program",
     )
     add_program_arguments(bench_parser)
-    # bench sweeps both strategies and both grounding matchers itself, so
-    # only the engine of the strategy phase is selectable: naive vs
-    # semi-naive S_P evaluation is only exercised by the monolithic engine
-    # (the kernel has one counter-driven scheme); the engine phase below
-    # always compares both engines regardless.
-    add_config_arguments(
-        bench_parser, strategy=False, grounder=False, engine_default="monolithic"
-    )
+    # bench sweeps both strategies, both grounding matchers and both
+    # engines itself, so none of them is an option: naive vs semi-naive
+    # S_P evaluation runs on the monolithic engine (the kernel has one
+    # counter-driven scheme), and the engine phase times both engines.
+    add_config_arguments(bench_parser, strategy=False, engine=False, grounder=False)
     bench_parser.add_argument(
         "--repeat", type=int, default=3, help="timing repetitions per strategy (best is kept)"
     )
@@ -560,14 +559,14 @@ def _cmd_bench(arguments, out) -> int:
             best = float("inf")
             for _ in range(repeat):
                 start = time.perf_counter()
-                result = alternating_fixpoint(context, strategy=strategy, engine=config.engine)
+                result = alternating_fixpoint(context, strategy=strategy, engine="monolithic")
                 best = min(best, time.perf_counter() - start)
             timings[strategy] = best
             results[strategy] = (result.true_atoms(), result.false_atoms())
 
         agree = len(set(results.values())) == 1
         stats = context.statistics()
-        print(f"evaluation phase (alternating fixpoint, {config.engine} engine):", file=out)
+        print("evaluation phase (alternating fixpoint, monolithic engine):", file=out)
         print(
             f"program: {stats['ground_rules']} ground rules, {stats['facts']} facts, "
             f"{stats['atoms']} atoms",

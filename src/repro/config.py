@@ -139,7 +139,11 @@ class EngineConfig:
         One of :data:`SUPPORTED_SEMANTICS`; ``"auto"`` (default) resolves
         to the cheapest semantics agreeing with the well-founded model.
     strategy:
-        Fixpoint evaluation strategy, one of :data:`EVALUATION_STRATEGIES`.
+        ``S_P`` evaluation scheme, one of :data:`EVALUATION_STRATEGIES`.
+        It applies to the object-level evaluators only: the monolithic
+        alternating fixpoint, the ``W_P`` iteration and the Horn,
+        stratified and stable evaluators.  The compiled kernel and
+        sessions have one counter-driven scheme.
     engine:
         Well-founded evaluation engine, one of :data:`EVALUATION_ENGINES`.
         Only consulted by the well-founded / alternating-fixpoint semantics.

@@ -190,6 +190,8 @@ def alternating_fixpoint(
     the fixpoint, since no global ``Ĩ_k`` sequence exists.  The models are
     identical (Theorem 7.8 plus the splitting property of the well-founded
     semantics); the monolithic engine remains the differential oracle.
+    The kernel has one counter-driven scheme, so *strategy* only applies
+    to the monolithic engine.
 
     A *config* supplies ``strategy``/``engine``/``limits`` together; the
     per-field keywords are then rejected (except ``limits``, which may
@@ -211,7 +213,6 @@ def alternating_fixpoint(
                 limits=limits,
                 full_base=full_base,
                 extra_atoms=extra_atoms,
-                strategy=strategy,
                 grounder=grounder,
                 recorder=recorder,
             )

@@ -12,62 +12,72 @@ components of the atom dependency graph
 callees first, each solved component's true/false atoms frozen as fixed
 context for the components above it.
 
-:func:`solve_component` solves one component against that context,
-dispatching to the cheapest sound method:
+:func:`solve_component` solves one component against that context.  It
+first evaluates the component's rules partially against the verdicts
+below: a satisfied body literal is dropped, a falsified one kills the
+rule, and one resting on an atom left *undefined* below leaves an
+*undefined marker* on the rule.  The residual rules go to the cheapest
+sound method:
 
-* ``"horn"`` — no negation left after partial evaluation against the
-  solved context: one semi-naive counter closure; underivable atoms of
-  the component are false;
-* ``"stratified"`` — negation only points *downward* (the component is
-  locally stratified within itself) but some body literal rests on an
-  atom left *undefined* below: two counter closures — the definite
-  closure gives the true atoms, the closure that also fires through the
-  undefined literals gives the envelope of possibly-true atoms; atoms
-  outside the envelope are false, inside-but-underived undefined;
+* ``"horn"`` — no negation left and no marker: one semi-naive counter
+  closure (:func:`residual_closure`); underivable atoms of the component
+  are false;
+* ``"stratified"`` — no negation left inside the component, but some
+  marker: two counter closures — the definite closure gives the true
+  atoms, the closure that also fires the marker rules gives the envelope
+  of possibly-true atoms; atoms outside the envelope are false,
+  inside-but-underived undefined;
 * ``"alternating"`` — negation through recursion inside the component:
-  the full alternating fixpoint, run over just this component's rules
-  with a component-local base.  Undefined literals from below are
-  replaced by one designated undefined atom (defined by the canonical
-  ``u ← ¬u`` rule), which is exactly the three-valued partial
-  evaluation of the splitting property of the well-founded semantics.
-  The local :class:`~repro.core.context.GroundContext` caches its
-  :class:`~repro.evaluation.indexes.RuleIndex`, so all of the
-  component's ``S_P`` stages share one index build.
+  the alternating fixpoint of the residual rules alone
+  (:func:`residual_alternating`).  Its even stages underestimate and its
+  odd stages overestimate the negative conclusions, so a marker rule
+  fires in odd stages only: the undefined literal behind the marker is
+  false in every underestimate and true in every overestimate.  These
+  stage-parity markers are the three-valued partial evaluation of the
+  splitting property of the well-founded semantics, with no extra atom
+  and no component-local grounding.
 
-Two callers run this dispatch, one per job.  A one-shot solve runs its
-compiled form over interned ints (:mod:`repro.kernel`); a session
-(:mod:`repro.session.incremental`) calls :func:`solve_component` over
-atom objects, for every component on its first solve and afterwards for
-each component an update forces it to re-solve.  Its solved state reads
-back as a :class:`ModularResult`.  The equality of both with the
-monolithic alternating fixpoint and with the unfounded-set
-characterisation is checked by the differential property tests.
+Two callers run this dispatch, one per job, over the same two residual
+solvers, which are generic over hashable atom keys.  A one-shot solve
+runs its compiled form over interned ints (:mod:`repro.kernel`); a
+session (:mod:`repro.session.incremental`) calls :func:`solve_component`
+over atom objects, for every component on its first solve and afterwards
+for each component an update forces it to re-solve.  Partial evaluation
+and the singleton fast path are written once per representation (verdict
+sets here, a truth vector and CSR arrays in the kernel).  A session's
+solved state reads back as a :class:`ModularResult`.  The equality of
+both callers with the monolithic alternating fixpoint and with the
+unfounded-set characterisation is checked by the differential property
+tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Collection, Hashable, Iterable, Mapping, Sequence, TypeVar
 
-from ..config import DEFAULT_STRATEGY
-from ..datalog.atoms import Atom, Literal
-from ..datalog.rules import Program, Rule
+from ..datalog.atoms import Atom
+from ..exceptions import EvaluationError
 from ..fixpoint.interpretations import PartialInterpretation
 from ..obs.recorder import NULL_RECORDER, Recorder
-from .alternating import alternating_fixpoint
-from .context import GroundContext, build_context
+from ..resilience.budget import Meter, current_meter
+from .context import GroundContext
 
 __all__ = [
     "ComponentReport",
     "ModularResult",
-    "fresh_undef_atom",
+    "residual_alternating",
+    "residual_closure",
     "solve_component",
 ]
 
-#: Fallback predicate name for the designated undefined atom injected into
-#: component-local programs (suffixed until fresh if a program really uses
-#: the name).
-_UNDEF_PREDICATE = "_wfs_undef"
+_MAX_STAGES = 10_000_000
+
+K = TypeVar("K", bound=Hashable)
+
+#: One residual rule of a component: its head, its positive and negative
+#: body atoms inside the component, and its undefined marker.
+ResidualRule = tuple[K, Sequence[K], Sequence[K], bool]
 
 
 @dataclass(frozen=True)
@@ -147,92 +157,14 @@ class ModularResult:
         }
 
 
-# --------------------------------------------------------------------- #
-# Component-local closures (horn / stratified methods)
-# --------------------------------------------------------------------- #
-def _component_closure(
-    local_rules: list[tuple[Atom, tuple[Atom, ...], tuple[Atom, ...], bool]],
-    seed: Iterable[Atom],
-    fire_markers: bool,
-    recorder: Recorder = NULL_RECORDER,
-) -> set[Atom]:
-    """Least set containing *seed* closed under the definite local rules,
-    by counter propagation (Dowling–Gallier, mirroring
-    :mod:`repro.evaluation.seminaive` on the component-local rule list).
-
-    Rules carrying an undefined-marker only participate when *fire_markers*
-    is set (the envelope closure of the stratified method).  Rules with
-    internal negation never reach here — the dispatcher sends those
-    components to the alternating method.
-    """
-    heads: list[Atom] = []
-    counters: list[int] = []
-    watchers: dict[Atom, list[int]] = {}
-    zero_rules: list[Atom] = []
-
-    for head, positive, _negative, marker in local_rules:
-        if marker and not fire_markers:
-            continue
-        distinct = set(positive)
-        rule_id = len(heads)
-        heads.append(head)
-        counters.append(len(distinct))
-        if not distinct:
-            zero_rules.append(head)
-        else:
-            for atom in distinct:
-                watchers.setdefault(atom, []).append(rule_id)
-
-    derived: set[Atom] = set()
-    frontier: list[Atom] = []
-    for atom in seed:
-        if atom not in derived:
-            derived.add(atom)
-            frontier.append(atom)
-    for head in zero_rules:
-        if head not in derived:
-            derived.add(head)
-            frontier.append(head)
-
-    while frontier:
-        atom = frontier.pop()
-        for rule_id in watchers.get(atom, ()):
-            counters[rule_id] -= 1
-            if counters[rule_id] == 0:
-                head = heads[rule_id]
-                if head not in derived:
-                    derived.add(head)
-                    frontier.append(head)
-    if recorder.enabled:
-        # Every derived atom is popped from the frontier exactly once and
-        # decrements each rule watching it, so the Dowling–Gallier work is
-        # reconstructible after the fact — the hot loop stays untouched.
-        recorder.count(
-            "dg.decrements",
-            sum(len(watchers.get(atom, ())) for atom in derived),
-        )
-    return derived
-
-
-def fresh_undef_atom(base: Iterable[Atom]) -> Atom:
-    """A zero-arity atom whose predicate name clashes with nothing in *base*."""
-    name = _UNDEF_PREDICATE
-    taken = {atom.predicate for atom in base}
-    while name in taken:
-        name += "_"
-    return Atom(name, ())
-
-
 def solve_component(
     component: set[Atom],
     comp_index: int,
     rules: Sequence,
     rules_by_head: Mapping[Atom, tuple[int, ...]],
-    facts: frozenset[Atom],
+    facts: AbstractSet[Atom],
     true_atoms: set[Atom],
     false_atoms: set[Atom],
-    undef_atom: Atom,
-    strategy: str = DEFAULT_STRATEGY,
     *,
     recorder: Recorder = NULL_RECORDER,
 ) -> tuple[set[Atom], set[Atom], ComponentReport]:
@@ -245,7 +177,8 @@ def solve_component(
     :class:`ComponentReport`.  This is the unit of work of the incremental
     maintenance of :mod:`repro.session`, which runs it for every component
     on a full solve and afterwards only for components downstream of a
-    changed fact.
+    changed fact.  Budgets are checked once per stage of an alternating
+    component, against the ambient meter.
     """
     # ---- singleton fast path ---------------------------------------- #
     # The vast majority of components are single atoms with no
@@ -270,8 +203,9 @@ def solve_component(
             )
 
     # ---- partial evaluation against the solved context --------------- #
-    local_rules: list[tuple[Atom, tuple[Atom, ...], tuple[Atom, ...], bool]] = []
+    local_rules: list[ResidualRule[Atom]] = []
     has_internal_negation = False
+    any_marker = False
     for head in component:
         for rule_id in rules_by_head.get(head, ()):
             rule = rules[rule_id]
@@ -304,29 +238,27 @@ def solve_component(
                 continue
             if negative_internal:
                 has_internal_negation = True
-            local_rules.append(
-                (head, tuple(positive_internal), tuple(negative_internal), marker)
-            )
+            if marker:
+                any_marker = True
+            local_rules.append((head, positive_internal, negative_internal, marker))
 
     local_facts = component & facts
 
     # ---- cheapest-sound-method dispatch ------------------------------ #
+    tracing = recorder.enabled
     if has_internal_negation:
         method = "alternating"
-        comp_true, comp_false, stages = _solve_alternating(
-            component, local_rules, local_facts, undef_atom, strategy
+        comp_true, comp_false, stages, spent = residual_alternating(
+            component, local_rules, local_facts, current_meter(), tracing
         )
-        if recorder.enabled:
+        if tracing:
             recorder.count("alternating.stages", stages)
     else:
-        definite = _component_closure(
-            local_rules, local_facts, fire_markers=False, recorder=recorder
-        )
-        if any(marker for (_, _, _, marker) in local_rules):
+        definite, spent = residual_closure(local_rules, local_facts, False, tracing)
+        if any_marker:
             method = "stratified"
-            envelope = _component_closure(
-                local_rules, local_facts, fire_markers=True, recorder=recorder
-            )
+            envelope, more = residual_closure(local_rules, local_facts, True, tracing)
+            spent += more
             stages = 2
         else:
             method = "horn"
@@ -334,6 +266,8 @@ def solve_component(
             stages = 1
         comp_true = definite
         comp_false = component - envelope
+    if tracing:
+        recorder.count("dg.decrements", spent)
 
     return (
         comp_true,
@@ -354,7 +288,7 @@ def _solve_singleton(
     component: set[Atom],
     rules,
     rules_by_head,
-    facts: frozenset[Atom],
+    facts: AbstractSet[Atom],
     true_atoms: set[Atom],
     false_atoms: set[Atom],
 ):
@@ -410,34 +344,143 @@ def _solve_singleton(
     return set(), {head}, method, rule_count, stages
 
 
-def _solve_alternating(
-    component: set[Atom],
-    local_rules: list[tuple[Atom, tuple[Atom, ...], tuple[Atom, ...], bool]],
-    local_facts: set[Atom],
-    undef_atom: Atom,
-    strategy: str,
-) -> tuple[set[Atom], set[Atom], int]:
-    """Run the full alternating fixpoint on one component's residual rules.
+# --------------------------------------------------------------------- #
+# The residual solvers, shared with the compiled kernel
+# --------------------------------------------------------------------- #
+def residual_closure(
+    local_rules: Sequence[ResidualRule[K]],
+    seed: Iterable[K],
+    fire_markers: bool,
+    tracing: bool = False,
+) -> tuple[set[K], int]:
+    """Least set containing *seed* closed under one component's residual
+    definite rules, by Dowling–Gallier counter propagation.
 
-    Undefined-marker literals become positive occurrences of *undef_atom*,
-    which is made undefined by the canonical ``u ← ¬u`` rule; the component
-    atoms are forced into the local base via ``extra_atoms`` so that atoms
-    whose rules were all killed still come out false.
+    Marker rules take part only when *fire_markers* is set (the envelope
+    closure of the stratified method).  Rules with internal negation never
+    reach here: the dispatch sends those components to
+    :func:`residual_alternating`.  Returns the derived set and, when
+    *tracing*, the number of counter decrements (else 0).
     """
-    needs_undef = any(marker for (_, _, _, marker) in local_rules)
-    pieces: list[Rule] = [Rule(fact) for fact in local_facts]
-    for head, positive, negative, marker in local_rules:
-        body = [Literal(atom, positive=True) for atom in positive]
-        body.extend(Literal(atom, positive=False) for atom in negative)
-        if marker:
-            body.append(Literal(undef_atom, positive=True))
-        pieces.append(Rule(head, tuple(body)))
-    if needs_undef:
-        pieces.append(Rule(undef_atom, (Literal(undef_atom, positive=False),)))
+    rule_heads: list[K] = []
+    counters: list[int] = []
+    watchers: dict[K, list[int]] = {}
+    derived: set[K] = set()
+    frontier: list[K] = []
+    for head, positive, _negative, marker in local_rules:
+        if marker and not fire_markers:
+            continue
+        if not positive:
+            if head not in derived:
+                derived.add(head)
+                frontier.append(head)
+            continue
+        rule_id = len(rule_heads)
+        rule_heads.append(head)
+        counters.append(len(positive))
+        for body in positive:
+            watchers.setdefault(body, []).append(rule_id)
+    for atom in seed:
+        if atom not in derived:
+            derived.add(atom)
+            frontier.append(atom)
+    while frontier:
+        atom = frontier.pop()
+        for rule_id in watchers.get(atom, ()):
+            counters[rule_id] -= 1
+            if not counters[rule_id]:
+                head = rule_heads[rule_id]
+                if head not in derived:
+                    derived.add(head)
+                    frontier.append(head)
+    spent = 0
+    if tracing:
+        spent = sum(len(watchers.get(atom, ())) for atom in derived)
+    return derived, spent
 
-    local_context = build_context(Program(pieces), extra_atoms=component)
-    result = alternating_fixpoint(local_context, strategy=strategy, keep_stages=False)
 
-    comp_true = set(result.positive_fixpoint) & component
-    comp_false = set(result.negative_fixpoint.atoms) & component
-    return comp_true, comp_false, result.iterations
+def residual_alternating(
+    component: AbstractSet[K],
+    local_rules: Sequence[ResidualRule[K]],
+    local_facts: Collection[K],
+    meter: Meter,
+    tracing: bool = False,
+) -> tuple[set[K], set[K], int, int]:
+    """The alternating fixpoint of one component's residual rules.
+
+    ``S_P`` with respect to an assumed-false set keeps a rule when its
+    internal negative body is entirely assumed false; marker rules are
+    also gated on the stage parity (see the module docstring): enabled in
+    odd (overestimate) stages, disabled in even (underestimate) ones.
+    Termination compares consecutive even stages, and each stage counts
+    one *meter* step.  Returns the true atoms, the false atoms, the number
+    of ``S̃_P`` applications and, when *tracing*, the number of counter
+    decrements (else 0).
+    """
+    decrements = 0
+    # The watch lists and counter seeds are shared across every S_P stage;
+    # each stage re-seeds the counters and gates rules with a per-stage
+    # `enabled` vector instead of rebuilding them.
+    n_rules = len(local_rules)
+    rule_heads = [rule[0] for rule in local_rules]
+    base_counters = [len(rule[1]) for rule in local_rules]
+    watchers: dict[K, list[int]] = {}
+    for rule_id, (_head, positive, _negative, _marker) in enumerate(local_rules):
+        for body in positive:
+            watchers.setdefault(body, []).append(rule_id)
+
+    def stability(assumed_false: AbstractSet[K], markers_on: bool) -> set[K]:
+        nonlocal decrements
+        counters = base_counters.copy()
+        enabled = bytearray(n_rules)
+        derived: set[K] = set(local_facts)
+        frontier: list[K] = list(derived)
+        for rule_id, (head, positive, negative, marker) in enumerate(local_rules):
+            if marker and not markers_on:
+                continue
+            usable = True
+            for body in negative:
+                if body not in assumed_false:
+                    usable = False
+                    break
+            if not usable:
+                continue
+            if positive:
+                enabled[rule_id] = 1
+            elif head not in derived:
+                derived.add(head)
+                frontier.append(head)
+        while frontier:
+            atom = frontier.pop()
+            for rule_id in watchers.get(atom, ()):
+                if not enabled[rule_id]:
+                    continue
+                counters[rule_id] -= 1
+                if not counters[rule_id]:
+                    head = rule_heads[rule_id]
+                    if head not in derived:
+                        derived.add(head)
+                        frontier.append(head)
+        if tracing:
+            for atom in derived:
+                for rule_id in watchers.get(atom, ()):
+                    if enabled[rule_id]:
+                        decrements += 1
+        return derived
+
+    assumed_false: set[K] = set()
+    positive = stability(assumed_false, False)
+    previous_even = assumed_false
+    index = 0
+    while True:
+        index += 1
+        meter.step("alternating")
+        if index > _MAX_STAGES:
+            raise EvaluationError("component alternating fixpoint did not converge")
+        assumed_false = component - positive
+        positive = stability(assumed_false, index % 2 == 1)
+        if not index % 2:
+            if len(assumed_false) == len(previous_even) and assumed_false == previous_even:
+                break
+            previous_even = assumed_false
+    return positive, assumed_false, index, decrements

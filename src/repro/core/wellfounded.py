@@ -151,10 +151,11 @@ def well_founded_model(
     With ``engine="kernel"`` the model is instead assembled component by
     component by the compiled flat-array evaluator
     (:func:`repro.kernel.kernel_well_founded`); the resulting ``stages``
-    collapse to ``(empty, model)`` since no global ``W_P`` sequence is run.
-    The default monolithic iteration remains the independent unfounded-set
-    oracle of Theorem 7.8.  A *config* supplies
-    ``strategy``/``engine``/``limits`` together.
+    collapse to ``(empty, model)`` since no global ``W_P`` sequence is run,
+    and *strategy*, which selects the ``S_P`` scheme of the monolithic
+    iteration, does not apply.  The default monolithic iteration remains
+    the independent unfounded-set oracle of Theorem 7.8.  A *config*
+    supplies ``strategy``/``engine``/``limits`` together.
     """
     strategy, engine, limits, grounder, budget = merge_entry_config(
         config, strategy=strategy, engine=engine, limits=limits, default_engine="monolithic"
@@ -171,7 +172,6 @@ def well_founded_model(
                 limits=limits,
                 full_base=full_base,
                 extra_atoms=extra_atoms,
-                strategy=strategy,
                 grounder=grounder,
                 recorder=recorder,
             )

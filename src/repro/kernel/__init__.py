@@ -12,7 +12,10 @@ iteration remain the differential oracles.
 The kernel is a one-shot evaluator.  A :class:`~repro.session.KnowledgeBase`
 configured with it maintains its model in the aggregate verdict sets of
 :mod:`repro.session.incremental` instead, re-solving components with
-:func:`repro.core.modular.solve_component`.
+:func:`repro.core.modular.solve_component`.  Both hand a component's
+residual rules to the same solvers,
+:func:`~repro.core.modular.residual_closure` and
+:func:`~repro.core.modular.residual_alternating`.
 """
 
 from .compile import CompiledProgram, compile_context, get_kernel

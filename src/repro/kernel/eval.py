@@ -3,21 +3,18 @@
 One ``bytearray`` truth vector (``0`` unknown, ``1`` true, ``2`` false)
 carries the entire partial model; components are solved in the compiled
 callees-first order with the same cheapest-sound-method dispatch as
-:func:`repro.core.modular.solve_component`, but over ints:
+:func:`repro.core.modular.solve_component`, over ints:
 
 * singleton components resolve in one pass over their rules' CSR segments
   (no closure machinery, no set construction);
-* ``horn`` / ``stratified`` components run Dowling–Gallier counter
-  propagation over int watch lists — one closure, or two when some body
-  literal rests on an atom left undefined below (the envelope pass);
-* ``alternating`` components run the per-component alternating fixpoint
-  with the ``S_P`` stages as int-set transforms.  The object engine's
-  designated undefined atom (``u ← ¬u``) is replaced by its phase
-  portrait: ``u`` belongs to ``Ĩ_k`` exactly for odd ``k``, so
-  undefined-marker rules are enabled in odd (overestimate) stages and
-  disabled in even (underestimate) stages — same fixpoint, no extra atom.
-  Unfounded atoms fall out as the complement of the final envelope, via
-  the same counter decrements.
+* every other component is evaluated partially against the truth vector
+  into residual rules over int ids, which go to the residual solvers that
+  sessions use too: :func:`~repro.core.modular.residual_closure` for
+  ``horn`` / ``stratified`` components (one counter closure, or two when
+  some body literal rests on an atom left undefined below), and
+  :func:`~repro.core.modular.residual_alternating` for ``alternating``
+  ones (the per-component alternating fixpoint with stage-parity
+  undefined markers).
 
 This is the one-shot well-founded evaluator.  The Hypothesis suite
 asserts its models byte-identical to the monolithic alternating fixpoint,
@@ -38,13 +35,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..config import EngineConfig, merge_entry_config
 from ..core.context import GroundContext, build_context
+from ..core.modular import residual_alternating, residual_closure
 from ..datalog.atoms import Atom
 from ..datalog.grounding import GroundingLimits
 from ..datalog.rules import Program
-from ..exceptions import EvaluationError
 from ..fixpoint.interpretations import PartialInterpretation
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..resilience.budget import Meter, current_meter, metered
+from ..resilience.budget import current_meter, metered
 from .compile import CompiledProgram, get_kernel
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
 ]
 
 _UNKNOWN, _TRUE, _FALSE = 0, 1, 2
-_MAX_STAGES = 10_000_000
 #: Budget checkpoints are batched: one meter step per this many components
 #: keeps deadline enforcement responsive without a call in the hot loop.
 _METER_STRIDE = 128
@@ -211,18 +207,17 @@ def evaluate_compiled(
         local_facts = [atom_id for atom_id in members if is_fact[atom_id]]
 
         if has_negation:
-            comp_set = set(members)
-            comp_true, comp_false, stages, spent = _alternating_ints(
-                comp_set, local_rules, local_facts, tracing, meter
+            comp_true, comp_false, stages, spent = residual_alternating(
+                set(members), local_rules, local_facts, meter, tracing
             )
             decrements += spent
             method_counts[2] += 1
             stages_total += stages
         else:
-            definite, spent = _closure_ints(local_rules, local_facts, False, tracing)
+            definite, spent = residual_closure(local_rules, local_facts, False, tracing)
             decrements += spent
             if any_marker:
-                envelope, spent = _closure_ints(local_rules, local_facts, True, tracing)
+                envelope, spent = residual_closure(local_rules, local_facts, True, tracing)
                 decrements += spent
                 method_counts[1] += 1
                 stages_total += 2
@@ -306,138 +301,6 @@ def _partial_evaluate(
     return local_rules, has_negation, any_marker
 
 
-def _closure_ints(
-    local_rules: List[Tuple[int, List[int], List[int], bool]],
-    seed: Iterable[int],
-    fire_markers: bool,
-    tracing: bool,
-) -> Tuple[Set[int], int]:
-    """Dowling–Gallier counter propagation over one component's residual
-    definite rules (negative-free by dispatch), as int sets."""
-    rule_heads: List[int] = []
-    counters: List[int] = []
-    watchers: Dict[int, List[int]] = {}
-    derived: Set[int] = set()
-    frontier: List[int] = []
-    for head, positive, _negative, marker in local_rules:
-        if marker and not fire_markers:
-            continue
-        if not positive:
-            if head not in derived:
-                derived.add(head)
-                frontier.append(head)
-            continue
-        rule_id = len(rule_heads)
-        rule_heads.append(head)
-        counters.append(len(positive))
-        for body in positive:
-            watchers.setdefault(body, []).append(rule_id)
-    for atom_id in seed:
-        if atom_id not in derived:
-            derived.add(atom_id)
-            frontier.append(atom_id)
-    while frontier:
-        atom_id = frontier.pop()
-        for rule_id in watchers.get(atom_id, ()):
-            counters[rule_id] -= 1
-            if not counters[rule_id]:
-                head = rule_heads[rule_id]
-                if head not in derived:
-                    derived.add(head)
-                    frontier.append(head)
-    spent = 0
-    if tracing:
-        spent = sum(len(watchers.get(atom_id, ())) for atom_id in derived)
-    return derived, spent
-
-
-def _alternating_ints(
-    comp_set: Set[int],
-    local_rules: List[Tuple[int, List[int], List[int], bool]],
-    local_facts: List[int],
-    tracing: bool,
-    meter: Meter,
-) -> Tuple[Set[int], Set[int], int, int]:
-    """Per-component alternating fixpoint over int sets.
-
-    ``S_P`` with respect to an assumed-false set keeps a rule when its
-    internal negative body is entirely assumed false; undefined-marker
-    rules are additionally gated on the stage parity (see the module
-    docstring — this is the compiled form of the ``u ← ¬u`` construction).
-    Termination compares consecutive even (underestimate) stages.  Each
-    stage counts one *meter* step.
-    """
-    decrements = 0
-    # The watch lists and counter seeds are shared across every S_P stage
-    # (the compiled analogue of the object engine sharing one RuleIndex
-    # across a component's stages); each stage re-seeds the counters and
-    # gates rules with a per-stage `enabled` vector instead of rebuilding
-    # the index.
-    n_rules = len(local_rules)
-    rule_heads = [rule[0] for rule in local_rules]
-    base_counters = [len(rule[1]) for rule in local_rules]
-    watchers: Dict[int, List[int]] = {}
-    for rule_id, (_head, positive, _negative, _marker) in enumerate(local_rules):
-        for body in positive:
-            watchers.setdefault(body, []).append(rule_id)
-
-    def stability(assumed_false: Set[int], markers_on: bool) -> Set[int]:
-        nonlocal decrements
-        counters = base_counters.copy()
-        enabled = bytearray(n_rules)
-        derived: Set[int] = set(local_facts)
-        frontier: List[int] = list(derived)
-        for rule_id, (head, positive, negative, marker) in enumerate(local_rules):
-            if marker and not markers_on:
-                continue
-            usable = True
-            for body in negative:
-                if body not in assumed_false:
-                    usable = False
-                    break
-            if not usable:
-                continue
-            if positive:
-                enabled[rule_id] = 1
-            elif head not in derived:
-                derived.add(head)
-                frontier.append(head)
-        while frontier:
-            atom_id = frontier.pop()
-            for rule_id in watchers.get(atom_id, ()):
-                if not enabled[rule_id]:
-                    continue
-                counters[rule_id] -= 1
-                if not counters[rule_id]:
-                    head = rule_heads[rule_id]
-                    if head not in derived:
-                        derived.add(head)
-                        frontier.append(head)
-        if tracing:
-            for atom_id in derived:
-                for rule_id in watchers.get(atom_id, ()):
-                    if enabled[rule_id]:
-                        decrements += 1
-        return derived
-
-    assumed_false: Set[int] = set()
-    positive = stability(assumed_false, False)
-    previous_even = assumed_false
-    index = 0
-    while True:
-        index += 1
-        meter.step("alternating")
-        if index > _MAX_STAGES:
-            raise EvaluationError("kernel alternating fixpoint did not converge")
-        assumed_false = comp_set - positive
-        positive = stability(assumed_false, index % 2 == 1)
-        if not index % 2:
-            if len(assumed_false) == len(previous_even) and assumed_false == previous_even:
-                break
-            previous_even = assumed_false
-    return positive, assumed_false, index, decrements
-
-
 # --------------------------------------------------------------------- #
 # Batch entry point
 # --------------------------------------------------------------------- #
@@ -446,7 +309,6 @@ def kernel_well_founded(
     limits: GroundingLimits | None = None,
     full_base: bool = False,
     extra_atoms: Iterable[Atom] = (),
-    strategy: str | None = None,
     config: Optional[EngineConfig] = None,
     grounder: str | None = None,
     recorder: Recorder | None = None,
@@ -456,9 +318,8 @@ def kernel_well_founded(
     Accepts a :class:`~repro.datalog.rules.Program` (grounded first) or a
     pre-built :class:`GroundContext`; the compiled IR is cached on the
     context, so repeated evaluation of one grounding pays the compile once.
-    *strategy* is accepted for interface parity with the object engines but
-    unused — the kernel has exactly one (semi-naive, counter-driven)
-    evaluation scheme.
+    The kernel has one (semi-naive, counter-driven) evaluation scheme, so
+    a *config*'s ``strategy`` does not apply to it.
 
     A tracing *recorder* captures a ``compile`` span (with the
     ``kernel.atoms`` / ``kernel.rules`` / ``kernel.bytes`` counters on a
@@ -466,8 +327,8 @@ def kernel_well_founded(
     ``kernel.decrements`` / ``kernel.stages`` counters, and an ``assemble``
     span around the model decode.
     """
-    _strategy, _, limits, grounder, budget = merge_entry_config(
-        config, strategy=strategy, limits=limits, grounder=grounder
+    _, _, limits, grounder, budget = merge_entry_config(
+        config, limits=limits, grounder=grounder
     )
     recorder = recorder if recorder is not None else NULL_RECORDER
     with metered(budget):

@@ -92,14 +92,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
 
 from ..analysis.dependency import build_atom_dependency_graph
-from ..config import DEFAULT_STRATEGY, validate_strategy
 from ..core.context import GroundContext, extend_context
-from ..core.modular import (
-    ComponentReport,
-    ModularResult,
-    fresh_undef_atom,
-    solve_component,
-)
+from ..core.modular import ComponentReport, ModularResult, solve_component
 from ..datalog.atoms import Atom
 from ..datalog.grounding import GroundingLimits, IncrementalGrounder
 from ..datalog.rules import Program
@@ -199,14 +193,11 @@ class IncrementalEngine:
     def __init__(
         self,
         rules: Program,
-        strategy: str = DEFAULT_STRATEGY,
         store: "FactStore | None" = None,
         recorder: Recorder | None = None,
         budget: Budget | None = None,
         limits: GroundingLimits | None = None,
     ):
-        validate_strategy(strategy)
-        self._strategy = strategy
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         # Started afresh by every refresh: the budget is a per-operation
         # deadline, so a long-lived session never "uses up" its allowance.
@@ -329,7 +320,6 @@ class IncrementalEngine:
         self._delta = None
         self._components = []
         self._rule_atoms = context.base
-        self._undef_atom = fresh_undef_atom(self._rule_atoms)
 
         graph = build_atom_dependency_graph(context)
         meter.check("refresh")
@@ -459,9 +449,6 @@ class IncrementalEngine:
                     return False
 
         self._rule_atoms = self._rule_context.base
-        undef = self._undef_atom.predicate
-        if any(next(iter(self._components[index])).predicate == undef for index in new_components):
-            self._undef_atom = fresh_undef_atom(self._rule_atoms)
         for index in sorted(new_components, key=rank.__getitem__):
             self._floating.difference_update(self._components[index])
             self._resolve_in_place(index, self._facts)
@@ -554,10 +541,6 @@ class IncrementalEngine:
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
-    @property
-    def strategy(self) -> str:
-        return self._strategy
-
     @property
     def model(self) -> PartialInterpretation:
         """The current well-founded partial model, as a new
@@ -754,8 +737,6 @@ class IncrementalEngine:
                     facts,
                     self._true,
                     self._false,
-                    self._undef_atom,
-                    self._strategy,
                     recorder=recorder,
                 )
                 comp_span.annotate(
@@ -775,8 +756,6 @@ class IncrementalEngine:
             facts,
             self._true,
             self._false,
-            self._undef_atom,
-            self._strategy,
         )
 
     def _solve_delta(self, facts: AbstractSet[Atom], changed: set[Atom]) -> UpdateStats:

@@ -809,7 +809,6 @@ class KnowledgeBase:
                 # The engine's first refresh is full; it ignores *changed*.
                 self._engine = IncrementalEngine(
                     self._rules,
-                    strategy=self._config.strategy,
                     store=self._store,
                     recorder=self._recorder,
                     budget=self._config.budget,

@@ -145,11 +145,11 @@ class TestMethodDispatch:
         assert stats["atoms"] == 8
 
 
-class TestUndefMarkerAtom:
-    def test_fresh_name_avoids_collision(self, session_full_solve):
-        # A program that already uses the designated predicate name: the
-        # marker must pick a fresh one and the reserved-looking atom must
-        # still get its ordinary verdict.
+class TestReservedLookingPredicate:
+    """Solving a component adds no atom of its own, so no predicate name
+    is reserved: ``_wfs_undef`` is an ordinary predicate."""
+
+    def test_wfs_undef_is_an_ordinary_predicate(self, session_full_solve):
         from repro.datalog import ProgramBuilder
 
         builder = ProgramBuilder()
@@ -160,15 +160,15 @@ class TestUndefMarkerAtom:
         assert modular.model == alternating_fixpoint(program).model
         assert Atom("_wfs_undef") in modular.undefined_atoms
 
-    def test_marker_atom_never_leaks_into_model(self, session_full_solve):
-        modular = session_full_solve(parse_program("p :- not p. q :- p, not q."))
-        mentioned = set(modular.model.true_atoms) | set(modular.model.false_atoms)
-        assert all(not atom.predicate.startswith("_wfs_undef") for atom in mentioned)
-        assert all(
-            not atom.predicate.startswith("_wfs_undef")
-            for report in modular.components
-            for atom in report.atoms
-        )
+    def test_model_mentions_only_program_atoms(self, session_full_solve):
+        # q's rule rests on p, left undefined below q's component: the
+        # marker case, solved without adding an atom.
+        program = parse_program("p :- not p. q :- p, not q.")
+        modular = session_full_solve(program)
+        base = alternating_fixpoint(program).context.base
+        assert modular.model.true_atoms | modular.model.false_atoms <= base
+        assert {atom for report in modular.components for atom in report.atoms} == base
+        assert modular.undefined_atoms == base
 
 
 class TestEngineDispatch:

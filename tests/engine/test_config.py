@@ -183,7 +183,7 @@ class TestCliConsistency:
         assert "seminaive, naive" in err
 
     @pytest.mark.parametrize("engine", ["hyperdrive", "modular"])
-    @pytest.mark.parametrize("command", ["solve", "trace", "query", "explain", "bench"])
+    @pytest.mark.parametrize("command", ["solve", "trace", "query", "explain"])
     def test_unknown_engine_same_everywhere(self, game_file, command, engine, capsys):
         from repro.cli import main
 
@@ -223,12 +223,15 @@ class TestCliConsistency:
         assert naive.true_atoms() == relevant.true_atoms()
 
     def test_flags_a_command_ignores_are_argparse_errors(self, game_file):
-        # bench sweeps both strategies itself; stable never consults the
-        # engine — passing the flag is an error, not a silent no-op.
+        # bench sweeps both strategies and both engines itself; stable
+        # never consults the engine — passing the flag is an error, not a
+        # silent no-op.
         from repro.cli import main
 
         with pytest.raises(SystemExit):
             main(["bench", game_file, "--strategy", "naive"], out=io.StringIO())
+        with pytest.raises(SystemExit):
+            main(["bench", game_file, "--engine", "kernel"], out=io.StringIO())
         with pytest.raises(SystemExit):
             main(["stable", game_file, "--engine", "kernel"], out=io.StringIO())
 

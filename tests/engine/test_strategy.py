@@ -78,6 +78,9 @@ class TestCliStrategy:
         out = io.StringIO()
         assert main(["bench", program_file, "--repeat", "1"], out=out) == 0
         text = out.getvalue()
+        # The kernel has one scheme: the strategies are timed on the
+        # monolithic engine.
+        assert "evaluation phase (alternating fixpoint, monolithic engine):" in text
         assert "seminaive" in text and "naive" in text
         assert "models agree: yes" in text
 

@@ -1,5 +1,7 @@
 """Unit tests for flat-array kernel evaluation."""
 
+import pytest
+
 from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.datalog import parse_atom, parse_program
@@ -102,6 +104,11 @@ class TestEntryPoint:
         from_context = kernel_well_founded(context)
         assert from_context.context is context
         assert from_context.model == kernel_well_founded(win_move_4b).model
+
+    def test_takes_no_strategy(self, win_move_4b):
+        # The kernel has one counter-driven scheme: no S_P strategy to pass.
+        with pytest.raises(TypeError, match="strategy"):
+            kernel_well_founded(win_move_4b, strategy="naive")
 
     def test_kernel_model_wrapper(self, win_move_4b):
         assert kernel_model(win_move_4b) == alternating_fixpoint(win_move_4b).model

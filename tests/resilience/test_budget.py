@@ -210,6 +210,10 @@ class TestDeadline:
         baseline = time.monotonic() - start
         deadline = max(baseline / 4, 0.05)
         config = EngineConfig(budget=Budget(max_seconds=deadline))
+        # A full collection of the rest of the suite's objects takes about
+        # as long as the deadline; collecting first keeps it out of the
+        # abort latency being measured.
+        gc.collect()
         start = time.monotonic()
         with pytest.raises(BudgetExceeded) as excinfo:
             solve(program, config=config)
@@ -227,6 +231,7 @@ class TestDeadline:
         kb = KnowledgeBase(
             program, config=EngineConfig(budget=Budget(max_seconds=deadline))
         )
+        gc.collect()  # as in the one-shot test above
         start = time.monotonic()
         with pytest.raises(BudgetExceeded):
             kb.solution  # forces the refresh

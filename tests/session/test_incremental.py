@@ -2,12 +2,24 @@
 touches, forced full solves, recovery from a failed refresh, and
 incremental grounding of non-ground rules."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+import repro.core.alternating as alternating
+import repro.core.context as context
+import repro.core.modular as modular
 from repro.config import EngineConfig
+from repro.core.alternating import alternating_fixpoint
 from repro.datalog import parse_program
 from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
+from repro.games import random_game_edges, win_move_program
 from repro.session import IncrementalEngine, KnowledgeBase
 from repro.workloads import layered_program
 
@@ -150,11 +162,13 @@ class TestEngineDirect:
         assert engine.model.is_false(parse_atom("p"))
         assert baseline.is_true(parse_atom("p"))
 
-    def test_takes_no_engine_parameter(self):
-        # Every engine setting maintains its model on the one path, so
-        # there is no per-component solver to choose.
-        with pytest.raises(TypeError, match="engine"):
-            IncrementalEngine(Program(), engine="kernel")
+    @pytest.mark.parametrize("parameter, value", [("engine", "kernel"), ("strategy", "naive")])
+    def test_takes_no_solver_parameter(self, parameter, value):
+        # Every engine setting maintains its model on the one path, with
+        # the residual solvers the kernel uses: there is no per-component
+        # solver and no S_P scheme to choose.
+        with pytest.raises(TypeError, match=parameter):
+            IncrementalEngine(Program(), **{parameter: value})
 
     def test_empty_rule_set_is_pure_fact_store(self):
         from repro.datalog import parse_atom
@@ -247,3 +261,90 @@ class TestIncrementalGrounding:
         scratch = _scratch(kb)
         assert kb.solution.base == scratch.base
         assert kb.solution.interpretation == scratch.interpretation
+
+
+WIN_RULE = "wins(X) :- move(X, Y), not wins(Y)."
+
+
+def _reference(edges):
+    """True and undefined atoms of the monolithic alternating fixpoint."""
+    result = alternating_fixpoint(win_move_program(sorted(edges)))
+    return result.true_atoms(), result.model.undefined_atoms(result.context.base)
+
+
+def _churn_plan(edges, steps, seed):
+    """A seeded churn over the nodes of *edges*, each step toggling one
+    move, with the reference for the moves after each step: a list of
+    ``(asserted, edge, (true, undefined))``."""
+    generator = random.Random(seed)
+    nodes = sorted({node for edge in edges for node in edge})
+    present = set(edges)
+    plan = []
+    for _ in range(steps):
+        edge = (generator.choice(nodes), generator.choice(nodes))
+        asserted = edge not in present
+        present ^= {edge}
+        plan.append((asserted, edge, _reference(present)))
+    return plan
+
+
+class TestNoReferenceEvaluator:
+    """A session solves its components with the residual solvers it
+    shares with the kernel: it never runs the monolithic alternating
+    fixpoint or grounds a component-local program."""
+
+    def test_session_runs_no_reference_evaluator(self, monkeypatch):
+        edges = random_game_edges(24, 2, seed=1)
+        # Every reference is computed before patching.
+        initial = _reference(edges)
+        plan = _churn_plan(edges, 80, seed=1)
+        assert initial[1], "the game must have drawn positions"
+
+        originals = (alternating.alternating_fixpoint, context.build_context)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a session ran a reference evaluator")
+
+        for module in (alternating, context, modular):
+            for name, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, name, forbidden)
+
+        kb = KnowledgeBase(WIN_RULE, facts={"move": edges})
+        view = kb.solution.view
+        assert (view.true_atoms(), view.undefined_atoms()) == initial
+        resolved = False
+        for asserted, edge, expected in plan:
+            if asserted:
+                kb.assert_fact("move", *edge)
+            else:
+                kb.retract_fact("move", *edge)
+            view = kb.solution.view
+            assert kb.last_update.mode == "delta"
+            assert (view.true_atoms(), view.undefined_atoms()) == expected
+            if "resolve" in kb.last_update.methods:
+                resolved = True
+                break
+        assert resolved, "the churn never re-solved a component"
+
+    def test_session_does_not_import_the_kernel(self):
+        script = (
+            "import sys\n"
+            "from repro import KnowledgeBase\n"
+            f"kb = KnowledgeBase({WIN_RULE!r}, facts={{'move': "
+            "[('a', 'b'), ('b', 'a'), ('b', 'c'), ('c', 'd')]})\n"
+            "assert kb.is_undefined('wins', 'a') and kb.is_true('wins', 'c')\n"
+            "kb.assert_fact('move', 'd', 'e')\n"
+            "assert kb.is_true('wins', 'b')\n"
+            "assert 'repro.kernel' not in sys.modules\n"
+        )
+        source = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        assert completed.returncode == 0, completed.stderr
