@@ -38,7 +38,12 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   :func:`repro.core.context.build_context` to build evaluation contexts
   without an intermediate program); it is the first run of an
   :class:`IncrementalGrounder`, the same fixpoint as a resumable object a
-  session keeps and resumes from newly asserted facts.
+  session keeps and resumes from newly asserted facts.  For a definite
+  program the envelope *is* the minimum model ``T_P↑ω(∅)`` (Section 3.4),
+  so :meth:`IncrementalGrounder.envelope` runs the same join loop
+  substituting heads only and returns it, with no rule instance built;
+  :func:`repro.engine.solver.solve_configured` solves definite non-ground
+  programs that way.
 * ``"scan"`` — the original matcher: a naive envelope fixpoint that
   re-matches every rule against the whole derivable set each round by
   linear scan over per-signature fact lists, then a second pass that
@@ -63,7 +68,8 @@ from ..resilience.budget import Budget, current_meter
 from .atoms import Atom, Literal
 from .joins import RelationStore, join_bindings
 from .rules import Program, Rule
-from .terms import Constant, Term, Variable, enumerate_ground_terms, term_constants, term_functions
+from .terms import Constant, Term, enumerate_ground_terms, term_constants, term_functions
+from .unification import Substitution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
@@ -409,7 +415,9 @@ class IncrementalGrounder:
     the whole envelope, and only instances never emitted before come out.
     This is multi-shot incremental grounding in the style of clingo: the
     envelope only grows, so the instances emitted so far always contain the
-    relevant grounding of the current EDB.
+    relevant grounding of the current EDB.  :meth:`envelope` is the
+    one-shot alternative to :meth:`ground`: the same loop, building no
+    instances, returning the envelope itself.
 
     Facts retracted since the last run stay in the envelope
     (:meth:`retain`).  The instances built on them are kept too; each has a
@@ -449,11 +457,9 @@ class IncrementalGrounder:
     def ground(self) -> Iterator[Rule]:
         """The first run: the facts (sorted), then every rule instance the
         moment the round supplying its last positive body atom joins it."""
+        facts = self._facts()
         space = _EnvelopeSpace(self._store, self._overlay)
         pending: list[Atom] = []
-        facts = set(self._program.fact_atoms())
-        if self._store is not None:
-            facts.update(self._store.facts())
         for fact in sorted(facts, key=str):
             self._emitted += 1
             yield Rule(fact)
@@ -461,12 +467,32 @@ class IncrementalGrounder:
             # delta windows by construction.
             if fact not in space:
                 pending.append(fact)
-        # With a base store, round 0 must also sweep the base rows:
-        # `old_sizes` starts all-zero, so the first round's delta windows
-        # cover them even when no program fact added to the overlay.
-        yield from self._fixpoint(
-            space, pending, {}, first_round=bool(space.base_bounds), first_run=True
-        )
+        yield from self._emit(self._first_run(space, pending), first_run=True)
+
+    def envelope(self) -> tuple[set[Atom], set[Atom]]:
+        """The first run without rule instances: ``(facts, atoms)``, the
+        EDB facts (the program's and the store's) and the envelope they
+        generate, facts included.
+
+        The join loop is :meth:`ground`'s, substituting heads only, so for
+        a definite program *atoms* is its minimum model ``T_P↑ω(∅)``.
+        ``max_rules`` counts the facts plus every binding enumerated, which
+        is what :meth:`ground` emits on a program without duplicate rules,
+        so a limit trips at the same size on both runs.  No instance is
+        recorded as emitted, so the grounder is not to be extended after.
+        """
+        facts = self._facts()
+        space = _EnvelopeSpace(self._store, self._overlay)
+        pending = [fact for fact in facts if fact not in space]
+        atoms = set(facts)
+        counted = len(facts)
+        limit = self._limits.max_rules
+        for _, _, head in self._first_run(space, pending):
+            counted += 1
+            if counted > limit:
+                raise _rule_limit_error(limit)
+            atoms.add(head)
+        return facts, atoms
 
     def retain(self, atoms: Iterable[Atom]) -> None:
         """Keep facts retracted from the store in the envelope, so later
@@ -493,7 +519,48 @@ class IncrementalGrounder:
         old_sizes = space.sizes()
         for atom in new:
             self._overlay.add_atom(atom)
-        yield from self._fixpoint(space, [], old_sizes, first_round=True, first_run=False)
+        bindings = self._fixpoint(space, [], old_sizes, first_round=True, first_run=False)
+        yield from self._emit(bindings, first_run=False)
+
+    def _facts(self) -> set[Atom]:
+        facts = set(self._program.fact_atoms())
+        if self._store is not None:
+            facts.update(self._store.facts())
+        return facts
+
+    def _first_run(
+        self, space: _EnvelopeSpace, pending: list[Atom]
+    ) -> Iterator[tuple[Rule, Substitution, Atom]]:
+        # With a base store, round 0 must also sweep the base rows:
+        # `old_sizes` starts all-zero, so the first round's delta windows
+        # cover them even when no program fact added to the overlay.
+        return self._fixpoint(
+            space, pending, {}, first_round=bool(space.base_bounds), first_run=True
+        )
+
+    def _emit(
+        self, bindings: Iterator[tuple[Rule, Substitution, Atom]], first_run: bool
+    ) -> Iterator[Rule]:
+        """The rule instances of *bindings*, each emitted once per grounder
+        and counted against ``max_rules``; on the *first_run* the
+        ``ground.rules_emitted`` tally includes the facts."""
+        limit = self._limits.max_rules
+        seen = self._seen
+        emitted = self._emitted
+        started = 0 if first_run else emitted
+        try:
+            for rule, binding, head in bindings:
+                ground = _instantiate_rule(rule, head, binding)
+                if ground not in seen:
+                    seen.add(ground)
+                    emitted += 1
+                    if emitted > limit:
+                        raise _rule_limit_error(limit)
+                    yield ground
+        finally:
+            self._emitted = emitted
+        if self._recorder.enabled:
+            self._recorder.count("ground.rules_emitted", emitted - started)
 
     def _fixpoint(
         self,
@@ -502,26 +569,23 @@ class IncrementalGrounder:
         old_sizes: dict[tuple[str, int], int],
         first_round: bool,
         first_run: bool,
-    ) -> Iterator[Rule]:
-        """Semi-naive envelope fixpoint fused with rule instantiation.
+    ) -> Iterator[tuple[Rule, Substitution, Atom]]:
+        """The semi-naive envelope fixpoint both runs share.
 
-        Each round's delta is joined through the hash indexes, emitting
-        each new ground rule once, and newly derived heads become the next
-        delta.  Variant i pins conjunct i to the delta rows, conjuncts
-        before i to strictly older rows and conjuncts after i to all rows,
-        so no binding is enumerated twice within a run.  *old_sizes* are
-        the row bounds already joined; *first_round* forces one round even
-        when *pending* is empty (the delta is already in place).  On the
-        *first_run*, the rules without positive conjuncts — ground by
-        safety — fire once first, seeding the envelope with their heads,
-        and the ``ground.rules_emitted`` tally includes the facts.
+        Yields ``(rule, binding, head)`` for every binding of a rule's
+        positive body, with the head substituted and checked ground; the
+        head joins the next round's delta once the consumer resumes the
+        loop.  Variant i of a rule pins conjunct i to the delta rows,
+        conjuncts before i to strictly older rows and conjuncts after i to
+        all rows, so no binding is enumerated twice within a run.
+        *old_sizes* are the row bounds already joined; *first_round* forces
+        one round even when *pending* is empty (the delta is already in
+        place).  On the *first_run*, the rules without positive conjuncts —
+        ground by safety — fire once first, seeding the envelope with their
+        heads.
         """
-        limits = self._limits
-        budget = _grounding_meter(limits)
+        budget = _grounding_meter(self._limits)
         recorder = self._recorder
-        seen = self._seen
-        emitted = self._emitted
-        started = 0 if first_run else emitted
         pending_set: set[Atom] = set(pending)
 
         def derive(atom: Atom) -> None:
@@ -529,77 +593,67 @@ class IncrementalGrounder:
                 pending_set.add(atom)
                 pending.append(atom)
 
-        try:
-            for rule, positive, _ in self._decomposed if first_run else ():
-                if positive:
+        for rule, positive, _ in self._decomposed if first_run else ():
+            if positive:
+                continue
+            head = _ground_head(rule, {})
+            yield rule, {}, head
+            derive(head)
+
+        while pending or first_round:
+            first_round = False
+            batch = pending
+            pending = []
+            for atom in batch:
+                space.add_atom(atom)
+            pending_set.clear()
+            new_sizes = space.sizes()
+            if recorder.enabled:
+                recorder.count("ground.rounds")
+                recorder.count("ground.delta_atoms", len(batch))
+
+            for rule, positive, signatures in self._decomposed:
+                if not positive:
                     continue
-                ground = _instantiate_rule(rule, {})
-                if ground not in seen:
-                    seen.add(ground)
-                    emitted += 1
-                    if emitted > limits.max_rules:
-                        raise GroundingError(
-                            f"grounding exceeded the limit of {limits.max_rules} rules"
-                        )
-                    yield ground
-                derive(ground.head)
-
-            while pending or first_round:
-                first_round = False
-                batch = pending
-                pending = []
-                for atom in batch:
-                    space.add_atom(atom)
-                pending_set.clear()
-                new_sizes = space.sizes()
-                if recorder.enabled:
-                    recorder.count("ground.rounds")
-                    recorder.count("ground.delta_atoms", len(batch))
-
-                for rule, positive, signatures in self._decomposed:
-                    if not positive:
+                budget.check("ground")
+                for i, delta_signature in enumerate(signatures):
+                    delta_lo = old_sizes.get(delta_signature, 0)
+                    delta_hi = new_sizes.get(delta_signature, 0)
+                    if delta_hi <= delta_lo:
                         continue
-                    budget.check("ground")
-                    for i, delta_signature in enumerate(signatures):
-                        delta_lo = old_sizes.get(delta_signature, 0)
-                        delta_hi = new_sizes.get(delta_signature, 0)
-                        if delta_hi <= delta_lo:
-                            continue
-                        windows = []
-                        for j, signature in enumerate(signatures):
-                            if j < i:
-                                windows.append((0, old_sizes.get(signature, 0)))
-                            elif j == i:
-                                windows.append((delta_lo, delta_hi))
-                            else:
-                                windows.append((0, new_sizes.get(signature, 0)))
-                        for binding in join_bindings(positive, windows, space, seed=i):
-                            ground = _instantiate_rule(rule, binding)
-                            if ground not in seen:
-                                seen.add(ground)
-                                emitted += 1
-                                if emitted > limits.max_rules:
-                                    raise GroundingError(
-                                        f"grounding exceeded the limit of {limits.max_rules} rules"
-                                    )
-                                yield ground
-                            derive(ground.head)
-                            budget.tick("ground")
-                old_sizes = new_sizes
-        finally:
-            self._emitted = emitted
-        if recorder.enabled:
-            recorder.count("ground.rules_emitted", emitted - started)
+                    windows = []
+                    for j, signature in enumerate(signatures):
+                        if j < i:
+                            windows.append((0, old_sizes.get(signature, 0)))
+                        elif j == i:
+                            windows.append((delta_lo, delta_hi))
+                        else:
+                            windows.append((0, new_sizes.get(signature, 0)))
+                    for binding in join_bindings(positive, windows, space, seed=i):
+                        head = _ground_head(rule, binding)
+                        yield rule, binding, head
+                        derive(head)
+                        budget.tick("ground")
+            old_sizes = new_sizes
 
 
-def _instantiate_rule(rule: Rule, binding: dict[Variable, Term]) -> Rule:
-    """Instantiate *rule* under *binding*, checking groundness as the old
-    matcher did (defensive: safety has already been validated)."""
+def _rule_limit_error(limit: int) -> GroundingError:
+    return GroundingError(f"grounding exceeded the limit of {limit} rules")
+
+
+def _ground_head(rule: Rule, binding: Substitution) -> Atom:
+    """*rule*'s head under *binding*, checked ground as the old matcher did
+    (defensive: safety has already been validated)."""
     head = rule.head.substitute(binding)
     if not head.is_ground:
         raise GroundingError(
             f"rule '{rule}' produced a non-ground head {head}; the rule is unsafe"
         )
+    return head
+
+
+def _instantiate_rule(rule: Rule, head: Atom, binding: Substitution) -> Rule:
+    """The instance of *rule* with head *head* under *binding*."""
     body: list[Literal] = []
     for lit in rule.body:
         ground_lit = lit.substitute(binding)

@@ -6,7 +6,9 @@ semantics, and get back a :class:`Solution` that can be queried for atom
 truth values and relation contents.  ``semantics="auto"`` picks the
 cheapest semantics that agrees with the well-founded model for the
 program's syntactic class (Horn → minimum model, stratified → perfect
-model, otherwise the alternating fixpoint).
+model, otherwise the alternating fixpoint).  The minimum model of a
+definite non-ground program is the relevant grounder's envelope, so it
+is read straight off the grounder, with no ground program built.
 
 Evaluation choices travel in one validated
 :class:`~repro.config.EngineConfig` (``config=``).  :func:`solve` itself
@@ -35,9 +37,9 @@ from ..config import (
 )
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
-from ..datalog.grounding import GroundingLimits
+from ..datalog.grounding import GroundingLimits, IncrementalGrounder
 from ..datalog.parser import parse_program
-from ..datalog.rules import Program
+from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant
 from ..exceptions import EvaluationError
 from ..obs.recorder import Recorder, ensure_recorder
@@ -81,6 +83,14 @@ class Solution:
     and whose ``program``, ``base``, ``interpretation`` and ``context``
     are computed only when first read (see :mod:`repro.session`).
 
+    ``context`` is the :class:`~repro.core.context.GroundContext` the model
+    was computed over, or ``None`` when no ground program was built: the
+    minimum model of a definite non-ground program is the grounder's
+    envelope (:func:`solve_configured`).  ``base`` and the true set are
+    then that envelope and the false set is empty; with a store,
+    ``program`` holds the facts the solve read as fact rules, so an
+    explainer can ground ``program`` itself.
+
     Solutions are immutable and compare (and hash) by identity: two solves
     of one program give two unequal solutions.  Compare what they answer
     instead — ``interpretation``, ``relation(...)`` — since a value
@@ -98,10 +108,6 @@ class Solution:
         config: Optional[EngineConfig] = None,
         context: Optional[object] = None,
     ):
-        # ``context`` is the ground evaluation context the model was
-        # computed over, when the producer kept it — lets consumers (e.g.
-        # the session explainer) reuse the grounding instead of re-running
-        # it.
         self.__dict__.update(
             program=program,
             semantics=semantics,
@@ -201,11 +207,22 @@ def solve_configured(
     ``program`` includes the facts as fact rules, exactly as the
     historical ``database.attach`` path produced.
 
+    A definite non-ground program under the ``relevant`` grounder
+    (``horn`` requested, or ``auto`` on definite rules) is solved from the
+    grounder's envelope: the envelope-only run of
+    :class:`~repro.datalog.grounding.IncrementalGrounder` derives its
+    minimum model ``T_P↑ω(∅)`` with no rule instance, no ground context and
+    no second fixpoint, so the solution's ``context`` is ``None``.  Ground
+    programs and the naive grounder keep the context path, since their base
+    also holds underivable atoms; so do rules with negation under a
+    requested ``horn``, which raises as before.
+
     *recorder* (see :mod:`repro.obs`) instruments the whole call as one
     ``solve`` span whose children are the pipeline phases (``classify``
     under ``auto``, ``ground``, then ``compile``/``evaluate``/``assemble``
-    when the kernel evaluates the well-founded model, or a single
-    ``evaluate`` span otherwise); the default
+    when the kernel evaluates the well-founded model, a single
+    ``evaluate`` span for the other evaluators, and nothing after
+    ``ground`` on the envelope route); the default
     :class:`~repro.obs.NullRecorder` records nothing at near-zero cost.
     """
     if isinstance(program, str):
@@ -261,6 +278,16 @@ def _solve_with_store(
         # whose positive body can never be derived stays undefined there,
         # while the relevant grounder drops its rules and makes it false.
         grounder = "naive" if semantics == "fitting" else config.grounder
+        if (
+            semantics == "horn"
+            and grounder == "relevant"
+            and program.is_definite
+            and not program.is_ground
+        ):
+            solution = _solve_from_envelope(program, config, store, recorder)
+            if recorder.enabled:
+                solve_span.annotate(semantics=semantics, atoms=len(solution.base))
+            return solution
         if store is not None and (program.is_ground or grounder != "relevant"):
             # The naive grounder and the ground-program passthrough need
             # the facts materialised as fact rules up front.  Everything else
@@ -329,6 +356,46 @@ def _solve_with_store(
             semantics=semantics, atoms=len(context.base), rules=len(context.rules)
         )
     return solution
+
+
+def _solve_from_envelope(
+    program: Program,
+    config: EngineConfig,
+    store: Optional[FactStore],
+    recorder: Recorder,
+) -> Solution:
+    """A definite non-ground program's minimum model ``T_P↑ω(∅)``: the
+    relevant grounder's envelope, with no rule instance built.
+
+    The model is total over the envelope, so the base and the true set are
+    the envelope and the false set is empty; there is no ground context.
+    With a store, the solution's program holds the facts this run read as
+    fact rules, so an explainer can ground it later without the store.
+    """
+    probes_before = store.probes if store is not None else 0
+    with recorder.span("ground", grounder="relevant") as ground_span:
+        grounder = IncrementalGrounder(program, config.limits, store=store, recorder=recorder)
+        facts, atoms = grounder.envelope()
+    if store is not None:
+        program = Program(
+            [*(Rule(fact) for fact in sorted(facts, key=str)), *program.non_fact_rules()]
+        )
+    if recorder.enabled:
+        ground_span.annotate(facts=len(facts), atoms=len(atoms))
+        recorder.count("ground.facts", len(facts))
+        recorder.count("ground.atoms", len(atoms))
+        if store is not None:
+            recorder.count("store.candidate_probes", store.probes - probes_before)
+    base = frozenset(atoms)
+    return Solution(
+        program=program,
+        semantics="horn",
+        interpretation=PartialInterpretation(base),
+        base=base,
+        strategy=config.strategy,
+        engine=config.engine,
+        config=config,
+    )
 
 
 def solve(

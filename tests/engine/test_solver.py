@@ -3,13 +3,23 @@
 import pytest
 
 from repro.config import EngineConfig
+from repro.core.context import build_context
 from repro.datalog import Database, parse_program
 from repro.datalog.atoms import atom
-from repro.datalog.grounding import IncrementalGrounder
+from repro.datalog.grounding import GroundingLimits, IncrementalGrounder
 from repro.datalog.rules import Program
 from repro.engine.solver import SUPPORTED_SEMANTICS, solve
-from repro.exceptions import EvaluationError, NotStratifiedError
+from repro.exceptions import (
+    Cancelled,
+    EvaluationError,
+    GroundingError,
+    GroundingTimeout,
+    NotStratifiedError,
+)
 from repro.fixpoint.interpretations import TruthValue
+from repro.obs import TraceRecorder
+from repro.resilience import Budget, CancelToken
+from repro.storage import MemoryStore
 
 TC_TEXT = """
 edge(1, 2). edge(2, 3). node(1). node(2). node(3).
@@ -150,3 +160,84 @@ class TestEngineSelection:
         from repro.engine.solver import EVALUATION_ENGINES
 
         assert EVALUATION_ENGINES == ("kernel", "monolithic")
+
+
+class TestHornFromTheEnvelope:
+    """Definite non-ground programs are solved from the relevant
+    grounder's envelope: no rule instances, no context, and every limit
+    and budget of the context path still applies."""
+
+    #: A 6-cycle: 6 facts and 6 + 36 rule instances.
+    CYCLE = " ".join(f"e({i}, {(i + 1) % 6})." for i in range(6)) + """
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- e(X, Z), t(Z, Y).
+    """
+
+    def test_route_and_model(self):
+        solution = solve(self.CYCLE)
+        assert solution.semantics == "horn" and solution.context is None
+        assert solution.relation("t") == {(i, j) for i in range(6) for j in range(6)}
+        assert solution.interpretation.false_atoms == frozenset()
+        assert solution.base == solution.interpretation.true_atoms
+        assert solution.is_false("t", 0, 9)
+
+    def test_ground_programs_and_the_naive_grounder_keep_the_context(self):
+        assert solve("a. b :- a.").context is not None
+        naive = solve(self.CYCLE, config=EngineConfig(grounder="naive"))
+        assert naive.context is not None
+        assert naive.interpretation.true_atoms == solve(self.CYCLE).interpretation.true_atoms
+
+    def test_spans_and_counters(self):
+        recorder = TraceRecorder()
+        solve(self.CYCLE, recorder=recorder)
+        root = recorder.find("solve")
+        assert [span.name for span in root.children] == ["classify", "ground"]
+        totals = recorder.counter_totals()
+        assert totals["ground.rounds"] == 7
+        assert totals["ground.delta_atoms"] == totals["ground.atoms"] == 6 + 36
+        assert totals["ground.facts"] == 6
+
+    @pytest.mark.parametrize("source", ["program", "store"])
+    def test_max_rules_trips_at_the_context_paths_size(self, source):
+        program = parse_program(self.CYCLE)
+        context = build_context(program)
+        size = len(context.facts) + len(context.rules)
+        assert size == 6 + 42
+        store = None
+        if source == "store":
+            store = MemoryStore()
+            store.load(program.fact_atoms())
+            program = Program(program.non_fact_rules())
+        fits = GroundingLimits(max_rules=size)
+        assert solve(program, limits=fits, store=store).context is None
+        build_context(program, limits=fits, store=store)
+        over = GroundingLimits(max_rules=size - 1)
+        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
+            solve(program, limits=over, store=store)
+        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
+            build_context(program, limits=over, store=store)
+
+    def test_tiny_deadline_raises_grounding_timeout(self):
+        with pytest.raises(GroundingTimeout):
+            solve(self.CYCLE, config=EngineConfig(budget=Budget(max_seconds=1e-9)))
+        with pytest.raises(GroundingTimeout):
+            solve(self.CYCLE, limits=GroundingLimits(max_seconds=0))
+
+    def test_cancelled_token_raises_cancelled(self):
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(Cancelled) as excinfo:
+            solve(self.CYCLE, config=EngineConfig(budget=Budget(token=token)))
+        assert excinfo.value.phase == "ground"
+
+    def test_requested_horn_on_negation_raises_as_before(self):
+        # The message names the first ground instance with a negative
+        # literal, as the context path always has; a rule whose instances
+        # never fire cannot offend.
+        with pytest.raises(EvaluationError) as excinfo:
+            solve("q(1). q(2). r(2). p(X) :- q(X), not r(X).", semantics="horn")
+        assert str(excinfo.value) == (
+            "program is not definite (Horn): rule 'p(1) :- q(1), not r(1).' "
+            "has a negative literal"
+        )
+        assert solve("p(X) :- q(X), not r(X). s(1).", semantics="horn").is_true("s", 1)

@@ -13,7 +13,11 @@ per evaluator (the ``evaluate`` fixture), so a failure names the evaluator
 that diverged.  Hypothesis drives the sweep over the random non-ground
 generator (grounded before evaluation), random ground propositional
 programs (dense negation cycles), the layered workload with its method
-counts, and definite programs; a last family
+counts, and definite programs.  One more family solves definite
+non-ground programs from the grounder's envelope (``solve`` under
+``auto`` and requested ``horn``, with no store, a ``MemoryStore`` and a
+``SqliteStore``) against the Horn minimum model over a ground context and
+the monolithic AFP, true set, false set and base alike; a last family
 checks that the ``engine`` knob is semantics-irrelevant: the kernel and
 the monolithic engine either agree exactly or fail identically under
 every supported semantics.
@@ -27,9 +31,13 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.config import EngineConfig
 from repro.core.alternating import alternating_fixpoint
+from repro.core.context import build_context
 from repro.core.wellfounded import well_founded_model
+from repro.datalog.rules import Program, Rule
 from repro.engine.solver import solve
 from repro.kernel import kernel_well_founded
+from repro.semantics.horn import horn_minimum_model
+from repro.storage import MemoryStore, SqliteStore
 from repro.workloads import (
     layered_program,
     random_nonground_program,
@@ -64,6 +72,27 @@ def _assert_byte_identical(program, evaluate):
     assert _render(well_founded_model(program).model) == reference, "W_P vs monolithic AFP"
     assert _render(result.model) == reference, "evaluator vs monolithic AFP"
     return result
+
+
+def _render_total(model, base) -> bytes:
+    """:func:`_render` followed by the base the model is taken over."""
+    return _render(model) + b"\n--\n" + "\n".join(sorted(map(str, base))).encode("utf-8")
+
+
+def _solve_definite(program: Program, semantics: str, backend):
+    """``solve`` of *program*; with a *backend*, its store holds two thirds
+    of the facts and the rules keep two thirds (one third in both)."""
+    config = EngineConfig(semantics=semantics)
+    if backend is None:
+        return solve(program, config=config)
+    facts = sorted(program.fact_atoms(), key=str)
+    store = MemoryStore() if backend == "memory" else SqliteStore(":memory:")
+    try:
+        store.load(fact for index, fact in enumerate(facts) if index % 3)
+        kept = [Rule(fact) for index, fact in enumerate(facts) if index % 3 != 1]
+        return solve(Program([*kept, *program.non_fact_rules()]), config=config, store=store)
+    finally:
+        store.close()
 
 
 def _outcome(text: str, semantics: str, engine: str):
@@ -110,6 +139,26 @@ class TestHypothesisDriven:
         counts = result.method_counts()
         assert counts.get("alternating") == layers
         assert counts.get("stratified") == 2 * layers
+
+    @pytest.mark.parametrize("backend", [None, "memory", "sqlite"])
+    @pytest.mark.parametrize("semantics", ["auto", "horn"])
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        rules=st.integers(min_value=2, max_value=10),
+    )
+    def test_definite_programs_solve_from_the_envelope(self, semantics, backend, seed, rules):
+        program = random_nonground_program(seed=seed, rules=rules, negation_probability=0.0)
+        solution = _solve_definite(program, semantics, backend)
+        assert solution.semantics == "horn"
+        # Ground rule sets keep the context path; the rest solve from the
+        # envelope and build no context.
+        assert (solution.context is None) == (not program.is_ground)
+        got = _render_total(solution.interpretation, solution.base)
+        horn = horn_minimum_model(build_context(program))
+        assert got == _render_total(horn.interpretation, horn.context.base), "vs Horn"
+        afp = alternating_fixpoint(program)
+        assert got == _render_total(afp.model, afp.context.base), "vs monolithic AFP"
 
     @SETTINGS
     @given(

@@ -12,6 +12,7 @@ from repro.engine.solver import solve_configured
 from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
 from repro.session import KnowledgeBase, ResultSet
+from repro.storage import SqliteStore
 from repro.workloads import social_graph_program
 
 WIN_MOVE_RULES = "wins(X) :- move(X, Y), not wins(Y)."
@@ -212,6 +213,36 @@ class TestQueries:
         assert kb.explain("wins(c)").verdict == "true"
         kb.assert_fact("move", "d", "e")
         assert kb.explain("wins(c)").verdict == "false"
+
+    def test_explain_after_a_horn_rebuild(self):
+        # The monolithic engine rebuilds through solve_configured, which
+        # solves definite non-ground rules from the grounder's envelope:
+        # the solution has no ground context, so the explainer grounds the
+        # solution's program — the rules plus the facts that solve read —
+        # and never the store, which later writes change.
+        kb = KnowledgeBase(
+            "tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y).",
+            store=SqliteStore(":memory:"),
+            config=EngineConfig(engine="monolithic"),
+        )
+        try:
+            kb.load({"edge": [("a", "b"), ("b", "c")]})
+            assert not kb.is_incremental
+            assert kb.solution.semantics == "horn" and kb.solution.context is None
+            snapshot = kb.snapshot()
+            derived = kb.explain("tc(a, c)")
+            assert derived.verdict == "true"
+            assert derived.derivation.depth() == 3
+            assert kb.explain("tc(c, a)").verdict == "false"
+            kb.assert_fact("edge", "c", "a")
+            assert kb.solution.context is None
+            assert kb.explain("tc(c, a)").verdict == "true"
+            assert kb.explain("tc(a, d)").verdict == "false"
+            # The earlier epoch explains from the facts its own solve read.
+            assert snapshot.explain("tc(c, a)").verdict == "false"
+            assert snapshot.explain("tc(a, c)").verdict == "true"
+        finally:
+            kb.close()
 
     def test_explain_under_non_wfs_semantics_uses_wfs(self):
         kb = KnowledgeBase(

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.datalog.grounding import relevant_ground, stream_relevant_ground
 from repro.datalog.parser import parse_program
 from repro.engine.solver import solve, solve_configured
 from repro.config import EngineConfig
 from repro.datalog.database import Database
+from repro.semantics.horn import horn_minimum_model
 from repro.storage import MemoryStore, SqliteStore
 
 RULES = parse_program(
@@ -17,6 +19,7 @@ RULES = parse_program(
     blocked(X) :- node(X), not tc(a, X).
     """
 )
+TC_RULES = parse_program("tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y).")
 EDGES = [("a", "b"), ("b", "c"), ("c", "d")]
 NODES = [("a",), ("b",), ("c",), ("d",), ("e",)]
 
@@ -87,7 +90,7 @@ class TestSolveEquivalence:
     @pytest.mark.parametrize("semantics", ["well-founded", "stable", "stratified", "horn"])
     def test_models_identical_across_paths(self, store, semantics):
         if semantics == "horn":
-            rules = parse_program("tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y).")
+            rules = TC_RULES
             legacy = Database.from_tuples({"edge": EDGES, "node": NODES}).attach(rules)
         else:
             rules = RULES
@@ -98,6 +101,24 @@ class TestSolveEquivalence:
         assert via_store.interpretation.true_atoms == via_legacy.interpretation.true_atoms
         assert via_store.interpretation.false_atoms == via_legacy.interpretation.false_atoms
         assert via_store.base == via_legacy.base
+
+    @pytest.mark.parametrize("semantics", ["auto", "horn"])
+    def test_definite_rules_solve_from_the_envelope(self, store, semantics):
+        legacy = Database.from_tuples({"edge": EDGES, "node": NODES}).attach(TC_RULES)
+        config = EngineConfig(semantics=semantics)
+        via_store = solve_configured(TC_RULES, config, store=store)
+        alone = solve_configured(legacy, config)
+        horn = horn_minimum_model(build_context(legacy))
+        afp = alternating_fixpoint(legacy)
+        for solution in (via_store, alone):
+            assert solution.semantics == "horn" and solution.context is None
+            assert solution.interpretation == horn.interpretation == afp.model
+            assert solution.base == horn.context.base == afp.context.base
+        # The store's facts are in the model and, as fact rules, in the
+        # solution's program, which grounds to the same context.
+        assert {("edge", 2), ("node", 1)} <= {(a.predicate, a.arity) for a in via_store.base}
+        assert via_store.program.fact_atoms() == legacy.fact_atoms()
+        assert build_context(via_store.program).base == via_store.base
 
     def test_database_backed_solve_uses_its_store(self):
         database = Database.from_tuples({"edge": EDGES, "node": NODES})
