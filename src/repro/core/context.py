@@ -3,14 +3,21 @@
 Every operator of the paper (``T_P``, ``S_P``, ``S̃_P``, ``A_P``, ``U_P``,
 ``W_P``) is defined on the Herbrand instantiation of a program.  The
 :class:`GroundContext` bundles a ground program together with the atom
-universe the operators work over and the rule indexes that make repeated
-operator applications fast:
+universe the operators work over:
 
 * ``rules`` — the ground non-fact rules, decomposed into head / positive
   body / negative body;
 * ``facts`` — the ground atoms asserted unconditionally;
 * ``base`` — the atom universe ``H`` relative to which complements and
-  conjugates (Definition 3.2) are taken.
+  conjugates (Definition 3.2) are taken;
+* ``rules_by_head`` — the rules deriving each atom, read by the
+  unfounded-set, Fitting and completion operators, the explainer and
+  sessions' component solves.
+
+The watch lists of semi-naive evaluation are not part of the context:
+:func:`repro.evaluation.indexes.get_index` derives them (both polarities)
+for the object-level evaluators that read them, and the compiled kernel
+builds its own int IR (:mod:`repro.kernel.compile`).
 
 By default the base is the set of atoms *occurring* in the ground program.
 Atoms of the full Herbrand base that never occur in any rule cannot be
@@ -70,7 +77,6 @@ class GroundContext:
     rules: tuple[GroundRule, ...]
     facts: frozenset[Atom]
     base: frozenset[Atom]
-    rules_by_positive_atom: Mapping[Atom, tuple[int, ...]]
     rules_by_head: Mapping[Atom, tuple[int, ...]]
 
     @property
@@ -206,7 +212,6 @@ def build_context(
                 rules=(),
                 facts=frozenset(facts),
                 base=frozenset(base),
-                rules_by_positive_atom={},
                 rules_by_head={},
             ),
             rules,
@@ -229,10 +234,10 @@ def extend_context(
     skipped: callers that grow a grounding keep their facts apart).
 
     This is where every context's rules are split into
-    :class:`GroundRule` pieces and indexed — :func:`build_context` extends
-    an empty one.  Rule ids already issued keep their meaning, so state
-    indexed by them stays valid, and the base grows by the atoms the new
-    rules mention.  *context* itself is left as it was — contexts are
+    :class:`GroundRule` pieces and indexed by head — :func:`build_context`
+    extends an empty one.  Rule ids already issued keep their meaning, so
+    state indexed by them stays valid, and the base grows by the atoms the
+    new rules mention.  *context* itself is left as it was — contexts are
     shared with published snapshots — and only the index entries of atoms
     the new rules touch are rebuilt.  The result reports *program*, by
     default *context*'s program plus the new rules.  Returns *context*
@@ -242,7 +247,6 @@ def extend_context(
     added: list[GroundRule] = []
     occurring: set[Atom] = set()
     new_by_head: dict[Atom, list[int]] = {}
-    new_by_positive: dict[Atom, list[int]] = {}
     meter = current_meter()
     for rule in rules:
         meter.tick("ground", stride=512)
@@ -253,10 +257,6 @@ def extend_context(
         index = start + len(added)
         added.append(GroundRule(rule.head, positive, negative, rule))
         new_by_head.setdefault(rule.head, []).append(index)
-        # Deduplicate so a rule is listed once per *distinct* body atom; the
-        # counting propagation in repro.core.eventual relies on this.
-        for atom in set(positive):
-            new_by_positive.setdefault(atom, []).append(index)
         occurring.add(rule.head)
         occurring.update(positive)
         occurring.update(negative)
@@ -265,9 +265,6 @@ def extend_context(
     by_head = dict(context.rules_by_head)
     for atom, ids in new_by_head.items():
         by_head[atom] = by_head.get(atom, ()) + tuple(ids)
-    by_positive = dict(context.rules_by_positive_atom)
-    for atom, ids in new_by_positive.items():
-        by_positive[atom] = by_positive.get(atom, ()) + tuple(ids)
     if program is None:
         program = Program((*context.program, *(rule.source for rule in added)))
     return GroundContext(
@@ -275,6 +272,5 @@ def extend_context(
         rules=context.rules + tuple(added),
         facts=context.facts,
         base=context.base | occurring,
-        rules_by_positive_atom=by_positive,
         rules_by_head=by_head,
     )

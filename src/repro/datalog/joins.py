@@ -75,11 +75,14 @@ class Relation:
         self.row_ids: dict[tuple[Term, ...], int] = {}
         self.indexes: dict[tuple[int, ...], dict[tuple[Term, ...], list[int]]] = {}
         self.dead = 0
-        # Serialises index *registration* against row insertion: a reader
-        # thread lazily building an index while the single writer appends
-        # could otherwise register a posting list missing the new row (the
-        # writer's maintenance loop only sees already-registered indexes).
-        # Probes take the lock-free fast path once the index exists.
+        # Serialises index *registration* against row insertion.  A store's
+        # relations may be probed on one thread while another appends (a
+        # MemoryStore shared by a session and solves or sessions on other
+        # threads); a thread lazily building an index meanwhile could
+        # otherwise register a posting list missing the new row (the
+        # appender's maintenance loop only sees already-registered
+        # indexes).  Probes take the lock-free fast path once the index
+        # exists.
         self._index_lock = threading.Lock()
 
     def __len__(self) -> int:

@@ -18,7 +18,10 @@ O(1) per (atom, rule) pair with a :class:`RuleIndex` built once per
 
 Indexes are immutable and cached on the context (contexts are frozen and
 reused across operators), so every semantics computed on one grounding
-shares a single index build.
+shares a single index build.  This module owns both watch lists: the
+context itself indexes its rules by head only, and the compiled kernel
+keeps its own int IR, so the lists are built only when an object-level
+evaluator asks for them.
 """
 
 from __future__ import annotations
@@ -77,19 +80,23 @@ class RuleIndex:
 def build_index(context: "GroundContext") -> RuleIndex:
     """Construct the :class:`RuleIndex` of a ground context.
 
-    The positive watch lists reuse ``context.rules_by_positive_atom`` (which
-    is already deduplicated per rule); the negative watch lists and counter
-    seeds are derived here in one pass over the rules.
+    Both watch lists and the counter seeds are derived in one pass over the
+    rules; each list names a rule once per *distinct* body atom, so the
+    counter decrements are exact.
     """
     heads: list[Atom] = []
     positive_counts: list[int] = []
     negative_counts: list[int] = []
+    watchers: dict[Atom, list[int]] = {}
     negative_watchers: dict[Atom, list[int]] = {}
     definite: list[int] = []
 
     for index, rule in enumerate(context.rules):
         heads.append(rule.head)
-        positive_counts.append(len(set(rule.positive_body)))
+        distinct_positive = set(rule.positive_body)
+        positive_counts.append(len(distinct_positive))
+        for atom in distinct_positive:
+            watchers.setdefault(atom, []).append(index)
         distinct_negative = set(rule.negative_body)
         negative_counts.append(len(distinct_negative))
         if not distinct_negative:
@@ -101,7 +108,7 @@ def build_index(context: "GroundContext") -> RuleIndex:
         heads=tuple(heads),
         positive_counts=tuple(positive_counts),
         negative_counts=tuple(negative_counts),
-        watchers=context.rules_by_positive_atom,
+        watchers={atom: tuple(ids) for atom, ids in watchers.items()},
         negative_watchers={atom: tuple(ids) for atom, ids in negative_watchers.items()},
         definite_rules=tuple(definite),
     )

@@ -1,8 +1,9 @@
 """Compiled ground-program kernel: interned-int IR with flat-array evaluation.
 
 The kernel compiles a frozen :class:`~repro.core.context.GroundContext`
-into dense integers once (:mod:`repro.kernel.intern`,
-:mod:`repro.kernel.compile`) and evaluates the well-founded model with
+into dense integers once (:mod:`repro.kernel.compile`: atom ids in the
+order compilation first meets them, the id → atom list kept as
+``CompiledProgram.atoms``) and evaluates the well-founded model with
 counter propagation over flat arrays (:mod:`repro.kernel.eval`).  It is
 the default engine (``engine="kernel"`` on
 :class:`~repro.config.EngineConfig`) of every one-shot well-founded
@@ -20,10 +21,8 @@ residual rules to the same solvers,
 
 from .compile import CompiledProgram, compile_context, get_kernel
 from .eval import KernelResult, evaluate_compiled, kernel_model, kernel_well_founded
-from .intern import AtomTable
 
 __all__ = [
-    "AtomTable",
     "CompiledProgram",
     "compile_context",
     "get_kernel",

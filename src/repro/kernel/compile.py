@@ -3,6 +3,12 @@
 The compiled form replaces every object-level structure the well-founded
 hot loop touches with a contiguous ``array('i')``:
 
+* atoms get dense ids in the order compilation first meets them — each
+  rule's head, then its positive and negative body, then the facts in
+  program order, then any remaining base atoms (extra or full-base ones)
+  sorted by ``repr`` — and ``atoms`` maps an id back to its atom.  The
+  model does not depend on which id an atom gets, and the order needs no
+  sort of the base;
 * rule bodies become CSR segments (``pos_off``/``pos_atoms`` and
   ``neg_off``/``neg_atoms``, one *deduplicated* id list per rule, so the
   Dowling–Gallier counters seeded from segment lengths are exact);
@@ -26,10 +32,10 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import current_meter
-from .intern import AtomTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.context import GroundContext
+    from ..datalog.atoms import Atom
 
 __all__ = ["CompiledProgram", "compile_context", "get_kernel"]
 
@@ -44,10 +50,11 @@ class CompiledProgram:
     ``(xxx_off, xxx)`` pair is ``xxx[xxx_off[i]:xxx_off[i + 1]]``, and the
     offset array has one trailing entry, so lengths never need storing.
     Components are numbered callees-first: every body atom of a rule lives
-    in the same or a lower-numbered component than its head.
+    in the same or a lower-numbered component than its head.  ``atoms[i]``
+    is the atom with id ``i``.
     """
 
-    table: AtomTable
+    atoms: List["Atom"]
     n_atoms: int
     n_rules: int
     # Rules
@@ -77,15 +84,14 @@ class CompiledProgram:
         evaluator's inner loops index these structures millions of times,
         so each compiled program lazily materialises a list form (whose
         elements are shared, already-boxed ints) next to the canonical
-        packed arrays.  Returns ``(heads, pos_off, pos_atoms, neg_off,
-        neg_atoms, head_off, head_rules, comp_off, comp_atoms, comp_of)``.
+        packed arrays.  Returns ``(pos_off, pos_atoms, neg_off, neg_atoms,
+        head_off, head_rules, comp_off, comp_atoms, comp_of)``.
         """
         cached = getattr(self, "_hot", None)
         if cached is None:
             cached = tuple(
                 list(buf)
                 for buf in (
-                    self.heads,
                     self.pos_off,
                     self.pos_atoms,
                     self.neg_off,
@@ -102,8 +108,8 @@ class CompiledProgram:
 
     def nbytes(self) -> int:
         """Bytes held by the flat arrays (the IR proper, excluding the
-        shared Atom objects behind the intern table and the lazily built
-        :meth:`hot` decode cache)."""
+        id → atom list, whose Atom objects are shared with the context, and
+        the lazily built :meth:`hot` decode cache)."""
         total = len(self.self_dep)
         for buf in (
             self.heads,
@@ -136,10 +142,13 @@ def compile_context(
 ) -> CompiledProgram:
     """Compile *context* to a :class:`CompiledProgram` (uncached)."""
     meter = current_meter()
-    table = AtomTable.from_atoms(context.base)
-    ids = table.ids
-    n_atoms = len(table)
-    meter.check("compile")
+    # Atom -> id in first-seen order; ``intern(atom, len(ids))`` hands out
+    # the next dense id on first sight, and the dict's insertion order is
+    # the id -> atom list.  Every atom of the rules and facts is in the base.
+    ids: Dict["Atom", int] = {}
+    intern = ids.setdefault
+    base = context.base
+    n_atoms = len(base)
 
     rules = context.rules
     n_rules = len(rules)
@@ -150,22 +159,29 @@ def compile_context(
     neg_list: List[int] = []
     self_dep = bytearray(n_atoms)
     for rule in rules:
-        head_id = ids[rule.head]
+        head_id = intern(rule.head, len(ids))
         heads_list.append(head_id)
         positive = rule.positive_body
         if positive:
-            distinct = {ids[atom] for atom in positive}
+            distinct = {intern(atom, len(ids)) for atom in positive}
             if head_id in distinct:
                 self_dep[head_id] = 1
             pos_list.extend(sorted(distinct))
         pos_off_list.append(len(pos_list))
         negative = rule.negative_body
         if negative:
-            distinct = {ids[atom] for atom in negative}
+            distinct = {intern(atom, len(ids)) for atom in negative}
             if head_id in distinct:
                 self_dep[head_id] = 1
             neg_list.extend(sorted(distinct))
         neg_off_list.append(len(neg_list))
+    facts = context.facts
+    for rule in context.program:
+        if not rule.body and rule.head in facts:
+            intern(rule.head, len(ids))
+    if len(ids) < n_atoms:
+        for atom in sorted((atom for atom in base if atom not in ids), key=repr):
+            intern(atom, len(ids))
     meter.check("compile")
 
     # Head index as CSR via a counting pass.
@@ -193,7 +209,7 @@ def compile_context(
     meter.check("compile")
 
     compiled = CompiledProgram(
-        table=table,
+        atoms=list(ids),
         n_atoms=n_atoms,
         n_rules=n_rules,
         heads=array("i", heads_list),
@@ -203,7 +219,7 @@ def compile_context(
         neg_atoms=array("i", neg_list),
         head_off=head_off,
         head_rules=array("i", head_rules_list),
-        fact_ids=array("i", sorted(ids[atom] for atom in context.facts)),
+        fact_ids=array("i", sorted(ids[atom] for atom in facts)),
         n_components=len(comp_off_list) - 1,
         comp_of=array("i", comp_of),
         comp_off=array("i", comp_off_list),

@@ -117,7 +117,6 @@ def evaluate_compiled(
         is_fact[atom_id] = 1
 
     (
-        heads,
         pos_off,
         pos_atoms,
         neg_off,
@@ -196,7 +195,6 @@ def evaluate_compiled(
             comp_index,
             comp_of,
             truth,
-            heads,
             pos_off,
             pos_atoms,
             neg_off,
@@ -241,7 +239,6 @@ def _partial_evaluate(
     comp_index: int,
     comp_of,
     truth: bytearray,
-    heads,
     pos_off,
     pos_atoms,
     neg_off,
@@ -356,7 +353,7 @@ def kernel_well_founded(
             )
 
         with recorder.span("assemble") as assemble_span:
-            atoms = compiled.table.atoms
+            atoms = compiled.atoms
             true_atoms: Set[Atom] = set()
             false_atoms: Set[Atom] = set()
             for atom_id, value in enumerate(truth):

@@ -120,17 +120,6 @@ class FaultInjectingStore(FactStore):
     def unsubscribe(self, listener: ChangeListener) -> None:
         self.inner.unsubscribe(listener)
 
-    # Snapshot leases must pin the *inner* store — that is where the
-    # sequence numbers live and where compaction would invalidate them.
-    def _acquire_pin(self) -> None:
-        self.inner._acquire_pin()
-
-    def _release_pin(self) -> None:
-        self.inner._release_pin()
-
-    def _pinned(self) -> bool:
-        return self.inner._pinned()
-
     # ------------------------------------------------------------------ #
     # Intercepted primitives
     # ------------------------------------------------------------------ #

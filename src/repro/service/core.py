@@ -6,10 +6,11 @@ at once, by splitting the session's surface along its natural grain:
 
 * **Reads are snapshot-isolated.**  The service keeps one *published*
   :class:`~repro.session.SessionSnapshot` — an immutable (solution,
-  pinned-store-view, epoch) triple — and every read request serves
-  entirely from it.  Publishing is a single reference assignment, so
-  readers need no lock: a request observes exactly one epoch from its
-  first byte to its last, no matter how many writes land meanwhile.
+  fact count, epoch) triple whose reads go to the epoch's model view —
+  and every read request serves entirely from it.  Publishing is a
+  single reference assignment, so readers need no lock: a request
+  observes exactly one epoch from its first byte to its last, no matter
+  how many writes land meanwhile.
 * **Writes are serialized.**  All mutations funnel through a bounded
   admission queue into one writer thread, which applies them against the
   knowledge base under a store savepoint, refreshes the model, publishes
@@ -440,8 +441,7 @@ class QueryService:
             "epoch": snapshot.epoch,
             "semantics": snapshot.semantics,
             "facts": snapshot.fact_count,
-            "store_rows": len(snapshot.store_view),
-            "relations": len(snapshot.store_view.signatures()),
+            "store_rows": snapshot.fact_count,
             "queue_depth": self._queue.qsize(),
             "queue_size": self.queue_size,
             "max_readers": self.max_readers,
@@ -457,11 +457,11 @@ class QueryService:
         """Liveness: a snapshot is published and the writer thread is
         running.  Returns ``(healthy, report)``.
 
-        The store probe reads the *published snapshot's* pinned view —
-        never the live store, which the writer thread mutates
-        concurrently; probing it from handler threads produced spurious
-        503s under write load (``dictionary changed size during
-        iteration``), exactly what a liveness probe must not do.
+        ``store_rows`` is the published epoch's fact count: the report
+        never touches the live store, which the writer thread mutates
+        concurrently (probing it from handler threads once produced
+        spurious 503s under write load, ``dictionary changed size during
+        iteration``, exactly what a liveness probe must not do).
         """
         report: dict[str, object] = {}
         healthy = True
@@ -471,7 +471,7 @@ class QueryService:
             report["store"] = "error: no snapshot published"
         else:
             report["store"] = "ok"
-            report["store_rows"] = len(snapshot.store_view)
+            report["store_rows"] = snapshot.fact_count
         writer_ok = self._writer is not None and self._writer.is_alive()
         report["writer"] = "alive" if writer_ok else "stopped"
         if not self._closed and not writer_ok:

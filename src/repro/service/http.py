@@ -22,7 +22,7 @@ POST    ``/retract``            body ``{"fact": "edge(1, 2)"}``
 POST    ``/batch``              body ``{"operations": [{"op": "assert",
                                 "fact": "..."}, ...]}`` — atomic
 GET     ``/stats``              service + snapshot statistics
-GET     ``/healthz``            liveness (store answers, writer alive)
+GET     ``/healthz``            liveness (snapshot published, writer alive)
 GET     ``/readyz``             readiness (snapshot published, backlog < cap)
 ======  ======================  ==================================================
 

@@ -5,7 +5,7 @@
 * :class:`ResultSet` — lazy relation views, read straight from the
   current epoch's per-predicate :class:`~repro.engine.view.ModelView`;
 * :class:`SessionSnapshot` — an immutable, thread-safe view of one model
-  epoch (solution + pinned store window), the read unit of
+  epoch (solution + fact count, no store view), the read unit of
   :mod:`repro.service`; an incremental session publishes each epoch in
   O(flips), sharing every unflipped predicate with the epoch before;
 * :class:`IncrementalEngine` / :class:`UpdateStats` — the component-level

@@ -114,7 +114,6 @@ _EMPTY_CONTEXT = GroundContext(
     rules=(),
     facts=frozenset(),
     base=frozenset(),
-    rules_by_positive_atom={},
     rules_by_head={},
 )
 
@@ -226,7 +225,7 @@ class IncrementalEngine:
         # Monotone model-version counter: bumped once per *successful*
         # refresh, so two reads observing the same epoch are guaranteed to
         # observe the same model.  The query service stamps every response
-        # with the epoch its snapshot was pinned at.
+        # with the epoch its snapshot was published at.
         self._epoch = 0
 
         # The rule context: decomposed ground rules, head index and the

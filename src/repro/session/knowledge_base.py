@@ -81,7 +81,6 @@ from ..fixpoint.lattice import NegativeSet
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import metered
 from ..storage import FactStore, open_store
-from ..storage.snapshot import StoreSnapshot
 from .incremental import IncrementalEngine, UpdateStats
 
 __all__ = ["KnowledgeBase", "ResultSet", "SessionSnapshot"]
@@ -296,10 +295,10 @@ class SessionSnapshot:
     half of the epoch/refresh handoff the query service is built on.
 
     A snapshot bundles the *epoch* (monotone refresh counter), the
-    refreshed :class:`~repro.engine.solver.Solution` at that epoch, and a
-    pinned :class:`~repro.storage.StoreSnapshot` over the EDB's
-    ``[0, seq)`` windows.  The solution is immutable: its reads go to the
-    epoch's :class:`~repro.engine.view.ModelView`, which shares every
+    refreshed :class:`~repro.engine.solver.Solution` at that epoch and the
+    epoch's EDB size (``fact_count``); it holds no view of the store.  The
+    solution is immutable: its reads go to the epoch's
+    :class:`~repro.engine.view.ModelView`, which shares every
     predicate the refresh did not move with the epoch before (and refers
     to no earlier epoch), and whatever it computes lazily — the program,
     base, interpretation and ground context of the epoch, a predicate's
@@ -320,7 +319,6 @@ class SessionSnapshot:
     __slots__ = (
         "epoch",
         "solution",
-        "store_view",
         "fact_count",
         "created",
         "_lock",
@@ -331,12 +329,10 @@ class SessionSnapshot:
         self,
         epoch: int,
         solution: Solution,
-        store_view: StoreSnapshot,
         fact_count: int,
     ) -> None:
         self.epoch = epoch
         self.solution = solution
-        self.store_view = store_view
         self.fact_count = fact_count
         self.created = time.time()
         self._lock = threading.Lock()
@@ -478,7 +474,6 @@ class KnowledgeBase:
                 f"store must be a FactStore or a spec string, got {store!r}"
             )
         self._store = store
-        self._edb = Database(store=store)
         # The current EDB, for O(1) membership.  The store's change events
         # (`_on_store_change`) maintain it, so it tracks *every* mutation,
         # not only the session's own.
@@ -883,17 +878,16 @@ class KnowledgeBase:
         """Publish a :class:`SessionSnapshot` of the current model epoch.
 
         Refreshes first (so the snapshot is never stale relative to the
-        EDB), then captures the immutable solution, the store's pinned
-        ``[0, seq)`` read-view and the epoch counter.  The snapshot is safe
-        to read from any number of threads while this session — which is
-        itself *not* thread-safe — keeps mutating; the query service takes
-        one after every applied write and swaps it in atomically.
+        EDB), then captures the immutable solution, the EDB's fact count
+        and the epoch counter.  The snapshot is safe to read from any
+        number of threads while this session — which is itself *not*
+        thread-safe — keeps mutating; the query service takes one after
+        every applied write and swaps it in atomically.
         """
         self._refresh()
         return SessionSnapshot(
             epoch=self._update_count,
             solution=self._solution,
-            store_view=self._store.snapshot(),
             fact_count=len(self._facts),
         )
 

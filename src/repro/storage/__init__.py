@@ -17,7 +17,6 @@ from __future__ import annotations
 from ..exceptions import StorageError
 from .base import ChangeListener, FactStore
 from .memory import MemoryStore
-from .snapshot import StoreSnapshot
 from .sqlite import SqliteStore
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "ChangeListener",
     "MemoryStore",
     "SqliteStore",
-    "StoreSnapshot",
     "SUPPORTED_STORES",
     "DEFAULT_STORE",
     "parse_store_spec",

@@ -27,11 +27,15 @@ Two backends implement the protocol: :class:`~repro.storage.memory.MemoryStore`
 (the hash-join relations of :mod:`repro.datalog.joins`, now with removal
 support) and :class:`~repro.storage.sqlite.SqliteStore` (a durable
 stdlib-``sqlite3`` backend enabling ``KnowledgeBase.open("kb.db")``).
+
+A store hands out no read views.  Readers of a session's published epochs
+read the epoch's :class:`~repro.engine.view.ModelView`, never the store,
+so nothing pins a store's sequence numbers beyond an open savepoint or a
+running grounding pass.
 """
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -72,14 +76,6 @@ class FactStore(ABC):
 
     def __init__(self) -> None:
         self._listeners: list[ChangeListener] = []
-        # Outstanding snapshot leases (see snapshot()).  While any lease is
-        # live, backends must not invalidate sequence numbers — MemoryStore
-        # defers tombstone compaction, exactly as it does inside an open
-        # savepoint.  The lock makes the counter safe to release from any
-        # thread (snapshots are handed to reader threads, and an unclosed
-        # one releases from the GC finalizer thread).
-        self._pin_lock = threading.Lock()
-        self._pins = 0
         #: Number of :meth:`candidate_rows` index probes served since the
         #: store was created — the cheap per-backend tally surfaced by
         #: :meth:`stats` and sampled by the :mod:`repro.obs` recorders.
@@ -263,35 +259,6 @@ class FactStore(ABC):
         return {
             signature: self.sequence_bound(*signature) for signature in self.signatures()
         }
-
-    def snapshot(self) -> "StoreSnapshot":
-        """An explicit read-view pinning every relation's ``[0, seq)``
-        window as of now (see :class:`repro.storage.snapshot.StoreSnapshot`).
-
-        Rows inserted after the call are invisible through the view; the
-        query service publishes one per model epoch so concurrent readers
-        serve consistent results while the single writer keeps mutating.
-        The view holds a *lease* on the store — sequence numbers stay
-        valid (no compaction) until the snapshot is closed or collected.
-        """
-        from .snapshot import StoreSnapshot
-
-        return StoreSnapshot(self)
-
-    # -- snapshot leases -------------------------------------------------- #
-    def _acquire_pin(self) -> None:
-        with self._pin_lock:
-            self._pins += 1
-
-    def _release_pin(self) -> None:
-        with self._pin_lock:
-            if self._pins > 0:
-                self._pins -= 1
-
-    def _pinned(self) -> bool:
-        """Whether any snapshot lease is outstanding (backends must keep
-        sequence numbers stable while this holds)."""
-        return self._pins > 0
 
     def index_count(self) -> int:
         """Number of auxiliary bound-position indexes the backend currently

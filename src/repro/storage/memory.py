@@ -69,14 +69,8 @@ class MemoryStore(FactStore):
         # Compact eagerly when garbage dominates — but never while a
         # savepoint is open, whose rollback replays journal entries that
         # assume stable sequence numbers are irrelevant (it re-adds by
-        # value), yet an open grounding run may still hold windows; and
-        # never while a snapshot lease is outstanding, whose pinned
-        # ``[0, seq)`` windows renumbering would silently corrupt.
-        if (
-            not self._savepoints
-            and not self._pinned()
-            and garbage_dominates(relation.dead, len(relation))
-        ):
+        # value), yet an open grounding run may still hold windows.
+        if not self._savepoints and garbage_dominates(relation.dead, len(relation)):
             relation.compact()
         if self._savepoints:
             self._journal.append((atom, False))

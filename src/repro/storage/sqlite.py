@@ -159,12 +159,15 @@ class SqliteStore(FactStore):
             max_retries=self.max_retries, base_delay=_RETRY_BASE_DELAY
         )
         self._connection: Optional[sqlite3.Connection] = None
-        # One connection shared across threads: the query service mutates
-        # from a dedicated writer thread and probes snapshots from HTTP
-        # handler threads.  check_same_thread=False permits the sharing;
-        # the mutex serialises statement execution at the Python level so
-        # catalogue caches, the probe counter and cursor materialisation
-        # stay consistent regardless of the compiled SQLite thread mode.
+        # One connection shared across threads: a session opens the store
+        # and solves its first epoch on the caller's thread, the query
+        # service's writer thread then mutates and probes it, and the
+        # caller's thread closes it after the drain; a store may also back
+        # sessions or Database façades on other threads.
+        # check_same_thread=False permits the sharing; the mutex serialises
+        # statement execution at the Python level so catalogue caches, the
+        # probe counter and cursor materialisation stay consistent
+        # regardless of the compiled SQLite thread mode.
         self._mutex = threading.RLock()
         try:
             # Autocommit mode: every statement is durable on its own, and
@@ -263,7 +266,8 @@ class SqliteStore(FactStore):
 
         def _attempt() -> sqlite3.Cursor:
             # The mutex covers one statement, not the backoff sleeps, so a
-            # retrying writer never starves concurrent snapshot readers.
+            # retrying statement never starves other threads sharing the
+            # connection.
             with self._mutex:
                 return self._cursor().execute(sql, parameters)
 

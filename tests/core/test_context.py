@@ -1,8 +1,10 @@
 """Unit tests for ground evaluation contexts."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.context import build_context
+from repro.core.context import GroundContext, build_context
 from repro.datalog.atoms import atom
 from repro.datalog.grounding import relevant_ground
 from repro.datalog.parser import parse_program
@@ -34,17 +36,19 @@ class TestBuildContext:
         assert atom("t", 2, 1) in wide.base  # never occurs in the ground program
 
     def test_indexes_are_consistent(self):
-        context = build_context(parse_program("a. b. p :- a, b. q :- a, not p."))
-        for atom_, indices in context.rules_by_positive_atom.items():
-            for index in indices:
-                assert atom_ in context.rules[index].positive_body
+        context = build_context(parse_program("a. b. p :- a, b. q :- a, not p. p :- q."))
         for atom_, indices in context.rules_by_head.items():
             for index in indices:
                 assert context.rules[index].head == atom_
+        assert context.rules_by_head[atom("p")] == (0, 2)
 
-    def test_duplicate_body_atom_indexed_once(self):
+    def test_context_holds_only_the_head_index(self):
+        # The watch lists belong to repro.evaluation.indexes, not the context.
+        names = [field.name for field in dataclasses.fields(GroundContext)]
+        assert names == ["program", "rules", "facts", "base", "rules_by_head"]
         context = build_context(parse_program("p :- q, q."))
-        assert context.rules_by_positive_atom[atom("q")].count(0) == 1
+        assert context.rules[0].positive_body == (atom("q"), atom("q"))
+        assert context.rules_by_head == {atom("p"): (0,)}
 
     def test_statistics_and_counts(self):
         context = build_context(parse_program("a. p :- a. q :- not p."))

@@ -1,6 +1,7 @@
 """Rule-index construction and caching."""
 
 from repro.core.context import build_context
+from repro.datalog.atoms import atom
 from repro.datalog.parser import parse_program
 from repro.evaluation.indexes import build_index, get_index
 
@@ -44,10 +45,20 @@ class TestBuildIndex:
         entries = sum(len(v) for v in index.negative_watchers.values())
         assert entries == sum(index.negative_counts)
 
-    def test_positive_watchers_shared_with_context(self):
+    def test_positive_watchers_cover_every_positive_literal(self):
         context = build_context(PROGRAM)
         index = build_index(context)
-        assert index.watchers is context.rules_by_positive_atom
+        for rule_id, rule in enumerate(context.rules):
+            for body_atom in set(rule.positive_body):
+                assert rule_id in index.watchers[body_atom]
+        entries = sum(len(v) for v in index.watchers.values())
+        assert entries == sum(index.positive_counts)
+
+    def test_positive_watchers_list_a_rule_once_per_distinct_atom(self):
+        context = build_context(parse_program("p :- q, q. r :- q, p, q."))
+        index = build_index(context)
+        assert index.watchers == {atom("q"): (0, 1), atom("p"): (1,)}
+        assert index.positive_counts == (1, 2)
 
     def test_statistics_shape(self):
         context = build_context(PROGRAM)

@@ -1,9 +1,15 @@
 """Unit tests for lowering a ground context to the flat int IR."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.core.context import build_context
 from repro.datalog import parse_program
 from repro.datalog.atoms import atom
-from repro.kernel import compile_context, get_kernel
+from repro.kernel import compile_context, get_kernel, kernel_model
 from repro.obs import TraceRecorder
 
 GAME_TEXT = """
@@ -14,6 +20,107 @@ wins(X) :- move(X, Y), not wins(Y).
 
 def _compiled(text: str):
     return compile_context(build_context(parse_program(text)))
+
+
+def _names(compiled) -> list[str]:
+    return [str(a) for a in compiled.atoms]
+
+
+#: Grounds and compiles a non-ground win-move program in a fresh
+#: interpreter and prints its id order and model, so two hash seeds can be
+#: compared.  The grounder's emission order feeds the rule atoms' ids, and
+#: the facts no rule reads and the full-base atoms take the later ids.
+_HASH_SEED_SCRIPT = """
+import json
+from repro.core.context import build_context
+from repro.datalog import parse_program
+from repro.datalog.rules import Program
+from repro.games.graphs import random_game_edges
+from repro.games.winmove import win_move_program
+from repro.kernel import compile_context, kernel_model
+
+program = Program.union(
+    win_move_program(random_game_edges(60, 2, 3)),
+    parse_program("seen(d). seen(c). seen(b). seen(a)."),
+)
+context = build_context(program, full_base=True)
+model = kernel_model(context)
+print(json.dumps({
+    "atoms": [repr(a) for a in compile_context(context).atoms],
+    "true": sorted(map(str, model.true_atoms)),
+    "false": sorted(map(str, model.false_atoms)),
+}))
+"""
+
+
+class TestAtomIds:
+    def test_ids_are_dense_and_bijective(self):
+        context = build_context(parse_program(GAME_TEXT))
+        compiled = compile_context(context)
+        assert len(compiled.atoms) == compiled.n_atoms == len(context.base)
+        assert set(compiled.atoms) == context.base
+        ids = {a: i for i, a in enumerate(compiled.atoms)}
+        assert len(ids) == compiled.n_atoms
+        assert sorted(ids.values()) == list(range(compiled.n_atoms))
+        assert atom("missing") not in ids
+
+    def test_duplicate_atoms_collapse_to_one_id(self):
+        compiled = _compiled("p :- q, q, not r, not r. s :- q, not r. q.")
+        assert sorted(_names(compiled)) == ["p", "q", "r", "s"]
+        q = compiled.atoms.index(atom("q"))
+        bodies = [
+            list(compiled.pos_atoms[compiled.pos_off[r] : compiled.pos_off[r + 1]])
+            for r in range(compiled.n_rules)
+        ]
+        assert bodies == [[q], [q]]
+
+    def test_ids_follow_rule_order(self):
+        # Each rule's head, then its positive body, then its negative body.
+        compiled = _compiled("z :- y, not x. a :- b, z, not c. b :- not w.")
+        assert _names(compiled) == ["z", "y", "x", "a", "b", "c", "w"]
+        reordered = _compiled("b :- not w. z :- y, not x. a :- b, z, not c.")
+        assert _names(reordered) == ["b", "w", "z", "y", "x", "a", "c"]
+
+    def test_facts_in_program_order_then_the_remaining_base(self):
+        # Facts no rule mentions follow the rule atoms in program order;
+        # extra base atoms come last, sorted by repr.
+        context = build_context(
+            parse_program("f2. p :- f1. f1. f0."),
+            extra_atoms=[atom("e", 2), atom("e", 1)],
+        )
+        compiled = compile_context(context)
+        assert _names(compiled) == ["p", "f1", "f2", "f0", "e(1)", "e(2)"]
+        facts = sorted(str(compiled.atoms[i]) for i in compiled.fact_ids)
+        assert facts == ["f0", "f1", "f2"]
+
+    def test_model_does_not_depend_on_the_id_order(self):
+        rules = [
+            "win(a) :- move(a, b), not win(b).",
+            "win(b) :- move(b, a), not win(a).",
+            "win(b) :- move(b, c), not win(c).",
+            "move(a, b). move(b, a). move(b, c).",
+        ]
+        forward = build_context(parse_program(" ".join(rules)))
+        backward = build_context(parse_program(" ".join(reversed(rules))))
+        assert compile_context(forward).atoms != compile_context(backward).atoms
+        assert kernel_model(forward) == kernel_model(backward)
+
+    def test_atoms_and_model_are_independent_of_the_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0]["atoms"]
+        assert outputs[0] == outputs[1]
 
 
 class TestCsrInvariants:
@@ -38,7 +145,7 @@ class TestCsrInvariants:
         rule = next(
             i
             for i in range(compiled.n_rules)
-            if compiled.table.atom_of(compiled.heads[i]).predicate == "p"
+            if compiled.atoms[compiled.heads[i]].predicate == "p"
         )
         pos = list(compiled.pos_atoms[compiled.pos_off[rule] : compiled.pos_off[rule + 1]])
         neg = list(compiled.neg_atoms[compiled.neg_off[rule] : compiled.neg_off[rule + 1]])
@@ -84,20 +191,18 @@ class TestCondensation:
 
     def test_mutual_recursion_shares_a_component(self):
         compiled = _compiled("win :- not lose. lose :- not win. base.")
-        table = compiled.table
         win, lose, base = (
-            table.id_of(atom("win")),
-            table.id_of(atom("lose")),
-            table.id_of(atom("base")),
+            compiled.atoms.index(atom("win")),
+            compiled.atoms.index(atom("lose")),
+            compiled.atoms.index(atom("base")),
         )
         assert compiled.comp_of[win] == compiled.comp_of[lose]
         assert compiled.comp_of[base] != compiled.comp_of[win]
 
     def test_self_dependency_flag(self):
         compiled = _compiled("p :- not p. q :- r. r.")
-        table = compiled.table
-        assert compiled.self_dep[table.id_of(atom("p"))] == 1
-        assert compiled.self_dep[table.id_of(atom("q"))] == 0
+        assert compiled.self_dep[compiled.atoms.index(atom("p"))] == 1
+        assert compiled.self_dep[compiled.atoms.index(atom("q"))] == 0
 
 
 class TestCachingAndCounters:
@@ -108,7 +213,7 @@ class TestCachingAndCounters:
 
     def test_fact_ids_cover_the_edb(self):
         compiled = _compiled(GAME_TEXT)
-        facts = {compiled.table.atom_of(i).predicate for i in compiled.fact_ids}
+        facts = {compiled.atoms[i].predicate for i in compiled.fact_ids}
         assert facts == {"move"}
 
     def test_compile_emits_kernel_counters(self):

@@ -25,7 +25,7 @@ def _truth(text: str):
 
 
 def _code(compiled, truth, name: str) -> int:
-    return truth[compiled.table.id_of(parse_atom(name))]
+    return truth[compiled.atoms.index(parse_atom(name))]
 
 
 class TestEvaluateCompiled:

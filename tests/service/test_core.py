@@ -302,6 +302,17 @@ class TestLifecycle:
         with pytest.raises(ServiceClosed):
             service.admit_read()
 
+    def test_stats_report_the_published_fact_count(self, service):
+        stats = service.stats()
+        assert stats["epoch"] == 1
+        assert stats["store_rows"] == stats["facts"] == 3
+        assert "relations" not in stats
+        outcome = service.submit((("assert", parse_atom("move(c, d)")),))
+        stats = service.stats()
+        assert stats["epoch"] == outcome.epoch == 2
+        assert stats["store_rows"] == stats["facts"] == 4
+        assert service.health()[1]["store_rows"] == 4
+
     def test_health_and_readiness(self, service):
         healthy, health = service.health()
         assert healthy and health["store"] == "ok" and health["writer"] == "alive"

@@ -171,6 +171,28 @@ class TestReadEndpoints:
 
 
 class TestWriteEndpoints:
+    def test_stats_count_the_published_facts_on_sqlite(self, tmp_path):
+        kb = KnowledgeBase(WIN_MOVE, facts=MOVES, store=f"sqlite:{tmp_path / 'kb.db'}")
+        service = QueryService(kb).start()
+        srv = _Server(service)
+        try:
+            status, payload, _, _ = _request(
+                srv.base, "/assert", method="POST", body={"fact": "move(c, d)"}
+            )
+            assert status == 200 and payload["epoch"] == 2
+            status, stats, _, _ = _request(srv.base, "/stats")
+            assert status == 200
+            assert stats["epoch"] == 2 and stats["store_rows"] == 4
+            assert "relations" not in stats
+            status, health, _, _ = _request(srv.base, "/healthz")
+            assert status == 200 and health["store_rows"] == 4
+        finally:
+            try:
+                srv.close()
+            finally:
+                service.stop()
+                kb.close()
+
     def test_assert_retract_roundtrip(self, server):
         status, payload, _, _ = _request(
             server.base, "/assert", method="POST", body={"fact": "move(c, d)"}

@@ -13,6 +13,7 @@ from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
 from repro.fixpoint.interpretations import TruthValue
 from repro.session import IncrementalEngine, KnowledgeBase
+from repro.storage import MemoryStore
 
 RULES = """
 wins(X) :- move(X, Y), not wins(Y).
@@ -172,3 +173,19 @@ def _reads(snapshot):
         sorted(map(str, solution.program)),
         len(solution.context.rules),
     )
+
+
+def test_a_retained_snapshot_does_not_stop_store_compaction():
+    # An epoch holds no view of the store, so a snapshot kept by a reader
+    # leaves a MemoryStore free to drop the tombstones of later retractions.
+    store = MemoryStore()
+    kb = KnowledgeBase("q(X) :- p(X).", facts={"p": [(i,) for i in range(300)]}, store=store)
+    snapshot = kb.snapshot()
+    for i in range(250):
+        kb.retract_fact("p", i)
+    relation = store.relation("p", 1)
+    assert len(relation) == 50
+    assert relation.dead < 250 and relation.sequence_bound < 300
+    assert len(kb.query("q")) == 50
+    assert snapshot.fact_count == 300 and len(snapshot.rows("q")) == 300
+    kb.close()

@@ -117,8 +117,8 @@ class TestBatch:
                     kb.assert_fact("move", "e", "f")
                     raise RuntimeError("inner")
             # Inner rolled back, outer mutation survives.
-        assert kb._edb.contains_atom(parse_atom("move(d, e)"))
-        assert not kb._edb.contains_atom(parse_atom("move(e, f)"))
+        assert kb.store.contains_atom(parse_atom("move(d, e)"))
+        assert not kb.store.contains_atom(parse_atom("move(e, f)"))
 
     def test_cancelling_mutations_skip_the_refresh(self):
         kb = KnowledgeBase(GAME_TEXT)
