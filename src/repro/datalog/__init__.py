@@ -2,7 +2,11 @@
 
 This subpackage is the language layer everything else builds on.  It knows
 nothing about any particular semantics; it only provides the syntactic
-objects (Section 3 of the paper) and the Herbrand instantiation machinery.
+objects (Section 3 of the paper) and the Herbrand instantiation machinery:
+the relevant grounder (:mod:`.grounding`) runs each rule as join plans
+compiled once per grounder over hash-indexed relations (:mod:`.joins`),
+and matching and unification (:mod:`.unification`) serve the scan oracle
+and the query answerers.
 """
 
 from .atoms import Atom, Literal, Predicate, atom, neg, pos
@@ -19,7 +23,7 @@ from .grounding import (
     relevant_ground,
     stream_relevant_ground,
 )
-from .joins import Relation, RelationStore, greedy_join_order, join_bindings
+from .joins import Relation, RelationStore
 from .io import (
     load_facts_csv,
     load_interpretation_json,
@@ -54,8 +58,6 @@ __all__ = [
     "stream_relevant_ground",
     "Relation",
     "RelationStore",
-    "greedy_join_order",
-    "join_bindings",
     "load_facts_csv",
     "load_interpretation_json",
     "load_program",

@@ -30,10 +30,13 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   conjunct with that conjunct restricted to the rows derived in the
   previous round (earlier conjuncts to strictly older rows, later ones to
   everything), so every rule instance is enumerated exactly once, the
-  moment its last supporting atom appears.  Conjuncts are joined in greedy
-  most-bound-first order through lazily built argument-position hash
-  indexes, and ground rules are emitted incrementally — there is no
-  separate re-instantiation pass.  :func:`stream_relevant_ground` exposes
+  moment its last supporting atom appears.  Each rule is compiled once per
+  grounder (:func:`repro.datalog.joins.compile_rule`) into one join plan
+  per variant, with a static most-bound-first conjunct order; the plans
+  run over a flat slot list through lazily built argument-position hash
+  indexes, a head is a row tuple until it is new to the envelope, and
+  ground rules are emitted incrementally — there is no separate
+  re-instantiation pass.  :func:`stream_relevant_ground` exposes
   the incremental rule stream directly (consumed by
   :func:`repro.core.context.build_context` to build evaluation contexts
   without an intermediate program); it is the first run of an
@@ -41,7 +44,7 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   session keeps and resumes from newly asserted facts.  For a definite
   program the envelope *is* the minimum model ``T_P↑ω(∅)`` (Section 3.4),
   so :meth:`IncrementalGrounder.envelope` runs the same join loop
-  substituting heads only and returns it, with no rule instance built;
+  reading heads only and returns it, with no rule instance built;
   :func:`repro.engine.solver.solve_configured` solves definite non-ground
   programs that way.
 * ``"scan"`` — the original matcher: a naive envelope fixpoint that
@@ -59,17 +62,18 @@ function-free).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ..exceptions import GroundingError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import Budget, current_meter
 from .atoms import Atom, Literal
-from .joins import RelationStore, join_bindings
+from .joins import JoinPlan, Probe, Relation, RelationStore, Row, RulePlan, compile_rule, join
 from .rules import Program, Rule
 from .terms import Constant, Term, enumerate_ground_terms, term_constants, term_functions
-from .unification import Substitution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
@@ -235,72 +239,25 @@ def _validate_matcher(matcher: str) -> None:
         raise GroundingError(f"unknown grounding matcher {matcher!r}; expected one of: {choices}")
 
 
-class _SplitRelation:
-    """One relation's joint row space: the frozen base store's rows in
-    ``[0, base_bound)`` followed by the run's overlay rows shifted up by
-    ``base_bound`` — presented through the ``candidate_rows`` probe shape
-    :func:`repro.datalog.joins.join_bindings` consumes."""
-
-    __slots__ = ("store", "predicate", "arity", "base_bound", "overlay")
-
-    def __init__(
-        self,
-        store: "FactStore",
-        predicate: str,
-        arity: int,
-        base_bound: int,
-        overlay: RelationStore,
-    ):
-        self.store = store
-        self.predicate = predicate
-        self.arity = arity
-        self.base_bound = base_bound
-        self.overlay = overlay
-
-    def candidate_rows(
-        self,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[tuple[int, tuple[Term, ...]]]:
-        bound = self.base_bound
-        if lo < bound:
-            yield from self.store.candidate_rows(
-                self.predicate, self.arity, positions, key, lo, min(hi, bound)
-            )
-        if hi > bound:
-            relation = self.overlay.relation(self.predicate, self.arity)
-            if relation is not None:
-                for sequence, row in relation.candidate_rows(
-                    positions, key, max(lo - bound, 0), hi - bound
-                ):
-                    yield sequence + bound, row
-
-
 class _EnvelopeSpace:
     """The envelope fixpoint's atom space over an optional live base store.
 
     Without a base this is exactly the :class:`RelationStore` overlay the
     grounder owns.  With one, the base's rows (and its lazily built,
-    *persistent* indexes) are probed in place — never copied or
-    re-indexed — and only atoms the base lacks land in the overlay.  The
-    base's sequence bounds are read once, so a space lives for one run:
-    the base must not be mutated while the run's windows are live.
+    *persistent* indexes) are probed in place through
+    :meth:`~repro.storage.FactStore.candidate_rows` — never copied or
+    re-indexed — and only atoms the base lacks land in the overlay, whose
+    rows follow the base's in one relation's joint row space.  The base's
+    sequence bounds are read once, so a space lives for one run: the base
+    must not be mutated while the run's windows are live.
     """
 
-    __slots__ = ("base", "overlay", "base_bounds", "_views")
+    __slots__ = ("base", "overlay", "base_bounds")
 
     def __init__(self, base: "FactStore | None", overlay: RelationStore):
         self.base = base
         self.overlay = overlay
         self.base_bounds: dict[tuple[str, int], int] = dict(base.sizes()) if base else {}
-        self._views: dict[tuple[str, int], _SplitRelation] = {}
-
-    def add_atom(self, atom: Atom) -> bool:
-        if self.base is not None and self.base.contains_atom(atom):
-            return False
-        return self.overlay.add_atom(atom)
 
     def __contains__(self, atom: Atom) -> bool:
         if self.base is not None and self.base.contains_atom(atom):
@@ -313,17 +270,92 @@ class _EnvelopeSpace:
             sizes[key] = sizes.get(key, 0) + relation.sequence_bound
         return sizes
 
-    def relation(self, predicate: str, arity: int):
-        key = (predicate, arity)
-        base_bound = self.base_bounds.get(key, 0)
-        if not base_bound:
-            return self.overlay.relation(predicate, arity)
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = _SplitRelation(
-                self.base, predicate, arity, base_bound, self.overlay
+    def probes(
+        self,
+        plan: JoinPlan,
+        old_sizes: dict[tuple[str, int], int],
+        new_sizes: dict[tuple[str, int], int],
+    ) -> Optional[list[Probe]]:
+        """One probe per step of *plan* for the round between *old_sizes*
+        and *new_sizes*, or ``None`` when a step's window is empty.  The
+        delta conjunct ranges over the round's new rows, the conjuncts
+        before it over strictly older rows and those after it over all."""
+        delta = plan.delta
+        probes = []
+        for step in plan.steps:
+            signature = step.signature
+            if step.conjunct < delta:
+                lo, hi = 0, old_sizes.get(signature, 0)
+            elif step.conjunct == delta:
+                lo, hi = old_sizes.get(signature, 0), new_sizes.get(signature, 0)
+            else:
+                lo, hi = 0, new_sizes.get(signature, 0)
+            if hi <= lo:
+                return None
+            probes.append(self._probe(signature, step.positions, lo, hi))
+        return probes
+
+    def _probe(
+        self, signature: tuple[str, int], positions: tuple[int, ...], lo: int, hi: int
+    ) -> Probe:
+        bound = self.base_bounds.get(signature, 0)
+        overlay = _no_rows
+        if hi > bound:
+            overlay = _overlay_probe(
+                self.overlay.relations[signature], positions, max(lo - bound, 0), hi - bound
             )
-        return view
+        if lo >= bound:
+            return overlay
+        base, stop = self.base, min(hi, bound)
+        predicate, arity = signature
+
+        def split(key: Row) -> Iterable[Row]:
+            rows = map(_row, base.candidate_rows(predicate, arity, positions, key, lo, stop))
+            return rows if overlay is _no_rows else itertools.chain(rows, overlay(key))
+
+        return split
+
+
+_row = itemgetter(1)
+
+
+def _no_rows(key: Row) -> tuple:
+    return ()
+
+
+def _overlay_probe(
+    relation: Relation, positions: tuple[int, ...], lo: int, hi: int
+) -> Probe:
+    """The probe of one overlay window: rows in ``[lo, hi)`` of *relation*
+    whose projection onto *positions* equals the key.  The overlay only
+    grows, and only between rounds, so it has no tombstones and a window's
+    rows and postings stay put while a round probes them.  Every position
+    bound is a membership test on ``row_ids``; none bound is the window
+    itself; otherwise the lazy hash index's posting list, cut to the
+    window."""
+    rows = relation.rows
+    if len(positions) == relation.arity:
+        row_ids = relation.row_ids
+
+        def member(key: Row) -> tuple:
+            sequence = row_ids.get(key)
+            return (key,) if sequence is not None and lo <= sequence < hi else ()
+
+        return member
+    if not positions:
+        window = rows[lo:hi]
+        return lambda key: window
+    index = relation.ensure_index(positions)
+
+    def indexed(key: Row) -> Iterable[Row]:
+        postings = index.get(key)
+        if not postings:
+            return ()
+        if postings[0] < lo or postings[-1] >= hi:
+            postings = postings[bisect_left(postings, lo) : bisect_left(postings, hi)]
+        return map(rows.__getitem__, postings)
+
+    return indexed
 
 
 def relevant_ground(
@@ -417,7 +449,8 @@ class IncrementalGrounder:
     envelope only grows, so the instances emitted so far always contain the
     relevant grounding of the current EDB.  :meth:`envelope` is the
     one-shot alternative to :meth:`ground`: the same loop, building no
-    instances, returning the envelope itself.
+    instances, returning the envelope itself.  Every run executes the join
+    plans compiled from the rules once, at construction.
 
     Facts retracted since the last run stay in the envelope
     (:meth:`retain`).  The instances built on them are kept too; each has a
@@ -440,7 +473,6 @@ class IncrementalGrounder:
         store: "FactStore | None" = None,
         recorder: Recorder | None = None,
     ):
-        program.check_safety()
         self._program = program
         self._limits = limits or GroundingLimits()
         self._store = store
@@ -448,11 +480,8 @@ class IncrementalGrounder:
         self._overlay = RelationStore()
         self._seen: set[Rule] = set()
         self._emitted = 0
-        self._decomposed: list[tuple[Rule, tuple[Atom, ...], tuple[tuple[str, int], ...]]] = []
-        for rule in program.non_fact_rules():
-            positive = tuple(lit.atom for lit in rule.body if lit.positive)
-            signatures = tuple((atom.predicate, atom.arity) for atom in positive)
-            self._decomposed.append((rule, positive, signatures))
+        # Checks every rule's safety, facts being safe by definition.
+        self._plans = tuple(compile_rule(rule) for rule in program.non_fact_rules())
 
     def ground(self) -> Iterator[Rule]:
         """The first run: the facts (sorted), then every rule instance the
@@ -474,8 +503,8 @@ class IncrementalGrounder:
         EDB facts (the program's and the store's) and the envelope they
         generate, facts included.
 
-        The join loop is :meth:`ground`'s, substituting heads only, so for
-        a definite program *atoms* is its minimum model ``T_P↑ω(∅)``.
+        The join loop is :meth:`ground`'s, reading heads only, so for a
+        definite program *atoms* is its minimum model ``T_P↑ω(∅)``.
         ``max_rules`` counts the facts plus every binding enumerated, which
         is what :meth:`ground` emits on a program without duplicate rules,
         so a limit trips at the same size on both runs.  No instance is
@@ -487,11 +516,12 @@ class IncrementalGrounder:
         atoms = set(facts)
         counted = len(facts)
         limit = self._limits.max_rules
-        for _, _, head in self._first_run(space, pending):
+        for _, _, new in self._first_run(space, pending):
             counted += 1
             if counted > limit:
                 raise _rule_limit_error(limit)
-            atoms.add(head)
+            if new is not None:
+                atoms.add(new)
         return facts, atoms
 
     def retain(self, atoms: Iterable[Atom]) -> None:
@@ -530,7 +560,7 @@ class IncrementalGrounder:
 
     def _first_run(
         self, space: _EnvelopeSpace, pending: list[Atom]
-    ) -> Iterator[tuple[Rule, Substitution, Atom]]:
+    ) -> Iterator[tuple[RulePlan, list, Optional[Atom]]]:
         # With a base store, round 0 must also sweep the base rows:
         # `old_sizes` starts all-zero, so the first round's delta windows
         # cover them even when no program fact added to the overlay.
@@ -539,7 +569,7 @@ class IncrementalGrounder:
         )
 
     def _emit(
-        self, bindings: Iterator[tuple[Rule, Substitution, Atom]], first_run: bool
+        self, bindings: Iterator[tuple[RulePlan, list, Optional[Atom]]], first_run: bool
     ) -> Iterator[Rule]:
         """The rule instances of *bindings*, each emitted once per grounder
         and counted against ``max_rules``; on the *first_run* the
@@ -549,8 +579,8 @@ class IncrementalGrounder:
         emitted = self._emitted
         started = 0 if first_run else emitted
         try:
-            for rule, binding, head in bindings:
-                ground = _instantiate_rule(rule, head, binding)
+            for plan, slots, new in bindings:
+                ground = plan.instance(slots, new)
                 if ground not in seen:
                     seen.add(ground)
                     emitted += 1
@@ -569,101 +599,88 @@ class IncrementalGrounder:
         old_sizes: dict[tuple[str, int], int],
         first_round: bool,
         first_run: bool,
-    ) -> Iterator[tuple[Rule, Substitution, Atom]]:
-        """The semi-naive envelope fixpoint both runs share.
+    ) -> Iterator[tuple[RulePlan, list, Optional[Atom]]]:
+        """The semi-naive envelope fixpoint every run shares.
 
-        Yields ``(rule, binding, head)`` for every binding of a rule's
-        positive body, with the head substituted and checked ground; the
-        head joins the next round's delta once the consumer resumes the
-        loop.  Variant i of a rule pins conjunct i to the delta rows,
-        conjuncts before i to strictly older rows and conjuncts after i to
-        all rows, so no binding is enumerated twice within a run.
-        *old_sizes* are the row bounds already joined; *first_round* forces
-        one round even when *pending* is empty (the delta is already in
-        place).  On the *first_run*, the rules without positive conjuncts —
-        ground by safety — fire once first, seeding the envelope with their
-        heads.
+        Yields ``(plan, slots, new)`` for every binding of a rule's
+        positive body: the binding sits in *slots* until the loop resumes,
+        and *new* is the head's atom when the head is new to the envelope
+        (``None`` otherwise).  Heads are row tuples, tested against the
+        overlay's rows and the round's earlier heads, so an :class:`Atom`
+        is built only for a new one; it joins the next round's delta.  Each
+        rule runs its compiled plans (:func:`repro.datalog.joins.join`):
+        variant i pins conjunct i to the delta rows, conjuncts before i to
+        strictly older rows and conjuncts after i to all rows, so no
+        binding is enumerated twice within a run.  *old_sizes* are the row
+        bounds already joined; *first_round* forces one round even when
+        *pending* is empty (the delta is already in place).  On the
+        *first_run*, the rules without positive conjuncts — ground by
+        safety — fire once first, seeding the envelope with their heads.
         """
         budget = _grounding_meter(self._limits)
         recorder = self._recorder
-        pending_set: set[Atom] = set(pending)
+        base = space.base
+        overlay = space.overlay.relations
 
-        def derive(atom: Atom) -> None:
-            if atom not in pending_set and atom not in space:
-                pending_set.add(atom)
-                pending.append(atom)
-
-        for rule, positive, _ in self._decomposed if first_run else ():
-            if positive:
-                continue
-            head = _ground_head(rule, {})
-            yield rule, {}, head
-            derive(head)
+        if first_run:
+            queued = set(pending)
+            for plan in self._plans:
+                if plan.variants:
+                    continue
+                slots = plan.slots()
+                head = Atom(plan.predicate, plan.head_row(slots))
+                fresh = head not in queued and head not in space
+                if fresh:
+                    queued.add(head)
+                    pending.append(head)
+                yield plan, slots, head if fresh else None
 
         while pending or first_round:
             first_round = False
             batch = pending
             pending = []
+            # Every queued atom was checked against the base store already.
             for atom in batch:
-                space.add_atom(atom)
-            pending_set.clear()
+                space.overlay.add_atom(atom)
+            heads: dict[tuple[str, int], set[Row]] = {}
             new_sizes = space.sizes()
             if recorder.enabled:
                 recorder.count("ground.rounds")
                 recorder.count("ground.delta_atoms", len(batch))
 
-            for rule, positive, signatures in self._decomposed:
-                if not positive:
+            for plan in self._plans:
+                if not plan.variants:
                     continue
                 budget.check("ground")
-                for i, delta_signature in enumerate(signatures):
-                    delta_lo = old_sizes.get(delta_signature, 0)
-                    delta_hi = new_sizes.get(delta_signature, 0)
-                    if delta_hi <= delta_lo:
+                predicate, head_row = plan.predicate, plan.head_row
+                signature = (predicate, plan.rule.head.arity)
+                relation = overlay.get(signature)
+                known = relation.row_ids if relation is not None else {}
+                derived = heads.setdefault(signature, set())
+                # A head can be in the base store only if its relation has rows there.
+                head_store = base if space.base_bounds.get(signature) else None
+                for variant in plan.variants:
+                    probes = space.probes(variant, old_sizes, new_sizes)
+                    if probes is None:
                         continue
-                    windows = []
-                    for j, signature in enumerate(signatures):
-                        if j < i:
-                            windows.append((0, old_sizes.get(signature, 0)))
-                        elif j == i:
-                            windows.append((delta_lo, delta_hi))
-                        else:
-                            windows.append((0, new_sizes.get(signature, 0)))
-                    for binding in join_bindings(positive, windows, space, seed=i):
-                        head = _ground_head(rule, binding)
-                        yield rule, binding, head
-                        derive(head)
+                    slots = plan.slots()
+                    for _ in join(variant.steps, probes, slots):
+                        row = head_row(slots)
+                        new = None
+                        if row not in known and row not in derived:
+                            derived.add(row)
+                            new = Atom(predicate, row)
+                            if head_store is not None and head_store.contains_atom(new):
+                                new = None
+                            else:
+                                pending.append(new)
+                        yield plan, slots, new
                         budget.tick("ground")
             old_sizes = new_sizes
 
 
 def _rule_limit_error(limit: int) -> GroundingError:
     return GroundingError(f"grounding exceeded the limit of {limit} rules")
-
-
-def _ground_head(rule: Rule, binding: Substitution) -> Atom:
-    """*rule*'s head under *binding*, checked ground as the old matcher did
-    (defensive: safety has already been validated)."""
-    head = rule.head.substitute(binding)
-    if not head.is_ground:
-        raise GroundingError(
-            f"rule '{rule}' produced a non-ground head {head}; the rule is unsafe"
-        )
-    return head
-
-
-def _instantiate_rule(rule: Rule, head: Atom, binding: Substitution) -> Rule:
-    """The instance of *rule* with head *head* under *binding*."""
-    body: list[Literal] = []
-    for lit in rule.body:
-        ground_lit = lit.substitute(binding)
-        if lit.negative and not ground_lit.is_ground:
-            raise GroundingError(
-                f"negative literal {lit} in rule '{rule}' is not ground "
-                "after binding positive body variables; the rule is unsafe"
-            )
-        body.append(ground_lit)
-    return Rule(head, tuple(body))
 
 
 def _scan_relevant_ground(program: Program, limits: GroundingLimits | None = None) -> Program:

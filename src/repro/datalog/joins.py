@@ -1,11 +1,12 @@
-"""Hash-join relations for bottom-up grounding.
+"""Hash-join relations and compiled join plans for bottom-up grounding.
 
 The grounder's inner loop is a conjunctive join: given a rule body
 ``b1, ..., bn`` and a growing set of derivable ground atoms, enumerate
 every variable binding under which all conjuncts are satisfied.  The
 original matcher scanned the whole per-predicate fact list for every
-conjunct; this module provides the three ingredients production bottom-up
-engines (soufflé / clingo-style) use instead:
+conjunct and threaded a substitution dict through each match; this module
+provides what production bottom-up engines use instead (Soufflé's
+specialised relational-algebra machine, gringo's per-rule instantiators):
 
 * :class:`Relation` — the ground facts of one ``(predicate, arity)``
   signature, stored in insertion order with **lazy hash indexes keyed on
@@ -20,33 +21,50 @@ engines (soufflé / clingo-style) use instead:
   conjunct with that conjunct ranging over the *delta* rows, earlier
   conjuncts over strictly older rows, and later conjuncts over everything
   — enumerating every new binding exactly once.
-* **Greedy join ordering** (:func:`greedy_join_order`) — conjuncts are
-  reordered so the next atom joined is the one with the most bound
-  argument positions (breaking ties toward the smallest row window),
-  instead of fixed left-to-right order.
+* **Compiled join plans** (:func:`compile_rule`) — a rule is compiled once
+  into a :class:`RulePlan`.  Its ground arguments and its variables get
+  fixed places in one flat slot list, and its head and body literals
+  become slot templates.  Each positive conjunct *i* gets a
+  :class:`JoinPlan`: the variant with conjunct *i* pinned to the delta,
+  the others in most-bound-first order with ties to the leftmost conjunct.
+  The order is fixed at compile time, and so is each :class:`JoinStep`:
+  the positions its probe key binds and the slot (or rule constant) each
+  key value comes from, the slots its other positions fill, and an
+  equality check per variable repeated inside the atom.  A non-ground
+  compound argument is built from the slots when its variables are bound,
+  and matched structurally against the row's term otherwise.
 
-:func:`join_bindings` glues the three together and is the only entry point
-the grounder needs.
+:func:`join` runs one plan over a slot list, writing each matched row into
+its slots: no substitution is built, and no binding pattern is derived
+while probing.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .atoms import Atom
-from .terms import Term, Variable, term_variables
-from .unification import Substitution, binding_pattern, match_projected
+from .atoms import Atom, Literal
+from .rules import Rule
+from .terms import Compound, Term, Variable, term_variables
 
 __all__ = [
     "Relation",
     "RelationStore",
-    "greedy_join_order",
-    "join_bindings",
+    "JoinStep",
+    "JoinPlan",
+    "RulePlan",
+    "compile_rule",
+    "join",
 ]
 
-Window = tuple[int, int]
+Row = tuple[Term, ...]
+_SEQUENCE, _ROW = itemgetter(0), itemgetter(1)
+#: One join step's probe for a round: the rows of its window whose
+#: projection onto the step's bound positions equals the given key.
+Probe = Callable[[Row], Iterable[Row]]
 
 
 class Relation:
@@ -179,7 +197,21 @@ class Relation:
         lo: int,
         hi: int,
     ) -> Iterator[int]:
-        """Row ids in ``[lo, hi)`` whose projection onto *positions* is *key*.
+        """Row ids in ``[lo, hi)`` whose projection onto *positions* is
+        *key* (see :meth:`candidate_rows`)."""
+        return map(_SEQUENCE, self.candidate_rows(positions, key, lo, hi))
+
+    def candidate_rows(
+        self,
+        positions: tuple[int, ...],
+        key: tuple[Term, ...],
+        lo: int,
+        hi: int,
+    ) -> Iterable[tuple[int, tuple[Term, ...]]]:
+        """``(sequence, row)`` for the rows in ``[lo, hi)`` whose projection
+        onto *positions* is *key*, in ascending order — the probe shape of
+        :meth:`repro.storage.FactStore.candidate_rows`, through which the
+        grounder reads a store's rows.
 
         Three probe shapes: all positions bound is a plain membership test
         on ``row_ids``; no position bound walks the whole window; otherwise
@@ -190,37 +222,17 @@ class Relation:
         if len(positions) == self.arity:
             sequence = self.row_ids.get(key)
             if sequence is not None and lo <= sequence < hi:
-                yield sequence
-            return
-        if not positions:
-            for sequence in range(lo, min(hi, len(rows))):
-                if rows[sequence] is not None:
-                    yield sequence
-            return
-        postings = self.ensure_index(positions).get(key)
-        if not postings:
-            return
-        start = bisect_left(postings, lo) if lo else 0
-        for position in range(start, len(postings)):
-            sequence = postings[position]
-            if sequence >= hi:
-                break
-            if rows[sequence] is not None:
-                yield sequence
-
-    def candidate_rows(
-        self,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[tuple[int, tuple[Term, ...]]]:
-        """:meth:`candidates` paired with the rows themselves — the probe
-        shape shared with :class:`repro.storage.FactStore` backends, which
-        the join enumerator consumes."""
-        rows = self.rows
-        for sequence in self.candidates(positions, key, lo, hi):
-            yield sequence, rows[sequence]
+                return ((sequence, rows[sequence]),)
+            return ()
+        if positions:
+            postings = self.ensure_index(positions).get(key)
+            if not postings:
+                return ()
+            window = postings[bisect_left(postings, lo) if lo else 0 : bisect_left(postings, hi)]
+        else:
+            window = range(lo, min(hi, len(rows)))
+        # A tombstone is None; a live row here has arity >= 1, so it is truthy.
+        return filter(_ROW, zip(window, map(rows.__getitem__, window)))
 
     def statistics(self) -> dict[str, int]:
         return {
@@ -275,98 +287,329 @@ class RelationStore:
         }
 
 
-def greedy_join_order(
-    conjuncts: Sequence[Atom],
-    windows: Sequence[Window],
-    seed: Optional[int] = None,
-    bound: Iterable[Variable] = (),
-) -> list[int]:
-    """Order the conjuncts for joining, most-bound-first.
 
-    Starting from the *seed* conjunct (the delta atom in semi-naive
-    variants, iterated first so every enumerated binding touches the
-    delta), repeatedly pick the conjunct whose arguments have the most
-    positions fully determined by the variables bound so far, breaking
-    ties toward the smaller candidate row window (the per-round
-    selectivity bound) and then toward the leftmost conjunct.  Returns
-    the conjunct indexes in join order.
-    """
-    remaining = list(range(len(conjuncts)))
-    bound_vars: set[Variable] = set(bound)
-    order: list[int] = []
 
-    def admit(index: int) -> None:
-        order.append(index)
-        remaining.remove(index)
-        bound_vars.update(conjuncts[index].variables())
+# --------------------------------------------------------------------- #
+# Compiled join plans
+# --------------------------------------------------------------------- #
+#: A value template: a slot index, or a non-ground compound built from slots.
+Template = Union[int, "_Build"]
 
-    if seed is not None:
-        admit(seed)
+# How a compound pattern treats one argument (see _Pattern).
+_BIND, _CHECK, _NEST = 0, 1, 2
 
-    def score(index: int) -> tuple[int, int, int]:
-        atom = conjuncts[index]
-        bound_positions = sum(
-            1
-            for arg in atom.args
-            if all(variable in bound_vars for variable in term_variables(arg))
+
+class _Build:
+    """A non-ground compound term, built from the slots of its variables."""
+
+    __slots__ = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple[Template, ...]):
+        self.functor = functor
+        self.args = args
+
+    def __call__(self, slots: list) -> Compound:
+        return Compound(
+            self.functor,
+            tuple(slots[arg] if arg.__class__ is int else arg(slots) for arg in self.args),
         )
-        lo, hi = windows[index]
-        return (bound_positions, lo - hi, -index)
-
-    while remaining:
-        admit(max(remaining, key=score))
-    return order
 
 
-def join_bindings(
-    conjuncts: Sequence[Atom],
-    windows: Sequence[Window],
-    store: RelationStore,
-    seed: Optional[int] = None,
-    binding: Optional[Mapping[Variable, Term]] = None,
-) -> Iterator[Substitution]:
-    """Enumerate every binding satisfying all conjuncts within their windows.
+class _Pattern:
+    """A compound argument that still holds unbound variables when its step
+    runs, matched structurally against the row's term: the first occurrence
+    of a variable fills its slot, and a later one (or a constant) must equal
+    the slot's value."""
 
-    Each conjunct ``i`` ranges over the rows ``windows[i] = (lo, hi)`` of
-    its relation.  The join order is chosen greedily (seeded on the delta
-    conjunct when given); each step extracts the conjunct's binding
-    pattern under the bindings accumulated so far, probes the matching
-    hash index, and matches the remaining argument positions to extend the
-    binding.  Yielded substitutions are independent dicts.
+    __slots__ = ("functor", "args")
 
-    *store* need not be a :class:`RelationStore`: any object whose
-    ``relation(predicate, arity)`` returns ``None`` or a relation view with
-    a :meth:`Relation.candidate_rows`-shaped probe works — this is how the
-    grounder joins a live :class:`repro.storage.FactStore` EDB and its
-    per-run overlay of derived atoms through one enumerator.
+    def __init__(self, functor: str, args: tuple[tuple[int, object], ...]):
+        self.functor = functor
+        self.args = args
+
+    def match(self, term: Term, slots: list) -> bool:
+        if (
+            term.__class__ is not Compound
+            or term.functor != self.functor
+            or len(term.args) != len(self.args)
+        ):
+            return False
+        for (kind, target), value in zip(self.args, term.args):
+            if kind == _BIND:
+                slots[target] = value
+            elif kind == _CHECK:
+                if slots[target] != value:
+                    return False
+            elif not target.match(value, slots):
+                return False
+        return True
+
+
+def _getter(templates: Sequence[Template]) -> Callable[[list], Row]:
+    """The function reading the tuple of *templates*' values off a slot list."""
+    if all(template.__class__ is int for template in templates):
+        if len(templates) > 1:
+            return itemgetter(*templates)
+        if templates:
+            (slot,) = templates
+            return lambda slots: (slots[slot],)
+        return lambda slots: ()
+    return lambda slots: tuple(
+        slots[template] if template.__class__ is int else template(slots)
+        for template in templates
+    )
+
+
+class JoinStep:
+    """One conjunct of a :class:`JoinPlan`, resolved at compile time.
+
+    ``positions`` are the argument positions bound when the step runs — a
+    constant, or a term whose variables earlier steps bound — and ``key``
+    reads the probe key for them off the slot list.  ``binds`` pairs each
+    other position holding a variable's first occurrence in the atom with
+    that variable's slot; ``checks`` pairs each later occurrence with the
+    first (``row[first] == row[later]``); ``patterns`` pairs each compound
+    argument that still holds an unbound variable with its matcher.  A
+    step that binds every position is a membership probe.
     """
-    order = greedy_join_order(conjuncts, windows, seed, binding.keys() if binding else ())
-    count = len(order)
-    initial: Substitution = dict(binding) if binding else {}
 
-    def extend(step: int, current: Substitution) -> Iterator[Substitution]:
-        if step == count:
-            yield current
-            return
-        index = order[step]
-        pattern = conjuncts[index]
-        lo, hi = windows[index]
-        if hi <= lo:
-            return
-        relation = store.relation(pattern.predicate, pattern.arity)
-        if relation is None:
-            return
-        positions, args = binding_pattern(pattern, current)
-        key = tuple(args[p] for p in positions)
-        if len(positions) == pattern.arity:
-            # Fully bound probe: a membership test, no new bindings.
-            for _ in relation.candidate_rows(positions, key, lo, hi):
-                yield from extend(step + 1, current)
-            return
-        free = tuple(p for p in range(pattern.arity) if p not in positions)
-        for _, row in relation.candidate_rows(positions, key, lo, hi):
-            extended = match_projected(args, row, free, current)
-            if extended is not None:
-                yield from extend(step + 1, extended)
+    __slots__ = ("conjunct", "signature", "positions", "key", "binds", "checks", "patterns")
 
-    yield from extend(0, initial)
+    def __init__(
+        self,
+        conjunct: int,
+        signature: tuple[str, int],
+        positions: tuple[int, ...],
+        key: Callable[[list], Row],
+        binds: tuple[tuple[int, int], ...],
+        checks: tuple[tuple[int, int], ...],
+        patterns: tuple[tuple[int, _Pattern], ...],
+    ):
+        self.conjunct = conjunct
+        self.signature = signature
+        self.positions = positions
+        self.key = key
+        self.binds = binds
+        self.checks = checks
+        self.patterns = patterns
+
+
+class JoinPlan:
+    """One semi-naive variant of a rule: conjunct ``delta`` ranges over the
+    delta rows, and ``steps`` join the conjuncts, ``delta`` first."""
+
+    __slots__ = ("delta", "steps")
+
+    def __init__(self, delta: int, steps: tuple[JoinStep, ...]):
+        self.delta = delta
+        self.steps = steps
+
+
+class RulePlan:
+    """A rule compiled for the join loop (see :func:`compile_rule`).
+
+    A slot list starts as ``initial``: the rule's ground arguments, then
+    one unbound slot per variable.  ``head_row`` reads the head's arguments
+    off a slot list, and :meth:`instance` builds the ground rule from the
+    ``body`` templates.  ``variants`` holds one :class:`JoinPlan` per
+    positive conjunct; a rule without one has none, and its head is ground
+    by safety.
+    """
+
+    __slots__ = ("rule", "predicate", "head_row", "body", "initial", "variants")
+
+    def __init__(
+        self,
+        rule: Rule,
+        head_row: Callable[[list], Row],
+        body: tuple[tuple[str, Callable[[list], Row], bool], ...],
+        initial: tuple[Optional[Term], ...],
+        variants: tuple[JoinPlan, ...],
+    ):
+        self.rule = rule
+        self.predicate = rule.head.predicate
+        self.head_row = head_row
+        self.body = body
+        self.initial = initial
+        self.variants = variants
+
+    def slots(self) -> list:
+        """A fresh slot list."""
+        return list(self.initial)
+
+    def instance(self, slots: list, head: Optional[Atom] = None) -> Rule:
+        """The ground rule under the binding in *slots*; *head*, when given,
+        is its head atom, already built."""
+        if head is None:
+            head = Atom(self.predicate, self.head_row(slots))
+        return Rule(
+            head,
+            tuple(
+                Literal(Atom(predicate, args(slots)), positive)
+                for predicate, args, positive in self.body
+            ),
+        )
+
+
+def compile_rule(rule: Rule) -> RulePlan:
+    """Compile a safe rule into its slot layout, templates and join plans.
+
+    Raises :class:`~repro.exceptions.SafetyError` when the rule is not
+    range-restricted: every variable must occur in a positive body literal,
+    which is what lets every template read a bound slot.
+    """
+    rule.check_safety()
+    positive = tuple(literal.atom for literal in rule.body if literal.positive)
+    slot_of: dict[Term, int] = {}
+    constants: list[Term] = []
+
+    def collect(term: Term) -> None:
+        if term.is_ground:
+            if term not in slot_of:
+                slot_of[term] = len(constants)
+                constants.append(term)
+        elif isinstance(term, Compound):
+            for arg in term.args:
+                collect(arg)
+
+    for atom in (rule.head, *(literal.atom for literal in rule.body)):
+        for arg in atom.args:
+            collect(arg)
+    variables = dict.fromkeys(
+        variable for atom in positive for variable in atom.variables()
+    )
+    for offset, variable in enumerate(variables):
+        slot_of[variable] = len(constants) + offset
+
+    def template(term: Term) -> Template:
+        if term.is_ground or isinstance(term, Variable):
+            return slot_of[term]
+        return _Build(term.functor, tuple(template(arg) for arg in term.args))
+
+    def getter(atom: Atom) -> Callable[[list], Row]:
+        return _getter([template(arg) for arg in atom.args])
+
+    variants = tuple(
+        JoinPlan(
+            delta,
+            tuple(
+                _compile_step(index, positive[index], bound, slot_of, template)
+                for index, bound in _join_order(positive, delta)
+            ),
+        )
+        for delta in range(len(positive))
+    )
+    return RulePlan(
+        rule,
+        getter(rule.head),
+        tuple(
+            (literal.atom.predicate, getter(literal.atom), literal.positive)
+            for literal in rule.body
+        ),
+        (*constants, *(None for _ in variables)),
+        variants,
+    )
+
+
+def _join_order(
+    positive: Sequence[Atom], delta: int
+) -> Iterator[tuple[int, frozenset[Variable]]]:
+    """Conjunct *delta* first, then repeatedly the conjunct with the most
+    argument positions its predecessors bind (constants count as bound),
+    ties going to the leftmost; each paired with the variables bound before
+    it."""
+    bound: frozenset[Variable] = frozenset()
+    remaining = list(range(len(positive)))
+    chosen = delta
+    while True:
+        yield chosen, bound
+        remaining.remove(chosen)
+        bound = bound.union(positive[chosen].variables())
+        if not remaining:
+            return
+        chosen = max(
+            remaining, key=lambda index: (_bound_positions(positive[index], bound), -index)
+        )
+
+
+def _bound_positions(atom: Atom, bound: frozenset[Variable]) -> int:
+    return sum(
+        1 for arg in atom.args if all(variable in bound for variable in term_variables(arg))
+    )
+
+
+def _compile_step(
+    conjunct: int,
+    atom: Atom,
+    bound: frozenset[Variable],
+    slot_of: dict[Term, int],
+    template: Callable[[Term], Template],
+) -> JoinStep:
+    positions: list[int] = []
+    key: list[Template] = []
+    binds: list[tuple[int, int]] = []
+    checks: list[tuple[int, int]] = []
+    open_compounds: list[tuple[int, Compound]] = []
+    first: dict[Variable, int] = {}
+    for position, arg in enumerate(atom.args):
+        if all(variable in bound for variable in term_variables(arg)):
+            positions.append(position)
+            key.append(template(arg))
+        elif isinstance(arg, Variable):
+            if arg in first:
+                checks.append((first[arg], position))
+            else:
+                first[arg] = position
+                binds.append((position, slot_of[arg]))
+        else:
+            open_compounds.append((position, arg))
+    known = set(bound).union(first)
+    return JoinStep(
+        conjunct,
+        (atom.predicate, atom.arity),
+        tuple(positions),
+        _getter(key),
+        tuple(binds),
+        tuple(checks),
+        tuple(
+            (position, _pattern(compound, known, slot_of))
+            for position, compound in open_compounds
+        ),
+    )
+
+
+def _pattern(term: Compound, known: set[Variable], slot_of: dict[Term, int]) -> _Pattern:
+    args: list[tuple[int, object]] = []
+    for arg in term.args:
+        if arg.is_ground:
+            args.append((_CHECK, slot_of[arg]))
+        elif isinstance(arg, Variable):
+            args.append((_CHECK if arg in known else _BIND, slot_of[arg]))
+            known.add(arg)
+        else:
+            args.append((_NEST, _pattern(arg, known, slot_of)))
+    return _Pattern(term.functor, tuple(args))
+
+
+def join(
+    steps: Sequence[JoinStep], probes: Sequence[Probe], slots: list, depth: int = 0
+) -> Iterator[None]:
+    """Run *steps* from *depth* on, each probing through its entry in
+    *probes*: yield once per binding of the conjuncts, with the binding in
+    *slots* (valid until the generator resumes)."""
+    step = steps[depth]
+    binds, checks, patterns = step.binds, step.checks, step.patterns
+    deeper = depth + 1 < len(steps)
+    for row in probes[depth](step.key(slots)):
+        if checks and not all(row[first] == row[later] for first, later in checks):
+            continue
+        for position, slot in binds:
+            slots[slot] = row[position]
+        if patterns and not all(
+            pattern.match(row[position], slots) for position, pattern in patterns
+        ):
+            continue
+        if deeper:
+            yield from join(steps, probes, slots, depth + 1)
+        else:
+            yield

@@ -1,24 +1,20 @@
 """Substitutions, matching and unification.
 
-Grounding and top-down query answering need two related operations:
+Two related operations on immutable terms:
 
 * *matching* a rule literal (possibly containing variables) against a ground
-  atom, producing a variable binding; and
+  atom, producing a variable binding — what the scan grounding oracle and
+  the query answerers do; and
 * full *unification* of two terms or atoms, the symmetric operation.
 
-The hash-join grounder adds a third: *binding-pattern extraction*
-(:func:`binding_pattern`), which splits an atom's argument positions under a
-partial substitution into the ground ones — usable as an index key — and
-the open ones, matched per candidate with :func:`match_projected`.
-
-All are provided here as pure functions on immutable terms.  A substitution
-is represented as a plain ``dict`` mapping :class:`Variable` to
-:class:`Term`.
+A substitution is represented as a plain ``dict`` mapping
+:class:`Variable` to :class:`Term`.  The production grounder uses neither:
+it joins compiled plans over a flat slot list (:mod:`repro.datalog.joins`).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, MutableMapping, Optional, Sequence
+from typing import Mapping, MutableMapping, Optional
 
 from .atoms import Atom
 from .terms import Compound, Constant, Term, Variable, substitute_term
@@ -30,8 +26,6 @@ __all__ = [
     "unify_terms",
     "compose",
     "apply_substitution",
-    "binding_pattern",
-    "match_projected",
 ]
 
 Substitution = dict[Variable, Term]
@@ -107,50 +101,6 @@ def match_atom(
     current: Substitution = dict(binding or {})
     for pattern_arg, ground_arg in zip(pattern.args, ground.args):
         if not _match_term_into(pattern_arg, ground_arg, current):
-            return None
-    return current
-
-
-# --------------------------------------------------------------------- #
-# Binding-pattern extraction (hash-join support)
-# --------------------------------------------------------------------- #
-def binding_pattern(
-    pattern: Atom,
-    binding: Optional[Mapping[Variable, Term]] = None,
-) -> tuple[tuple[int, ...], tuple[Term, ...]]:
-    """Extract the *binding pattern* of an atom under a substitution.
-
-    Substitutes *binding* into the atom's arguments and returns
-    ``(positions, args)`` where ``args`` are the substituted argument terms
-    and ``positions`` are the argument indexes that came out fully ground.
-    A hash-join probe (see :mod:`repro.datalog.joins`) uses the bound
-    positions as the index key and matches only the remaining positions
-    against candidate facts.
-    """
-    if binding:
-        args = tuple(substitute_term(arg, binding) for arg in pattern.args)
-    else:
-        args = pattern.args
-    positions = tuple(i for i, arg in enumerate(args) if arg.is_ground)
-    return positions, args
-
-
-def match_projected(
-    pattern_args: Sequence[Term],
-    ground_args: Sequence[Term],
-    positions: Sequence[int],
-    binding: Optional[Mapping[Variable, Term]] = None,
-) -> Optional[Substitution]:
-    """Match *pattern_args* against *ground_args* at the given positions only.
-
-    The complement of an index probe: the probe guarantees equality on the
-    bound positions, and this binds the remaining ones (threading repeated
-    variables and partially ground compound terms through the shared
-    binding).  Returns the extended substitution, or ``None`` on mismatch.
-    """
-    current: Substitution = dict(binding or {})
-    for position in positions:
-        if not _match_term_into(pattern_args[position], ground_args[position], current):
             return None
     return current
 

@@ -101,6 +101,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # hang until every pooled client hung up.  On timeout,
     # ``handle_one_request`` treats the connection as closed.
     timeout = 5
+    # Each response leaves in one write, headers and body together, on a
+    # socket with TCP_NODELAY (set by ``setup()``): a body written after
+    # its headers would wait for the client's delayed ACK of them, ~40 ms
+    # per back-to-back keep-alive request.  ``_send_json`` flushes the
+    # buffer itself, inside ``_dispatch``, so a client hanging up
+    # mid-response lands in its BrokenPipeError handler; the base class's
+    # error responses are flushed when it finishes the request.  64 KiB
+    # holds any page the service sends in one buffer.
+    disable_nagle_algorithm = True
+    wbufsize = 64 * 1024
 
     # ------------------------------------------------------------------ #
     # Response plumbing
@@ -122,6 +132,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
+
+    def handle_expect_100(self) -> bool:
+        # The interim response must reach the client before it sends the
+        # body this handler is about to read.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _send_error_payload(
         self,

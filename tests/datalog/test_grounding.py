@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import solve
+from repro.core.context import build_context
 from repro.datalog.atoms import atom, neg, pos
 from repro.datalog.grounding import (
     DEFAULT_GROUNDING_MATCHER,
     GROUNDING_MATCHERS,
     GroundingLimits,
+    IncrementalGrounder,
     ground_program,
     herbrand_base,
     herbrand_universe,
@@ -14,10 +17,11 @@ from repro.datalog.grounding import (
     relevant_ground,
     stream_relevant_ground,
 )
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Compound, Constant
 from repro.exceptions import GroundingError, GroundingTimeout, SafetyError
+from repro.semantics.horn import horn_minimum_model
 
 
 TC = """
@@ -153,6 +157,56 @@ class TestMatcherDispatch:
         indexed = relevant_ground(program, matcher="indexed")
         scan = relevant_ground(program, matcher="scan")
         assert set(indexed.rules) == set(scan.rules)
+
+
+#: Programs with function symbols, each with a fact asserted afterwards.
+FUNCTION_PROGRAMS = [
+    (
+        "n(z). n(s(z)). succ(X, s(X)) :- n(X). g(X) :- succ(X, s(Y)), n(Y).",
+        "n(s(s(z)))",
+    ),
+    (
+        "e(f(a, b)). e(f(b, b)). p(X) :- e(f(X, X)). r(X, Y) :- e(f(X, Y)), e(f(Y, Y)).",
+        "e(f(a, a))",
+    ),
+]
+
+
+def _rendered(atoms):
+    return sorted(map(str, atoms))
+
+
+@pytest.mark.parametrize("text, fact", FUNCTION_PROGRAMS)
+class TestFunctionSymbols:
+    """Compound arguments in the relevant grounder: matched structurally in
+    free positions, built into probe keys and heads once bound."""
+
+    def test_indexed_rule_set_equals_the_scan_matchers(self, text, fact):
+        program = parse_program(text)
+        indexed = relevant_ground(program)
+        assert set(indexed) == set(relevant_ground(program, matcher="scan"))
+        assert any(not rule.is_fact for rule in indexed)
+
+    def test_envelope_model_equals_the_scan_groundings_minimum_model(self, text, fact):
+        program = parse_program(text)
+        solution = solve(program)
+        assert solution.context is None  # solved from the envelope
+        reference = horn_minimum_model(build_context(relevant_ground(program, matcher="scan")))
+        assert _rendered(solution.interpretation.true_atoms) == _rendered(
+            reference.interpretation.true_atoms
+        )
+        assert _rendered(solution.base) == _rendered(reference.context.base)
+
+    def test_extend_matches_grounding_from_scratch(self, text, fact):
+        program = parse_program(text)
+        grounder = IncrementalGrounder(program)
+        rules = set(grounder.ground())
+        added = set(grounder.extend([parse_atom(fact)]))
+        assert added and not added & rules
+        grown = program.with_facts([parse_atom(fact)])
+        scratch = set(relevant_ground(grown))
+        assert rules | added | {Rule(parse_atom(fact))} == scratch
+        assert scratch == set(relevant_ground(grown, matcher="scan"))
 
 
 class TestStreamRelevantGround:

@@ -237,6 +237,26 @@ class TestDeadline:
             kb.solution  # forces the refresh
         assert time.monotonic() - start < 2 * deadline
 
+    def test_deadline_trips_inside_one_long_join(self):
+        # Round 1 of this definite program's envelope enumerates all N²
+        # bindings in one variant (e(X) is the delta; the other variant's
+        # older window is empty), so only the per-binding ticks inside the
+        # join can stop it in time.  N = 200 takes 0.2-0.5 s unbudgeted.
+        facts = " ".join(f"e(c{i})." for i in range(200))
+        program = parse_program(facts + " p(X, Y) :- e(X), e(Y).")
+        start = time.monotonic()
+        solve(program)
+        baseline = time.monotonic() - start
+        deadline = max(baseline / 4, 0.05)
+        config = EngineConfig(budget=Budget(max_seconds=deadline))
+        gc.collect()  # as in the one-shot test above
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as excinfo:
+            solve(program, config=config)
+        elapsed = time.monotonic() - start
+        assert elapsed < 2 * deadline, (elapsed, deadline)
+        assert excinfo.value.phase == "ground"
+
     def test_generous_deadline_does_not_trip(self, win_move_4b):
         config = EngineConfig(budget=Budget(max_seconds=60.0, max_steps=1_000_000))
         solution = solve(win_move_4b, config=config)

@@ -4,10 +4,12 @@ SIGTERM drain of the ``repro serve`` subprocess."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -312,6 +314,55 @@ class TestIdleKeepAliveDrain:
             sock.close()
             service.stop()
             kb.close()
+
+
+class TestKeepAliveLatency:
+    def test_back_to_back_requests_on_one_connection_do_not_stall(self, server):
+        """Regression: each response left as two writes (headers, then
+        body) on a socket without TCP_NODELAY, so Nagle held every body
+        until the client's delayed ACK of the headers — about 44 ms per
+        request sent as soon as the previous response was read."""
+        host, port = server.httpd.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        latencies = []
+        try:
+            for index in range(20):
+                path = "/query/wins" if index % 2 == 0 else "/ask?q=wins(c)"
+                started = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200, body
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        # The response stream is buffered; the interim response must still
+        # leave before the handler waits for the body.
+        host, port = server.httpd.server_address[:2]
+        body = json.dumps({"fact": "move(c, d)"}).encode()
+        head = (
+            "POST /assert HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(head.encode())
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                chunk = sock.recv(4096)
+                assert chunk, "connection closed before the interim response"
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100"), interim
+            sock.sendall(body)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                assert chunk, "connection closed before the response"
+                reply += chunk
+        assert reply.split(b"\r\n", 1)[0].endswith(b"200 OK"), reply
 
 
 @pytest.mark.faultinject
