@@ -51,29 +51,32 @@ class PairedRatios:
         )
 
 
-def _batch(function: Callable[[], object]) -> float:
+def _batch(function: Callable[[], object], batch: int) -> float:
     start = time.perf_counter()
-    for _ in range(BATCH):
+    for _ in range(batch):
         function()
     return time.perf_counter() - start
 
 
 def paired_ratios(
-    baseline: Callable[[], object], candidate: Callable[[], object]
+    baseline: Callable[[], object],
+    candidate: Callable[[], object],
+    pairs: int = PAIRS,
+    batch: int = BATCH,
 ) -> PairedRatios:
-    """Time :data:`PAIRS` pairs of :data:`BATCH`-call batches of both
-    arms, the arm that runs first alternating from pair to pair."""
+    """Time *pairs* pairs of *batch*-call batches of both arms, the arm
+    that runs first alternating from pair to pair."""
     ratios, baseline_times, candidate_times = [], [], []
-    for index in range(PAIRS):
+    for index in range(pairs):
         if index % 2:
-            candidate_time = _batch(candidate)
-            baseline_time = _batch(baseline)
+            candidate_time = _batch(candidate, batch)
+            baseline_time = _batch(baseline, batch)
         else:
-            baseline_time = _batch(baseline)
-            candidate_time = _batch(candidate)
+            baseline_time = _batch(baseline, batch)
+            candidate_time = _batch(candidate, batch)
         ratios.append(candidate_time / baseline_time)
-        baseline_times.append(baseline_time / BATCH)
-        candidate_times.append(candidate_time / BATCH)
+        baseline_times.append(baseline_time / batch)
+        candidate_times.append(candidate_time / batch)
     return PairedRatios(
         tuple(ratios), statistics.median(baseline_times), statistics.median(candidate_times)
     )

@@ -18,7 +18,10 @@ It also reports the :class:`~repro.storage.SqliteStore` timing split on
 the same workloads (durability has a price; the point is that it is a
 constant factor, not a blow-up), and every comparison asserts the three
 paths ground to the identical rule set — a timing run doubles as a
-differential check.
+differential check.  The chain's parity is decided on the median ratio
+of order-alternating pairs of three-run batches (``_paired.py``): a chain
+run takes tens of milliseconds, and one slow stretch on a shared machine
+decides a comparison of two best-of-5 minima.
 
 Run with ``pytest benchmarks/bench_storage.py -s``.
 """
@@ -28,6 +31,7 @@ import time
 import pytest
 
 from _metrics import emit
+from _paired import paired_ratios
 from _smoke import trim
 from repro.datalog.grounding import stream_relevant_ground
 from repro.datalog.parser import parse_program
@@ -40,6 +44,9 @@ REPEAT = 5
 #: Shared-store grounding must be no slower than the per-run rebuild;
 #: the margin absorbs CI timer noise on the parity-shaped workloads.
 PARITY_MARGIN = 1.25
+#: Order-alternating pairs of short batches deciding the chain's parity.
+PARITY_PAIRS = 31
+PARITY_BATCH = 3
 
 CHAIN_SIZES = trim([40])
 LAYERED_SHAPES = trim([(20, 100)])
@@ -70,9 +77,13 @@ def _layered_reachability(layers: int, width: int) -> Program:
     return parse_program("\n".join(lines))
 
 
-def _compare(program: Program):
+def _compare(program: Program, paired: bool = False):
     """Time the legacy per-run rebuild against grounding off a shared
-    MemoryStore and a SqliteStore, asserting identical rule sets."""
+    MemoryStore and a SqliteStore, asserting identical rule sets.
+
+    Returns the best-of timings of the three paths and, when *paired*, the
+    shared-over-rebuild :func:`~_paired.paired_ratios` (``None``
+    otherwise)."""
     rules, facts = _split(program)
 
     memory = MemoryStore()
@@ -88,22 +99,29 @@ def _compare(program: Program):
     assert shared_rules == legacy_rules
     assert sqlite_rules == legacy_rules
 
-    legacy = _best(lambda: list(stream_relevant_ground(program)))
-    shared = _best(lambda: list(stream_relevant_ground(rules, store=memory)))
+    def rebuild():
+        return list(stream_relevant_ground(program))
+
+    def shared_store():
+        return list(stream_relevant_ground(rules, store=memory))
+
+    legacy = _best(rebuild)
+    shared = _best(shared_store)
     sqlite = _best(lambda: list(stream_relevant_ground(rules, store=durable)), repeat=3)
     durable.close()
-    return legacy, shared, sqlite
+    ratios = None
+    if paired:
+        ratios = paired_ratios(rebuild, shared_store, pairs=PARITY_PAIRS, batch=PARITY_BATCH)
+    return legacy, shared, sqlite, ratios
 
 
 @pytest.mark.repro("E17")
 def test_chain_transitive_closure_parity(report):
     """Derivation-dominated workload: the shared store must cost nothing."""
     rows = []
-    timings = {}
     for size in CHAIN_SIZES:
         program = transitive_closure_program(chain_edges(size))
-        legacy, shared, sqlite = _compare(program)
-        timings[size] = (legacy, shared)
+        legacy, shared, sqlite, paired = _compare(program, paired=size == CHAIN_SIZES[-1])
         emit(
             "storage",
             workload=f"transitive_closure_chain:{size}",
@@ -120,11 +138,10 @@ def test_chain_transitive_closure_parity(report):
                 f"ratio {legacy / shared:5.2f}x",
             )
         )
+    rows.append((f"chain-{CHAIN_SIZES[-1]} shared / rebuild", paired.describe()))
     report("transitive closure: per-run rebuild vs shared FactStore", rows)
-    legacy, shared = timings[CHAIN_SIZES[-1]]
-    assert shared <= legacy * PARITY_MARGIN, (
-        f"shared-store grounding regressed on chain-{CHAIN_SIZES[-1]}: "
-        f"{shared * 1000:.2f} ms vs {legacy * 1000:.2f} ms rebuild"
+    assert paired.median <= PARITY_MARGIN, (
+        f"shared-store grounding regressed on chain-{CHAIN_SIZES[-1]}: {paired.describe()}"
     )
 
 
@@ -135,7 +152,7 @@ def test_layered_bulk_edb(report):
     timings = {}
     for layers, width in LAYERED_SHAPES:
         program = _layered_reachability(layers, width)
-        legacy, shared, sqlite = _compare(program)
+        legacy, shared, sqlite, _ = _compare(program)
         timings[(layers, width)] = (legacy, shared)
         emit(
             "storage",

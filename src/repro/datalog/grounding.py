@@ -46,7 +46,10 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   so :meth:`IncrementalGrounder.envelope` runs the same join loop
   reading heads only and returns it, with no rule instance built;
   :func:`repro.engine.solver.solve_configured` solves definite non-ground
-  programs that way.
+  programs that way.  :meth:`IncrementalGrounder.ground_ir` runs it once
+  more, turning each binding straight into int atom ids (a
+  :class:`GroundIR`, the kernel's input, with no :class:`Rule` per
+  instance); a well-founded ``solve`` grounds that way.
 * ``"scan"`` — the original matcher: a naive envelope fixpoint that
   re-matches every rule against the whole derivable set each round by
   linear scan over per-signature fact lists, then a second pass that
@@ -88,6 +91,7 @@ __all__ = [
     "relevant_ground",
     "stream_relevant_ground",
     "IncrementalGrounder",
+    "GroundIR",
     "ground_program",
 ]
 
@@ -116,6 +120,28 @@ class GroundingLimits:
     max_depth: int = 0
     max_rules: int = DEFAULT_MAX_GROUND_RULES
     max_seconds: float | None = None
+
+
+@dataclass(frozen=True)
+class GroundIR:
+    """A ground program over dense int atom ids: what every front end
+    hands the kernel's back end (:func:`repro.kernel.compile.condense`).
+
+    ``atoms[i]`` is the atom with id ``i``.  Rule ``r`` derives
+    ``heads[r]`` from the positive body
+    ``pos_atoms[pos_off[r]:pos_off[r + 1]]`` and the negative body
+    ``neg_atoms[neg_off[r]:neg_off[r + 1]]``, each a list of distinct ids
+    (so the kernel's counters seeded from segment lengths are exact);
+    ``fact_ids`` are the EDB facts' ids, ascending.
+    """
+
+    atoms: list[Atom]
+    heads: list[int]
+    pos_off: list[int]
+    pos_atoms: list[int]
+    neg_off: list[int]
+    neg_atoms: list[int]
+    fact_ids: list[int]
 
 
 def _grounding_meter(limits: GroundingLimits):
@@ -447,10 +473,11 @@ class IncrementalGrounder:
     the whole envelope, and only instances never emitted before come out.
     This is multi-shot incremental grounding in the style of clingo: the
     envelope only grows, so the instances emitted so far always contain the
-    relevant grounding of the current EDB.  :meth:`envelope` is the
-    one-shot alternative to :meth:`ground`: the same loop, building no
-    instances, returning the envelope itself.  Every run executes the join
-    plans compiled from the rules once, at construction.
+    relevant grounding of the current EDB.  :meth:`envelope` and
+    :meth:`ground_ir` are the one-shot alternatives to :meth:`ground`: the
+    same loop, building no instances, returning the envelope itself or the
+    grounding over int atom ids.  Every run executes the join plans
+    compiled from the rules once, at construction.
 
     Facts retracted since the last run stay in the envelope
     (:meth:`retain`).  The instances built on them are kept too; each has a
@@ -473,15 +500,24 @@ class IncrementalGrounder:
         store: "FactStore | None" = None,
         recorder: Recorder | None = None,
     ):
-        self._program = program
         self._limits = limits or GroundingLimits()
         self._store = store
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         self._overlay = RelationStore()
         self._seen: set[Rule] = set()
         self._emitted = 0
+        # One pass splits the program: its facts, each once in program
+        # order, and its other rules.
+        facts: dict[Atom, None] = {}
+        rules: list[Rule] = []
+        for rule in program:
+            if rule.is_fact:
+                facts[rule.head] = None
+            else:
+                rules.append(rule)
+        self._program_facts = list(facts)
         # Checks every rule's safety, facts being safe by definition.
-        self._plans = tuple(compile_rule(rule) for rule in program.non_fact_rules())
+        self._plans = tuple(compile_rule(rule) for rule in rules)
 
     def ground(self) -> Iterator[Rule]:
         """The first run: the facts (sorted), then every rule instance the
@@ -498,10 +534,10 @@ class IncrementalGrounder:
                 pending.append(fact)
         yield from self._emit(self._first_run(space, pending), first_run=True)
 
-    def envelope(self) -> tuple[set[Atom], set[Atom]]:
+    def envelope(self) -> tuple[list[Atom], set[Atom]]:
         """The first run without rule instances: ``(facts, atoms)``, the
-        EDB facts (the program's and the store's) and the envelope they
-        generate, facts included.
+        EDB facts (the program's, then the store's, each once) and the
+        envelope they generate, facts included.
 
         The join loop is :meth:`ground`'s, reading heads only, so for a
         definite program *atoms* is its minimum model ``T_P↑ω(∅)``.
@@ -523,6 +559,79 @@ class IncrementalGrounder:
             if new is not None:
                 atoms.add(new)
         return facts, atoms
+
+    def ground_ir(self) -> GroundIR:
+        """The first run lowered straight to int atom ids: the grounding
+        of :meth:`ground`, with no :class:`Rule` built per instance.
+
+        The facts take the first ids, the program's in program order and
+        then the store's rows in store order, and the first round's delta
+        follows that order, so no id depends on the hash seed.  Every other
+        atom gets its id the first time a binding's head or body row meets
+        it, through one ``row → id`` dict per signature; the atom a new
+        head already has is the one kept, and an atom met only in a
+        negative body is built once, then.  An instance is its head id and
+        its body's signed ids in body order (``id`` for a positive literal,
+        ``~id`` for a negative one), the same equality as :class:`Rule`'s,
+        so duplicates drop out as in :meth:`ground`, and ``max_rules``
+        counts what :meth:`ground` emits: the facts plus the distinct
+        instances.  No instance is recorded as emitted, so the grounder is
+        not to be extended after.
+        """
+        facts = self._facts()
+        space = _EnvelopeSpace(self._store, self._overlay)
+        atoms = list(facts)
+        ids: dict[tuple[str, int], dict[Row, int]] = {}
+        for atom_id, fact in enumerate(facts):
+            ids.setdefault((fact.predicate, fact.arity), {})[fact.args] = atom_id
+        layouts = {plan: _id_layout(plan, ids) for plan in self._plans}
+        pending = [fact for fact in facts if fact not in space]
+
+        seen: set[tuple[int, ...]] = set()
+        heads: list[int] = []
+        pos_off, pos_atoms, neg_off, neg_atoms = [0], [], [0], []
+        limit = self._limits.max_rules
+        emitted = len(facts)
+        for plan, slots, new in self._first_run(space, pending):
+            head_ids, body, repeats = layouts[plan]
+            row = plan.head_row(slots) if new is None else new.args
+            head = head_ids.get(row)
+            if head is None:
+                head = head_ids[row] = len(atoms)
+                atoms.append(Atom(plan.predicate, row) if new is None else new)
+            key = [head]
+            for table, args, positive, predicate in body:
+                row = args(slots)
+                atom_id = table.get(row)
+                if atom_id is None:
+                    atom_id = table[row] = len(atoms)
+                    atoms.append(Atom(predicate, row))
+                key.append(atom_id if positive else ~atom_id)
+            key = tuple(key)
+            if key in seen:
+                continue
+            seen.add(key)
+            emitted += 1
+            if emitted > limit:
+                raise _rule_limit_error(limit)
+            heads.append(head)
+            if repeats:
+                signed = set(key[1:])
+                pos_atoms.extend(sorted(i for i in signed if i >= 0))
+                neg_atoms.extend(sorted(~i for i in signed if i < 0))
+            else:
+                for atom_id in key[1:]:
+                    if atom_id >= 0:
+                        pos_atoms.append(atom_id)
+                    else:
+                        neg_atoms.append(~atom_id)
+            pos_off.append(len(pos_atoms))
+            neg_off.append(len(neg_atoms))
+        if self._recorder.enabled:
+            self._recorder.count("ground.rules_emitted", emitted)
+        return GroundIR(
+            atoms, heads, pos_off, pos_atoms, neg_off, neg_atoms, list(range(len(facts)))
+        )
 
     def retain(self, atoms: Iterable[Atom]) -> None:
         """Keep facts retracted from the store in the envelope, so later
@@ -552,11 +661,14 @@ class IncrementalGrounder:
         bindings = self._fixpoint(space, [], old_sizes, first_round=True, first_run=False)
         yield from self._emit(bindings, first_run=False)
 
-    def _facts(self) -> set[Atom]:
-        facts = set(self._program.fact_atoms())
-        if self._store is not None:
-            facts.update(self._store.facts())
-        return facts
+    def _facts(self) -> list[Atom]:
+        """The EDB facts, each once: the program's in program order, then
+        the store's rows in store order."""
+        if self._store is None:
+            return list(self._program_facts)
+        facts = dict.fromkeys(self._program_facts)
+        facts.update(dict.fromkeys(self._store.facts()))
+        return list(facts)
 
     def _first_run(
         self, space: _EnvelopeSpace, pending: list[Atom]
@@ -640,8 +752,11 @@ class IncrementalGrounder:
             batch = pending
             pending = []
             # Every queued atom was checked against the base store already.
+            # A round can queue tens of thousands of heads, so appending
+            # them is a stretch that needs its own checkpoint.
             for atom in batch:
                 space.overlay.add_atom(atom)
+                budget.tick("ground")
             heads: dict[tuple[str, int], set[Row]] = {}
             new_sizes = space.sizes()
             if recorder.enabled:
@@ -681,6 +796,24 @@ class IncrementalGrounder:
 
 def _rule_limit_error(limit: int) -> GroundingError:
     return GroundingError(f"grounding exceeded the limit of {limit} rules")
+
+
+def _id_layout(plan: RulePlan, ids: dict[tuple[str, int], dict[Row, int]]) -> tuple:
+    """How :meth:`IncrementalGrounder.ground_ir` reads one rule's ids: the
+    ``row → id`` dict of its head's signature; per body literal its
+    signature's dict, row template, polarity and predicate; and whether two
+    literals of one polarity share a signature, so that an instance's body
+    can name an atom twice."""
+    rule = plan.rule
+    literals = [
+        (literal.atom.predicate, literal.atom.arity, literal.positive) for literal in rule.body
+    ]
+    body = tuple(
+        (ids.setdefault((predicate, arity), {}), args, positive, predicate)
+        for (predicate, arity, _), (_, args, positive) in zip(literals, plan.body)
+    )
+    head = ids.setdefault((plan.predicate, rule.head.arity), {})
+    return head, body, len(set(literals)) < len(literals)
 
 
 def _scan_relevant_ground(program: Program, limits: GroundingLimits | None = None) -> Program:

@@ -8,7 +8,8 @@ cheapest semantics that agrees with the well-founded model for the
 program's syntactic class (Horn → minimum model, stratified → perfect
 model, otherwise the alternating fixpoint).  The minimum model of a
 definite non-ground program is the relevant grounder's envelope, so it
-is read straight off the grounder, with no ground program built.
+is read straight off the grounder, with no ground program built; a
+well-founded solve grounds straight into the compiled kernel's int IR.
 
 Evaluation choices travel in one validated
 :class:`~repro.config.EngineConfig` (``config=``).  :func:`solve` itself
@@ -84,12 +85,14 @@ class Solution:
     are computed only when first read (see :mod:`repro.session`).
 
     ``context`` is the :class:`~repro.core.context.GroundContext` the model
-    was computed over, or ``None`` when no ground program was built: the
-    minimum model of a definite non-ground program is the grounder's
-    envelope (:func:`solve_configured`).  ``base`` and the true set are
-    then that envelope and the false set is empty; with a store,
-    ``program`` holds the facts the solve read as fact rules, so an
-    explainer can ground ``program`` itself.
+    was computed over, or ``None`` when no ground program of objects was
+    built (:func:`solve_configured`): the minimum model of a definite
+    non-ground program is the grounder's envelope, whose atoms are then
+    ``base`` and the true set, and a well-founded solve on the kernel
+    grounds straight into the kernel's int IR, whose id → atom list is
+    then ``base``.  With a store, ``program`` then holds the facts the
+    solve read as fact rules, so an explainer can ground ``program``
+    itself.
 
     Solutions are immutable and compare (and hash) by identity: two solves
     of one program give two unequal solutions.  Compare what they answer
@@ -217,9 +220,20 @@ def solve_configured(
     also holds underivable atoms; so do rules with negation under a
     requested ``horn``, which raises as before.
 
+    A well-founded solve (``alternating-fixpoint`` or ``well-founded``,
+    requested or picked by ``auto``) on the ``kernel`` engine under the
+    ``relevant`` grounder grounds straight into the kernel's int IR: a
+    non-ground program through
+    :meth:`~repro.datalog.grounding.IncrementalGrounder.ground_ir`, a
+    ground one through :func:`repro.kernel.lower_program`, then
+    :func:`repro.kernel.condense` and :func:`repro.kernel.evaluate_model`.
+    No rule instance, no ground context and no compile pass is built, so
+    the solution's ``context`` is ``None`` there too.  The monolithic
+    engine, the naive grounder and every other semantics build a context.
+
     *recorder* (see :mod:`repro.obs`) instruments the whole call as one
     ``solve`` span whose children are the pipeline phases (``classify``
-    under ``auto``, ``ground``, then ``compile``/``evaluate``/``assemble``
+    under ``auto``, ``ground``, then ``condense``/``evaluate``/``assemble``
     when the kernel evaluates the well-founded model, a single
     ``evaluate`` span for the other evaluators, and nothing after
     ``ground`` on the envelope route); the default
@@ -287,6 +301,15 @@ def _solve_with_store(
             solution = _solve_from_envelope(program, config, store, recorder)
             if recorder.enabled:
                 solve_span.annotate(semantics=semantics, atoms=len(solution.base))
+            return solution
+        if (
+            semantics in ("alternating-fixpoint", "well-founded")
+            and engine == "kernel"
+            and grounder == "relevant"
+        ):
+            solution, rules = _solve_into_kernel(program, config, semantics, store, recorder)
+            if recorder.enabled:
+                solve_span.annotate(semantics=semantics, atoms=len(solution.base), rules=rules)
             return solution
         if store is not None and (program.is_ground or grounder != "relevant"):
             # The naive grounder and the ground-program passthrough need
@@ -377,9 +400,7 @@ def _solve_from_envelope(
         grounder = IncrementalGrounder(program, config.limits, store=store, recorder=recorder)
         facts, atoms = grounder.envelope()
     if store is not None:
-        program = Program(
-            [*(Rule(fact) for fact in sorted(facts, key=str)), *program.non_fact_rules()]
-        )
+        program = _with_read_facts(program, facts)
     if recorder.enabled:
         ground_span.annotate(facts=len(facts), atoms=len(atoms))
         recorder.count("ground.facts", len(facts))
@@ -395,6 +416,76 @@ def _solve_from_envelope(
         strategy=config.strategy,
         engine=config.engine,
         config=config,
+    )
+
+
+def _solve_into_kernel(
+    program: Program,
+    config: EngineConfig,
+    semantics: str,
+    store: Optional[FactStore],
+    recorder: Recorder,
+) -> tuple[Solution, int]:
+    """The well-founded model of *program* by the kernel, grounded straight
+    into its int IR, with the number of ground rules.
+
+    A non-ground program goes through the relevant grounder's bindings
+    (:meth:`~repro.datalog.grounding.IncrementalGrounder.ground_ir`), a
+    ground one through its own rules (:func:`repro.kernel.lower_program`);
+    either way no :class:`Rule` per instance and no ground context is
+    built, and :func:`repro.kernel.condense` and
+    :func:`repro.kernel.evaluate_model` do the rest.  The base is the id
+    → atom list.  With a store, the solution's program holds the facts
+    this run read as fact rules, so an explainer can ground it later
+    without the store.
+    """
+    # Imported here, not at the top: a session never takes this route, and
+    # `import repro` stays free of the kernel.
+    from ..kernel import condense, evaluate_model, lower_program
+
+    probes_before = store.probes if store is not None else 0
+    with recorder.span("ground", grounder="relevant") as ground_span:
+        if program.is_ground:
+            if store is not None:
+                program, store = Program.union(store.as_program(), program), None
+            ir = lower_program(program)
+        else:
+            grounder = IncrementalGrounder(program, config.limits, store=store, recorder=recorder)
+            ir = grounder.ground_ir()
+    atoms = ir.atoms
+    if store is not None:
+        program = _with_read_facts(program, [atoms[atom_id] for atom_id in ir.fact_ids])
+    rules = len(ir.heads)
+    if recorder.enabled:
+        facts = len(ir.fact_ids)
+        ground_span.annotate(rules=rules, facts=facts, atoms=len(atoms))
+        recorder.count("ground.rules", rules)
+        recorder.count("ground.facts", facts)
+        recorder.count("ground.atoms", len(atoms))
+        if store is not None:
+            recorder.count("store.candidate_probes", store.probes - probes_before)
+    with recorder.span("condense") as condense_span:
+        compiled = condense(ir, recorder)
+    if recorder.enabled:
+        condense_span.annotate(**compiled.statistics())
+    interpretation = evaluate_model(compiled, recorder)[0]
+    solution = Solution(
+        program=program,
+        semantics=semantics,
+        interpretation=interpretation,
+        base=frozenset(atoms),
+        strategy=config.strategy,
+        engine=config.engine,
+        config=config,
+    )
+    return solution, rules
+
+
+def _with_read_facts(program: Program, facts: Iterable[Atom]) -> Program:
+    """*program*'s non-fact rules after *facts*, the EDB a solve read from
+    its store, as fact rules."""
+    return Program(
+        [*(Rule(fact) for fact in sorted(facts, key=str)), *program.non_fact_rules()]
     )
 
 

@@ -1,14 +1,22 @@
 """Compiled ground-program kernel: interned-int IR with flat-array evaluation.
 
-The kernel compiles a frozen :class:`~repro.core.context.GroundContext`
-into dense integers once (:mod:`repro.kernel.compile`: atom ids in the
-order compilation first meets them, the id → atom list kept as
-``CompiledProgram.atoms``) and evaluates the well-founded model with
-counter propagation over flat arrays (:mod:`repro.kernel.eval`).  It is
-the default engine (``engine="kernel"`` on
+The kernel lowers a ground program to dense integers once
+(:mod:`repro.kernel.compile`) and evaluates the well-founded model with
+counter propagation over flat arrays (:mod:`repro.kernel.eval`).  Three
+front ends produce the int rules — the relevant grounder's
+:meth:`~repro.datalog.grounding.IncrementalGrounder.ground_ir` for a
+non-ground program, :func:`lower_program` for a ground one and
+:func:`compile_context` for a built
+:class:`~repro.core.context.GroundContext` — and one back end,
+:func:`condense`, indexes them by head and condenses the atom dependency
+graph into a :class:`CompiledProgram` (the id → atom list kept as
+``CompiledProgram.atoms``); :func:`evaluate_model` evaluates it and
+decodes the model.  It is the default engine (``engine="kernel"`` on
 :class:`~repro.config.EngineConfig`) of every one-shot well-founded
-solve; the monolithic alternating fixpoint and the ``W_P`` unfounded-set
-iteration remain the differential oracles.
+solve, which grounds straight into it with no context built
+(:func:`repro.engine.solver.solve_configured`); the monolithic
+alternating fixpoint and the ``W_P`` unfounded-set iteration remain the
+differential oracles.
 
 The kernel is a one-shot evaluator.  A :class:`~repro.session.KnowledgeBase`
 configured with it maintains its model in the aggregate verdict sets of
@@ -19,15 +27,24 @@ residual rules to the same solvers,
 :func:`~repro.core.modular.residual_alternating`.
 """
 
-from .compile import CompiledProgram, compile_context, get_kernel
-from .eval import KernelResult, evaluate_compiled, kernel_model, kernel_well_founded
+from .compile import CompiledProgram, compile_context, condense, get_kernel, lower_program
+from .eval import (
+    KernelResult,
+    evaluate_compiled,
+    evaluate_model,
+    kernel_model,
+    kernel_well_founded,
+)
 
 __all__ = [
     "CompiledProgram",
     "compile_context",
+    "condense",
     "get_kernel",
+    "lower_program",
     "KernelResult",
     "evaluate_compiled",
+    "evaluate_model",
     "kernel_model",
     "kernel_well_founded",
 ]

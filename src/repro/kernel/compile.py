@@ -1,13 +1,10 @@
-"""Lower a :class:`~repro.core.context.GroundContext` to the flat int IR.
+"""Lower a ground program to the flat int IR.
 
 The compiled form replaces every object-level structure the well-founded
 hot loop touches with a contiguous ``array('i')``:
 
-* atoms get dense ids in the order compilation first meets them — each
-  rule's head, then its positive and negative body, then the facts in
-  program order, then any remaining base atoms (extra or full-base ones)
-  sorted by ``repr`` — and ``atoms`` maps an id back to its atom.  The
-  model does not depend on which id an atom gets, and the order needs no
+* atoms get dense ids, and ``atoms`` maps an id back to its atom.  The
+  model does not depend on which id an atom gets, and no order needs a
   sort of the base;
 * rule bodies become CSR segments (``pos_off``/``pos_atoms`` and
   ``neg_off``/``neg_atoms``, one *deduplicated* id list per rule, so the
@@ -18,10 +15,29 @@ hot loop touches with a contiguous ``array('i')``:
   over the int adjacency (iterative Tarjan, callees-first emission) and
   stored as ``comp_of`` plus the CSR partition ``comp_off``/``comp_atoms``.
 
-Compilation is cached on the (frozen) context via :func:`get_kernel` — the
-same idiom as :func:`repro.evaluation.indexes.get_index` — so a caller
-that evaluates one grounding many times (repeated runs over one context)
-pays the compile exactly once.
+Lowering has three front ends and one back end.  Each front end turns
+its input into a :class:`~repro.datalog.grounding.GroundIR` (ids, heads,
+body segments, fact ids); :func:`condense` — the back end — builds the
+head index and the condensation from it:
+
+* :meth:`IncrementalGrounder.ground_ir
+  <repro.datalog.grounding.IncrementalGrounder.ground_ir>` grounds a
+  non-ground program straight into ids (facts first, then atoms as its
+  bindings meet them), with no rule instance built;
+* :func:`lower_program` reads an already-ground program's rules in
+  program order (each rule's head, then its body in body order);
+* :func:`compile_context` lowers a built
+  :class:`~repro.core.context.GroundContext` — each rule's head, then its
+  positive and negative body, then the facts in program order, then any
+  remaining base atoms (extra or full-base ones) sorted by ``repr``.  It
+  is the reference the other two are tested against.
+
+A well-founded ``solve`` runs the first two and :func:`condense`
+(:func:`repro.engine.solver.solve_configured`), with no context built.
+:func:`get_kernel` caches a context's compilation on the (frozen)
+context — the same idiom as :func:`repro.evaluation.indexes.get_index` —
+so a caller that evaluates one grounding many times (repeated runs over
+one context) pays the compile exactly once.
 """
 
 from __future__ import annotations
@@ -30,14 +46,16 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from ..datalog.grounding import GroundIR
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import current_meter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.context import GroundContext
     from ..datalog.atoms import Atom
+    from ..datalog.rules import Program
 
-__all__ = ["CompiledProgram", "compile_context", "get_kernel"]
+__all__ = ["CompiledProgram", "condense", "compile_context", "get_kernel", "lower_program"]
 
 _KERNEL_ATTRIBUTE = "_compiled_kernel"
 
@@ -108,7 +126,7 @@ class CompiledProgram:
 
     def nbytes(self) -> int:
         """Bytes held by the flat arrays (the IR proper, excluding the
-        id → atom list, whose Atom objects are shared with the context, and
+        id → atom list, whose Atom objects are shared with the grounding, and
         the lazily built :meth:`hot` decode cache)."""
         total = len(self.self_dep)
         for buf in (
@@ -137,89 +155,48 @@ class CompiledProgram:
         }
 
 
-def compile_context(
-    context: "GroundContext", recorder: Recorder = NULL_RECORDER
-) -> CompiledProgram:
-    """Compile *context* to a :class:`CompiledProgram` (uncached)."""
-    meter = current_meter()
-    # Atom -> id in first-seen order; ``intern(atom, len(ids))`` hands out
-    # the next dense id on first sight, and the dict's insertion order is
-    # the id -> atom list.  Every atom of the rules and facts is in the base.
-    ids: Dict["Atom", int] = {}
-    intern = ids.setdefault
-    base = context.base
-    n_atoms = len(base)
+def condense(ir: GroundIR, recorder: Recorder = NULL_RECORDER) -> CompiledProgram:
+    """The back end every front end shares: index *ir*'s rules by head and
+    condense its atom dependency graph into a :class:`CompiledProgram`.
 
-    rules = context.rules
-    n_rules = len(rules)
-    heads_list: List[int] = []
-    pos_off_list: List[int] = [0]
-    pos_list: List[int] = []
-    neg_off_list: List[int] = [0]
-    neg_list: List[int] = []
-    self_dep = bytearray(n_atoms)
-    for rule in rules:
-        head_id = intern(rule.head, len(ids))
-        heads_list.append(head_id)
-        positive = rule.positive_body
-        if positive:
-            distinct = {intern(atom, len(ids)) for atom in positive}
-            if head_id in distinct:
-                self_dep[head_id] = 1
-            pos_list.extend(sorted(distinct))
-        pos_off_list.append(len(pos_list))
-        negative = rule.negative_body
-        if negative:
-            distinct = {intern(atom, len(ids)) for atom in negative}
-            if head_id in distinct:
-                self_dep[head_id] = 1
-            neg_list.extend(sorted(distinct))
-        neg_off_list.append(len(neg_list))
-    facts = context.facts
-    for rule in context.program:
-        if not rule.body and rule.head in facts:
-            intern(rule.head, len(ids))
-    if len(ids) < n_atoms:
-        for atom in sorted((atom for atom in base if atom not in ids), key=repr):
-            intern(atom, len(ids))
-    meter.check("compile")
+    A tracing *recorder* gets the ``kernel.atoms`` / ``kernel.rules`` /
+    ``kernel.bytes`` counters.
+    """
+    meter = current_meter()
+    n_atoms = len(ir.atoms)
+    heads = ir.heads
+    n_rules = len(heads)
 
     # Head index as CSR via a counting pass.
     head_counts = [0] * (n_atoms + 1)
-    for head_id in heads_list:
+    for head_id in heads:
         head_counts[head_id + 1] += 1
     for i in range(1, n_atoms + 1):
         head_counts[i] += head_counts[i - 1]
-    head_off = array("i", head_counts)
     head_rules_list = [0] * n_rules
-    cursor = list(head_off[:-1])
-    for rule_id, head_id in enumerate(heads_list):
+    cursor = head_counts[:-1]
+    for rule_id, head_id in enumerate(heads):
         head_rules_list[cursor[head_id]] = rule_id
         cursor[head_id] += 1
-    meter.check("compile")
+    meter.check("condense")
 
-    comp_of, comp_off_list, comp_atoms_list = _condense(
-        n_atoms,
-        heads_list,
-        pos_off_list,
-        pos_list,
-        neg_off_list,
-        neg_list,
+    comp_of, comp_off_list, comp_atoms_list, self_dep = _components(
+        n_atoms, head_counts, head_rules_list, ir.pos_off, ir.pos_atoms, ir.neg_off, ir.neg_atoms
     )
-    meter.check("compile")
+    meter.check("condense")
 
     compiled = CompiledProgram(
-        atoms=list(ids),
+        atoms=ir.atoms,
         n_atoms=n_atoms,
         n_rules=n_rules,
-        heads=array("i", heads_list),
-        pos_off=array("i", pos_off_list),
-        pos_atoms=array("i", pos_list),
-        neg_off=array("i", neg_off_list),
-        neg_atoms=array("i", neg_list),
-        head_off=head_off,
+        heads=array("i", heads),
+        pos_off=array("i", ir.pos_off),
+        pos_atoms=array("i", ir.pos_atoms),
+        neg_off=array("i", ir.neg_off),
+        neg_atoms=array("i", ir.neg_atoms),
+        head_off=array("i", head_counts),
         head_rules=array("i", head_rules_list),
-        fact_ids=array("i", sorted(ids[atom] for atom in facts)),
+        fact_ids=array("i", ir.fact_ids),
         n_components=len(comp_off_list) - 1,
         comp_of=array("i", comp_of),
         comp_off=array("i", comp_off_list),
@@ -231,6 +208,90 @@ def compile_context(
         recorder.count("kernel.rules", compiled.n_rules)
         recorder.count("kernel.bytes", compiled.nbytes())
     return compiled
+
+
+def compile_context(
+    context: "GroundContext", recorder: Recorder = NULL_RECORDER
+) -> CompiledProgram:
+    """Compile *context* to a :class:`CompiledProgram` (uncached)."""
+    # Atom -> id in first-seen order; ``intern(atom, len(ids))`` hands out
+    # the next dense id on first sight, and the dict's insertion order is
+    # the id -> atom list.  Every atom of the rules and facts is in the base.
+    ids: Dict["Atom", int] = {}
+    intern = ids.setdefault
+    heads: List[int] = []
+    pos_off: List[int] = [0]
+    pos_atoms: List[int] = []
+    neg_off: List[int] = [0]
+    neg_atoms: List[int] = []
+    for rule in context.rules:
+        heads.append(intern(rule.head, len(ids)))
+        positive = rule.positive_body
+        if positive:
+            pos_atoms.extend(sorted({intern(atom, len(ids)) for atom in positive}))
+        pos_off.append(len(pos_atoms))
+        negative = rule.negative_body
+        if negative:
+            neg_atoms.extend(sorted({intern(atom, len(ids)) for atom in negative}))
+        neg_off.append(len(neg_atoms))
+    facts = context.facts
+    for rule in context.program:
+        if not rule.body and rule.head in facts:
+            intern(rule.head, len(ids))
+    base = context.base
+    if len(ids) < len(base):
+        for atom in sorted((atom for atom in base if atom not in ids), key=repr):
+            intern(atom, len(ids))
+    current_meter().check("compile")
+    ir = GroundIR(
+        list(ids), heads, pos_off, pos_atoms, neg_off, neg_atoms,
+        sorted(ids[atom] for atom in facts),
+    )
+    return condense(ir, recorder)
+
+
+def lower_program(program: "Program") -> GroundIR:
+    """The front end of an already-ground *program*: its rules read in
+    program order, each atom getting its id the first time a rule's head
+    or body meets it, with no context built.
+
+    The rules are the program's non-fact rules, duplicates included, and
+    the atoms those rules and the facts mention — the rules and base of
+    ``build_context(program)``.  The budget is ticked once per rule, as
+    :func:`~repro.core.context.build_context` does.
+    """
+    meter = current_meter()
+    ids: Dict["Atom", int] = {}
+    intern = ids.setdefault
+    facts: List[int] = []
+    heads: List[int] = []
+    pos_off: List[int] = [0]
+    pos_atoms: List[int] = []
+    neg_off: List[int] = [0]
+    neg_atoms: List[int] = []
+    for rule in program:
+        meter.tick("ground", stride=256)
+        head = intern(rule.head, len(ids))
+        body = rule.body
+        if not body:
+            facts.append(head)
+            continue
+        heads.append(head)
+        positive: List[int] = []
+        negative: List[int] = []
+        for literal in body:
+            (positive if literal.positive else negative).append(intern(literal.atom, len(ids)))
+        if len(positive) > 1:
+            positive = sorted(set(positive))
+        pos_atoms.extend(positive)
+        pos_off.append(len(pos_atoms))
+        if len(negative) > 1:
+            negative = sorted(set(negative))
+        neg_atoms.extend(negative)
+        neg_off.append(len(neg_atoms))
+    return GroundIR(
+        list(ids), heads, pos_off, pos_atoms, neg_off, neg_atoms, sorted(set(facts))
+    )
 
 
 def get_kernel(
@@ -252,37 +313,41 @@ def get_kernel(
 # --------------------------------------------------------------------- #
 # Int-level condensation
 # --------------------------------------------------------------------- #
-def _condense(
+def _components(
     n_atoms: int,
-    heads: List[int],
+    head_off: List[int],
+    head_rules: List[int],
     pos_off: List[int],
     pos_atoms: List[int],
     neg_off: List[int],
     neg_atoms: List[int],
-) -> Tuple[List[int], List[int], List[int]]:
+) -> Tuple[List[int], List[int], List[int], bytearray]:
     """SCC-condense the atom dependency graph, callees first.
 
     Builds the head → body adjacency (both polarities, deduplicated) as a
-    CSR over ints and runs an iterative Tarjan.  Tarjan emits a component
-    only after every component reachable from it, so the emission order is
-    already the callees-first topological order the evaluator consumes.
-    Returns ``(comp_of, comp_off, comp_atoms)``.
+    CSR over ints, reading each atom's rules off the head index, and runs
+    an iterative Tarjan.  Tarjan emits a component only after every
+    component reachable from it, so the emission order is already the
+    callees-first topological order the evaluator consumes.  Returns
+    ``(comp_of, comp_off, comp_atoms, self_dep)``; ``self_dep`` marks the
+    atoms among their own successors.
     """
     # Dependency adjacency: one sorted, deduplicated successor list per
     # atom (head depends on each body atom of each of its rules).
-    succ_sets: List[set] = [None] * n_atoms  # type: ignore[list-item]
-    for rule_id, head_id in enumerate(heads):
-        bucket = succ_sets[head_id]
-        if bucket is None:
-            bucket = succ_sets[head_id] = set()
-        bucket.update(pos_atoms[pos_off[rule_id] : pos_off[rule_id + 1]])
-        bucket.update(neg_atoms[neg_off[rule_id] : neg_off[rule_id + 1]])
     adj_off = [0] * (n_atoms + 1)
     adj: List[int] = []
+    self_dep = bytearray(n_atoms)
     for atom_id in range(n_atoms):
-        bucket = succ_sets[atom_id]
-        if bucket:
-            adj.extend(sorted(bucket))
+        first, last = head_off[atom_id], head_off[atom_id + 1]
+        if first != last:
+            successors = set()
+            for slot in range(first, last):
+                rule = head_rules[slot]
+                successors.update(pos_atoms[pos_off[rule] : pos_off[rule + 1]])
+                successors.update(neg_atoms[neg_off[rule] : neg_off[rule + 1]])
+            adj.extend(sorted(successors))
+            if atom_id in successors:
+                self_dep[atom_id] = 1
         adj_off[atom_id + 1] = len(adj)
 
     comp_of = [-1] * n_atoms
@@ -297,10 +362,17 @@ def _condense(
     for root in range(n_atoms):
         if index_of[root] != -1:
             continue
-        # (node, next successor position) — an explicit DFS frame stack.
-        work: List[List[int]] = [[root, adj_off[root]]]
         index_of[root] = lowlink[root] = counter
         counter += 1
+        if adj_off[root] == adj_off[root + 1]:
+            # An atom with no successors (every fact) is a component of its
+            # own, emitted at once, as Tarjan would after visiting it.
+            comp_of[root] = len(comp_off) - 1
+            comp_atoms.append(root)
+            comp_off.append(len(comp_atoms))
+            continue
+        # (node, next successor position) — an explicit DFS frame stack.
+        work: List[List[int]] = [[root, adj_off[root]]]
         scc_stack.append(root)
         on_stack[root] = 1
         while work:
@@ -313,6 +385,11 @@ def _condense(
                 if index_of[successor] == -1:
                     index_of[successor] = lowlink[successor] = counter
                     counter += 1
+                    if adj_off[successor] == adj_off[successor + 1]:
+                        comp_of[successor] = len(comp_off) - 1
+                        comp_atoms.append(successor)
+                        comp_off.append(len(comp_atoms))
+                        continue
                     scc_stack.append(successor)
                     on_stack[successor] = 1
                     work.append([successor, adj_off[successor]])
@@ -335,4 +412,4 @@ def _condense(
                     if member == node:
                         break
                 comp_off.append(len(comp_atoms))
-    return comp_of, comp_off, comp_atoms
+    return comp_of, comp_off, comp_atoms, self_dep

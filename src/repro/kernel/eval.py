@@ -47,6 +47,7 @@ from .compile import CompiledProgram, get_kernel
 __all__ = [
     "KernelResult",
     "evaluate_compiled",
+    "evaluate_model",
     "kernel_well_founded",
     "kernel_model",
 ]
@@ -320,9 +321,10 @@ def kernel_well_founded(
 
     A tracing *recorder* captures a ``compile`` span (with the
     ``kernel.atoms`` / ``kernel.rules`` / ``kernel.bytes`` counters on a
-    fresh build), an ``evaluate`` span with the aggregate method split, the
-    ``kernel.decrements`` / ``kernel.stages`` counters, and an ``assemble``
-    span around the model decode.
+    fresh build), then :func:`evaluate_model`'s ``evaluate`` and
+    ``assemble`` spans.  A well-founded ``solve`` lowers without a
+    context (:mod:`repro.kernel.compile`) and calls
+    :func:`evaluate_model` itself.
     """
     _, _, limits, grounder, budget = merge_entry_config(
         config, limits=limits, grounder=grounder
@@ -345,23 +347,46 @@ def kernel_well_founded(
             compiled = get_kernel(context, recorder=recorder)
         if recorder.enabled:
             compile_span.annotate(**compiled.statistics())
+        model, methods, stages, decrements = evaluate_model(compiled, recorder)
+    return KernelResult(
+        context=context,
+        model=model,
+        compiled=compiled,
+        methods=methods,
+        stages=stages,
+        decrements=decrements,
+    )
 
-        tracing = recorder.enabled
-        with recorder.span("evaluate", method="kernel") as evaluate_span:
-            truth, method_counts, stages, decrements = evaluate_compiled(
-                compiled, tracing=tracing
-            )
 
-        with recorder.span("assemble") as assemble_span:
-            atoms = compiled.atoms
-            true_atoms: Set[Atom] = set()
-            false_atoms: Set[Atom] = set()
-            for atom_id, value in enumerate(truth):
-                if value == 1:
-                    true_atoms.add(atoms[atom_id])
-                elif value:
-                    false_atoms.add(atoms[atom_id])
-            model = PartialInterpretation(true_atoms, false_atoms)
+def evaluate_model(
+    compiled: CompiledProgram, recorder: Recorder = NULL_RECORDER
+) -> Tuple[PartialInterpretation, Dict[str, int], int, int]:
+    """Evaluate *compiled* and decode its partial model: the half of a
+    kernel solve after lowering, shared by :func:`kernel_well_founded` and
+    :func:`repro.engine.solver.solve_configured`.
+
+    Returns ``(model, methods, stages, decrements)``: *methods* maps each
+    method that solved some component to its component count.  A tracing
+    *recorder* captures an ``evaluate`` span with the aggregate method
+    split, the ``kernel.decrements`` / ``kernel.stages`` and
+    ``components.*`` counters, and an ``assemble`` span around the decode.
+    """
+    tracing = recorder.enabled
+    with recorder.span("evaluate", method="kernel") as evaluate_span:
+        truth, method_counts, stages, decrements = evaluate_compiled(
+            compiled, tracing=tracing
+        )
+
+    with recorder.span("assemble") as assemble_span:
+        atoms = compiled.atoms
+        true_atoms: Set[Atom] = set()
+        false_atoms: Set[Atom] = set()
+        for atom_id, value in enumerate(truth):
+            if value == 1:
+                true_atoms.add(atoms[atom_id])
+            elif value:
+                false_atoms.add(atoms[atom_id])
+        model = PartialInterpretation(true_atoms, false_atoms)
 
     methods = {
         name: count for name, count in zip(_METHODS, method_counts) if count
@@ -376,14 +401,7 @@ def kernel_well_founded(
         recorder.count("components.total", compiled.n_components)
         for name, count in methods.items():
             recorder.count(f"components.{name}", count)
-    return KernelResult(
-        context=context,
-        model=model,
-        compiled=compiled,
-        methods=methods,
-        stages=stages,
-        decrements=decrements,
-    )
+    return model, methods, stages, decrements
 
 
 def kernel_model(program: Program | GroundContext, **kwargs) -> PartialInterpretation:

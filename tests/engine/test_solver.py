@@ -3,13 +3,15 @@
 import pytest
 
 from repro.config import EngineConfig
+from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.datalog import Database, parse_program
 from repro.datalog.atoms import atom
 from repro.datalog.grounding import GroundingLimits, IncrementalGrounder
-from repro.datalog.rules import Program
+from repro.datalog.rules import Program, Rule
 from repro.engine.solver import SUPPORTED_SEMANTICS, solve
 from repro.exceptions import (
+    BudgetExceeded,
     Cancelled,
     EvaluationError,
     GroundingError,
@@ -241,3 +243,120 @@ class TestHornFromTheEnvelope:
             "has a negative literal"
         )
         assert solve("p(X) :- q(X), not r(X). s(1).", semantics="horn").is_true("s", 1)
+
+
+class TestWellFoundedIntoTheKernel:
+    """A default well-founded solve grounds straight into the kernel's int
+    IR: no rule instances, no context, no compile pass, and every limit,
+    budget and counter of the context path still applies."""
+
+    #: An even 4-cycle (all undefined) and a chain 4 -> 5 -> 6; the second
+    #: rule is the first under other names, so it adds no instance.
+    GAME = (
+        " ".join(f"move({i}, {(i + 1) % 4})." for i in range(4))
+        + " move(4, 5). move(5, 6)."
+        + " wins(X) :- move(X, Y), not wins(Y)."
+        + " wins(A) :- move(A, B), not wins(B)."
+    )
+
+    def test_route_and_model(self):
+        program = parse_program(self.GAME)
+        solution = solve(program)
+        assert solution.semantics == "alternating-fixpoint" and solution.context is None
+        assert solution.relation("wins") == {(5,)}
+        assert solution.undefined_relation("wins") == {(0,), (1,), (2,), (3,)}
+        assert solution.is_false("wins", 4) and solution.is_false("wins", 6)
+        reference = alternating_fixpoint(program)
+        assert solution.interpretation == reference.model
+        assert solution.base == reference.context.base
+        assert solution.program is program
+
+    def test_ground_programs_take_the_route_too(self):
+        text = "p :- not q. q :- not p. r :- s, not p. s. s."
+        solution = solve(text, semantics="well-founded")
+        assert solution.context is None
+        reference = alternating_fixpoint(parse_program(text))
+        assert solution.interpretation == reference.model
+        assert solution.base == reference.context.base
+
+    def test_other_engines_grounders_and_semantics_keep_the_context(self):
+        monolithic = solve(self.GAME, config=EngineConfig(engine="monolithic"))
+        naive = solve(self.GAME, config=EngineConfig(grounder="naive"))
+        stratified = solve("q(1). p(X) :- q(X), not r(X).")
+        assert stratified.semantics == "stratified"
+        for solution in (monolithic, naive, stratified):
+            assert solution.context is not None
+        assert monolithic.interpretation == solve(self.GAME).interpretation
+
+    def test_spans_and_counters_match_the_context_route(self):
+        recorder = TraceRecorder()
+        solve(self.GAME, recorder=recorder)
+        root = recorder.find("solve")
+        assert [span.name for span in root.children] == [
+            "classify", "ground", "condense", "evaluate", "assemble"
+        ]
+        reference = TraceRecorder()
+        alternating_fixpoint(parse_program(self.GAME), engine="kernel", recorder=reference)
+        assert [span.name for span in reference.spans] == [
+            "ground", "compile", "evaluate", "assemble"
+        ]
+        totals = recorder.counter_totals()
+        expected = {
+            name: value
+            for name, value in reference.counter_totals().items()
+            if name.startswith(("ground.", "kernel.", "components."))
+        }
+        assert {name: totals.get(name) for name in expected} == expected
+        assert expected["ground.rules"] == 6 and expected["ground.rules_emitted"] == 12
+        assert expected["ground.atoms"] == 13
+
+    @pytest.mark.parametrize("source", ["program", "store"])
+    def test_max_rules_trips_at_the_context_paths_size(self, source):
+        program = parse_program(self.GAME)
+        context = build_context(program)
+        size = len(context.facts) + len(context.rules)
+        assert size == 6 + 6
+        store = None
+        if source == "store":
+            store = MemoryStore()
+            store.load(program.fact_atoms())
+            program = Program(program.non_fact_rules())
+        fits = GroundingLimits(max_rules=size)
+        solution = solve(program, limits=fits, store=store)
+        assert solution.context is None
+        if store is not None:
+            # The facts the solve read, as fact rules, then the rules.
+            assert list(solution.program) == [
+                *(Rule(fact) for fact in sorted(store.facts(), key=str)),
+                *program.non_fact_rules(),
+            ]
+        build_context(program, limits=fits, store=store)
+        over = GroundingLimits(max_rules=size - 1)
+        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
+            solve(program, limits=over, store=store)
+        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
+            build_context(program, limits=over, store=store)
+
+    def test_tiny_deadline_raises_grounding_timeout(self):
+        with pytest.raises(GroundingTimeout):
+            solve(self.GAME, config=EngineConfig(budget=Budget(max_seconds=1e-9)))
+        with pytest.raises(GroundingTimeout):
+            solve(self.GAME, limits=GroundingLimits(max_seconds=0))
+
+    def test_cancelled_token_raises_cancelled_in_ground(self):
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(Cancelled) as excinfo:
+            solve(self.GAME, config=EngineConfig(budget=Budget(token=token)))
+        assert excinfo.value.phase == "ground"
+
+    def test_step_cap_trips_as_on_the_context_route(self):
+        budget = Budget(max_steps=2)
+        with pytest.raises(BudgetExceeded) as route:
+            solve(self.GAME, config=EngineConfig(budget=budget))
+        with pytest.raises(BudgetExceeded) as reference:
+            alternating_fixpoint(
+                parse_program(self.GAME), config=EngineConfig(engine="kernel", budget=budget)
+            )
+        assert route.value.phase == reference.value.phase == "alternating"
+        assert route.value.steps == reference.value.steps == 3

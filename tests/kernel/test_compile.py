@@ -1,4 +1,6 @@
-"""Unit tests for lowering a ground context to the flat int IR."""
+"""Unit tests for lowering a ground program to the flat int IR: the three
+front ends (a built context, the grounder's bindings, a ground program's
+rules) and the back end they share."""
 
 import json
 import os
@@ -6,11 +8,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.core.context import build_context
 from repro.datalog import parse_program
 from repro.datalog.atoms import atom
-from repro.kernel import compile_context, get_kernel, kernel_model
+from repro.datalog.grounding import IncrementalGrounder
+from repro.kernel import (
+    compile_context,
+    condense,
+    evaluate_model,
+    get_kernel,
+    kernel_model,
+    lower_program,
+)
 from repro.obs import TraceRecorder
+from repro.storage import MemoryStore
 
 GAME_TEXT = """
 move(a, b). move(b, a). move(b, c).
@@ -27,17 +40,21 @@ def _names(compiled) -> list[str]:
 
 
 #: Grounds and compiles a non-ground win-move program in a fresh
-#: interpreter and prints its id order and model, so two hash seeds can be
-#: compared.  The grounder's emission order feeds the rule atoms' ids, and
-#: the facts no rule reads and the full-base atoms take the later ids.
+#: interpreter and prints its id orders and model, so two hash seeds can be
+#: compared.  Through a context, the grounder's emission order feeds the
+#: rule atoms' ids, and the facts no rule reads and the full-base atoms
+#: take the later ids; grounded straight into ids (``solve``'s route, with
+#: the moves in the program or in a store), the facts come first.
 _HASH_SEED_SCRIPT = """
 import json
 from repro.core.context import build_context
 from repro.datalog import parse_program
+from repro.datalog.grounding import IncrementalGrounder
 from repro.datalog.rules import Program
 from repro.games.graphs import random_game_edges
 from repro.games.winmove import win_move_program
-from repro.kernel import compile_context, kernel_model
+from repro.kernel import compile_context, condense, kernel_model
+from repro.storage import MemoryStore
 
 program = Program.union(
     win_move_program(random_game_edges(60, 2, 3)),
@@ -45,8 +62,15 @@ program = Program.union(
 )
 context = build_context(program, full_base=True)
 model = kernel_model(context)
+store = MemoryStore()
+store.load(rule.head for rule in program.facts())
+rules = Program(program.non_fact_rules())
 print(json.dumps({
     "atoms": [repr(a) for a in compile_context(context).atoms],
+    "route": [repr(a) for a in condense(IncrementalGrounder(program).ground_ir()).atoms],
+    "store": [
+        repr(a) for a in condense(IncrementalGrounder(rules, store=store).ground_ir()).atoms
+    ],
     "true": sorted(map(str, model.true_atoms)),
     "false": sorted(map(str, model.false_atoms)),
 }))
@@ -119,7 +143,7 @@ class TestAtomIds:
                 timeout=60,
             )
             outputs.append(json.loads(completed.stdout))
-        assert outputs[0]["atoms"]
+        assert outputs[0]["atoms"] and outputs[0]["route"] and outputs[0]["store"]
         assert outputs[0] == outputs[1]
 
 
@@ -232,3 +256,104 @@ class TestCachingAndCounters:
         assert stats["components"] == compiled.n_components
         assert stats["bytes"] == compiled.nbytes() > 0
         assert stats["body_entries"] == len(compiled.pos_atoms) + len(compiled.neg_atoms)
+
+
+def _front_ends(text: str) -> dict:
+    """*text* lowered by every front end that applies to it, through the
+    shared back end."""
+    program = parse_program(text)
+    lowered = {
+        "context": compile_context(build_context(program)),
+        "grounder": condense(IncrementalGrounder(program).ground_ir()),
+    }
+    if program.is_ground:
+        lowered["program"] = condense(lower_program(program))
+    return lowered
+
+
+def _assert_well_formed(compiled) -> None:
+    """The IR's invariants: dense bijective ids, CSR offsets with a
+    trailing entry, deduplicated bodies, a head index inverting the heads
+    and a callees-first partition into components."""
+    assert len(set(compiled.atoms)) == len(compiled.atoms) == compiled.n_atoms
+    for off, payload, segments in (
+        (compiled.pos_off, compiled.pos_atoms, compiled.n_rules),
+        (compiled.neg_off, compiled.neg_atoms, compiled.n_rules),
+        (compiled.head_off, compiled.head_rules, compiled.n_atoms),
+        (compiled.comp_off, compiled.comp_atoms, compiled.n_components),
+    ):
+        assert len(off) == segments + 1 and off[0] == 0 and off[-1] == len(payload)
+        assert all(off[i] <= off[i + 1] for i in range(segments))
+    for rule in range(compiled.n_rules):
+        head = compiled.heads[rule]
+        assert rule in compiled.head_rules[compiled.head_off[head] : compiled.head_off[head + 1]]
+        pos = list(compiled.pos_atoms[compiled.pos_off[rule] : compiled.pos_off[rule + 1]])
+        neg = list(compiled.neg_atoms[compiled.neg_off[rule] : compiled.neg_off[rule + 1]])
+        assert len(set(pos)) == len(pos) and len(set(neg)) == len(neg)
+        assert all(compiled.comp_of[body] <= compiled.comp_of[head] for body in pos + neg)
+    assert sorted(compiled.comp_atoms) == list(range(compiled.n_atoms))
+
+
+class TestFrontEnds:
+    #: Programs whose every ground rule has a supported positive body, so
+    #: the relevant grounder keeps all of a ground program's rules.
+    PROGRAMS = [
+        GAME_TEXT,
+        "p :- q, q, r, r, not s, not s. q. r.",
+        "win :- not lose. lose :- not win. base. p :- not p. q :- base, not p.",
+        # The second rule is the first under other names: no new instance.
+        "e(1, 2). e(2, 1). e(2, 3). t(X) :- e(X, Y), not t(Y). t(A) :- e(A, B), not t(B).",
+    ]
+
+    @pytest.mark.parametrize("text", PROGRAMS)
+    def test_every_front_end_lowers_the_same_program(self, text):
+        lowered = _front_ends(text)
+        reference = lowered["context"]
+        model = evaluate_model(reference)[0]
+        for name, compiled in lowered.items():
+            _assert_well_formed(compiled)
+            assert set(compiled.atoms) == set(reference.atoms), name
+            assert (compiled.n_rules, compiled.n_components) == (
+                reference.n_rules,
+                reference.n_components,
+            ), name
+            facts = {compiled.atoms[i] for i in compiled.fact_ids}
+            assert facts == {reference.atoms[i] for i in reference.fact_ids}, name
+            self_dep = {compiled.atoms[i] for i in range(compiled.n_atoms) if compiled.self_dep[i]}
+            assert self_dep == {
+                reference.atoms[i] for i in range(reference.n_atoms) if reference.self_dep[i]
+            }, name
+            assert evaluate_model(compiled)[0] == model, name
+
+    def test_grounder_ids_facts_first_then_as_bindings_meet_atoms(self):
+        program = parse_program(
+            "move(b, a). move(a, b). move(b, c). wins(X) :- move(X, Y), not wins(Y)."
+        )
+        ir = IncrementalGrounder(program).ground_ir()
+        assert [str(a) for a in ir.atoms] == [
+            "move(b, a)", "move(a, b)", "move(b, c)", "wins(b)", "wins(a)", "wins(c)"
+        ]
+        assert ir.fact_ids == [0, 1, 2]
+        assert ir.heads == [3, 4, 3]
+        assert (ir.pos_atoms, ir.neg_atoms) == ([0, 1, 2], [4, 3, 5])
+
+    def test_grounder_ids_program_facts_then_store_rows(self):
+        store = MemoryStore()
+        store.load([atom("move", "c", "d"), atom("move", "a", "b")])
+        program = parse_program("move(b, a). move(a, b). wins(X) :- move(X, Y), not wins(Y).")
+        ir = IncrementalGrounder(program, store=store).ground_ir()
+        assert [str(a) for a in ir.atoms[:3]] == ["move(b, a)", "move(a, b)", "move(c, d)"]
+        assert ir.fact_ids == [0, 1, 2]
+
+    def test_lower_program_reads_rules_in_program_order(self):
+        ir = lower_program(parse_program("z :- y, not x. f. a :- b, z, not c. f."))
+        assert [str(a) for a in ir.atoms] == ["z", "y", "x", "f", "a", "b", "c"]
+        assert ir.fact_ids == [3]
+        assert ir.heads == [0, 4]
+
+    def test_condense_emits_kernel_counters(self):
+        recorder = TraceRecorder()
+        compiled = condense(IncrementalGrounder(parse_program(GAME_TEXT)).ground_ir(), recorder)
+        assert recorder.counters["kernel.atoms"] == compiled.n_atoms
+        assert recorder.counters["kernel.rules"] == compiled.n_rules
+        assert recorder.counters["kernel.bytes"] == compiled.nbytes()

@@ -58,7 +58,8 @@ class TestSolvePhaseTree:
         root = recorder.find("solve")
         assert root is not None
         children = [span.name for span in root.children]
-        assert children == ["ground", "compile", "evaluate", "assemble"]
+        # The kernel route grounds straight into the int IR: no compile span.
+        assert children == ["ground", "condense", "evaluate", "assemble"]
         evaluate = root.children[children.index("evaluate")]
         assert evaluate.attributes["method"] == "kernel"
 

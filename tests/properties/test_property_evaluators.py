@@ -1,26 +1,32 @@
-"""Differential property tests: both production evaluators ≡ the references.
+"""Differential property tests: every production evaluator ≡ the references.
 
 Two component-wise evaluators compute well-founded models in production,
 one per job: the compiled flat-array kernel (:mod:`repro.kernel`) for
 one-shot solves, and the session engine, whose full solve
 (``IncrementalEngine.refresh`` with no change set) runs
-:func:`~repro.core.modular.solve_component` over every component.  Both
-must produce a partial model **byte-identical** to the monolithic
-alternating fixpoint and to the unfounded-set characterisation
-(:func:`well_founded_model`) on every program — Theorem 7.8 plus the
-splitting property of the well-founded semantics.  Every sweep runs once
-per evaluator (the ``evaluate`` fixture), so a failure names the evaluator
-that diverged.  Hypothesis drives the sweep over the random non-ground
-generator (grounded before evaluation), random ground propositional
-programs (dense negation cycles), the layered workload with its method
-counts, and definite programs.  One more family solves definite
-non-ground programs from the grounder's envelope (``solve`` under
-``auto`` and requested ``horn``, with no store, a ``MemoryStore`` and a
-``SqliteStore``) against the Horn minimum model over a ground context and
-the monolithic AFP, true set, false set and base alike; a last family
-checks that the ``engine`` knob is semantics-irrelevant: the kernel and
-the monolithic engine either agree exactly or fail identically under
-every supported semantics.
+:func:`~repro.core.modular.solve_component` over every component.  The
+kernel is fed two ways: from a built ground context
+(:func:`kernel_well_founded`), and — the route a well-founded ``solve``
+takes — straight from the grounder's bindings or a ground program's
+rules, with no context built.  Each must produce a partial model
+**byte-identical** to the monolithic alternating fixpoint and to the
+unfounded-set characterisation (:func:`well_founded_model`) on every
+program — Theorem 7.8 plus the splitting property of the well-founded
+semantics — and the ``solve`` route's base must equal ``build_context``'s.
+Every sweep runs once per evaluator (the ``evaluate`` fixture), so a
+failure names the evaluator that diverged.  Hypothesis drives the sweep
+over the random non-ground generator (grounded before evaluation), random
+ground propositional programs (dense negation cycles), the layered
+workload with its method counts, and definite programs.  Two more
+families split a program's facts between its rules and a store (a
+``MemoryStore`` or a ``SqliteStore``): definite non-ground programs solved
+from the grounder's envelope (``solve`` under ``auto`` and requested
+``horn``, and with no store too) against the Horn minimum model over a
+ground context and the monolithic AFP, and programs with negation solved
+well-founded straight into the kernel against the monolithic AFP — true
+set, false set and base alike.  A last family checks that the ``engine``
+knob is semantics-irrelevant: the kernel and the monolithic engine either
+agree exactly or fail identically under every supported semantics.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from repro.core.wellfounded import well_founded_model
 from repro.datalog.rules import Program, Rule
 from repro.engine.solver import solve
 from repro.kernel import kernel_well_founded
+from repro.obs import TraceRecorder
 from repro.semantics.horn import horn_minimum_model
 from repro.storage import MemoryStore, SqliteStore
 from repro.workloads import (
@@ -57,11 +64,41 @@ def _render(model) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-@pytest.fixture(scope="module", params=["kernel", "session"])
+class _SolvedIntoTheKernel:
+    """``solve`` under the well-founded semantics — grounded straight into
+    the kernel's int IR — as an evaluator: its model, and its method
+    counts read off its trace.  It builds no context, and its base is
+    ``build_context``'s."""
+
+    def __init__(self, program: Program):
+        recorder = TraceRecorder()
+        solution = solve(
+            program, config=EngineConfig(semantics="well-founded"), recorder=recorder
+        )
+        assert solution.context is None
+        assert solution.base == build_context(program).base, "base vs build_context"
+        self.model = solution.interpretation
+        self.is_total = solution.is_total
+        self._totals = recorder.counter_totals()
+
+    def method_counts(self) -> dict[str, int]:
+        return {
+            method: int(self._totals[f"components.{method}"])
+            for method in ("horn", "stratified", "alternating")
+            if f"components.{method}" in self._totals
+        }
+
+
+@pytest.fixture(scope="module", params=["kernel", "session", "solve"])
 def evaluate(request, session_full_solve):
-    """One production evaluator: the one-shot kernel, or a session's full
-    solve (module-scoped, so Hypothesis tests may take it)."""
-    return kernel_well_founded if request.param == "kernel" else session_full_solve
+    """One production evaluator: the one-shot kernel over a context, a
+    session's full solve, or ``solve``'s kernel route (module-scoped, so
+    Hypothesis tests may take it)."""
+    return {
+        "kernel": kernel_well_founded,
+        "session": session_full_solve,
+        "solve": _SolvedIntoTheKernel,
+    }[request.param]
 
 
 def _assert_byte_identical(program, evaluate):
@@ -79,7 +116,7 @@ def _render_total(model, base) -> bytes:
     return _render(model) + b"\n--\n" + "\n".join(sorted(map(str, base))).encode("utf-8")
 
 
-def _solve_definite(program: Program, semantics: str, backend):
+def _solve_split(program: Program, semantics: str, backend):
     """``solve`` of *program*; with a *backend*, its store holds two thirds
     of the facts and the rules keep two thirds (one third in both)."""
     config = EngineConfig(semantics=semantics)
@@ -149,7 +186,7 @@ class TestHypothesisDriven:
     )
     def test_definite_programs_solve_from_the_envelope(self, semantics, backend, seed, rules):
         program = random_nonground_program(seed=seed, rules=rules, negation_probability=0.0)
-        solution = _solve_definite(program, semantics, backend)
+        solution = _solve_split(program, semantics, backend)
         assert solution.semantics == "horn"
         # Ground rule sets keep the context path; the rest solve from the
         # envelope and build no context.
@@ -157,6 +194,24 @@ class TestHypothesisDriven:
         got = _render_total(solution.interpretation, solution.base)
         horn = horn_minimum_model(build_context(program))
         assert got == _render_total(horn.interpretation, horn.context.base), "vs Horn"
+        afp = alternating_fixpoint(program)
+        assert got == _render_total(afp.model, afp.context.base), "vs monolithic AFP"
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("semantics", ["well-founded", "alternating-fixpoint"])
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        rules=st.integers(min_value=2, max_value=10),
+        negation=st.sampled_from([0.25, 0.6]),
+    )
+    def test_store_facts_solve_into_the_kernel(self, semantics, backend, seed, rules, negation):
+        program = random_nonground_program(
+            seed=seed, rules=rules, negation_probability=negation
+        )
+        solution = _solve_split(program, semantics, backend)
+        assert solution.semantics == semantics and solution.context is None
+        got = _render_total(solution.interpretation, solution.base)
         afp = alternating_fixpoint(program)
         assert got == _render_total(afp.model, afp.context.base), "vs monolithic AFP"
 

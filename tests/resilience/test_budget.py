@@ -27,6 +27,7 @@ from repro import (
 )
 from repro.core.context import build_context
 from repro.datalog import parse_program
+from repro.datalog.joins import RelationStore
 from repro.exceptions import (
     BudgetError,
     BudgetExceeded,
@@ -256,6 +257,30 @@ class TestDeadline:
         elapsed = time.monotonic() - start
         assert elapsed < 2 * deadline, (elapsed, deadline)
         assert excinfo.value.phase == "ground"
+
+    def test_cancel_trips_while_a_rounds_heads_are_appended(self, monkeypatch):
+        # Round 1 appends the 200 facts to the grounder's overlay and joins
+        # 40,000 heads; round 2 appends those heads before any rule runs.
+        # The token is cancelled on round 2's 1,000th append: the appends'
+        # own ticks must stop the run within one tick stride (64), not
+        # after all 40,000.
+        facts = " ".join(f"e(c{i})." for i in range(200))
+        program = parse_program(facts + " p(X, Y) :- e(X), e(Y).")
+        token = CancelToken()
+        appended = []
+        add_atom = RelationStore.add_atom
+
+        def counting_add_atom(store, atom):
+            appended.append(atom)
+            if len(appended) == 200 + 1000:
+                token.cancel()
+            return add_atom(store, atom)
+
+        monkeypatch.setattr(RelationStore, "add_atom", counting_add_atom)
+        with pytest.raises(Cancelled) as excinfo:
+            solve(program, config=EngineConfig(budget=Budget(token=token)))
+        assert excinfo.value.phase == "ground"
+        assert len(appended) - (200 + 1000) < 64
 
     def test_generous_deadline_does_not_trip(self, win_move_4b):
         config = EngineConfig(budget=Budget(max_seconds=60.0, max_steps=1_000_000))
