@@ -45,7 +45,10 @@ def main() -> None:
     database = Database.from_tuples({"e": FLIGHTS})
     rules = parse_program(RULES)
     solution = solve(rules, database=database)
-    print("semantics chosen automatically:", solution.semantics)
+    # The rules are stratified, so their well-founded model is total and is
+    # the perfect model: auto computes it on the compiled kernel.
+    print("semantics auto ran:", solution.semantics,
+          "(the well-founded model; on these stratified rules, the perfect model)")
     print()
 
     # -- Example 2.1's sample queries ----------------------------------- #

@@ -2,9 +2,11 @@
 
 A small convenience layer that labels a program with the syntactic classes
 the paper discusses — definite (Horn), stratified, locally stratified,
-strict, strict in the IDB — and recommends the cheapest applicable
-semantics.  The comparison benchmarks and the high-level ``solve`` API use
-it to decide which evaluators are applicable to a given input.
+strict, strict in the IDB.  ``repro classify`` reports them, and the
+semantics comparison uses them to decide which evaluators apply to a given
+input.  ``solve`` does not classify: ``semantics="auto"`` computes the
+well-founded model, which is total and equals the perfect model on every
+stratified program.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .local_stratification import is_locally_stratified
 from .stratification import is_stratified
 from .strictness import analyse_strictness
 
-__all__ = ["ProgramClassification", "classify", "recommend_semantics"]
+__all__ = ["ProgramClassification", "classify"]
 
 
 @dataclass(frozen=True)
@@ -37,13 +39,7 @@ class ProgramClassification:
         other programs may or may not have one."""
         return self.is_locally_stratified
 
-    @property
-    def recommended_semantics(self) -> str:
-        """The cheapest semantics that agrees with the well-founded model on
-        this class of programs (see :func:`recommend_semantics`)."""
-        return recommend_semantics(self.is_definite, self.is_stratified)
-
-    def summary(self) -> dict[str, bool | str]:
+    def summary(self) -> dict[str, bool]:
         return {
             "definite": self.is_definite,
             "stratified": self.is_stratified,
@@ -52,20 +48,7 @@ class ProgramClassification:
             "strict_in_idb": self.is_strict_in_idb,
             "ground": self.is_ground,
             "propositional": self.is_propositional,
-            "recommended_semantics": self.recommended_semantics,
         }
-
-
-def recommend_semantics(is_definite: bool, is_stratified: bool) -> str:
-    """The cheapest semantics that agrees with the well-founded model on
-    programs of the class the two bits describe.  These are the only
-    features the recommendation reads; ``semantics="auto"`` computes just
-    them rather than a full :func:`classify`."""
-    if is_definite:
-        return "horn"
-    if is_stratified:
-        return "stratified"
-    return "alternating-fixpoint"
 
 
 def classify(program: Program, check_local: bool = True) -> ProgramClassification:

@@ -45,9 +45,10 @@ __all__ = [
     "merge_entry_config",
 ]
 
-#: Model-theoretic semantics the solver can compute.  ``"auto"`` picks the
-#: cheapest one that agrees with the well-founded model for the program's
-#: syntactic class.
+#: Model-theoretic semantics the solver can compute.  ``"auto"`` computes
+#: the well-founded model: ``"horn"`` on a definite non-ground program
+#: (read off the relevant grounder's envelope), ``"alternating-fixpoint"``
+#: on any other.
 SUPPORTED_SEMANTICS = (
     "auto",
     "alternating-fixpoint",
@@ -137,7 +138,9 @@ class EngineConfig:
     ----------
     semantics:
         One of :data:`SUPPORTED_SEMANTICS`; ``"auto"`` (default) resolves
-        to the cheapest semantics agreeing with the well-founded model.
+        to ``"horn"`` on a definite non-ground program and to
+        ``"alternating-fixpoint"`` on any other (see
+        :func:`~repro.engine.solver.resolve_auto_semantics`).
     strategy:
         ``S_P`` evaluation scheme, one of :data:`EVALUATION_STRATEGIES`.
         It applies to the object-level evaluators only: the monolithic

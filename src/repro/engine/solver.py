@@ -3,13 +3,14 @@
 :func:`solve` is the one-call entry point a deductive-database user needs:
 give it a program (text or :class:`~repro.datalog.rules.Program`), pick a
 semantics, and get back a :class:`Solution` that can be queried for atom
-truth values and relation contents.  ``semantics="auto"`` picks the
-cheapest semantics that agrees with the well-founded model for the
-program's syntactic class (Horn → minimum model, stratified → perfect
-model, otherwise the alternating fixpoint).  The minimum model of a
+truth values and relation contents.  ``semantics="auto"`` computes the
+well-founded model, by one of two routes: the minimum model of a
 definite non-ground program is the relevant grounder's envelope, so it
-is read straight off the grounder, with no ground program built; a
-well-founded solve grounds straight into the compiled kernel's int IR.
+is read straight off the grounder, with no ground program built; every
+other program gets the alternating fixpoint, which on the default
+configuration grounds straight into the compiled kernel's int IR.  On a
+stratified program the well-founded model is total and is the perfect
+model, so no class check is needed to pick a cheaper evaluator.
 
 Evaluation choices travel in one validated
 :class:`~repro.config.EngineConfig` (``config=``).  :func:`solve` itself
@@ -25,8 +26,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-from ..analysis.classification import recommend_semantics
-from ..analysis.stratification import is_stratified
 from ..config import (
     DEFAULT_ENGINE,
     DEFAULT_STRATEGY,
@@ -181,12 +180,15 @@ def _ground_atom(predicate: str, values: Iterable[object]) -> Atom:
 
 
 def resolve_auto_semantics(program: Program) -> str:
-    """The concrete semantics ``"auto"`` picks for *program*: the cheapest
-    one agreeing with the well-founded model for its syntactic class.
-    Every definite program is stratified, so only the others pay for the
-    dependency-graph check."""
-    definite = program.is_definite
-    return recommend_semantics(definite, definite or is_stratified(program))
+    """The concrete semantics ``"auto"`` runs for *program*: ``"horn"`` for
+    a definite non-ground program, whose minimum model is the relevant
+    grounder's envelope, and ``"alternating-fixpoint"`` for every other.
+    Both give the well-founded model.  ``is_definite`` stops at the first
+    negative literal, and only a definite program pays for ``is_ground``;
+    no dependency graph is built."""
+    if program.is_definite and not program.is_ground:
+        return "horn"
+    return "alternating-fixpoint"
 
 
 def solve_configured(
@@ -210,18 +212,20 @@ def solve_configured(
     ``program`` includes the facts as fact rules, exactly as the
     historical ``database.attach`` path produced.
 
-    A definite non-ground program under the ``relevant`` grounder
-    (``horn`` requested, or ``auto`` on definite rules) is solved from the
-    grounder's envelope: the envelope-only run of
+    ``auto`` is resolved by :func:`resolve_auto_semantics`, from the rules
+    alone.  A definite non-ground program under the ``relevant`` grounder
+    (``horn`` requested, or ``auto``) is solved from the grounder's
+    envelope: the envelope-only run of
     :class:`~repro.datalog.grounding.IncrementalGrounder` derives its
     minimum model ``T_P↑ω(∅)`` with no rule instance, no ground context and
-    no second fixpoint, so the solution's ``context`` is ``None``.  Ground
-    programs and the naive grounder keep the context path, since their base
-    also holds underivable atoms; so do rules with negation under a
-    requested ``horn``, which raises as before.
+    no second fixpoint, so the solution's ``context`` is ``None``.  A
+    requested ``horn`` on a ground program or under the naive grounder
+    keeps the context path, since its base also holds underivable atoms;
+    so do rules with negation under a requested ``horn``, which raises as
+    before.
 
     A well-founded solve (``alternating-fixpoint`` or ``well-founded``,
-    requested or picked by ``auto``) on the ``kernel`` engine under the
+    requested or run by ``auto``) on the ``kernel`` engine under the
     ``relevant`` grounder grounds straight into the kernel's int IR: a
     non-ground program through
     :meth:`~repro.datalog.grounding.IncrementalGrounder.ground_ir`, a
@@ -230,14 +234,17 @@ def solve_configured(
     No rule instance, no ground context and no compile pass is built, so
     the solution's ``context`` is ``None`` there too.  The monolithic
     engine, the naive grounder and every other semantics build a context.
+    ``stratified`` runs only when requested, and ``horn`` off the envelope
+    only when requested or under ``auto`` with the naive grounder.
 
     *recorder* (see :mod:`repro.obs`) instruments the whole call as one
-    ``solve`` span whose children are the pipeline phases (``classify``
-    under ``auto``, ``ground``, then ``condense``/``evaluate``/``assemble``
-    when the kernel evaluates the well-founded model, a single
-    ``evaluate`` span for the other evaluators, and nothing after
-    ``ground`` on the envelope route); the default
-    :class:`~repro.obs.NullRecorder` records nothing at near-zero cost.
+    ``solve`` span, whose ``semantics`` attribute names the resolved
+    semantics, and whose children are the pipeline phases (``ground``,
+    then ``condense``/``evaluate``/``assemble`` when the kernel evaluates
+    the well-founded model, a single ``evaluate`` span for the other
+    evaluators, and nothing after ``ground`` on the envelope route); the
+    default :class:`~repro.obs.NullRecorder` records nothing at near-zero
+    cost.
     """
     if isinstance(program, str):
         program = parse_program(program)
@@ -278,12 +285,8 @@ def _solve_with_store(
     ) as solve_span:
         semantics = config.semantics
         if semantics == "auto":
-            # Classification is a function of the rules: facts are definite
-            # and add no dependency arcs, so the store need not be attached.
-            with recorder.span("classify") as classify_span:
-                semantics = resolve_auto_semantics(program)
-            if recorder.enabled:
-                classify_span.annotate(semantics=semantics)
+            # Store facts are definite and ground, so the rules decide.
+            semantics = resolve_auto_semantics(program)
 
         limits = config.limits
         strategy = config.strategy
@@ -292,11 +295,12 @@ def _solve_with_store(
         # whose positive body can never be derived stays undefined there,
         # while the relevant grounder drops its rules and makes it false.
         grounder = "naive" if semantics == "fitting" else config.grounder
+        # The envelope is the model of exactly the programs auto sends to
+        # it; under auto that is already decided.
         if (
             semantics == "horn"
             and grounder == "relevant"
-            and program.is_definite
-            and not program.is_ground
+            and (config.semantics == "auto" or resolve_auto_semantics(program) == "horn")
         ):
             solution = _solve_from_envelope(program, config, store, recorder)
             if recorder.enabled:

@@ -23,9 +23,11 @@ lazy: the model refreshes on the next read.  Group related updates in
 whole group back) and the eventual refresh covers the net delta once.
 
 When the (resolved) semantics gives the well-founded model of the rules —
-the well-founded family, or ``stratified``/``horn`` on rules of that
-class, whether ``auto`` picked it or the caller asked for it — and the
-engine is the kernel (the default), refreshes are *incremental*:
+the well-founded family; ``auto``, which resolves to ``horn`` on definite
+non-ground rules and to ``alternating-fixpoint`` on any other (see
+:func:`~repro.engine.solver.resolve_auto_semantics`); or a requested
+``stratified``/``horn`` on rules of that class — and the engine is the
+kernel (the default), refreshes are *incremental*:
 atom-level counting and delete-and-rederive maintain the components of
 the atom dependency graph the changed facts reach, and a component is
 re-solved whole only where negation is recursive
@@ -61,8 +63,10 @@ import threading
 import time
 from contextlib import contextmanager
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from ..analysis.stratification import is_stratified
 from ..config import EngineConfig, resolve_config
 from ..core.alternating import AlternatingFixpointResult, AlternatingStage
 from ..core.context import GroundContext
@@ -88,12 +92,11 @@ __all__ = ["KnowledgeBase", "ResultSet", "SessionSnapshot"]
 #: Semantics whose model the incremental engine maintains (it computes the
 #: well-founded partial model, which these two name interchangeably).
 _WFS_FAMILY = ("well-founded", "alternating-fixpoint")
-#: Semantics that give the well-founded model on the program classes listed
-#: (classes as :func:`~repro.engine.solver.resolve_auto_semantics` names
-#: them): the perfect model of a stratified program and the minimum model
-#: of a Horn one are its total well-founded model.  On any other class they
-#: raise, so a solution under them always holds the well-founded model.
-_WFS_CLASSES = {"stratified": ("horn", "stratified"), "horn": ("horn",)}
+#: Semantics that give the well-founded model on the rules their class test
+#: admits: the perfect model of a stratified program and the minimum model
+#: of a definite one are its total well-founded model.  On any other rules
+#: they raise, so a solution under them always holds the well-founded model.
+_WFS_CLASSES = {"stratified": is_stratified, "horn": attrgetter("is_definite")}
 
 
 def _alternating_result(solution: Solution) -> AlternatingFixpointResult:
@@ -590,8 +593,10 @@ class KnowledgeBase:
 
     @property
     def semantics(self) -> str:
-        """The concrete semantics the session evaluates under (``"auto"``
-        resolved against the rule set)."""
+        """The concrete semantics the session evaluates under: ``"auto"``
+        resolved against the rule set by
+        :func:`~repro.engine.solver.resolve_auto_semantics`, as a one-shot
+        solve of the same rules names it."""
         self._resolve_mode()
         return self._resolved_semantics
 
@@ -751,22 +756,20 @@ class KnowledgeBase:
         if self._incremental is not None:
             return
         semantics = self._config.semantics
-        found = None
-        if semantics == "auto" or semantics in _WFS_CLASSES:
-            # Classification is a function of the rules: facts are definite
-            # and add no dependency arcs, so classifying once is safe.
-            found = resolve_auto_semantics(self._rules)
-            if semantics == "auto":
-                semantics = found
+        if semantics == "auto":
+            semantics = resolve_auto_semantics(self._rules)
         self._resolved_semantics = semantics
         # The engine maintains the well-founded model, so it serves every
         # semantics that gives it for these rules; a requested class the
         # rules do not meet is left to the rebuild, whose evaluator raises.
-        # Non-ground rules are grounded incrementally by the engine, with
-        # the relevant grounder (a naive grounding's base is the whole
-        # Herbrand base, which no envelope tracks).
+        # Both the policy and the class tests read the rules alone: facts
+        # are definite and ground and add no dependency arcs, so deciding
+        # once is safe.  Non-ground rules are grounded incrementally by the
+        # engine, with the relevant grounder (a naive grounding's base is
+        # the whole Herbrand base, which no envelope tracks).
+        in_class = _WFS_CLASSES.get(semantics)
         self._incremental = (
-            (semantics in _WFS_FAMILY or found in _WFS_CLASSES.get(semantics, ()))
+            (semantics in _WFS_FAMILY or (in_class is not None and in_class(self._rules)))
             and self._config.engine != "monolithic"
             and (self._rules.is_ground or self._config.grounder == "relevant")
         )

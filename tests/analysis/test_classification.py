@@ -10,20 +10,17 @@ class TestClassification:
         assert classification.is_definite
         assert classification.is_stratified
         assert classification.is_locally_stratified
-        assert classification.recommended_semantics == "horn"
 
     def test_stratified_program(self, ntc_program):
         classification = classify(ntc_program)
         assert not classification.is_definite
         assert classification.is_stratified
-        assert classification.recommended_semantics == "stratified"
         assert classification.has_total_well_founded_model
 
     def test_unstratified_program(self, win_move_4b):
         classification = classify(win_move_4b)
         assert not classification.is_stratified
         assert not classification.is_locally_stratified
-        assert classification.recommended_semantics == "alternating-fixpoint"
 
     def test_locally_but_not_globally_stratified(self):
         program = parse_program(
@@ -43,7 +40,15 @@ class TestClassification:
 
     def test_summary_keys(self):
         summary = classify(parse_program("p.")).summary()
-        assert {"definite", "stratified", "recommended_semantics"} <= set(summary)
+        assert list(summary) == [
+            "definite",
+            "stratified",
+            "locally_stratified",
+            "strict",
+            "strict_in_idb",
+            "ground",
+            "propositional",
+        ]
 
     def test_ground_and_propositional_flags(self):
         classification = classify(parse_program("p :- not q."))

@@ -1,7 +1,10 @@
 """Unit tests for the high-level solve() API."""
 
+import sys
+
 import pytest
 
+from repro.analysis.stratification import is_stratified
 from repro.config import EngineConfig
 from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
@@ -9,6 +12,7 @@ from repro.datalog import Database, parse_program
 from repro.datalog.atoms import atom
 from repro.datalog.grounding import GroundingLimits, IncrementalGrounder
 from repro.datalog.rules import Program, Rule
+from repro.engine import solver as solver_module
 from repro.engine.solver import SUPPORTED_SEMANTICS, solve
 from repro.exceptions import (
     BudgetExceeded,
@@ -21,6 +25,8 @@ from repro.exceptions import (
 from repro.fixpoint.interpretations import TruthValue
 from repro.obs import TraceRecorder
 from repro.resilience import Budget, CancelToken
+from repro.semantics.horn import horn_minimum_model
+from repro.semantics.stratified import stratified_model
 from repro.storage import MemoryStore
 
 TC_TEXT = """
@@ -31,15 +37,66 @@ ntc(X, Y) :- node(X), node(Y), not tc(X, Y).
 """
 
 
+def _max_rules_trips_at_the_context_paths_size(text: str, source: str) -> int:
+    """Solve *text* with ``max_rules`` at the size of its ground context,
+    then one below, its facts in the rules or (*source* ``"store"``) in a
+    store: the first solve builds no context and records the facts it read
+    as fact rules, the second raises as ``build_context`` does.  Returns
+    the size."""
+    program = parse_program(text)
+    context = build_context(program)
+    size = len(context.facts) + len(context.rules)
+    store = None
+    if source == "store":
+        store = MemoryStore()
+        store.load(program.fact_atoms())
+        program = Program(program.non_fact_rules())
+    fits = GroundingLimits(max_rules=size)
+    solution = solve(program, limits=fits, store=store)
+    assert solution.context is None
+    if store is not None:
+        # The facts the solve read, as fact rules, then the rules.
+        assert list(solution.program) == [
+            *(Rule(fact) for fact in sorted(store.facts(), key=str)),
+            *program.non_fact_rules(),
+        ]
+    build_context(program, limits=fits, store=store)
+    over = GroundingLimits(max_rules=size - 1)
+    with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
+        solve(program, limits=over, store=store)
+    with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
+        build_context(program, limits=over, store=store)
+    return size
+
+
+def _tiny_deadline_raises_grounding_timeout(text: str) -> None:
+    with pytest.raises(GroundingTimeout):
+        solve(text, config=EngineConfig(budget=Budget(max_seconds=1e-9)))
+    with pytest.raises(GroundingTimeout):
+        solve(text, limits=GroundingLimits(max_seconds=0))
+
+
+def _cancelled_token_raises_cancelled_in_ground(text: str) -> None:
+    token = CancelToken()
+    token.cancel()
+    with pytest.raises(Cancelled) as excinfo:
+        solve(text, config=EngineConfig(budget=Budget(token=token)))
+    assert excinfo.value.phase == "ground"
+
+
 class TestSolve:
     def test_accepts_text_or_program(self):
         from_text = solve(TC_TEXT)
         from_program = solve(parse_program(TC_TEXT))
         assert from_text.relation("tc") == from_program.relation("tc")
 
-    def test_auto_picks_cheapest_semantics(self):
-        assert solve("a. b :- a.").semantics == "horn"
-        assert solve(TC_TEXT).semantics == "stratified"
+    def test_auto_runs_the_envelope_or_the_kernel(self):
+        # A definite non-ground program is solved from the envelope; every
+        # other program, stratified and ground definite ones included, by
+        # the alternating fixpoint.
+        assert solve("e(1). t(X) :- e(X).").semantics == "horn"
+        assert solve("a. b :- a.").semantics == "alternating-fixpoint"
+        assert solve(TC_TEXT).semantics == "alternating-fixpoint"
         assert solve("wins(X) :- move(X, Y), not wins(Y). move(a, b).").semantics == (
             "alternating-fixpoint"
         )
@@ -100,7 +157,7 @@ class TestSolve:
             return ground(self)
 
         monkeypatch.setattr(IncrementalGrounder, "ground", counting)
-        solution = solve(program, database=database)
+        solution = solve(program, semantics="stratified", database=database)
         assert solution.semantics == "stratified"
         assert len(calls) == 1
         monkeypatch.undo()
@@ -184,7 +241,7 @@ class TestHornFromTheEnvelope:
         assert solution.is_false("t", 0, 9)
 
     def test_ground_programs_and_the_naive_grounder_keep_the_context(self):
-        assert solve("a. b :- a.").context is not None
+        assert solve("a. b :- a.", semantics="horn").context is not None
         naive = solve(self.CYCLE, config=EngineConfig(grounder="naive"))
         assert naive.context is not None
         assert naive.interpretation.true_atoms == solve(self.CYCLE).interpretation.true_atoms
@@ -193,7 +250,8 @@ class TestHornFromTheEnvelope:
         recorder = TraceRecorder()
         solve(self.CYCLE, recorder=recorder)
         root = recorder.find("solve")
-        assert [span.name for span in root.children] == ["classify", "ground"]
+        assert root.attributes["semantics"] == "horn"
+        assert [span.name for span in root.children] == ["ground"]
         totals = recorder.counter_totals()
         assert totals["ground.rounds"] == 7
         assert totals["ground.delta_atoms"] == totals["ground.atoms"] == 6 + 36
@@ -201,36 +259,13 @@ class TestHornFromTheEnvelope:
 
     @pytest.mark.parametrize("source", ["program", "store"])
     def test_max_rules_trips_at_the_context_paths_size(self, source):
-        program = parse_program(self.CYCLE)
-        context = build_context(program)
-        size = len(context.facts) + len(context.rules)
-        assert size == 6 + 42
-        store = None
-        if source == "store":
-            store = MemoryStore()
-            store.load(program.fact_atoms())
-            program = Program(program.non_fact_rules())
-        fits = GroundingLimits(max_rules=size)
-        assert solve(program, limits=fits, store=store).context is None
-        build_context(program, limits=fits, store=store)
-        over = GroundingLimits(max_rules=size - 1)
-        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
-            solve(program, limits=over, store=store)
-        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
-            build_context(program, limits=over, store=store)
+        assert _max_rules_trips_at_the_context_paths_size(self.CYCLE, source) == 6 + 42
 
     def test_tiny_deadline_raises_grounding_timeout(self):
-        with pytest.raises(GroundingTimeout):
-            solve(self.CYCLE, config=EngineConfig(budget=Budget(max_seconds=1e-9)))
-        with pytest.raises(GroundingTimeout):
-            solve(self.CYCLE, limits=GroundingLimits(max_seconds=0))
+        _tiny_deadline_raises_grounding_timeout(self.CYCLE)
 
     def test_cancelled_token_raises_cancelled(self):
-        token = CancelToken()
-        token.cancel()
-        with pytest.raises(Cancelled) as excinfo:
-            solve(self.CYCLE, config=EngineConfig(budget=Budget(token=token)))
-        assert excinfo.value.phase == "ground"
+        _cancelled_token_raises_cancelled_in_ground(self.CYCLE)
 
     def test_requested_horn_on_negation_raises_as_before(self):
         # The message names the first ground instance with a negative
@@ -282,7 +317,7 @@ class TestWellFoundedIntoTheKernel:
     def test_other_engines_grounders_and_semantics_keep_the_context(self):
         monolithic = solve(self.GAME, config=EngineConfig(engine="monolithic"))
         naive = solve(self.GAME, config=EngineConfig(grounder="naive"))
-        stratified = solve("q(1). p(X) :- q(X), not r(X).")
+        stratified = solve("q(1). p(X) :- q(X), not r(X).", semantics="stratified")
         assert stratified.semantics == "stratified"
         for solution in (monolithic, naive, stratified):
             assert solution.context is not None
@@ -293,7 +328,7 @@ class TestWellFoundedIntoTheKernel:
         solve(self.GAME, recorder=recorder)
         root = recorder.find("solve")
         assert [span.name for span in root.children] == [
-            "classify", "ground", "condense", "evaluate", "assemble"
+            "ground", "condense", "evaluate", "assemble"
         ]
         reference = TraceRecorder()
         alternating_fixpoint(parse_program(self.GAME), engine="kernel", recorder=reference)
@@ -312,43 +347,13 @@ class TestWellFoundedIntoTheKernel:
 
     @pytest.mark.parametrize("source", ["program", "store"])
     def test_max_rules_trips_at_the_context_paths_size(self, source):
-        program = parse_program(self.GAME)
-        context = build_context(program)
-        size = len(context.facts) + len(context.rules)
-        assert size == 6 + 6
-        store = None
-        if source == "store":
-            store = MemoryStore()
-            store.load(program.fact_atoms())
-            program = Program(program.non_fact_rules())
-        fits = GroundingLimits(max_rules=size)
-        solution = solve(program, limits=fits, store=store)
-        assert solution.context is None
-        if store is not None:
-            # The facts the solve read, as fact rules, then the rules.
-            assert list(solution.program) == [
-                *(Rule(fact) for fact in sorted(store.facts(), key=str)),
-                *program.non_fact_rules(),
-            ]
-        build_context(program, limits=fits, store=store)
-        over = GroundingLimits(max_rules=size - 1)
-        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
-            solve(program, limits=over, store=store)
-        with pytest.raises(GroundingError, match=f"limit of {size - 1} rules"):
-            build_context(program, limits=over, store=store)
+        assert _max_rules_trips_at_the_context_paths_size(self.GAME, source) == 6 + 6
 
     def test_tiny_deadline_raises_grounding_timeout(self):
-        with pytest.raises(GroundingTimeout):
-            solve(self.GAME, config=EngineConfig(budget=Budget(max_seconds=1e-9)))
-        with pytest.raises(GroundingTimeout):
-            solve(self.GAME, limits=GroundingLimits(max_seconds=0))
+        _tiny_deadline_raises_grounding_timeout(self.GAME)
 
     def test_cancelled_token_raises_cancelled_in_ground(self):
-        token = CancelToken()
-        token.cancel()
-        with pytest.raises(Cancelled) as excinfo:
-            solve(self.GAME, config=EngineConfig(budget=Budget(token=token)))
-        assert excinfo.value.phase == "ground"
+        _cancelled_token_raises_cancelled_in_ground(self.GAME)
 
     def test_step_cap_trips_as_on_the_context_route(self):
         budget = Budget(max_steps=2)
@@ -360,3 +365,96 @@ class TestWellFoundedIntoTheKernel:
             )
         assert route.value.phase == reference.value.phase == "alternating"
         assert route.value.steps == reference.value.steps == 3
+
+
+def _class_evaluators_raise(monkeypatch) -> None:
+    """Make ``stratified_model``, ``horn_minimum_model`` and
+    ``is_stratified`` raise wherever a ``repro`` module binds them."""
+    originals = {id(function) for function in (stratified_model, horn_minimum_model, is_stratified)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("auto ran a class evaluator or a class check")
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attribute, value in list(vars(module).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(module, attribute, refuse)
+    assert solver_module.stratified_model is solver_module.horn_minimum_model is refuse
+
+
+def _perfect_model(context):
+    """The model of *context*'s class: the minimum model of a definite
+    program, the perfect model of any other stratified one."""
+    return (horn_minimum_model if context.program.is_definite else stratified_model)(context)
+
+
+class TestAutoRoutes:
+    """``auto`` has two outcomes: the envelope for a definite non-ground
+    program, the kernel for every other one — stratified and ground
+    definite programs included, whose well-founded model is their
+    perfect (minimum) model.  Every test here runs with the class
+    evaluators and the stratification check rigged to raise."""
+
+    GROUND_STRATIFIED = "q(1). q(2). r(2). p(1) :- q(1), not r(1). p(2) :- q(2), not r(2)."
+    NON_GROUND_STRATIFIED = TC_TEXT
+    #: d is underivable: false, and in the base.
+    GROUND_DEFINITE = "a. b :- a. c :- b, d."
+    KERNEL_ROUTES = {
+        "ground-stratified": GROUND_STRATIFIED,
+        "non-ground-stratified": NON_GROUND_STRATIFIED,
+        "ground-definite": GROUND_DEFINITE,
+    }
+
+    @pytest.fixture(autouse=True)
+    def _no_class_evaluators(self, monkeypatch):
+        _class_evaluators_raise(monkeypatch)
+
+    @pytest.mark.parametrize("text", KERNEL_ROUTES.values(), ids=KERNEL_ROUTES.keys())
+    def test_kernel_route(self, text):
+        program = parse_program(text)
+        recorder = TraceRecorder()
+        solution = solve(program, recorder=recorder)
+        assert solution.semantics == "alternating-fixpoint" and solution.context is None
+        root = recorder.find("solve")
+        assert root.attributes["semantics"] == "alternating-fixpoint"
+        assert [span.name for span in root.children] == [
+            "ground", "condense", "evaluate", "assemble"
+        ]
+        assert recorder.find("classify") is None
+        # The perfect model, over the context route's base (the test
+        # module's own binding of the class evaluator is not rigged).
+        context = build_context(program)
+        perfect = _perfect_model(context)
+        assert solution.interpretation == perfect.interpretation
+        assert solution.base == context.base
+        assert solution.is_total
+
+    def test_definite_non_ground_program_takes_the_envelope(self):
+        recorder = TraceRecorder()
+        solution = solve(TestHornFromTheEnvelope.CYCLE, recorder=recorder)
+        assert solution.semantics == "horn" and solution.context is None
+        root = recorder.find("solve")
+        assert root.attributes["semantics"] == "horn"
+        assert [span.name for span in root.children] == ["ground"]
+
+    @pytest.mark.parametrize("text", KERNEL_ROUTES.values(), ids=KERNEL_ROUTES.keys())
+    def test_monolithic_engine_gives_the_same_model_with_a_context(self, text):
+        monolithic = solve(text, config=EngineConfig(engine="monolithic"))
+        assert monolithic.semantics == "alternating-fixpoint"
+        assert monolithic.context is not None
+        kernel = solve(text)
+        assert monolithic.interpretation == kernel.interpretation
+        assert monolithic.base == kernel.base
+
+    @pytest.mark.parametrize("source", ["program", "store"])
+    def test_max_rules_trips_at_the_context_paths_size(self, source):
+        # 3 node and 2 edge facts; 2 + 1 tc and 9 ntc instances.
+        size = _max_rules_trips_at_the_context_paths_size(self.NON_GROUND_STRATIFIED, source)
+        assert size == 5 + 12
+
+    def test_tiny_deadline_raises_grounding_timeout(self):
+        _tiny_deadline_raises_grounding_timeout(self.NON_GROUND_STRATIFIED)
+
+    def test_cancelled_token_raises_cancelled_in_ground(self):
+        _cancelled_token_raises_cancelled_in_ground(self.NON_GROUND_STRATIFIED)

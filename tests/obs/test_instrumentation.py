@@ -72,12 +72,12 @@ class TestSolvePhaseTree:
         # Every counter in the vocabulary is a non-negative tally.
         assert all(value >= 0 for value in totals.values())
 
-    def test_auto_semantics_records_classification(self):
+    def test_auto_semantics_recorded_on_the_solve_span(self):
         recorder = TraceRecorder()
         solve(WIN_MOVE, config=EngineConfig(semantics="auto"), recorder=recorder)
-        classify = recorder.find("classify")
-        assert classify is not None
-        assert classify.attributes["semantics"] == "alternating-fixpoint"
+        assert recorder.find("solve").attributes["semantics"] == "alternating-fixpoint"
+        # Resolving auto reads two flags of the rules: no phase of its own.
+        assert recorder.find("classify") is None
 
     def test_alternating_counters_on_cyclic_program(self):
         recorder = TraceRecorder()

@@ -9,8 +9,8 @@ under-deletion, no stale verdict survives any interleaving.
 
 Default-config sessions over stratified and Horn programs take the same
 path, and their from-scratch oracle is an evaluator independent of the
-engine: ``auto`` resolves them to ``stratified_model`` /
-``horn_minimum_model``.
+engine and of the kernel ``auto`` runs: ``stratified_model`` /
+``horn_minimum_model``, requested by name.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ try:
 except ImportError:  # pragma: no cover - environment guard
     pytest.skip("hypothesis is not installed", allow_module_level=True)
 
+from repro.analysis.stratification import is_stratified
 from repro.config import EngineConfig
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import Program
@@ -35,6 +36,8 @@ ATOM_POOL = 12
 
 WFS = EngineConfig(semantics="well-founded")
 AUTO = EngineConfig()
+STRATIFIED = EngineConfig(semantics="stratified")
+HORN = EngineConfig(semantics="horn")
 
 
 def _model_bytes(solution) -> bytes:
@@ -45,10 +48,15 @@ def _model_bytes(solution) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _apply_and_check(kb: KnowledgeBase, operations) -> None:
+def _apply_and_check(kb: KnowledgeBase, operations, oracle: EngineConfig | None = None) -> None:
+    """Apply *operations* one by one, checking the session after each
+    against a from-scratch solve under *oracle* (its own config by
+    default)."""
     for insert, atom in operations:
         (kb.assert_fact if insert else kb.retract_fact)(atom)
-        scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
+        scratch = solve_configured(
+            Program.union(kb.store.as_program(), kb.rules), oracle or kb.config
+        )
         assert _model_bytes(kb.solution) == _model_bytes(scratch), (
             f"delta-maintained model diverged after "
             f"{'assert' if insert else 'retract'} {atom}"
@@ -68,7 +76,10 @@ def _layered_kb(seed: int, negation: bool, store) -> KnowledgeBase:
         negation_probability=0.4 if negation else 0.0,
     )
     kb = KnowledgeBase(program, config=AUTO, store=store)
-    assert kb.semantics in ("stratified", "horn")
+    assert is_stratified(kb.rules)
+    assert kb.rules.is_definite is not negation
+    # Ground rules: auto runs the alternating fixpoint, Horn or not.
+    assert kb.semantics == "alternating-fixpoint"
     assert kb.is_incremental
     kb.solution
     return kb
@@ -125,26 +136,29 @@ class TestStratifiedAndHornSessions:
            operations=_operations)
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_matches_scratch_on_memory_store(self, seed, negation, operations):
-        _apply_and_check(_layered_kb(seed, negation, MemoryStore()), operations)
+        kb = _layered_kb(seed, negation, MemoryStore())
+        _apply_and_check(kb, operations, STRATIFIED if negation else HORN)
 
     @given(seed=st.integers(min_value=0, max_value=12), negation=st.booleans(),
            operations=_operations)
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_matches_scratch_on_sqlite_store(self, seed, negation, operations):
         with _layered_kb(seed, negation, SqliteStore(":memory:")) as kb:
-            _apply_and_check(kb, operations)
+            _apply_and_check(kb, operations, STRATIFIED if negation else HORN)
 
     @given(seed=st.integers(min_value=0, max_value=10))
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_social_graph_stream_on_the_default_config(self, seed):
-        """The social-graph workload resolves to stratified under ``auto``."""
+        """The social-graph workload is stratified; ``auto`` maintains its
+        well-founded model, which is the perfect model."""
         program, ops = social_graph_stream(
             12, extra_edges=4, back_edges=3, steps=10, seed=seed
         )
         kb = KnowledgeBase(program, config=AUTO)
-        assert kb.semantics == "stratified"
+        assert is_stratified(kb.rules) and not kb.rules.is_definite
+        assert kb.semantics == "alternating-fixpoint"
         kb.solution
-        _apply_and_check(kb, [(op.kind == "assert", op.atom) for op in ops])
+        _apply_and_check(kb, [(op.kind == "assert", op.atom) for op in ops], STRATIFIED)
 
 
 class TestStreamChurn:

@@ -24,9 +24,13 @@ from the grounder's envelope (``solve`` under ``auto`` and requested
 ``horn``, and with no store too) against the Horn minimum model over a
 ground context and the monolithic AFP, and programs with negation solved
 well-founded straight into the kernel against the monolithic AFP — true
-set, false set and base alike.  A last family checks that the ``engine``
-knob is semantics-irrelevant: the kernel and the monolithic engine either
-agree exactly or fail identically under every supported semantics.
+set, false set and base alike.  Stratified programs (non-ground, ground,
+and ground definite ones), solved under ``auto`` with and without a
+store, must match both the evaluator of their class over a ground context
+(the perfect model, or the Horn minimum model) and the monolithic AFP.  A
+last family checks that the ``engine`` knob is semantics-irrelevant: the
+kernel and the monolithic engine either agree exactly or fail identically
+under every supported semantics.
 """
 
 from __future__ import annotations
@@ -44,12 +48,14 @@ from repro.engine.solver import solve
 from repro.kernel import kernel_well_founded
 from repro.obs import TraceRecorder
 from repro.semantics.horn import horn_minimum_model
+from repro.semantics.stratified import stratified_model
 from repro.storage import MemoryStore, SqliteStore
 from repro.workloads import (
     layered_program,
     random_nonground_program,
     random_propositional_program,
 )
+from rule_strategies import fact_sets, stratified_programs
 
 SETTINGS = settings(
     max_examples=40,
@@ -132,6 +138,25 @@ def _solve_split(program: Program, semantics: str, backend):
         store.close()
 
 
+def _assert_auto_gives_the_class_model(program: Program, backend) -> None:
+    """``solve`` of a stratified *program* under ``auto`` (split with
+    *backend* as :func:`_solve_split` does): the envelope on a definite
+    non-ground program, the kernel on any other.  Its true set, false set
+    and base against the class evaluator over a ground context — the Horn
+    minimum model of a definite program, the perfect model of any other —
+    and against the monolithic AFP."""
+    solution = _solve_split(program, "auto", backend)
+    envelope = program.is_definite and not program.is_ground
+    assert solution.semantics == ("horn" if envelope else "alternating-fixpoint")
+    assert solution.context is None
+    got = _render_total(solution.interpretation, solution.base)
+    context = build_context(program)
+    by_class = (horn_minimum_model if program.is_definite else stratified_model)(context)
+    assert got == _render_total(by_class.interpretation, context.base), "vs class evaluator"
+    afp = alternating_fixpoint(program)
+    assert got == _render_total(afp.model, afp.context.base), "vs monolithic AFP"
+
+
 def _outcome(text: str, semantics: str, engine: str):
     """The interpretation, or the exception type when solving fails."""
     try:
@@ -187,10 +212,15 @@ class TestHypothesisDriven:
     def test_definite_programs_solve_from_the_envelope(self, semantics, backend, seed, rules):
         program = random_nonground_program(seed=seed, rules=rules, negation_probability=0.0)
         solution = _solve_split(program, semantics, backend)
-        assert solution.semantics == "horn"
-        # Ground rule sets keep the context path; the rest solve from the
-        # envelope and build no context.
-        assert (solution.context is None) == (not program.is_ground)
+        if semantics == "auto" and program.is_ground:
+            # auto runs the kernel on a ground program (a rare draw here).
+            assert solution.semantics == "alternating-fixpoint"
+            assert solution.context is None
+        else:
+            assert solution.semantics == "horn"
+            # A requested horn keeps the context path on ground rule sets;
+            # the rest solve from the envelope and build no context.
+            assert (solution.context is None) == (not program.is_ground)
         got = _render_total(solution.interpretation, solution.base)
         horn = horn_minimum_model(build_context(program))
         assert got == _render_total(horn.interpretation, horn.context.base), "vs Horn"
@@ -214,6 +244,33 @@ class TestHypothesisDriven:
         got = _render_total(solution.interpretation, solution.base)
         afp = alternating_fixpoint(program)
         assert got == _render_total(afp.model, afp.context.base), "vs monolithic AFP"
+
+    @pytest.mark.parametrize("backend", [None, "memory", "sqlite"])
+    @SETTINGS
+    @given(rules=stratified_programs, facts=fact_sets)
+    def test_auto_on_stratified_nonground_programs(self, backend, rules, facts):
+        program = Program([*(Rule(fact) for fact in sorted(facts, key=str)), *rules])
+        _assert_auto_gives_the_class_model(program, backend)
+
+    @pytest.mark.parametrize("backend", [None, "memory", "sqlite"])
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        atoms=st.integers(min_value=1, max_value=14),
+        rules=st.integers(min_value=1, max_value=45),
+        negation=st.sampled_from([0.0, 0.4, 0.8]),
+    )
+    def test_auto_on_stratified_ground_programs(self, backend, seed, atoms, rules, negation):
+        """With negation, layered (so stratified); without, definite and
+        unlayered (so recursive)."""
+        program = random_propositional_program(
+            atoms=atoms,
+            rules=rules,
+            seed=seed,
+            layers=4 if negation else 0,
+            negation_probability=negation,
+        )
+        _assert_auto_gives_the_class_model(program, backend)
 
     @SETTINGS
     @given(

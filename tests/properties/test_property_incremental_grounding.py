@@ -13,8 +13,9 @@ and the durable SQLite store, every refresh must leave the session with
 * a base that contains the scratch base, every extra atom being false.
 
 Default-config sessions over random stratified and Horn programs are held
-to the same contract; ``auto`` resolves them to ``stratified_model`` /
-``horn_minimum_model``, so their oracle does not share the engine.
+to the same contract, against the class evaluator requested by name
+(``stratified_model``, or the Horn minimum model), an oracle that shares
+neither the kernel ``auto`` runs nor the session's engine.
 
 Fixed regressions pin the cases the envelope bookkeeping is easiest to get
 wrong: a fact retracted, joined against while absent, then re-asserted; a
@@ -32,126 +33,24 @@ try:
 except ImportError:  # pragma: no cover - environment guard
     pytest.skip("hypothesis is not installed", allow_module_level=True)
 
+from repro.analysis.stratification import is_stratified
 from repro.config import EngineConfig
-from repro.datalog.atoms import Atom, Literal
 from repro.datalog.grounding import GroundingLimits
-from repro.datalog.parser import parse_program
-from repro.datalog.rules import Program, Rule
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
 from repro.session import KnowledgeBase
 from repro.storage import MemoryStore, SqliteStore
+from rule_strategies import FACTS, fact_sets, programs, stratified_programs
 
 WFS = EngineConfig(semantics="well-founded")
 AUTO = EngineConfig()
 
-#: Predicate -> arity.  ``e``/``f`` are EDB-only in spirit, but rules may
-#: derive them too and facts may land on the IDB predicates.
-ARITY = {"e": 2, "f": 1, "p": 1, "q": 2, "r": 1}
-HEADS = ("p", "q", "r", "f")
-#: Predicate layers of the stratified programs: a rule reads its head's
-#: layer or below positively and strictly lower layers negatively.
-LAYER = {"e": 0, "f": 0, "q": 1, "p": 2, "r": 3}
-VARIABLES = tuple(Variable(name) for name in ("X", "Y", "Z"))
-CONSTANTS = tuple(Constant(value) for value in (1, 2, 3))
-
-
-def _atom(draw, predicate: str, terms) -> Atom:
-    return Atom(
-        predicate, tuple(draw(st.sampled_from(terms)) for _ in range(ARITY[predicate]))
-    )
-
-
-@st.composite
-def _rules(draw, layered: bool = False, negation: bool = True) -> Rule:
-    """One safe rule: 1–3 positive literals (variables or constants), a
-    head and 0–2 negative literals over the variables they bind.  A
-    *layered* rule reads by :data:`LAYER`; without *negation* it is Horn."""
-    head_predicate = draw(st.sampled_from(HEADS))
-    readable = sorted(
-        name for name in ARITY if not layered or LAYER[name] <= LAYER[head_predicate]
-    )
-    negatable = [
-        name for name in readable if not layered or LAYER[name] < LAYER[head_predicate]
-    ]
-    positive = [
-        _atom(draw, draw(st.sampled_from(readable)), VARIABLES + CONSTANTS[:1])
-        for _ in range(draw(st.integers(min_value=1, max_value=3)))
-    ]
-    bound = tuple(
-        sorted({term for atom in positive for term in atom.args if isinstance(term, Variable)},
-               key=str)
-    )
-    terms = bound + CONSTANTS[:1] if bound else CONSTANTS[:1]
-    head = _atom(draw, head_predicate, terms)
-    most = 2 if negation and negatable else 0
-    negative = [
-        _atom(draw, draw(st.sampled_from(negatable)), terms)
-        for _ in range(draw(st.integers(min_value=0, max_value=most)))
-    ]
-    body = [Literal(atom) for atom in positive]
-    body.extend(Literal(atom, positive=False) for atom in negative)
-    return Rule(head, tuple(body))
-
-
-#: Classic shapes mixed into the random rules so recursion through
-#: negation (the paper's win–move rule), positive recursion and joins
-#: across strata are always well represented.
-_CLASSIC = (
-    "p(X) :- e(X, Y), not p(Y).",
-    "q(X, Y) :- e(X, Y).\nq(X, Z) :- q(X, Y), e(Y, Z).",
-    "r(X) :- f(X), q(X, Y), not p(Y).",
-)
-
-
-
-def _program(random_rules: list[Rule], classic: set[str]) -> Program:
-    return Program.union(
-        *(parse_program(text) for text in sorted(classic)), Program(random_rules)
-    )
-
-
-_programs = st.builds(
-    _program,
-    st.lists(_rules(), min_size=1, max_size=5),
-    st.sets(st.sampled_from(_CLASSIC)),
-)
-
-#: Stratified and Horn counterparts: the win–move rule is replaced by a
-#: negation across layers (the Horn ones keep only positive recursion).
-_STRATIFIED_CLASSIC = (
-    "p(X) :- e(X, Y), not q(Y, Y).",
-    "q(X, Y) :- e(X, Y).\nq(X, Z) :- q(X, Y), e(Y, Z).",
-    "r(X) :- f(X), q(X, Y), not p(Y).",
-)
-_stratified_programs = st.one_of(
-    st.builds(
-        _program,
-        st.lists(_rules(layered=True), min_size=1, max_size=5),
-        st.sets(st.sampled_from(_STRATIFIED_CLASSIC)),
-    ),
-    st.builds(
-        _program,
-        st.lists(_rules(layered=True, negation=False), min_size=1, max_size=5),
-        st.sets(st.sampled_from(_STRATIFIED_CLASSIC[1:2])),
-    ),
-)
-
-#: Fact pool: every EDB tuple over the constants, plus a few IDB atoms.
-_FACTS = [
-    Atom("e", (a, b)) for a in CONSTANTS for b in CONSTANTS
-] + [Atom("f", (a,)) for a in CONSTANTS] + [
-    Atom("p", (CONSTANTS[0],)),
-    Atom("q", (CONSTANTS[1], CONSTANTS[2])),
-]
-
-_single = st.tuples(st.booleans(), st.sampled_from(_FACTS))
+_single = st.tuples(st.booleans(), st.sampled_from(FACTS))
 _steps = st.lists(
     st.one_of(_single.map(lambda op: [op]), st.lists(_single, min_size=1, max_size=4)),
     min_size=2,
     max_size=10,
 )
-_initial = st.sets(st.sampled_from(_FACTS), max_size=8)
 
 
 def _verdicts(solution) -> tuple[bytes, bytes]:
@@ -166,19 +65,23 @@ def _verdicts(solution) -> tuple[bytes, bytes]:
     return "\n".join(true).encode(), "\n".join(undefined).encode()
 
 
-def _check(kb: KnowledgeBase) -> None:
+def _check(kb: KnowledgeBase, oracle: EngineConfig | None = None) -> None:
+    """The session against a from-scratch solve under *oracle* (the
+    session's own config by default)."""
     solution = kb.solution
     if kb.epoch > 1:
         assert kb.last_update.mode == "delta", kb.last_update.describe()
-    scratch = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
+    scratch = solve_configured(
+        Program.union(kb.store.as_program(), kb.rules), oracle or kb.config
+    )
     assert _verdicts(solution) == _verdicts(scratch)
     assert solution.base >= scratch.base
     for atom in solution.base - scratch.base:
         assert atom in solution.interpretation.false_atoms, atom
 
 
-def _run(kb: KnowledgeBase, steps) -> None:
-    _check(kb)
+def _run(kb: KnowledgeBase, steps, oracle: EngineConfig | None = None) -> None:
+    _check(kb, oracle)
     for step in steps:
         if len(step) == 1:
             insert, atom = step[0]
@@ -187,18 +90,32 @@ def _run(kb: KnowledgeBase, steps) -> None:
             with kb.batch():
                 for insert, atom in step:
                     (kb.assert_fact if insert else kb.retract_fact)(atom)
-        _check(kb)
+        _check(kb, oracle)
+
+
+def _class_oracle(kb: KnowledgeBase) -> EngineConfig:
+    """Check that a default-config session over generated stratified or
+    Horn rules names what ``auto`` runs and is incremental, and return the
+    config of its oracle: the rules' class evaluator, requested by name."""
+    rules = kb.rules
+    assert is_stratified(rules)
+    definite = rules.is_definite
+    assert kb.semantics == (
+        "horn" if definite and not rules.is_ground else "alternating-fixpoint"
+    )
+    assert kb.is_incremental
+    return EngineConfig(semantics="horn" if definite else "stratified")
 
 
 class TestIncrementalGroundingLockstep:
-    @given(program=_programs, initial=_initial, steps=_steps)
+    @given(program=programs, initial=fact_sets, steps=_steps)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_memory_store(self, program, initial, steps):
         kb = KnowledgeBase(program, facts=initial, store=MemoryStore(), config=WFS)
         assert kb.is_incremental
         _run(kb, steps)
 
-    @given(program=_programs, initial=_initial, steps=_steps)
+    @given(program=programs, initial=fact_sets, steps=_steps)
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_sqlite_store(self, program, initial, steps):
         with KnowledgeBase(
@@ -206,7 +123,7 @@ class TestIncrementalGroundingLockstep:
         ) as kb:
             _run(kb, steps)
 
-    @given(program=_programs, initial=_initial, steps=_steps)
+    @given(program=programs, initial=fact_sets, steps=_steps)
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_kernel_engine(self, program, initial, steps):
         config = EngineConfig(semantics="well-founded", engine="kernel")
@@ -215,22 +132,19 @@ class TestIncrementalGroundingLockstep:
 
 
 class TestStratifiedAndHornLockstep:
-    @given(program=_stratified_programs, initial=_initial, steps=_steps)
+    @given(program=stratified_programs, initial=fact_sets, steps=_steps)
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_memory_store(self, program, initial, steps):
         kb = KnowledgeBase(program, facts=initial, store=MemoryStore(), config=AUTO)
-        assert kb.semantics in ("stratified", "horn")
-        assert kb.is_incremental
-        _run(kb, steps)
+        _run(kb, steps, _class_oracle(kb))
 
-    @given(program=_stratified_programs, initial=_initial, steps=_steps)
+    @given(program=stratified_programs, initial=fact_sets, steps=_steps)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_sqlite_store(self, program, initial, steps):
         with KnowledgeBase(
             program, facts=initial, store=SqliteStore(":memory:"), config=AUTO
         ) as kb:
-            assert kb.is_incremental
-            _run(kb, steps)
+            _run(kb, steps, _class_oracle(kb))
 
 
 class TestRegressions:

@@ -10,7 +10,7 @@ oracle of the same program.  This is the lockstep contract: a fault can
 make an operation fail, but never make the session lie.  Default-config
 sessions over stratified and Horn programs, which ``auto`` maintains on
 the incremental engine, are held to the same contract against the
-stratified and Horn evaluators.
+stratified and Horn evaluators, requested by name.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ try:
 except ImportError:  # pragma: no cover - environment guard
     pytest.skip("hypothesis is not installed", allow_module_level=True)
 
+from repro.analysis.stratification import is_stratified
 from repro.config import EngineConfig
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import Program
@@ -99,10 +100,15 @@ _scripts = st.dictionaries(
 )
 
 
-def _check_against_oracle(kb, store, shadow):
+def _check_against_oracle(kb, store, shadow, config=None):
+    """Disarm the injector; the session must hold the *shadow* facts and
+    the model a from-scratch solve under *config* (the session's own by
+    default) gives."""
     store.armed = False
     assert {str(atom) for atom in kb.facts()} == shadow
-    oracle = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
+    oracle = solve_configured(
+        Program.union(kb.store.as_program(), kb.rules), config or kb.config
+    )
     assert _model_bytes(kb.solution) == _model_bytes(oracle)
 
 
@@ -115,7 +121,7 @@ wins(X) :- move(X, Y), not wins(Y).
 two(X, Z) :- move(X, Y), move(Y, Z).
 """
 # Horn and stratified counterparts, which ``auto`` resolves to ``horn``
-# and ``stratified``.
+# and ``alternating-fixpoint``.
 HORN_NON_GROUND = """
 reach(X, Y) :- move(X, Y).
 reach(X, Z) :- reach(X, Y), move(Y, Z).
@@ -146,11 +152,13 @@ def _verdict_bytes(solution) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _check_non_ground_against_oracle(kb, store, shadow):
+def _check_non_ground_against_oracle(kb, store, shadow, config=None):
     store.armed = False
     assert {str(atom) for atom in kb.facts()} == shadow
     solution = kb.solution
-    oracle = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
+    oracle = solve_configured(
+        Program.union(kb.store.as_program(), kb.rules), config or kb.config
+    )
     assert _verdict_bytes(solution) == _verdict_bytes(oracle)
     assert solution.base >= oracle.base
     assert solution.base - oracle.base <= solution.interpretation.false_atoms
@@ -207,10 +215,14 @@ class TestLockstep:
             negation_probability=0.4 if negation else 0.0,
         )
         kb, store, shadow = _faulted_kb(program, script, EngineConfig())
-        assert kb.semantics == ("stratified" if negation else "horn")
+        assert is_stratified(kb.rules)
+        assert kb.rules.is_definite is not negation
+        # Ground rules: auto runs the alternating fixpoint, Horn or not.
+        assert kb.semantics == "alternating-fixpoint"
         assert kb.is_incremental
         _apply(kb, operations, shadow, read=True)
-        _check_against_oracle(kb, store, shadow)
+        oracle = EngineConfig(semantics="stratified" if negation else "horn")
+        _check_against_oracle(kb, store, shadow, oracle)
 
     @given(
         seed=st.integers(min_value=0, max_value=20),
@@ -290,9 +302,12 @@ class TestLockstep:
         """Incremental grounding under faults for Horn and stratified
         rules, which ``auto`` maintains on the engine as well."""
         kb, store, shadow = _non_ground_kb(script, rules)
-        assert kb.semantics in ("horn", "stratified")
+        horn = rules == HORN_NON_GROUND
+        assert kb.rules.is_definite is horn and is_stratified(kb.rules)
+        assert kb.semantics == ("horn" if horn else "alternating-fixpoint")
         _apply(kb, operations, shadow, read=True)
-        _check_non_ground_against_oracle(kb, store, shadow)
+        oracle = EngineConfig(semantics="horn" if horn else "stratified")
+        _check_non_ground_against_oracle(kb, store, shadow, oracle)
 
     @given(operations=_move_operations, script=_refresh_scripts)
     @settings(

@@ -3,12 +3,13 @@
 import pytest
 
 import repro.core.alternating as alternating
+from repro.analysis.stratification import is_stratified
 from repro.config import EngineConfig
 from repro.datalog import Database, parse_atom
 from repro.datalog.rules import Program
 from repro.datalog.terms import Variable
 from repro.delta import DeltaMaintainer
-from repro.engine.solver import solve_configured
+from repro.engine.solver import solve, solve_configured
 from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
 from repro.session import KnowledgeBase, ResultSet
@@ -287,14 +288,21 @@ class TestModes:
         assert kb.is_true("p")
 
     def test_auto_resolution_is_visible(self):
-        assert KnowledgeBase("a. b :- a.").semantics == "horn"
+        tc = "e(1, 2). t(X, Y) :- e(X, Y)."
+        stratified = "q(1). p(X) :- q(X), not r(X)."
+        assert KnowledgeBase(tc).semantics == "horn"
+        assert KnowledgeBase("a. b :- a.").semantics == "alternating-fixpoint"
+        assert KnowledgeBase(stratified).semantics == "alternating-fixpoint"
         assert KnowledgeBase(GAME_TEXT).semantics == "alternating-fixpoint"
+        # The session names what a one-shot solve of the same text runs.
+        for text in (tc, "a. b :- a.", stratified, GAME_TEXT):
+            assert KnowledgeBase(text).semantics == solve(text).semantics, text
 
 
 class TestWellFoundedEquivalentRouting:
     """Stratified and Horn models are the well-founded model of their
-    programs, so those sessions run on the incremental engine — whether
-    ``auto`` picked the semantics or the caller asked for it."""
+    programs, so those sessions run on the incremental engine — under
+    ``auto``, or with the class requested by name."""
 
     SOCIAL = social_graph_program(12, extra_edges=4, back_edges=3)
     HORN = "edge(1, 2). edge(2, 3). tc(X, Y) :- edge(X, Y). tc(X, Z) :- tc(X, Y), edge(Y, Z)."
@@ -309,7 +317,8 @@ class TestWellFoundedEquivalentRouting:
 
     def test_auto_stratified_session_is_incremental(self):
         kb = KnowledgeBase(self.SOCIAL, config=EngineConfig())
-        assert kb.semantics == "stratified"
+        assert is_stratified(kb.rules) and not kb.rules.is_definite
+        assert kb.semantics == "alternating-fixpoint"
         self._one_write_is_delta(kb, "muted(3)")
         assert not kb.is_true("influencer", 3)
 
