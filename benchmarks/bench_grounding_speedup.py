@@ -30,9 +30,10 @@ import pytest
 
 from _metrics import emit
 from _smoke import trim
-from repro.datalog.grounding import GroundingLimits, relevant_ground
+from repro.datalog.grounding import relevant_ground
 from repro.exceptions import GroundingTimeout
 from repro.games import binary_tree_edges, chain_edges, random_game_edges, win_move_program
+from repro.resilience import Budget, metered
 from repro.workloads import same_generation_program, transitive_closure_program
 
 CHAIN_SIZES = trim([20, 40])
@@ -97,10 +98,10 @@ def test_transitive_closure_chain300_acceptance(report):
     """The acceptance criterion: ≥5× on a ≥300-node linear chain.
 
     The scan matcher cannot finish this size in CI time (it needs tens of
-    minutes), so it runs under a ``max_seconds`` budget of 5× the indexed
-    time (plus margin): either it finishes and the ratio is asserted
-    directly, or it times out and the elapsed time — a lower bound on its
-    true cost — already proves the 5× gap.
+    minutes), so it runs under a :class:`~repro.resilience.Budget` deadline
+    of 5× the indexed time (plus margin): either it finishes and the ratio
+    is asserted directly, or it times out and the elapsed time — a lower
+    bound on its true cost — already proves the 5× gap.
     """
     program = transitive_closure_program(chain_edges(ACCEPTANCE_CHAIN_SIZE))
     start = time.perf_counter()
@@ -109,7 +110,8 @@ def test_transitive_closure_chain300_acceptance(report):
     budget = max(5 * indexed * 1.5, 2.0)
     start = time.perf_counter()
     try:
-        relevant_ground(program, GroundingLimits(max_seconds=budget), matcher="scan")
+        with metered(Budget(max_seconds=budget)):
+            relevant_ground(program, matcher="scan")
         scan = time.perf_counter() - start
         timed_out = False
     except GroundingTimeout as timeout:

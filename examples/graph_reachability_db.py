@@ -11,10 +11,11 @@ misbehaves under the inflationary semantics (Example 2.2).
 Run with:  python examples/graph_reachability_db.py
 """
 
-from repro.datalog import Database, parse_program
+from repro.datalog import Program, parse_program
 from repro.engine import answers, ask, solve
 from repro.semantics import compare_semantics
 from repro.datalog.atoms import atom
+from repro.storage import MemoryStore
 
 
 FLIGHTS = [
@@ -42,9 +43,10 @@ s(X)     :- node(X), not hasin(X).           % X is a source (no incoming edges)
 
 
 def main() -> None:
-    database = Database.from_tuples({"e": FLIGHTS})
+    store = MemoryStore()
+    store.load({"e": FLIGHTS})
     rules = parse_program(RULES)
-    solution = solve(rules, database=database)
+    solution = solve(rules, store=store)
     # The rules are stratified, so their well-founded model is total and is
     # the perfect model: auto computes it on the compiled kernel.
     print("semantics auto ran:", solution.semantics,
@@ -76,7 +78,7 @@ def main() -> None:
 
     # -- Example 2.2: the complement of transitive closure -------------- #
     print("== np (complement of reachability) under different semantics ==")
-    program = database.attach(rules)
+    program = Program.union(store.as_program(), rules)
     comparison = compare_semantics(program, enumerate_stable=False)
     probes = [
         atom("np", "rome", "lisbon"),      # genuinely unreachable

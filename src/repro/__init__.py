@@ -34,7 +34,6 @@ delete-and-rederive touch only what a change reaches:
 
 from .datalog import (
     Atom,
-    Database,
     Literal,
     Program,
     ProgramBuilder,
@@ -53,9 +52,8 @@ from .core import (
     stable_models,
     well_founded_model,
 )
-from .config import EngineConfig
+from .config import DEFAULT_STRATEGY, EVALUATION_STRATEGIES, EngineConfig
 from .engine import Solution, answers, ask, solve
-from .evaluation import DEFAULT_STRATEGY, EVALUATION_STRATEGIES
 from .fixpoint import PartialInterpretation, TruthValue
 from .resilience import Budget, CancelToken
 from .session import KnowledgeBase, ResultSet, UpdateStats
@@ -65,7 +63,6 @@ __version__ = "1.4.0"
 
 __all__ = [
     "Atom",
-    "Database",
     "Literal",
     "Program",
     "ProgramBuilder",

@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 from .analysis import classify
 from .config import (
     DEFAULT_ENGINE,
+    DEFAULT_STRATEGY,
     EVALUATION_ENGINES,
     EVALUATION_STRATEGIES,
     SUPPORTED_GROUNDERS,
@@ -66,12 +67,11 @@ from .config import (
     EngineConfig,
 )
 from .core import alternating_fixpoint, stable_models
-from .datalog import Database, parse_atom
+from .datalog import parse_atom
 from .datalog.io import load_facts_csv, load_program, save_interpretation_json
 from .datalog.rules import Program
 from .engine import answers, ask, solve
 from .engine.query import query_has_variables
-from .evaluation import DEFAULT_STRATEGY
 from .exceptions import BudgetError, ReproError
 from .fixpoint.interpretations import TruthValue
 from .obs import TraceRecorder, phase_coverage, render_counters, render_span_tree, write_trace_jsonl
@@ -79,6 +79,7 @@ from .resilience import Budget, metered
 from .reporting import render_comparison, render_model, render_trace
 from .semantics import compare_semantics
 from .session import KnowledgeBase, run_repl
+from .storage import MemoryStore
 
 __all__ = ["main", "build_parser"]
 
@@ -314,13 +315,13 @@ def _load(arguments) -> Program:
     else:
         program = load_program(arguments.program)
     if arguments.facts:
-        database = Database()
+        store = MemoryStore()
         for entry in arguments.facts:
             if "=" not in entry:
                 raise ReproError(f"--facts expects RELATION=CSV, got {entry!r}")
             relation, path = entry.split("=", 1)
-            load_facts_csv(path, relation.strip(), database)
-        program = database.attach(program)
+            load_facts_csv(path, relation.strip(), store)
+        program = Program.union(store.as_program(), program)
     return program
 
 

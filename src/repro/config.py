@@ -8,9 +8,8 @@ and every ``core``/``semantics`` entry point.  ``solve()`` and
 ``KnowledgeBase()`` also take ``semantics=``/``limits=`` conveniences,
 merged into the config by :func:`resolve_config`.
 
-This module is the canonical home of the option tuples.  The historical
-locations (``repro.evaluation.engine``, ``repro.engine.solver``)
-re-export them unchanged.
+This module is the one home of the option tuples; import them from
+here.
 """
 
 from __future__ import annotations

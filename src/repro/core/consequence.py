@@ -24,7 +24,8 @@ from __future__ import annotations
 from typing import AbstractSet
 
 from ..datalog.atoms import Atom
-from ..evaluation.engine import DEFAULT_STRATEGY, get_engine
+from ..config import DEFAULT_STRATEGY
+from ..evaluation.engine import get_engine
 from ..fixpoint.lattice import NegativeSet, conjugate_of_positive
 from .context import GroundContext
 

@@ -22,7 +22,8 @@ the default everywhere.
 from __future__ import annotations
 
 from ..datalog.atoms import Atom
-from ..evaluation.engine import DEFAULT_STRATEGY, get_engine
+from ..config import DEFAULT_STRATEGY
+from ..evaluation.engine import get_engine
 from ..fixpoint.lattice import NegativeSet
 from ..fixpoint.operators import FixpointTrace, iterate_to_fixpoint
 from .context import GroundContext

@@ -24,7 +24,7 @@ from typing import AbstractSet
 
 from ..datalog.atoms import Atom, Literal
 from ..datalog.rules import Program, Rule
-from ..evaluation.engine import DEFAULT_STRATEGY
+from ..config import DEFAULT_STRATEGY
 from ..fixpoint.lattice import NegativeSet, conjugate_of_positive
 from .context import GroundContext, build_context
 from .eventual import eventual_consequence

@@ -1,4 +1,4 @@
-"""Datalog substrate: terms, atoms, rules, parsing, grounding, databases.
+"""Datalog substrate: terms, atoms, rules, parsing, grounding, I/O.
 
 This subpackage is the language layer everything else builds on.  It knows
 nothing about any particular semantics; it only provides the syntactic
@@ -11,7 +11,6 @@ and the query answerers.
 
 from .atoms import Atom, Literal, Predicate, atom, neg, pos
 from .builder import ProgramBuilder, build_program
-from .database import Database
 from .grounding import (
     DEFAULT_GROUNDING_MATCHER,
     GROUNDING_MATCHERS,
@@ -46,7 +45,6 @@ __all__ = [
     "neg",
     "ProgramBuilder",
     "build_program",
-    "Database",
     "DEFAULT_GROUNDING_MATCHER",
     "GROUNDING_MATCHERS",
     "GroundingLimits",

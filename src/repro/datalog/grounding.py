@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ..exceptions import GroundingError
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..resilience.budget import Budget, current_meter
+from ..resilience.budget import current_meter
 from .atoms import Atom, Literal
 from .joins import JoinPlan, Probe, Relation, RelationStore, Row, RulePlan, compile_rule, join
 from .rules import Program, Rule
@@ -106,20 +106,19 @@ DEFAULT_GROUNDING_MATCHER = "indexed"
 
 @dataclass(frozen=True)
 class GroundingLimits:
-    """Resource limits applied during grounding.
+    """Size limits applied during grounding.
 
     ``max_depth`` bounds compound-term nesting in the Herbrand universe;
     ``max_rules`` aborts the grounding when the instantiated program would
     exceed the given number of rules (protecting against accidental
-    combinatorial blow-ups in user programs); ``max_seconds``, when set,
-    aborts with :class:`~repro.exceptions.GroundingTimeout` once the
-    grounder has spent that much wall-clock time (deadline-bound serving,
-    benchmark budgets).
+    combinatorial blow-ups in user programs).  Time is not a grounding
+    limit: a :class:`~repro.resilience.Budget` deadline covers the whole
+    solve, and one that trips while grounding raises
+    :class:`~repro.exceptions.GroundingTimeout`.
     """
 
     max_depth: int = 0
     max_rules: int = DEFAULT_MAX_GROUND_RULES
-    max_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -142,26 +141,6 @@ class GroundIR:
     neg_off: list[int]
     neg_atoms: list[int]
     fact_ids: list[int]
-
-
-def _grounding_meter(limits: GroundingLimits):
-    """The budget meter one grounding run checks against.
-
-    The legacy per-grounding ``limits.max_seconds`` starts a local
-    :class:`~repro.resilience.BudgetMeter` chained to the ambient one (a
-    solve-level :class:`~repro.resilience.Budget`, when active), so
-    whichever deadline is tighter trips first; without a grounding-local
-    deadline the ambient meter (or the no-op null meter) is used directly.
-    Either way, a wall-clock trip inside grounding raises the legacy
-    :class:`~repro.exceptions.GroundingTimeout`.
-    """
-    ambient = current_meter()
-    if limits.max_seconds is not None:
-        # The legacy contract admits max_seconds=0 as "already expired";
-        # Budget requires a positive deadline, so clamp to one tick.
-        seconds = max(limits.max_seconds, 1e-9)
-        return Budget(max_seconds=seconds).start(parent=ambient)
-    return ambient
 
 
 def herbrand_universe(program: Program, max_depth: int = 0) -> list[Term]:
@@ -238,7 +217,7 @@ def naive_ground(program: Program, limits: GroundingLimits | None = None) -> Pro
     exceed ``limits.max_rules``.
     """
     limits = limits or GroundingLimits()
-    budget = _grounding_meter(limits)
+    budget = current_meter()
     universe = herbrand_universe(program, limits.max_depth)
     ground_rules: list[Rule] = []
     for rule in program:
@@ -729,7 +708,7 @@ class IncrementalGrounder:
         *first_run*, the rules without positive conjuncts — ground by
         safety — fire once first, seeding the envelope with their heads.
         """
-        budget = _grounding_meter(self._limits)
+        budget = current_meter()
         recorder = self._recorder
         base = space.base
         overlay = space.overlay.relations
@@ -825,7 +804,7 @@ def _scan_relevant_ground(program: Program, limits: GroundingLimits | None = Non
     from .unification import match_atom  # local import to avoid a cycle at import time
 
     limits = limits or GroundingLimits()
-    budget = _grounding_meter(limits)
+    budget = current_meter()
     program.check_safety()
 
     facts = set(program.fact_atoms())

@@ -9,8 +9,7 @@ standard library:
   syntax of :mod:`repro.datalog.parser` (comments preserved as written on
   load in the sense that they are simply ignored);
 * :func:`load_facts_csv` / :func:`save_facts_csv` — one relation per file,
-  one tuple per line, comma-separated; both stream through any fact
-  container — a :class:`~repro.datalog.database.Database` or any
+  one tuple per line, comma-separated; both stream through any
   :class:`~repro.storage.FactStore` backend (so a CSV can be bulk-loaded
   straight into a durable :class:`~repro.storage.SqliteStore`);
 * :func:`interpretation_to_dict` / :func:`interpretation_from_dict` and the
@@ -29,16 +28,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ..exceptions import ParseError
 from ..fixpoint.interpretations import PartialInterpretation
 from ..storage.base import FactStore
+from ..storage.memory import MemoryStore
 from .atoms import Atom
-from .database import Database
 from .parser import parse_atom, parse_program
 from .rules import Program
-from .terms import Constant
-
-#: Containers the CSV helpers stream through: the historical Database
-#: façade or any FactStore backend.  Both expose the same value-coercing
-#: ``add(relation, *values)`` / ``values(relation)`` surface.
-FactSink = Database | FactStore
 
 __all__ = [
     "load_program",
@@ -80,33 +73,33 @@ def save_program(program: Program, path: str | Path, header: Optional[str] = Non
 def load_facts_csv(
     path: str | Path,
     relation: str,
-    database: Optional[FactSink] = None,
+    store: Optional[FactStore] = None,
     numeric: bool = True,
-) -> FactSink:
-    """Load one relation from a comma-separated file into a fact container.
+) -> FactStore:
+    """Load one relation from a comma-separated file into a fact store.
 
     Each row becomes one tuple of the relation; with ``numeric`` (default)
     cells that look like integers are stored as integers, everything else as
-    strings.  Appends to *database* when given — a :class:`Database` or any
+    strings.  Appends to *store* when given — any
     :class:`~repro.storage.FactStore` backend, which the rows stream into
     one at a time (no intermediate materialisation, so a larger-than-memory
     CSV can flow straight into a durable store) — otherwise creates and
-    returns a new :class:`Database`.
+    returns a new :class:`~repro.storage.MemoryStore`.
     """
-    database = database if database is not None else Database()
+    store = store if store is not None else MemoryStore()
     with open(path, newline="", encoding="utf-8") as handle:
         for row in csv.reader(handle):
             if not row or all(not cell.strip() for cell in row):
                 continue
             values = [_coerce(cell.strip(), numeric) for cell in row]
-            database.add(relation, *values)
-    return database
+            store.add(relation, *values)
+    return store
 
 
-def save_facts_csv(database: FactSink, relation: str, path: str | Path) -> None:
-    """Write one relation of a fact container (a :class:`Database` or any
-    :class:`~repro.storage.FactStore`) as a comma-separated file."""
-    rows = sorted(database.values(relation), key=lambda row: tuple(str(v) for v in row))
+def save_facts_csv(store: FactStore, relation: str, path: str | Path) -> None:
+    """Write one relation of a :class:`~repro.storage.FactStore` as a
+    comma-separated file."""
+    rows = sorted(store.values(relation), key=lambda row: tuple(str(v) for v in row))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         for row in rows:

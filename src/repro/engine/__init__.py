@@ -1,23 +1,12 @@
 """High-level deductive-database engine: one-call solving and querying."""
 
 from .query import QueryAnswer, answers, ask
-from .solver import (
-    DEFAULT_ENGINE,
-    EVALUATION_ENGINES,
-    EVALUATION_STRATEGIES,
-    SUPPORTED_SEMANTICS,
-    Solution,
-    solve,
-)
+from .solver import Solution, solve
 
 __all__ = [
     "QueryAnswer",
     "answers",
     "ask",
-    "DEFAULT_ENGINE",
-    "EVALUATION_ENGINES",
-    "EVALUATION_STRATEGIES",
-    "SUPPORTED_SEMANTICS",
     "Solution",
     "solve",
 ]

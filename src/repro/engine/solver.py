@@ -26,17 +26,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-from ..config import (
-    DEFAULT_ENGINE,
-    DEFAULT_STRATEGY,
-    EVALUATION_ENGINES,
-    EVALUATION_STRATEGIES,
-    SUPPORTED_SEMANTICS,
-    EngineConfig,
-    resolve_config,
-)
+from ..config import DEFAULT_ENGINE, DEFAULT_STRATEGY, EngineConfig, resolve_config
 from ..datalog.atoms import Atom
-from ..datalog.database import Database
 from ..datalog.grounding import GroundingLimits, IncrementalGrounder
 from ..datalog.parser import parse_program
 from ..datalog.rules import Program, Rule
@@ -61,11 +52,6 @@ __all__ = [
     "solve",
     "solve_configured",
     "resolve_auto_semantics",
-    "SUPPORTED_SEMANTICS",
-    "EVALUATION_STRATEGIES",
-    "EVALUATION_ENGINES",
-    "DEFAULT_ENGINE",
-    "EngineConfig",
 ]
 
 
@@ -194,7 +180,6 @@ def resolve_auto_semantics(program: Program) -> str:
 def solve_configured(
     program: Union[str, Program],
     config: EngineConfig,
-    database: Optional[Database] = None,
     store: Optional[FactStore] = None,
     recorder: Optional[Recorder] = None,
 ) -> Solution:
@@ -204,13 +189,12 @@ def solve_configured(
     :class:`repro.session.KnowledgeBase` for the semantics its incremental
     engine does not cover.
 
-    EDB facts can arrive three ways, probed in this order: an explicit
-    *store* (any :class:`~repro.storage.FactStore`), a *database* (whose
-    backing store is used directly — the grounder probes its live
-    indexes), or the backend named by ``config.store`` (opened for this
-    call and closed afterwards).  In every case the returned solution's
-    ``program`` includes the facts as fact rules, exactly as the
-    historical ``database.attach`` path produced.
+    EDB facts come from *store* (any :class:`~repro.storage.FactStore`,
+    whose live indexes the grounder probes in place) or, without one, from
+    the backend named by ``config.store`` (opened for this call and closed
+    afterwards).  Either way the returned solution's ``program`` includes
+    the facts as fact rules, as ``Program.union(store.as_program(),
+    rules)`` would.
 
     ``auto`` is resolved by :func:`resolve_auto_semantics`, from the rules
     alone.  A definite non-ground program under the ``relevant`` grounder
@@ -248,11 +232,7 @@ def solve_configured(
     """
     if isinstance(program, str):
         program = parse_program(program)
-    if store is not None and database is not None:
-        raise EvaluationError("pass either database= or store=, not both")
     owned: Optional[FactStore] = None
-    if store is None and database is not None:
-        store = database.store
     if store is None and config.store != DEFAULT_STORE:
         store = owned = config.create_store()
     recorder = ensure_recorder(recorder)
@@ -496,7 +476,6 @@ def _with_read_facts(program: Program, facts: Iterable[Atom]) -> Program:
 def solve(
     program: Union[str, Program],
     semantics: Optional[str] = None,
-    database: Optional[Database] = None,
     limits: GroundingLimits | None = None,
     *,
     store: Optional[FactStore] = None,
@@ -511,23 +490,18 @@ def solve(
         Program text (parsed with the standard syntax) or a ready
         :class:`Program`.
     semantics:
-        One of :data:`SUPPORTED_SEMANTICS` (default ``"auto"``).
+        One of :data:`~repro.config.SUPPORTED_SEMANTICS` (default ``"auto"``).
         ``"stable"`` computes the *intersection* semantics (true in every
         stable model / false in every stable model) and raises when there
         is no stable model.  May be combined with ``config=``, overriding
         the config's semantics.
-    database:
-        Optional EDB facts to attach to the rules before solving.  The
-        database's backing :class:`~repro.storage.FactStore` is probed in
-        place by the grounder, so repeated solves against the same
-        database reuse its indexes.
     limits:
         Optional :class:`~repro.datalog.grounding.GroundingLimits`,
         overriding the config's.
     store:
-        Optional :class:`~repro.storage.FactStore` supplying the EDB
-        directly — everywhere a ``database`` is accepted, a store now is
-        too.  Passing both is rejected.
+        Optional :class:`~repro.storage.FactStore` holding the EDB facts
+        the rules read.  The grounder probes it in place, so repeated
+        solves against the same store reuse its indexes.
     config:
         An :class:`EngineConfig` carrying every evaluation choice
         (semantics / strategy / engine / grounder / store / limits /
@@ -541,6 +515,4 @@ def solve(
     and maintains it incrementally instead of re-solving from scratch.
     """
     resolved = resolve_config(config, semantics=semantics, limits=limits)
-    return solve_configured(
-        program, resolved, database=database, store=store, recorder=recorder
-    )
+    return solve_configured(program, resolved, store=store, recorder=recorder)

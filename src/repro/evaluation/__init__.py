@@ -13,14 +13,7 @@ all rules exactly as the paper's definitions read and serves as the
 differential-testing oracle.
 """
 
-from .engine import (
-    DEFAULT_STRATEGY,
-    EVALUATION_STRATEGIES,
-    NaiveEngine,
-    SeminaiveEngine,
-    get_engine,
-    validate_strategy,
-)
+from .engine import NaiveEngine, SeminaiveEngine, get_engine
 from .indexes import RuleIndex, build_index, get_index
 from .seminaive import (
     active_rules_for_negative,
@@ -32,12 +25,9 @@ from .seminaive import (
 )
 
 __all__ = [
-    "DEFAULT_STRATEGY",
-    "EVALUATION_STRATEGIES",
     "NaiveEngine",
     "SeminaiveEngine",
     "get_engine",
-    "validate_strategy",
     "RuleIndex",
     "build_index",
     "get_index",

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
-# Canonical definitions live in repro.config (the one validation point for
-# every evaluation option); re-exported here for the historical import path.
-from ..config import DEFAULT_STRATEGY, EVALUATION_STRATEGIES, validate_strategy
+from ..config import DEFAULT_STRATEGY, validate_strategy
 from ..datalog.atoms import Atom
 from ..fixpoint.lattice import NegativeSet
 from .seminaive import (
@@ -42,9 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..fixpoint.interpretations import PartialInterpretation
 
 __all__ = [
-    "EVALUATION_STRATEGIES",
-    "DEFAULT_STRATEGY",
-    "validate_strategy",
     "get_engine",
     "SeminaiveEngine",
     "NaiveEngine",

@@ -91,15 +91,12 @@ class Cancelled(BudgetError):
 
 
 class GroundingTimeout(BudgetExceeded, GroundingError):
-    """Raised when grounding exceeds its wall-clock budget — either the
-    legacy ``max_seconds`` of :class:`~repro.datalog.grounding.GroundingLimits`
-    or a deadline from a :class:`~repro.resilience.Budget` that trips while
-    the grounding phase is running.
+    """Raised when a :class:`~repro.resilience.Budget` deadline trips
+    while the grounding phase is running (``phase`` is ``"ground"``).
 
-    Kept as a distinct class for backward compatibility (it predates the
-    unified :class:`BudgetError` hierarchy); it is both a
-    :class:`GroundingError` and a :class:`BudgetExceeded`, so old and new
-    ``except`` clauses each keep working.
+    It is both a :class:`GroundingError` and a :class:`BudgetExceeded`, so
+    a caller that guards grounding and one that guards budgets each catch
+    it.
     """
 
     def __init__(

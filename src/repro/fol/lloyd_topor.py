@@ -65,8 +65,9 @@ class LloydToporResult:
     Attributes
     ----------
     program:
-        The normal rules (no EDB facts; attach a structure's facts with
-        :func:`domain_facts` / ``Database.attach`` before evaluating).
+        The normal rules (no EDB facts; add a structure's facts with
+        :func:`domain_facts` and ``structure.edb.as_program()`` before
+        evaluating).
     auxiliary_polarity:
         Polarity of each auxiliary relation introduced: ``True`` for
         globally positive, ``False`` for globally negative

@@ -2,8 +2,9 @@
 
 Quantifiers in general rule bodies range over a *domain*.  The
 :class:`FiniteStructure` couples a finite domain of constants with an EDB
-database; it is the "given structure" of the expressiveness discussion in
-Sections 2.5 and 8 (fixpoint logic on finite structures).
+held in a :class:`~repro.storage.FactStore`; it is the "given structure"
+of the expressiveness discussion in Sections 2.5 and 8 (fixpoint logic on
+finite structures).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..datalog.atoms import Atom
-from ..datalog.database import Database
-from ..datalog.terms import Constant, Term
+from ..datalog.terms import Constant
+from ..storage import FactStore, MemoryStore
 
 __all__ = ["FiniteStructure"]
 
@@ -23,20 +24,21 @@ class FiniteStructure:
     """A finite domain plus extensional relations.
 
     The domain elements are stored as constants; plain Python values are
-    coerced on construction.  ``edb`` holds the given relations (e.g. the
-    edge relation ``e`` of the paper's graph examples).
+    coerced on construction.  ``edb`` is the store holding the given
+    relations (e.g. the edge relation ``e`` of the paper's graph examples),
+    a fresh :class:`~repro.storage.MemoryStore` by default.
     """
 
     domain: tuple[Constant, ...]
-    edb: Database = field(default_factory=Database)
+    edb: FactStore = field(default_factory=MemoryStore)
 
-    def __init__(self, domain: Iterable[object], edb: Database | None = None):
+    def __init__(self, domain: Iterable[object], edb: FactStore | None = None):
         coerced = tuple(
             element if isinstance(element, Constant) else Constant(element)
             for element in domain
         )
         self.domain = coerced
-        self.edb = edb if edb is not None else Database()
+        self.edb = edb if edb is not None else MemoryStore()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -46,7 +48,9 @@ class FiniteStructure:
         relations: dict[str, Iterable[Sequence[object]]],
     ) -> "FiniteStructure":
         """Build a structure from a domain and ``{relation: rows}``."""
-        return cls(domain, Database.from_tuples(relations))
+        store = MemoryStore()
+        store.load(relations)
+        return cls(domain, store)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[object, object]], relation: str = "e") -> "FiniteStructure":
@@ -73,7 +77,7 @@ class FiniteStructure:
         return self.edb.contains(atom.predicate, *atom.args)
 
     def edb_predicates(self) -> set[str]:
-        return self.edb.relations()
+        return self.edb.relation_names()
 
     def domain_values(self) -> tuple[object, ...]:
         return tuple(constant.value for constant in self.domain)

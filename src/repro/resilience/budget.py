@@ -1,11 +1,9 @@
 """Unified resource governance for every fixpoint phase.
 
-The grounding layer has always honoured a wall-clock budget
-(``GroundingLimits.max_seconds``), but nothing bounded the alternating
-fixpoint, the unfounded-set iteration, the per-component dispatch, or
-an incremental refresh.  This module generalises that
-mechanism into one :class:`Budget` carried on
-:class:`~repro.config.EngineConfig`:
+One :class:`Budget`, carried on :class:`~repro.config.EngineConfig`,
+bounds every phase of an evaluation — grounding, the alternating
+fixpoint, the unfounded-set iteration, the per-component dispatch and an
+incremental refresh:
 
 * ``max_seconds`` — a wall-clock deadline for the whole evaluation;
 * ``max_steps`` — a cap on fixpoint steps (alternation stages, unfounded
@@ -26,10 +24,11 @@ the shared no-op :data:`NULL_METER`, mirroring the ``NullRecorder``
 idiom of :mod:`repro.obs` so the disabled path costs one predictable
 no-op call.
 
-Deadline violations during the grounding phase raise the legacy
-:class:`~repro.exceptions.GroundingTimeout` (now a subclass of
-:class:`~repro.exceptions.BudgetExceeded`), so both old and new
-``except`` clauses observe the same abort.
+A deadline that trips during the grounding phase raises
+:class:`~repro.exceptions.GroundingTimeout`, which is both a
+:class:`~repro.exceptions.BudgetExceeded` and a
+:class:`~repro.exceptions.GroundingError`, so either ``except`` clause
+observes the abort.
 """
 
 from __future__ import annotations
@@ -165,10 +164,10 @@ NULL_METER = NullMeter()
 class BudgetMeter:
     """Runtime state of one started :class:`Budget`.
 
-    ``parent`` chains an outer meter: the grounding layer starts a local
-    meter for its legacy ``GroundingLimits.max_seconds`` while still
-    honouring the solve-level budget, so whichever limit is tighter trips
-    first.
+    ``parent`` chains the enclosing meter when budgets nest (a service
+    request's budget around a session's, see :func:`metered`), so the
+    inner budget never lifts the outer deadline: whichever limit is
+    tighter trips first.
     """
 
     __slots__ = ("budget", "started", "deadline", "token", "steps", "parent", "_pulse")
@@ -204,8 +203,8 @@ class BudgetMeter:
         if self.deadline is not None and time.monotonic() > self.deadline:
             elapsed = self.elapsed()
             if phase == "ground":
-                # Legacy contract: a wall-clock abort while grounding is a
-                # GroundingTimeout (which is itself a BudgetExceeded).
+                # A wall-clock abort while grounding is a GroundingTimeout,
+                # which is both a BudgetExceeded and a GroundingError.
                 raise GroundingTimeout(
                     f"grounding exceeded its wall-clock budget after {elapsed:.3f}s",
                     elapsed=elapsed,

@@ -72,7 +72,6 @@ from ..core.alternating import AlternatingFixpointResult, AlternatingStage
 from ..core.context import GroundContext
 from ..core.explain import Explainer, Explanation
 from ..datalog.atoms import Atom
-from ..datalog.database import Database
 from ..datalog.parser import parse_atom, parse_program
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Compound, Constant, Variable
@@ -421,8 +420,8 @@ class KnowledgeBase:
         rules in it seed the EDB (and are retractable like any other
         fact); the non-fact rules are fixed for the session's lifetime.
     facts:
-        Optional initial EDB: a :class:`~repro.datalog.database.Database`,
-        a :class:`~repro.storage.FactStore`, a mapping
+        Optional initial EDB, copied into the session's store: another
+        :class:`~repro.storage.FactStore`, a mapping
         ``{"edge": [(1, 2), ...]}``, or an iterable of ground atoms.
     store:
         The :class:`~repro.storage.FactStore` backend holding the EDB — an
@@ -450,7 +449,7 @@ class KnowledgeBase:
         self,
         rules: Union[str, Program, None] = "",
         *,
-        facts: Union[Database, FactStore, Mapping, Iterable[Atom], None] = None,
+        facts: Union[FactStore, Mapping, Iterable[Atom], None] = None,
         store: Union[FactStore, str, None] = None,
         config: Optional[EngineConfig] = None,
         recorder: Optional[Recorder] = None,
@@ -466,7 +465,7 @@ class KnowledgeBase:
 
         # A store the session opened itself (from a spec or the config) is
         # closed by close(); a caller-supplied instance stays the caller's
-        # to close — it may back other sessions or Database façades.
+        # to close — it may back other sessions or one-shot solves.
         self._owns_store = not isinstance(store, FactStore)
         if store is None:
             store = self._config.create_store()
@@ -663,14 +662,13 @@ class KnowledgeBase:
         """Remove an EDB fact; returns whether the database changed."""
         return self._remove(self._coerce(fact, values))
 
-    def load(self, source: Union[Database, FactStore, Mapping, Iterable[Atom]]) -> int:
+    def load(self, source: Union[FactStore, Mapping, Iterable[Atom]]) -> int:
         """Bulk-assert facts; returns how many were new.
 
-        Accepts a :class:`Database`, another
-        :class:`~repro.storage.FactStore`, a mapping ``{relation: rows}``,
-        or an iterable of ground atoms.  Delegates to the backing store's
-        own :meth:`~repro.storage.FactStore.load`; the session observes
-        the resulting change events as usual.
+        Accepts another :class:`~repro.storage.FactStore`, a mapping
+        ``{relation: rows}``, or an iterable of ground atoms.  Delegates to
+        the backing store's own :meth:`~repro.storage.FactStore.load`; the
+        session observes the resulting change events as usual.
         """
         return self._store.load(source)
 

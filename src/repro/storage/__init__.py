@@ -1,8 +1,9 @@
 """Pluggable fact storage: one :class:`FactStore` protocol, two backends.
 
-The protocol (:mod:`repro.storage.base`) is what the grounder probes, what
-:class:`repro.datalog.database.Database` fronts, and what a
-:class:`repro.session.KnowledgeBase` mutates; the backends are
+The protocol (:mod:`repro.storage.base`) is where EDB facts live: what
+the grounder probes, what :func:`repro.engine.solver.solve` reads
+(``store=``) and what a :class:`repro.session.KnowledgeBase` mutates; the
+backends are
 :class:`MemoryStore` (hash-indexed, in-process, the default) and
 :class:`SqliteStore` (durable, stdlib ``sqlite3``).
 

@@ -1,13 +1,10 @@
 """The :class:`FactStore` protocol — one storage API for EDB facts.
 
 The paper frames a logic program as a mapping from EDB instances to IDB
-instances (Section 2.5), yet the repo historically held EDB facts in three
-disjoint representations: :class:`~repro.datalog.database.Database` kept
-plain per-relation tuple sets, the grounder rebuilt a
-:class:`~repro.datalog.joins.RelationStore` (and all its hash indexes)
-from scratch on every run, and :class:`~repro.session.KnowledgeBase`
-journaled facts a third way.  :class:`FactStore` is the one interface all
-three now share:
+instances (Section 2.5).  :class:`FactStore` is the one container for such
+an instance: the grounder probes it in place, a
+:class:`~repro.session.KnowledgeBase` mutates it, and the CSV helpers of
+:mod:`repro.datalog.io` stream through it.  It offers:
 
 * **mutation** — :meth:`add_atom` / :meth:`remove_atom` with change
   notification (:meth:`subscribe`), so a session's incremental engine
@@ -235,13 +232,8 @@ class FactStore(ABC):
         """Bulk-insert facts from another store, a ``{relation: rows}``
         mapping, or an iterable of ground atoms; returns how many were new.
         """
-        # Imported here: database.py itself builds on this module.
-        from ..datalog.database import Database
-
-        if isinstance(source, Database):
+        if isinstance(source, FactStore):
             atoms: Iterable[Atom] = source.facts()
-        elif isinstance(source, FactStore):
-            atoms = source.facts()
         elif isinstance(source, Mapping):
             atoms = (
                 Atom(name, _coerce_row(row)) for name, rows in source.items() for row in rows

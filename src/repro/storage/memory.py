@@ -1,11 +1,8 @@
 """The in-memory :class:`FactStore` backend.
 
-:class:`MemoryStore` unifies the two in-memory fact representations the
-repo used to maintain separately: the plain per-relation tuple sets of the
-old ``Database`` and the lazily hash-indexed
-:class:`~repro.datalog.joins.Relation` machinery the grounder rebuilt from
-scratch on every run.  Facts live in one set of ``Relation`` objects,
-keyed on ``(predicate, arity)``; the bound-position indexes built by one
+:class:`MemoryStore` keeps EDB facts in the lazily hash-indexed
+:class:`~repro.datalog.joins.Relation` objects the grounder joins over,
+one per ``(predicate, arity)``; the bound-position indexes built by one
 grounding run survive into the next, so the semi-naive grounder probes the
 live EDB instead of re-inserting and re-indexing every fact per solve.
 

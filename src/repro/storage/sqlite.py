@@ -126,7 +126,7 @@ class SqliteStore(FactStore):
     Parameters
     ----------
     path:
-        Database file path, or ``":memory:"`` for a private in-process
+        SQLite file path, or ``":memory:"`` for a private in-process
         database (useful for tests and as a drop-in differential twin of
         :class:`~repro.storage.MemoryStore`).
     busy_timeout_ms:
@@ -163,7 +163,7 @@ class SqliteStore(FactStore):
         # and solves its first epoch on the caller's thread, the query
         # service's writer thread then mutates and probes it, and the
         # caller's thread closes it after the drain; a store may also back
-        # sessions or Database façades on other threads.
+        # other sessions or solves on other threads.
         # check_same_thread=False permits the sharing; the mutex serialises
         # statement execution at the Python level so catalogue caches, the
         # probe counter and cursor materialisation stay consistent

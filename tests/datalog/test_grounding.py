@@ -1,5 +1,7 @@
 """Unit tests for Herbrand universes, bases, and grounding."""
 
+import dataclasses
+
 import pytest
 
 from repro import solve
@@ -21,6 +23,7 @@ from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Compound, Constant
 from repro.exceptions import GroundingError, GroundingTimeout, SafetyError
+from repro.resilience import Budget, metered
 from repro.semantics.horn import horn_minimum_model
 
 
@@ -80,6 +83,17 @@ class TestNaiveGround:
         with pytest.raises(GroundingError):
             naive_ground(program, GroundingLimits(max_rules=10))
 
+    def test_wall_clock_budget_enforced(self):
+        # 5 constants cubed: 125 instances, past the meter's 64-tick stride.
+        program = parse_program(
+            "e(1, 2). e(2, 3). e(3, 4). e(4, 5). p(X, Y, Z) :- e(X, Y), e(Y, Z)."
+        )
+        with metered(Budget(max_seconds=1e-9)):
+            with pytest.raises(GroundingTimeout) as excinfo:
+                naive_ground(program)
+        assert excinfo.value.elapsed is not None
+        assert excinfo.value.phase == "ground"
+
 
 @pytest.mark.parametrize("matcher", GROUNDING_MATCHERS)
 class TestRelevantGround:
@@ -138,9 +152,28 @@ class TestRelevantGround:
             "e(1, 2). e(2, 3). e(3, 4). e(4, 1). "
             "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y)."
         )
-        with pytest.raises(GroundingTimeout) as excinfo:
-            relevant_ground(program, GroundingLimits(max_seconds=0.0), matcher=matcher)
+        with metered(Budget(max_seconds=1e-9)):
+            with pytest.raises(GroundingTimeout) as excinfo:
+                relevant_ground(program, matcher=matcher)
         assert excinfo.value.elapsed is not None
+        assert excinfo.value.phase == "ground"
+
+    def test_enclosing_deadline_trips_inside_a_nested_budget(self, matcher):
+        program = parse_program(TC)
+        with metered(Budget(max_seconds=1e-9)):
+            with metered(Budget(max_seconds=60.0)):
+                with pytest.raises(GroundingTimeout) as excinfo:
+                    relevant_ground(program, matcher=matcher)
+        assert excinfo.value.phase == "ground"
+
+
+class TestGroundingLimits:
+    def test_size_limits_only(self):
+        # Time is a Budget's to bound; GroundingLimits bounds size alone.
+        fields = [field.name for field in dataclasses.fields(GroundingLimits)]
+        assert fields == ["max_depth", "max_rules"]
+        with pytest.raises(TypeError, match="max_seconds"):
+            GroundingLimits(max_seconds=1.0)
 
 
 class TestMatcherDispatch:

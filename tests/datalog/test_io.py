@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.datalog.atoms import atom, ground_atom
-from repro.datalog.database import Database
 from repro.datalog.io import (
     interpretation_from_dict,
     interpretation_to_dict,
@@ -19,6 +18,7 @@ from repro.datalog.io import (
 from repro.datalog.parser import parse_program
 from repro.exceptions import ParseError
 from repro.fixpoint.interpretations import PartialInterpretation
+from repro.storage import MemoryStore, SqliteStore
 
 PROGRAM_TEXT = """
 edge(1, 2). edge(2, 3).
@@ -51,10 +51,12 @@ class TestProgramFiles:
 
 class TestFactsCsv:
     def test_round_trip(self, tmp_path):
-        database = Database.from_tuples({"edge": [(1, 2), (2, 3), ("x", "y")]})
+        store = MemoryStore()
+        store.load({"edge": [(1, 2), (2, 3), ("x", "y")]})
         path = tmp_path / "edge.csv"
-        save_facts_csv(database, "edge", path)
+        save_facts_csv(store, "edge", path)
         loaded = load_facts_csv(path, "edge")
+        assert isinstance(loaded, MemoryStore)
         assert loaded.values("edge") == {(1, 2), (2, 3), ("x", "y")}
 
     def test_numeric_coercion_can_be_disabled(self, tmp_path):
@@ -66,29 +68,30 @@ class TestFactsCsv:
     def test_blank_lines_skipped_and_append(self, tmp_path):
         path = tmp_path / "edge.csv"
         path.write_text("1,2\n\n3,4\n", encoding="utf-8")
-        database = Database.from_tuples({"node": [(9,)]})
-        loaded = load_facts_csv(path, "edge", database)
-        assert loaded is database
-        assert len(loaded.tuples("edge")) == 2
+        store = MemoryStore()
+        store.load({"node": [(9,)]})
+        loaded = load_facts_csv(path, "edge", store)
+        assert loaded is store
+        assert loaded.count("edge", 2) == 2
         assert loaded.contains("node", 9)
 
     def test_round_trip_through_fact_stores(self, tmp_path):
-        """CSV load/save streams through any FactStore backend, and the two
-        backends plus the Database façade land on identical contents."""
-        from repro.storage import MemoryStore, SqliteStore
-
+        """CSV load/save streams through any FactStore backend, and both
+        backends plus the default container land on identical contents."""
         rows = {(1, 2), (2, 3), ("x", "y")}
         source = tmp_path / "edge.csv"
-        save_facts_csv(Database.from_tuples({"edge": sorted(rows, key=str)}), "edge", source)
+        written = MemoryStore()
+        written.load({"edge": sorted(rows, key=str)})
+        save_facts_csv(written, "edge", source)
 
         memory = load_facts_csv(source, "edge", MemoryStore())
         durable = load_facts_csv(source, "edge", SqliteStore(tmp_path / "edge.db"))
-        facade = load_facts_csv(source, "edge")
-        assert memory.values("edge") == durable.values("edge") == facade.values("edge") == rows
+        default = load_facts_csv(source, "edge")
+        assert memory.values("edge") == durable.values("edge") == default.values("edge") == rows
 
         # Saving back out of each container produces the identical file.
         outputs = []
-        for index, container in enumerate((memory, durable, facade)):
+        for index, container in enumerate((memory, durable, default)):
             out = tmp_path / f"out{index}.csv"
             save_facts_csv(container, "edge", out)
             outputs.append(out.read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 """Unit tests for EngineConfig: one validation point, consistent messages."""
 
+import importlib
 import io
 
 import pytest
@@ -79,6 +80,24 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(Exception):
             EngineConfig().semantics = "horn"
+
+
+class TestOneHome:
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.engine", "repro.engine.solver", "repro.evaluation", "repro.evaluation.engine"],
+    )
+    def test_option_tuples_are_exported_by_config_only(self, module):
+        exported = set(importlib.import_module(module).__all__)
+        assert not exported & {
+            "SUPPORTED_SEMANTICS",
+            "EVALUATION_STRATEGIES",
+            "EVALUATION_ENGINES",
+            "DEFAULT_ENGINE",
+            "DEFAULT_STRATEGY",
+            "validate_strategy",
+            "EngineConfig",
+        }
 
 
 class TestResolveConfig:

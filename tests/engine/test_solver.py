@@ -5,15 +5,15 @@ import sys
 import pytest
 
 from repro.analysis.stratification import is_stratified
-from repro.config import EngineConfig
+from repro.config import DEFAULT_ENGINE, SUPPORTED_SEMANTICS, EngineConfig
 from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
-from repro.datalog import Database, parse_program
+from repro.datalog import parse_program
 from repro.datalog.atoms import atom
 from repro.datalog.grounding import GroundingLimits, IncrementalGrounder
 from repro.datalog.rules import Program, Rule
 from repro.engine import solver as solver_module
-from repro.engine.solver import SUPPORTED_SEMANTICS, solve
+from repro.engine.solver import solve
 from repro.exceptions import (
     BudgetExceeded,
     Cancelled,
@@ -72,8 +72,6 @@ def _max_rules_trips_at_the_context_paths_size(text: str, source: str) -> int:
 def _tiny_deadline_raises_grounding_timeout(text: str) -> None:
     with pytest.raises(GroundingTimeout):
         solve(text, config=EngineConfig(budget=Budget(max_seconds=1e-9)))
-    with pytest.raises(GroundingTimeout):
-        solve(text, limits=GroundingLimits(max_seconds=0))
 
 
 def _cancelled_token_raises_cancelled_in_ground(text: str) -> None:
@@ -119,9 +117,17 @@ class TestSolve:
 
     def test_database_attachment(self):
         rules = "tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y)."
-        database = Database.from_tuples({"edge": [(1, 2), (2, 3)]})
-        solution = solve(rules, database=database)
+        store = MemoryStore()
+        store.load({"edge": [(1, 2), (2, 3)]})
+        solution = solve(rules, store=store)
         assert solution.is_true("tc", 1, 3)
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_configured"])
+    def test_facts_arrive_only_through_a_store(self, entry):
+        # EDB facts have one keyword: store=.
+        arguments = (TC_TEXT,) if entry == "solve" else (TC_TEXT, EngineConfig())
+        with pytest.raises(TypeError, match="database"):
+            getattr(solver_module, entry)(*arguments, database=MemoryStore())
 
     def test_explicit_semantics_selection(self):
         for semantics in ("alternating-fixpoint", "well-founded", "stratified", "stable"):
@@ -141,14 +147,15 @@ class TestSolve:
         with pytest.raises(NotStratifiedError):
             solve("p :- not p.", semantics="stratified")
 
-    @pytest.mark.parametrize("source", ["text", "database"])
+    @pytest.mark.parametrize("source", ["text", "store"])
     def test_stratified_solve_grounds_once(self, monkeypatch, source):
         if source == "text":
-            program, database = TC_TEXT, None
+            program, store = TC_TEXT, None
         else:
             parsed = parse_program(TC_TEXT)
             program = Program(rule for rule in parsed if not rule.is_fact)
-            database = Database.from_facts(rule.head for rule in parsed.facts())
+            store = MemoryStore()
+            store.load(rule.head for rule in parsed.facts())
         calls = []
         ground = IncrementalGrounder.ground
 
@@ -157,11 +164,11 @@ class TestSolve:
             return ground(self)
 
         monkeypatch.setattr(IncrementalGrounder, "ground", counting)
-        solution = solve(program, semantics="stratified", database=database)
+        solution = solve(program, semantics="stratified", store=store)
         assert solution.semantics == "stratified"
         assert len(calls) == 1
         monkeypatch.undo()
-        reference = solve(program, semantics="well-founded", database=database)
+        reference = solve(program, semantics="well-founded", store=store)
         assert solution.interpretation == reference.interpretation
         assert solution.base == reference.base
 
@@ -206,19 +213,12 @@ class TestEngineSelection:
             assert monolithic.engine == "monolithic"
 
     def test_default_engine_is_kernel(self):
-        from repro.engine.solver import DEFAULT_ENGINE
-
         assert DEFAULT_ENGINE == "kernel"
         assert solve(self.GAME).engine == "kernel"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(EvaluationError):
             solve(self.GAME, config=EngineConfig(engine="hyperdrive"))
-
-    def test_engine_constant_exported(self):
-        from repro.engine.solver import EVALUATION_ENGINES
-
-        assert EVALUATION_ENGINES == ("kernel", "monolithic")
 
 
 class TestHornFromTheEnvelope:
@@ -351,6 +351,14 @@ class TestWellFoundedIntoTheKernel:
 
     def test_tiny_deadline_raises_grounding_timeout(self):
         _tiny_deadline_raises_grounding_timeout(self.GAME)
+
+    def test_tiny_deadline_trips_in_the_naive_grounder(self):
+        # 2 rules x 7 constants squared: 98 instances, past the meter's
+        # 64-tick stride.
+        config = EngineConfig(grounder="naive", budget=Budget(max_seconds=1e-9))
+        with pytest.raises(GroundingTimeout) as excinfo:
+            solve(self.GAME, config=config)
+        assert excinfo.value.phase == "ground"
 
     def test_cancelled_token_raises_cancelled_in_ground(self):
         _cancelled_token_raises_cancelled_in_ground(self.GAME)

@@ -5,8 +5,8 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.config import EngineConfig
-from repro.engine import EVALUATION_STRATEGIES, solve
+from repro.config import EVALUATION_STRATEGIES, EngineConfig
+from repro.engine import solve
 from repro.exceptions import EvaluationError
 from repro.games import figure4b_edges, win_move_program
 

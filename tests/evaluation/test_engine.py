@@ -2,16 +2,10 @@
 
 import pytest
 
+from repro.config import DEFAULT_STRATEGY, EVALUATION_STRATEGIES, validate_strategy
 from repro.core.context import build_context
 from repro.datalog.parser import parse_program
-from repro.evaluation.engine import (
-    DEFAULT_STRATEGY,
-    EVALUATION_STRATEGIES,
-    NaiveEngine,
-    SeminaiveEngine,
-    get_engine,
-    validate_strategy,
-)
+from repro.evaluation.engine import NaiveEngine, SeminaiveEngine, get_engine
 from repro.exceptions import EvaluationError
 from repro.fixpoint.interpretations import PartialInterpretation
 from repro.fixpoint.lattice import NegativeSet

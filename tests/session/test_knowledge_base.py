@@ -5,7 +5,7 @@ import pytest
 import repro.core.alternating as alternating
 from repro.analysis.stratification import is_stratified
 from repro.config import EngineConfig
-from repro.datalog import Database, parse_atom
+from repro.datalog import parse_atom
 from repro.datalog.rules import Program
 from repro.datalog.terms import Variable
 from repro.delta import DeltaMaintainer
@@ -13,7 +13,7 @@ from repro.engine.solver import solve, solve_configured
 from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
 from repro.session import KnowledgeBase, ResultSet
-from repro.storage import SqliteStore
+from repro.storage import MemoryStore, SqliteStore
 from repro.workloads import social_graph_program
 
 WIN_MOVE_RULES = "wins(X) :- move(X, Y), not wins(Y)."
@@ -36,8 +36,9 @@ class TestConstruction:
         assert sorted(kb.query("wins")) == [("b",)]
 
     def test_facts_database(self):
-        database = Database.from_tuples({"move": [("a", "b"), ("b", "a"), ("b", "c")]})
-        kb = KnowledgeBase(WIN_MOVE_RULES, facts=database)
+        store = MemoryStore()
+        store.load({"move": [("a", "b"), ("b", "a"), ("b", "c")]})
+        kb = KnowledgeBase(WIN_MOVE_RULES, facts=store)
         assert kb.is_true("wins", "b")
 
     def test_empty_knowledge_base_is_a_fact_store(self):

@@ -5,8 +5,11 @@ Every behavioural test is parametrized over :class:`MemoryStore` and
 must pass the identical suite.
 """
 
+import importlib
+
 import pytest
 
+import repro
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Compound, Constant
 from repro.exceptions import NotGroundError, StorageError
@@ -86,6 +89,44 @@ class TestMutationAndQueries:
         assert store.contents() == {
             ("edge", 2): frozenset({(Constant(1), Constant(2))})
         }
+
+    def test_name_keyed_reads_do_not_create_relations(self, store):
+        assert store.values("ghost") == set()
+        assert store.relation_names() == set()
+        assert store.signatures() == set()
+        assert len(store) == 0
+
+    def test_emptied_relations_drop_out(self, store):
+        store.load({"edge": [(1, 2), ("a", "b")], "node": [(1,)]})
+        assert store.relation_names() == {"edge", "node"}
+        assert store.values("edge") == {(1, 2), ("a", "b")}
+        store.remove("edge", 1, 2)
+        store.remove("edge", "a", "b")
+        assert store.relation_names() == {"node"}
+        assert store.values("edge") == set()
+        assert store.signatures() == {("node", 1)}
+
+    def test_constants(self, store):
+        store.load({"edge": [(1, 2)], "label": [("a",)]})
+        assert store.constants() == {Constant(1), Constant(2), Constant("a")}
+
+    def test_contents_equal_across_backends(self, store):
+        rows = {"edge": [(1, 2), (2, 3)], "node": [(1,)]}
+        store.load(rows)
+        other = SqliteStore(":memory:") if isinstance(store, MemoryStore) else MemoryStore()
+        with other:
+            other.load(rows)
+            assert store.contents() == other.contents()
+            other.add("edge", 9, 9)
+            assert store.contents() != other.contents()
+
+
+class TestOneFactContainer:
+    def test_no_database_facade(self):
+        assert not hasattr(repro, "Database")
+        assert not hasattr(repro.datalog, "Database")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.datalog.database")
 
 
 class TestProbes:

@@ -6,9 +6,9 @@ from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.datalog.grounding import relevant_ground, stream_relevant_ground
 from repro.datalog.parser import parse_program
+from repro.datalog.rules import Program
 from repro.engine.solver import solve, solve_configured
 from repro.config import EngineConfig
-from repro.datalog.database import Database
 from repro.semantics.horn import horn_minimum_model
 from repro.storage import MemoryStore, SqliteStore
 
@@ -91,7 +91,7 @@ class TestSolveEquivalence:
     def test_models_identical_across_paths(self, store, semantics):
         if semantics == "horn":
             rules = TC_RULES
-            legacy = Database.from_tuples({"edge": EDGES, "node": NODES}).attach(rules)
+            legacy = Program.union(store.as_program(), rules)
         else:
             rules = RULES
             legacy = LEGACY
@@ -104,7 +104,7 @@ class TestSolveEquivalence:
 
     @pytest.mark.parametrize("semantics", ["auto", "horn"])
     def test_definite_rules_solve_from_the_envelope(self, store, semantics):
-        legacy = Database.from_tuples({"edge": EDGES, "node": NODES}).attach(TC_RULES)
+        legacy = Program.union(store.as_program(), TC_RULES)
         config = EngineConfig(semantics=semantics)
         via_store = solve_configured(TC_RULES, config, store=store)
         alone = solve_configured(legacy, config)
@@ -120,21 +120,16 @@ class TestSolveEquivalence:
         assert via_store.program.fact_atoms() == legacy.fact_atoms()
         assert build_context(via_store.program).base == via_store.base
 
-    def test_database_backed_solve_uses_its_store(self):
-        database = Database.from_tuples({"edge": EDGES, "node": NODES})
-        solution = solve(RULES, database=database)
+    def test_store_backed_solve_probes_the_live_store(self):
+        backend = MemoryStore()
+        backend.load({"edge": EDGES, "node": NODES})
+        solution = solve(RULES, store=backend)
         oracle = solve(LEGACY)
         assert solution.interpretation.true_atoms == oracle.interpretation.true_atoms
         assert solution.base == oracle.base
-        # The grounder probed the database's live store: its relations now
-        # carry the bound-position indexes the join built.
-        assert database.store.relation("edge", 2).indexes
-
-    def test_database_and_store_together_rejected(self):
-        from repro.exceptions import EvaluationError
-
-        with pytest.raises(EvaluationError):
-            solve(RULES, database=Database(), store=MemoryStore())
+        # The grounder probed the live store: its relations now carry the
+        # bound-position indexes the join built.
+        assert backend.relation("edge", 2).indexes
 
     def test_config_store_spec_opens_backend(self, tmp_path):
         path = tmp_path / "solve.db"
