@@ -32,7 +32,7 @@ from repro.config import EngineConfig
 from repro.core.context import build_context
 from repro.datalog.rules import Program
 from repro.engine.solver import solve_configured
-from repro.kernel import kernel_well_founded
+from repro.kernel import kernel_model
 from repro.session import KnowledgeBase
 from repro.workloads import layered_program
 
@@ -75,7 +75,7 @@ def _best_scratch(program) -> float:
     for _ in range(min(REPEAT, 3)):
         context = build_context(program)
         start = time.perf_counter()
-        kernel_well_founded(context)
+        kernel_model(context)
         best = min(best, time.perf_counter() - start)
     return best
 

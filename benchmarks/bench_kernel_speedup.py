@@ -34,7 +34,8 @@ from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.games.graphs import chain_edges, random_game_edges
 from repro.games.winmove import win_move_program
-from repro.kernel import get_kernel, kernel_well_founded
+from repro.kernel import get_kernel, kernel_model
+from repro.obs import TraceRecorder
 from repro.workloads import layered_program, random_propositional_program
 
 REPEAT = 3
@@ -79,13 +80,27 @@ def _render(true_atoms, false_atoms) -> bytes:
 
 
 def _assert_byte_identical(context):
-    """Kernel and monolithic AFP models, byte for byte."""
-    kernel = kernel_well_founded(context)
+    """Kernel and monolithic AFP models, byte for byte.  Returns the
+    kernel's model."""
+    kernel = kernel_model(context)
     monolithic = alternating_fixpoint(context, keep_stages=False)
-    assert _render(kernel.model.true_atoms, kernel.model.false_atoms) == _render(
+    assert _render(kernel.true_atoms, kernel.false_atoms) == _render(
         monolithic.positive_fixpoint, monolithic.negative_fixpoint.atoms
     ), "well-founded models diverge between kernel and monolithic"
     return kernel
+
+
+def _method_counts(context) -> dict:
+    """Components per solving method, from one traced kernel run's
+    ``components.*`` counters."""
+    recorder = TraceRecorder()
+    kernel_model(context, recorder)
+    totals = recorder.counter_totals()
+    return {
+        method: int(totals[f"components.{method}"])
+        for method in ("horn", "stratified", "alternating")
+        if f"components.{method}" in totals
+    }
 
 
 def _object_model_bytes(model) -> int:
@@ -112,8 +127,8 @@ def test_kernel_workload(report, workload, factory):
     compiled = get_kernel(context)
     compile_seconds = time.perf_counter() - compile_start
 
-    kernel_result = _assert_byte_identical(context)
-    kernel = _best_time(lambda: kernel_well_founded(context))
+    model = _assert_byte_identical(context)
+    kernel = _best_time(lambda: kernel_model(context))
 
     stats = compiled.statistics()
     atoms = max(1, stats["atoms"])
@@ -121,7 +136,7 @@ def test_kernel_workload(report, workload, factory):
     # compile-once cost, reported separately per atom for context.
     kernel_state_per_atom = 1.0
     ir_bytes_per_atom = stats["bytes"] / atoms
-    object_bytes = _object_model_bytes(kernel_result.model)
+    object_bytes = _object_model_bytes(model)
     object_per_atom = object_bytes / atoms
 
     report(
@@ -147,7 +162,7 @@ def test_kernel_workload(report, workload, factory):
         },
         timings={"kernel": kernel, "kernel_compile": compile_seconds},
         extra={
-            "methods": kernel_result.method_counts(),
+            "methods": _method_counts(context),
             "memory_per_atom_bytes": {
                 "kernel_truth": round(kernel_state_per_atom, 2),
                 "kernel_ir": round(ir_bytes_per_atom, 2),
@@ -173,7 +188,7 @@ def test_kernel_vs_monolithic(report):
     context = build_context(layered_program(layers, size))
     get_kernel(context)
     _assert_byte_identical(context)
-    kernel = _best_time(lambda: kernel_well_founded(context))
+    kernel = _best_time(lambda: kernel_model(context))
     monolithic = _best_time(lambda: alternating_fixpoint(context, keep_stages=False))
     report(
         f"layered {layers}x{size}: kernel vs monolithic AFP",
@@ -200,5 +215,5 @@ def test_timed_kernel_wfs(benchmark):
     """pytest-benchmark recording of the warm-IR evaluation."""
     context = build_context(layered_program(4, 40))
     get_kernel(context)
-    result = benchmark(lambda: kernel_well_founded(context))
-    assert result.model.false_atoms
+    model = benchmark(lambda: kernel_model(context))
+    assert model.false_atoms

@@ -19,9 +19,10 @@ stratified double closure).
 Every comparison asserts the partial models are byte-identical across the
 kernel, the monolithic alternating fixpoint, and the unfounded-set
 characterisation (``well_founded_model``), so a timing run doubles as a
-Theorem 7.8 / splitting-property check.  The per-component reports come
-from a session's full solve (``IncrementalEngine.modular_result()``),
-which runs the same dispatch over atom objects.
+Theorem 7.8 / splitting-property check.  The method counts come from
+traced runs (the ``components.<method>`` counters), and the component
+sizes from a session's full solve (its ``component`` spans), which runs
+the same dispatch over atom objects.
 
 Run with ``pytest benchmarks/bench_modular_wfs.py -s``.
 """
@@ -36,7 +37,8 @@ from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.core.wellfounded import well_founded_model
 from repro.datalog.rules import Program
-from repro.kernel import kernel_well_founded
+from repro.kernel import kernel_model
+from repro.obs import TraceRecorder
 from repro.session import IncrementalEngine
 from repro.workloads import layered_program
 
@@ -57,6 +59,17 @@ def _best_time(function) -> float:
     return best
 
 
+def _method_counts(recorder) -> dict:
+    """Components per solving method, from a trace's ``components.*``
+    counters."""
+    totals = recorder.counter_totals()
+    return {
+        method: int(totals[f"components.{method}"])
+        for method in ("horn", "stratified", "alternating")
+        if f"components.{method}" in totals
+    }
+
+
 def _render(true_atoms, false_atoms) -> bytes:
     """A canonical byte serialisation of a partial model."""
     lines = sorted(str(atom) for atom in true_atoms)
@@ -71,18 +84,18 @@ def _best_kernel(program) -> float:
     for _ in range(REPEAT):
         context = build_context(program)
         start = time.perf_counter()
-        kernel_well_founded(context)
+        kernel_model(context)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def _assert_byte_identical(context):
     """Kernel, monolithic-AFP and unfounded-set models, byte for byte."""
-    kernel = kernel_well_founded(context)
+    kernel = kernel_model(context)
     monolithic = alternating_fixpoint(context, keep_stages=False)
     unfounded = well_founded_model(context)
     blobs = {
-        "kernel": _render(kernel.model.true_atoms, kernel.model.false_atoms),
+        "kernel": _render(kernel.true_atoms, kernel.false_atoms),
         "monolithic": _render(
             monolithic.positive_fixpoint, monolithic.negative_fixpoint.atoms
         ),
@@ -103,11 +116,17 @@ def test_layered_acceptance(report):
     byte-identical partial models."""
     program = layered_program(ACCEPTANCE_LAYERS, ACCEPTANCE_SIZE)
     context = build_context(program)
-    kernel_result, monolithic_result = _assert_byte_identical(context)
+    _, monolithic_result = _assert_byte_identical(context)
 
     kernel = _best_kernel(program)
     monolithic = _best_time(lambda: alternating_fixpoint(context, keep_stages=False))
-    stats = kernel_result.statistics()
+    recorder = TraceRecorder()
+    kernel_model(context, recorder)
+    stats = {
+        **context.statistics(),
+        "components": int(recorder.counter_totals()["components.total"]),
+        "methods": _method_counts(recorder),
+    }
     report(
         f"layered {ACCEPTANCE_LAYERS}x{ACCEPTANCE_SIZE}: kernel vs monolithic WFS",
         [
@@ -182,17 +201,26 @@ def test_dispatch_statistics():
     the expected multiplicities, in both the kernel and a session."""
     layers, size = 4, 12
     program = layered_program(layers, size)
-    engine = IncrementalEngine(Program(rule for rule in program if not rule.is_fact))
+    session = TraceRecorder()
+    engine = IncrementalEngine(
+        Program(rule for rule in program if not rule.is_fact), recorder=session
+    )
     engine.refresh(frozenset(rule.head for rule in program.facts()))
-    modular = engine.modular_result()
-    counts = modular.method_counts()
+    counts = _method_counts(session)
     assert counts["alternating"] == layers
     assert counts["stratified"] == 2 * layers
-    assert counts["horn"] == modular.component_count - 3 * layers
-    assert kernel_well_founded(program).method_counts() == counts
+    assert counts["horn"] == engine.component_count - 3 * layers
+    kernel = TraceRecorder()
+    alternating_fixpoint(program, engine="kernel", recorder=kernel)
+    assert _method_counts(kernel) == counts
     # Each undefined triangle is one 3-atom component.
-    triangles = [r for r in modular.components if r.method == "alternating"]
-    assert all(r.size == 3 for r in triangles)
+    triangles = [
+        span.attributes
+        for _, span in session.walk()
+        if span.name == "component" and span.attributes["method"] == "alternating"
+    ]
+    assert len(triangles) == layers
+    assert all(triangle["size"] == 3 for triangle in triangles)
 
 
 @pytest.mark.repro("E15")
@@ -202,10 +230,10 @@ def test_timed_layered_wfs(benchmark, engine):
     program = layered_program(4, 40)
     if engine == "kernel":
         # A fresh context per round, so every round pays the compile.
-        result = benchmark.pedantic(
-            kernel_well_founded, setup=lambda: ((build_context(program),), {}), rounds=5
+        model = benchmark.pedantic(
+            kernel_model, setup=lambda: ((build_context(program),), {}), rounds=5
         )
-        assert result.model.false_atoms
+        assert model.false_atoms
     else:
         context = build_context(program)
         result = benchmark(lambda: alternating_fixpoint(context, keep_stages=False))

@@ -46,7 +46,6 @@ from .datalog import (
 )
 from .core import (
     AlternatingFixpointResult,
-    ModularResult,
     afp_model,
     alternating_fixpoint,
     stable_models,
@@ -73,7 +72,6 @@ __all__ = [
     "parse_rule",
     "pos",
     "AlternatingFixpointResult",
-    "ModularResult",
     "afp_model",
     "alternating_fixpoint",
     "stable_models",

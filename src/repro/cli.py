@@ -353,14 +353,16 @@ def _write_trace(recorder: TraceRecorder, path: str, out, **metadata: object) ->
 # --------------------------------------------------------------------- #
 # Subcommand implementations
 # --------------------------------------------------------------------- #
-def _render_kernel_stats(result) -> str:
-    """Per-method component counts of a kernel well-founded run."""
-    methods = result.method_counts()
-    lines = [f"components: {result.component_count} (compiled kernel)"]
+def _render_kernel_stats(recorder: TraceRecorder) -> str:
+    """Per-method component counts of one traced kernel run, read off its
+    ``components.*`` and ``kernel.stages`` counters."""
+    totals = recorder.counter_totals()
+    lines = [f"components: {int(totals['components.total'])} (compiled kernel)"]
     for method in ("horn", "stratified", "alternating"):
-        if method in methods:
-            lines.append(f"  {method:12s} {methods[method]:6d} components")
-    lines.append(f"  stages       {result.stages} total")
+        count = int(totals.get(f"components.{method}", 0))
+        if count:
+            lines.append(f"  {method:12s} {count:6d} components")
+    lines.append(f"  stages       {int(totals['kernel.stages'])} total")
     return "\n".join(lines)
 
 
@@ -398,12 +400,12 @@ def _cmd_trace(arguments, out) -> int:
     config = _config_from_args(arguments)
     program = _load(arguments)
     if config.engine == "kernel":
-        # The kernel keeps aggregate per-method tallies, not per-component
-        # reports — render those instead of a synthetic Table I view.
-        from .kernel import kernel_well_founded
-
-        result = kernel_well_founded(program, config=config)
-        print(_render_kernel_stats(result), file=out)
+        # The kernel runs no global stage sequence: render its per-method
+        # component counts, from the run's trace, instead of a synthetic
+        # Table I view.
+        recorder = TraceRecorder()
+        result = alternating_fixpoint(program, config=config, recorder=recorder)
+        print(_render_kernel_stats(recorder), file=out)
         print(render_model(result.model, result.context.base, arguments.predicate), file=out)
         print(f"total model: {'yes' if result.is_total else 'no'}", file=out)
         return 0
@@ -583,7 +585,7 @@ def _cmd_bench(arguments, out) -> int:
         # alternating fixpoint, on the default strategy.  The kernel's
         # compile is timed once on its own and cached on the context, so
         # the timed kernel runs are evaluation only.
-        from .kernel import get_kernel, kernel_well_founded
+        from .kernel import get_kernel, kernel_model
 
         compile_start = time.perf_counter()
         get_kernel(context)
@@ -595,14 +597,13 @@ def _cmd_bench(arguments, out) -> int:
             for _ in range(repeat):
                 start = time.perf_counter()
                 if engine == "kernel":
-                    result = kernel_well_founded(context)
+                    result = kernel_model(context)
                 else:
                     result = alternating_fixpoint(context, keep_stages=False)
                 best = min(best, time.perf_counter() - start)
             engine_timings[engine] = best
             engine_results[engine] = result
-        kernel_result = engine_results["kernel"]
-        engines_agree = kernel_result.model == engine_results["monolithic"].model
+        engines_agree = engine_results["kernel"] == engine_results["monolithic"].model
         print("\nengine phase (well-founded model, kernel vs monolithic):", file=out)
         for engine in EVALUATION_ENGINES:
             note = "  (+ one-off compile below)" if engine == "kernel" else ""
@@ -616,8 +617,13 @@ def _cmd_bench(arguments, out) -> int:
                 f"speedup    {engine_timings['monolithic'] / engine_timings['kernel']:10.2f}x  (kernel vs monolithic)",
                 file=out,
             )
-        print(_render_kernel_stats(kernel_result), file=out)
-        kernel_stats = kernel_result.compiled.statistics()
+        # One extra traced kernel run over the already-built context
+        # supplies the component counts (and --trace-out's trace): the
+        # timed runs above stay recorder-free.
+        recorder = TraceRecorder()
+        kernel_model(context, recorder)
+        print(_render_kernel_stats(recorder), file=out)
+        kernel_stats = get_kernel(context).statistics()
         print(
             f"kernel IR: {kernel_stats['atoms']} atoms, {kernel_stats['rules']} rules, "
             f"{kernel_stats['components']} components, {kernel_stats['bytes']} bytes",
@@ -625,10 +631,6 @@ def _cmd_bench(arguments, out) -> int:
         )
         print(f"models agree: {'yes' if engines_agree else 'NO'}", file=out)
         if arguments.trace_out:
-            # One extra traced kernel run over the already-built context —
-            # the timed runs above stay recorder-free.
-            recorder = TraceRecorder()
-            kernel_well_founded(context, recorder=recorder)
             _write_trace(recorder, arguments.trace_out, out, command="bench", program=arguments.program)
         return 0 if agree and engines_agree else 1
 

@@ -40,7 +40,6 @@ from .eventual import (
     minimum_model,
 )
 from .explain import BlockedRule, Derivation, Explainer, Explanation, explain
-from .modular import ComponentReport, ModularResult
 from .stability import (
     gelfond_lifschitz_reduct,
     is_stable_set,
@@ -87,8 +86,6 @@ __all__ = [
     "Explainer",
     "Explanation",
     "explain",
-    "ComponentReport",
-    "ModularResult",
     "gelfond_lifschitz_reduct",
     "is_stable_set",
     "reduct_minimum_model",

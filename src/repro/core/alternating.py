@@ -16,6 +16,12 @@ negative conclusions, odd stages a descending chain of *overestimates*
 (Figure 2); the iteration stops when two consecutive even stages coincide.
 The full trace — the rows of Table I — is retained on the result object so
 the benchmark harness can print the paper's table verbatim.
+
+With ``engine="kernel"`` :func:`alternating_fixpoint` builds its ground
+context the same way and hands it to :func:`repro.kernel.kernel_model`,
+which solves it component by component.  The result then holds the
+model as one synthetic stage; how the components were solved goes to the
+``recorder`` only (the ``components.*`` and ``kernel.*`` counters).
 """
 
 from __future__ import annotations
@@ -183,12 +189,13 @@ def alternating_fixpoint(
     ``stage_count`` still reports the true trace length).
 
     With ``engine="kernel"`` the model is computed component-wise by the
-    compiled flat-array evaluator (:func:`repro.kernel.kernel_well_founded`:
+    compiled flat-array evaluator (:func:`repro.kernel.kernel_model`:
     SCC condensation of the atom dependency graph, cheapest-sound-method
     dispatch per component, dense-int IR) instead of by monolithic
     alternation; the result then carries a single synthetic stage holding
-    the fixpoint, since no global ``Ĩ_k`` sequence exists.  The models are
-    identical (Theorem 7.8 plus the splitting property of the well-founded
+    the fixpoint, since no global ``Ĩ_k`` sequence exists, and the
+    per-component log goes to *recorder* only.  The models are identical
+    (Theorem 7.8 plus the splitting property of the well-founded
     semantics); the monolithic engine remains the differential oracle.
     The kernel has one counter-driven scheme, so *strategy* only applies
     to the monolithic engine.
@@ -203,28 +210,6 @@ def alternating_fixpoint(
     )
     recorder = recorder if recorder is not None else NULL_RECORDER
     with metered(budget) as meter:
-        if engine == "kernel":
-            from ..kernel import kernel_well_founded  # deferred: import cycle
-
-            # The delegated call inherits the meter ambiently, so the
-            # budget governs the component dispatch as well.
-            kernel = kernel_well_founded(
-                program,
-                limits=limits,
-                full_base=full_base,
-                extra_atoms=extra_atoms,
-                grounder=grounder,
-                recorder=recorder,
-            )
-            negative = NegativeSet(kernel.model.false_atoms)
-            positive = kernel.model.true_atoms
-            return AlternatingFixpointResult(
-                context=kernel.context,
-                negative_fixpoint=negative,
-                positive_fixpoint=positive,
-                stages=(AlternatingStage(0, negative, positive),),
-            )
-
         if isinstance(program, GroundContext):
             context = program
         else:
@@ -235,6 +220,20 @@ def alternating_fixpoint(
                 extra_atoms=extra_atoms,
                 grounder=grounder,
                 recorder=recorder,
+            )
+
+        if engine == "kernel":
+            from ..kernel import kernel_model  # deferred: import cycle
+
+            # The kernel inherits the meter ambiently, so the budget
+            # governs the component dispatch as well.
+            model = kernel_model(context, recorder)
+            negative = NegativeSet(model.false_atoms)
+            return AlternatingFixpointResult(
+                context=context,
+                negative_fixpoint=negative,
+                positive_fixpoint=model.true_atoms,
+                stages=(AlternatingStage(0, negative, model.true_atoms),),
             )
 
         with recorder.span("evaluate", method="alternating") as evaluate_span:

@@ -44,28 +44,26 @@ session (:mod:`repro.session.incremental`) calls :func:`solve_component`
 over atom objects, for every component on its first solve and afterwards
 for each component an update forces it to re-solve.  Partial evaluation
 and the singleton fast path are written once per representation (verdict
-sets here, a truth vector and CSR arrays in the kernel).  A session's
-solved state reads back as a :class:`ModularResult`.  The equality of
-both callers with the monolithic alternating fixpoint and with the
-unfounded-set characterisation is checked by the differential property
-tests.
+sets here, a truth vector and CSR arrays in the kernel).  Neither keeps a
+per-component log: each reports to its recorder, a session as one
+``component`` span per solved component (attributes ``index``,
+``method``, ``size``, ``rules``, ``stages``) and the
+``components.<method>`` counters, the kernel as the same counters
+aggregated.  The equality of both callers with the monolithic
+alternating fixpoint and with the unfounded-set characterisation is
+checked by the differential property tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Collection, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from ..datalog.atoms import Atom
 from ..exceptions import EvaluationError
-from ..fixpoint.interpretations import PartialInterpretation
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import Meter, current_meter
-from .context import GroundContext
 
 __all__ = [
-    "ComponentReport",
-    "ModularResult",
     "residual_alternating",
     "residual_closure",
     "solve_component",
@@ -80,83 +78,6 @@ K = TypeVar("K", bound=Hashable)
 ResidualRule = tuple[K, Sequence[K], Sequence[K], bool]
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """How one strongly connected component was solved.
-
-    ``stages`` counts fixpoint passes: the number of counter closures for
-    the ``horn``/``stratified`` methods, the number of ``S̃_P`` applications
-    for ``alternating``.
-
-    When a tracing :class:`~repro.obs.Recorder` is attached, every field of
-    this report is also emitted as the attributes of the per-``component``
-    span — the report is the *derived*, API-stable view of the same
-    per-component record the :mod:`repro.obs` trace captures.
-    """
-
-    index: int
-    atoms: tuple[Atom, ...]
-    method: str
-    rules: int
-    stages: int
-    true_count: int
-    false_count: int
-
-    @property
-    def size(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def undefined_count(self) -> int:
-        return len(self.atoms) - self.true_count - self.false_count
-
-
-@dataclass(frozen=True)
-class ModularResult:
-    """The assembled well-founded partial model plus the per-component log."""
-
-    context: GroundContext
-    model: PartialInterpretation
-    components: tuple[ComponentReport, ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    @property
-    def largest_component(self) -> int:
-        return max((report.size for report in self.components), default=0)
-
-    @property
-    def is_total(self) -> bool:
-        return self.model.is_total_over(self.context.base)
-
-    @property
-    def undefined_atoms(self) -> frozenset[Atom]:
-        return self.model.undefined_atoms(self.context.base)
-
-    def method_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for report in self.components:
-            counts[report.method] = counts.get(report.method, 0) + 1
-        return counts
-
-    def stages_by_method(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for report in self.components:
-            totals[report.method] = totals.get(report.method, 0) + report.stages
-        return totals
-
-    def statistics(self) -> dict[str, object]:
-        return {
-            "components": self.component_count,
-            "largest_component": self.largest_component,
-            "methods": self.method_counts(),
-            "stages": self.stages_by_method(),
-            **self.context.statistics(),
-        }
-
-
 def solve_component(
     component: set[Atom],
     comp_index: int,
@@ -167,41 +88,64 @@ def solve_component(
     false_atoms: set[Atom],
     *,
     recorder: Recorder = NULL_RECORDER,
-) -> tuple[set[Atom], set[Atom], ComponentReport]:
+) -> tuple[set[Atom], set[Atom], str]:
     """Solve one strongly connected component against its solved context.
 
     *true_atoms* / *false_atoms* are the verdicts of the components already
     evaluated (everything this component's rules can reach outside itself
     must be decided or deliberately left undefined there); they are read,
-    never written.  Returns the component's true set, false set and
-    :class:`ComponentReport`.  This is the unit of work of the incremental
+    never written.  Returns the component's true set, false set and the
+    method that solved it.  This is the unit of work of the incremental
     maintenance of :mod:`repro.session`, which runs it for every component
     on a full solve and afterwards only for components downstream of a
     changed fact.  Budgets are checked once per stage of an alternating
     component, against the ambient meter.
-    """
-    # ---- singleton fast path ---------------------------------------- #
-    # The vast majority of components are single atoms with no
-    # self-dependency; their verdict falls out of one pass over their
-    # rules with no closure machinery at all.
-    if len(component) == 1:
-        fast = _solve_singleton(component, rules, rules_by_head, facts, true_atoms, false_atoms)
-        if fast is not None:
-            comp_true, comp_false, method, rule_count, stages = fast
-            return (
-                comp_true,
-                comp_false,
-                ComponentReport(
-                    index=comp_index,
-                    atoms=tuple(component),
-                    method=method,
-                    rules=rule_count,
-                    stages=stages,
-                    true_count=len(comp_true),
-                    false_count=len(comp_false),
-                ),
-            )
 
+    The solve runs inside a ``component`` span of *recorder*.  A tracing
+    recorder gets the span's ``index``, ``method``, ``size``, ``rules``
+    (residual rules) and ``stages`` (counter closures for ``horn`` and
+    ``stratified``, ``S̃_P`` applications for ``alternating``), and the
+    ``components.<method>``, ``alternating.stages`` and ``dg.decrements``
+    counters.
+    """
+    with recorder.span("component") as span:
+        # The vast majority of components are single atoms with no
+        # self-dependency; their verdict falls out of one pass over their
+        # rules with no closure machinery at all.
+        solved = None
+        if len(component) == 1:
+            solved = _solve_singleton(
+                component, rules, rules_by_head, facts, true_atoms, false_atoms
+            )
+        if solved is None:
+            solved = _solve_residual(
+                component, rules, rules_by_head, facts, true_atoms, false_atoms, recorder
+            )
+        comp_true, comp_false, method, rule_count, stages = solved
+        if recorder.enabled:
+            span.annotate(
+                index=comp_index,
+                method=method,
+                size=len(component),
+                rules=rule_count,
+                stages=stages,
+            )
+            recorder.count(f"components.{method}")
+    return comp_true, comp_false, method
+
+
+def _solve_residual(
+    component: set[Atom],
+    rules,
+    rules_by_head,
+    facts: AbstractSet[Atom],
+    true_atoms: set[Atom],
+    false_atoms: set[Atom],
+    recorder: Recorder,
+):
+    """Evaluate a component's rules partially against the verdicts below
+    and hand the residual rules to the cheapest sound solver.  Returns
+    ``(true, false, method, rules, stages)``."""
     # ---- partial evaluation against the solved context --------------- #
     local_rules: list[ResidualRule[Atom]] = []
     has_internal_negation = False
@@ -268,20 +212,7 @@ def solve_component(
         comp_false = component - envelope
     if tracing:
         recorder.count("dg.decrements", spent)
-
-    return (
-        comp_true,
-        comp_false,
-        ComponentReport(
-            index=comp_index,
-            atoms=tuple(component),
-            method=method,
-            rules=len(local_rules),
-            stages=stages,
-            true_count=len(comp_true),
-            false_count=len(comp_false),
-        ),
-    )
+    return comp_true, comp_false, method, len(local_rules), stages
 
 
 def _solve_singleton(

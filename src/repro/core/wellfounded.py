@@ -14,6 +14,12 @@ Definitions implemented here:
   (Definition 6.2);
 * :func:`well_founded_model` — the least fixpoint of ``W_P`` (the
   well-founded partial model), with its stage trace.
+
+With ``engine="kernel"`` :func:`well_founded_model` builds its ground
+context once, as the ``W_P`` iteration does, and hands it to
+:func:`repro.kernel.kernel_model`; the stages collapse to
+``(empty, model)``, and the kernel's per-component log goes to the
+``recorder`` only.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ def well_founded_model(
 
     With ``engine="kernel"`` the model is instead assembled component by
     component by the compiled flat-array evaluator
-    (:func:`repro.kernel.kernel_well_founded`); the resulting ``stages``
+    (:func:`repro.kernel.kernel_model`); the resulting ``stages``
     collapse to ``(empty, model)`` since no global ``W_P`` sequence is run,
     and *strategy*, which selects the ``S_P`` scheme of the monolithic
     iteration, does not apply.  The default monolithic iteration remains
@@ -162,25 +168,6 @@ def well_founded_model(
     )
     recorder = recorder if recorder is not None else NULL_RECORDER
     with metered(budget) as meter:
-        if engine == "kernel":
-            from ..kernel import kernel_well_founded  # deferred: import cycle
-
-            # Inherits the meter ambiently — the budget governs the
-            # delegated component dispatch too.
-            result = kernel_well_founded(
-                program,
-                limits=limits,
-                full_base=full_base,
-                extra_atoms=extra_atoms,
-                grounder=grounder,
-                recorder=recorder,
-            )
-            return WellFoundedResult(
-                context=result.context,
-                model=result.model,
-                stages=(PartialInterpretation.empty(), result.model),
-            )
-
         if isinstance(program, GroundContext):
             context = program
         else:
@@ -191,6 +178,16 @@ def well_founded_model(
                 extra_atoms=extra_atoms,
                 grounder=grounder,
                 recorder=recorder,
+            )
+
+        if engine == "kernel":
+            from ..kernel import kernel_model  # deferred: import cycle
+
+            # Inherits the meter ambiently — the budget governs the
+            # kernel's component dispatch too.
+            model = kernel_model(context, recorder)
+            return WellFoundedResult(
+                context=context, model=model, stages=(PartialInterpretation.empty(), model)
             )
 
         with recorder.span("evaluate", method="unfounded-sets") as evaluate_span:

@@ -98,10 +98,11 @@ def load_facts_csv(
 
 def save_facts_csv(store: FactStore, relation: str, path: str | Path) -> None:
     """Write one relation of a :class:`~repro.storage.FactStore` as a
-    comma-separated file."""
+    comma-separated file with LF line ends, so an LF file loaded with
+    :func:`load_facts_csv` saves back byte for byte."""
     rows = sorted(store.values(relation), key=lambda row: tuple(str(v) for v in row))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         for row in rows:
             writer.writerow(row)
 

@@ -452,7 +452,7 @@ def _solve_into_kernel(
         compiled = condense(ir, recorder)
     if recorder.enabled:
         condense_span.annotate(**compiled.statistics())
-    interpretation = evaluate_model(compiled, recorder)[0]
+    interpretation = evaluate_model(compiled, recorder)
     solution = Solution(
         program=program,
         semantics=semantics,

@@ -11,12 +11,16 @@ non-ground program, :func:`lower_program` for a ground one and
 :func:`condense`, indexes them by head and condenses the atom dependency
 graph into a :class:`CompiledProgram` (the id → atom list kept as
 ``CompiledProgram.atoms``); :func:`evaluate_model` evaluates it and
-decodes the model.  It is the default engine (``engine="kernel"`` on
-:class:`~repro.config.EngineConfig`) of every one-shot well-founded
-solve, which grounds straight into it with no context built
-(:func:`repro.engine.solver.solve_configured`); the monolithic
-alternating fixpoint and the ``W_P`` unfounded-set iteration remain the
-differential oracles.
+decodes the model.  :func:`kernel_model` is the one object-level way in:
+it compiles a built context (cached on it) and evaluates it.  Both
+return the model alone; the per-method component counts, stages and
+decrements of a run go to its recorder (the ``components.*`` and
+``kernel.*`` counters).  The kernel is the default engine
+(``engine="kernel"`` on :class:`~repro.config.EngineConfig`) of every
+one-shot well-founded solve, which grounds straight into it with no
+context built (:func:`repro.engine.solver.solve_configured`); the
+monolithic alternating fixpoint and the ``W_P`` unfounded-set iteration
+remain the differential oracles.
 
 The kernel is a one-shot evaluator.  A :class:`~repro.session.KnowledgeBase`
 configured with it maintains its model in the aggregate verdict sets of
@@ -28,13 +32,7 @@ residual rules to the same solvers,
 """
 
 from .compile import CompiledProgram, compile_context, condense, get_kernel, lower_program
-from .eval import (
-    KernelResult,
-    evaluate_compiled,
-    evaluate_model,
-    kernel_model,
-    kernel_well_founded,
-)
+from .eval import evaluate_compiled, evaluate_model, kernel_model
 
 __all__ = [
     "CompiledProgram",
@@ -42,9 +40,7 @@ __all__ = [
     "condense",
     "get_kernel",
     "lower_program",
-    "KernelResult",
     "evaluate_compiled",
     "evaluate_model",
     "kernel_model",
-    "kernel_well_founded",
 ]

@@ -21,6 +21,15 @@ asserts its models byte-identical to the monolithic alternating fixpoint,
 the ``W_P`` unfounded-set iteration and a session's full solve (the
 object-level :func:`~repro.core.modular.solve_component` per component).
 
+Two entry points hand it a compiled program: a well-founded ``solve``
+lowers without a context and calls :func:`evaluate_model` itself, and
+:func:`kernel_model` compiles a built
+:class:`~repro.core.context.GroundContext` first (the route of
+``alternating_fixpoint``/``well_founded_model`` with ``engine="kernel"``).
+Both return the model alone.  How the components were solved — the
+per-method split, the stage and decrement totals — goes to the recorder
+as the ``components.*`` and ``kernel.*`` counters, and nowhere else.
+
 Budgets are checked once per :data:`_METER_STRIDE` components and once
 per stage of an alternating component (``meter.step("alternating")``, as
 the object-level :func:`~repro.core.alternating.alternating_fixpoint`
@@ -30,27 +39,17 @@ cancel token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
-from ..config import EngineConfig, merge_entry_config
-from ..core.context import GroundContext, build_context
+from ..core.context import GroundContext
 from ..core.modular import residual_alternating, residual_closure
 from ..datalog.atoms import Atom
-from ..datalog.grounding import GroundingLimits
-from ..datalog.rules import Program
 from ..fixpoint.interpretations import PartialInterpretation
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..resilience.budget import current_meter, metered
+from ..resilience.budget import current_meter
 from .compile import CompiledProgram, get_kernel
 
-__all__ = [
-    "KernelResult",
-    "evaluate_compiled",
-    "evaluate_model",
-    "kernel_well_founded",
-    "kernel_model",
-]
+__all__ = ["evaluate_compiled", "evaluate_model", "kernel_model"]
 
 _UNKNOWN, _TRUE, _FALSE = 0, 1, 2
 #: Budget checkpoints are batched: one meter step per this many components
@@ -58,43 +57,6 @@ _UNKNOWN, _TRUE, _FALSE = 0, 1, 2
 _METER_STRIDE = 128
 
 _METHODS = ("horn", "stratified", "alternating")
-
-
-@dataclass(frozen=True)
-class KernelResult:
-    """The assembled model plus the kernel's aggregate evaluation log.
-
-    The kernel tracks per-method component counts and total stage /
-    decrement counters instead of per-component reports — keeping the hot
-    loop free of per-component object construction is half the speedup.
-    """
-
-    context: GroundContext
-    model: PartialInterpretation
-    compiled: CompiledProgram
-    methods: Mapping[str, int]
-    stages: int
-    decrements: int
-
-    @property
-    def component_count(self) -> int:
-        return self.compiled.n_components
-
-    @property
-    def is_total(self) -> bool:
-        return self.model.is_total_over(self.context.base)
-
-    def method_counts(self) -> Dict[str, int]:
-        return dict(self.methods)
-
-    def statistics(self) -> Dict[str, object]:
-        return {
-            "components": self.compiled.n_components,
-            "methods": self.method_counts(),
-            "stages": self.stages,
-            **{f"kernel_{k}": v for k, v in self.compiled.statistics().items()},
-            **self.context.statistics(),
-        }
 
 
 # --------------------------------------------------------------------- #
@@ -299,76 +261,15 @@ def _partial_evaluate(
     return local_rules, has_negation, any_marker
 
 
-# --------------------------------------------------------------------- #
-# Batch entry point
-# --------------------------------------------------------------------- #
-def kernel_well_founded(
-    program: Program | GroundContext,
-    limits: GroundingLimits | None = None,
-    full_base: bool = False,
-    extra_atoms: Iterable[Atom] = (),
-    config: Optional[EngineConfig] = None,
-    grounder: str | None = None,
-    recorder: Recorder | None = None,
-) -> KernelResult:
-    """The well-founded partial model via the compiled kernel.
-
-    Accepts a :class:`~repro.datalog.rules.Program` (grounded first) or a
-    pre-built :class:`GroundContext`; the compiled IR is cached on the
-    context, so repeated evaluation of one grounding pays the compile once.
-    The kernel has one (semi-naive, counter-driven) evaluation scheme, so
-    a *config*'s ``strategy`` does not apply to it.
-
-    A tracing *recorder* captures a ``compile`` span (with the
-    ``kernel.atoms`` / ``kernel.rules`` / ``kernel.bytes`` counters on a
-    fresh build), then :func:`evaluate_model`'s ``evaluate`` and
-    ``assemble`` spans.  A well-founded ``solve`` lowers without a
-    context (:mod:`repro.kernel.compile`) and calls
-    :func:`evaluate_model` itself.
-    """
-    _, _, limits, grounder, budget = merge_entry_config(
-        config, limits=limits, grounder=grounder
-    )
-    recorder = recorder if recorder is not None else NULL_RECORDER
-    with metered(budget):
-        if isinstance(program, GroundContext):
-            context = program
-        else:
-            context = build_context(
-                program,
-                limits=limits,
-                full_base=full_base,
-                extra_atoms=extra_atoms,
-                grounder=grounder,
-                recorder=recorder,
-            )
-
-        with recorder.span("compile", method="kernel") as compile_span:
-            compiled = get_kernel(context, recorder=recorder)
-        if recorder.enabled:
-            compile_span.annotate(**compiled.statistics())
-        model, methods, stages, decrements = evaluate_model(compiled, recorder)
-    return KernelResult(
-        context=context,
-        model=model,
-        compiled=compiled,
-        methods=methods,
-        stages=stages,
-        decrements=decrements,
-    )
-
-
 def evaluate_model(
     compiled: CompiledProgram, recorder: Recorder = NULL_RECORDER
-) -> Tuple[PartialInterpretation, Dict[str, int], int, int]:
+) -> PartialInterpretation:
     """Evaluate *compiled* and decode its partial model: the half of a
-    kernel solve after lowering, shared by :func:`kernel_well_founded` and
+    kernel solve after lowering, shared by :func:`kernel_model` and
     :func:`repro.engine.solver.solve_configured`.
 
-    Returns ``(model, methods, stages, decrements)``: *methods* maps each
-    method that solved some component to its component count.  A tracing
-    *recorder* captures an ``evaluate`` span with the aggregate method
-    split, the ``kernel.decrements`` / ``kernel.stages`` and
+    A tracing *recorder* captures an ``evaluate`` span with the aggregate
+    method split, the ``kernel.decrements`` / ``kernel.stages`` and
     ``components.*`` counters, and an ``assemble`` span around the decode.
     """
     tracing = recorder.enabled
@@ -388,10 +289,10 @@ def evaluate_model(
                 false_atoms.add(atoms[atom_id])
         model = PartialInterpretation(true_atoms, false_atoms)
 
-    methods = {
-        name: count for name, count in zip(_METHODS, method_counts) if count
-    }
     if tracing:
+        methods = {
+            name: count for name, count in zip(_METHODS, method_counts) if count
+        }
         evaluate_span.annotate(
             components=compiled.n_components, stages=stages, **methods
         )
@@ -401,9 +302,25 @@ def evaluate_model(
         recorder.count("components.total", compiled.n_components)
         for name, count in methods.items():
             recorder.count(f"components.{name}", count)
-    return model, methods, stages, decrements
+    return model
 
 
-def kernel_model(program: Program | GroundContext, **kwargs) -> PartialInterpretation:
-    """Convenience wrapper returning just the well-founded partial model."""
-    return kernel_well_founded(program, **kwargs).model
+def kernel_model(
+    context: GroundContext, recorder: Recorder = NULL_RECORDER
+) -> PartialInterpretation:
+    """The well-founded partial model of a built ground *context* by the
+    compiled kernel.
+
+    The compiled IR is cached on the context, so repeated evaluation of
+    one grounding pays the compile once.  The kernel has one
+    (semi-naive, counter-driven) evaluation scheme, so there is no
+    strategy to pass; a budget is whatever meter is ambient.  A tracing
+    *recorder* captures a ``compile`` span (with the ``kernel.atoms`` /
+    ``kernel.rules`` / ``kernel.bytes`` counters on a fresh build), then
+    :func:`evaluate_model`'s ``evaluate`` and ``assemble`` spans.
+    """
+    with recorder.span("compile", method="kernel") as compile_span:
+        compiled = get_kernel(context, recorder=recorder)
+    if recorder.enabled:
+        compile_span.annotate(**compiled.statistics())
+    return evaluate_model(compiled, recorder)

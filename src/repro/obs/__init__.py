@@ -7,8 +7,13 @@ exportable as JSONL traces or human-readable span-tree tables.
 
 Entry points accept ``recorder=`` throughout the stack —
 ``solve_configured``, ``build_context`` / ``stream_relevant_ground``,
-``kernel_well_founded``, ``IncrementalEngine``, ``KnowledgeBase`` — and
-the CLI surfaces the subsystem as ``repro profile`` and ``--trace-out``.
+``alternating_fixpoint`` / ``well_founded_model``, ``kernel_model``,
+``IncrementalEngine``, ``KnowledgeBase`` — and the CLI surfaces the
+subsystem as ``repro profile`` and ``--trace-out``.  Results carry the
+model; how it was computed is the recorder's alone: the per-component
+dispatch is the ``component`` spans of a session and the
+``components.<method>``, ``kernel.*``, ``alternating.stages`` and
+``dg.decrements`` counters, with no per-component copy kept on a result.
 """
 
 from .export import (

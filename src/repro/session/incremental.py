@@ -18,7 +18,6 @@ maintains those semantics here too.
   only when the grounding grows (below);
 * a component-level reverse adjacency (``dependents``, built when the
   grounding first grows): which components read each component's verdict;
-* the :class:`ComponentReport` of every component;
 * one aggregate true set and one aggregate false set holding every
   verdict — an atom in neither is undefined.  There is no per-component
   copy: re-solving a component takes its atoms out of the aggregates and
@@ -66,6 +65,14 @@ A session configured with ``engine="kernel"`` runs this same path: the
 compiled kernel of :mod:`repro.kernel` is a one-shot evaluator, so the
 aggregate sets are the only copy of a session's verdicts.
 
+The engine keeps no per-component log either.  Every component solve
+runs in a ``component`` span of the engine's recorder (index, method,
+size, residual rules, stages) and counts ``components.<method>``; a
+refresh's method split is :attr:`UpdateStats.methods`, and
+:meth:`IncrementalEngine.statistics` reads the program's shape
+(components, the largest one, ground rules, atoms) off the engine's own
+state.
+
 What a session publishes per epoch is :attr:`IncrementalEngine.view`, an
 immutable per-predicate :class:`~repro.engine.view.ModelView`.  A refresh
 notes every atom whose verdict or fact status may have moved: the flips
@@ -93,7 +100,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..analysis.dependency import build_atom_dependency_graph
 from ..core.context import GroundContext, extend_context
-from ..core.modular import ComponentReport, ModularResult, solve_component
+from ..core.modular import solve_component
 from ..datalog.atoms import Atom
 from ..datalog.grounding import GroundingLimits, IncrementalGrounder
 from ..datalog.rules import Program
@@ -205,7 +212,6 @@ class IncrementalEngine:
         # Mutable solved state, populated by the first refresh.
         self._components: list[set[Atom]] = []
         self._component_of: dict[Atom, int] = {}
-        self._reports: list[Optional[ComponentReport]] = []
         self._rule_atoms: frozenset[Atom] = frozenset()
         self._dependents: Optional[list[set[int]]] = None
         self._true: set[Atom] = set()
@@ -313,7 +319,7 @@ class IncrementalEngine:
         meter = current_meter()
         context = self._rule_context
         old_atoms = self._rule_atoms
-        old_component_of, old_reports = self._component_of, self._reports
+        old_component_of = self._component_of
         # Release what describes the old condensation before building the
         # new one, so the two never coexist at peak.
         self._delta = None
@@ -335,15 +341,10 @@ class IncrementalEngine:
         self._dependents = None
         del graph
         if self._solved:
-            self._carry_over(old_atoms, old_component_of, old_reports)
-        else:
-            self._reports = [None] * len(self._components)
+            self._carry_over(old_atoms, old_component_of)
 
     def _carry_over(
-        self,
-        old_atoms: frozenset[Atom],
-        old_component_of: Mapping[Atom, int],
-        old_reports: list[Optional[ComponentReport]],
+        self, old_atoms: frozenset[Atom], old_component_of: Mapping[Atom, int]
     ) -> None:
         """Map the solved model onto a condensation re-derived after the
         grounding grew.
@@ -353,9 +354,11 @@ class IncrementalEngine:
         hence false), so the model stays the model of the grown program:
         atoms new to the rules keep their old verdict — true for a fact
         (it was floating), false otherwise.  Components that kept their
-        membership keep their reports; new or merged ones are solved
+        membership keep their verdicts; new or merged ones are solved
         against the unchanged verdicts below them, which reproduces those
-        verdicts and gives them real reports.
+        verdicts.  A component kept its membership when all its atoms were
+        rule atoms of one old component of the same size; the old sizes
+        are counted from *old_component_of*.
         """
         facts = self._facts
         for atom in self._rule_atoms - old_atoms:
@@ -364,40 +367,36 @@ class IncrementalEngine:
                 self._true.add(atom)
             else:
                 self._false.add(atom)
-        self._reports = []
+        old_sizes: dict[int, int] = {}
+        for old in old_component_of.values():
+            old_sizes[old] = old_sizes.get(old, 0) + 1
         changed = []
         for index, component in enumerate(self._components):
-            old = old_component_of.get(next(iter(component)))
-            report = old_reports[old] if old is not None else None
+            first = next(iter(component))
+            old = old_component_of.get(first) if first in old_atoms else None
             if (
-                report is not None
-                and len(report.atoms) == len(component)
-                and all(old_component_of.get(atom) == old for atom in component)
+                old is None
+                or old_sizes[old] != len(component)
+                or any(old_component_of.get(atom) != old for atom in component)
             ):
-                if report.index != index:
-                    report = dataclasses.replace(report, index=index)
-                self._reports.append(report)
-            else:
-                self._reports.append(None)
                 changed.append(index)
         for index in changed:
             self._resolve_in_place(index, facts)
 
-    def _resolve_in_place(self, index: int, facts: AbstractSet[Atom]) -> ComponentReport:
+    def _resolve_in_place(self, index: int, facts: AbstractSet[Atom]) -> str:
         """Solve one component against the verdicts below it: its atoms
         leave the aggregates and its new verdicts enter them (and, as
-        possible flips, the view's to-do list).  Returns (and stores) its
-        report."""
+        possible flips, the view's to-do list).  Returns the method that
+        solved it."""
         component = self._components[index]
         if self._flips is not None:
             self._flips.update(component)
         self._true.difference_update(component)
         self._false.difference_update(component)
-        comp_true, comp_false, report = self._solve_one(index, component, facts)
+        comp_true, comp_false, method = self._solve_one(index, component, facts)
         self._true |= comp_true
         self._false |= comp_false
-        self._reports[index] = report
-        return report
+        return method
 
     def _fold_in(self, start: int) -> bool:
         """Fold the rules appended from index *start* into the solved
@@ -432,7 +431,6 @@ class IncrementalEngine:
                 self._components.append({atom})
                 component_of[atom] = index
                 dependents.append(set())
-                self._reports.append(None)
                 if atom in heads:
                     ceiling += 1
                     rank.append(ceiling)
@@ -552,14 +550,6 @@ class IncrementalEngine:
         return self._rule_atoms | self._facts
 
     @property
-    def context(self) -> GroundContext:
-        """A :class:`GroundContext` for the current program state (used by
-        the explainer and the stats renderers)."""
-        return dataclasses.replace(
-            self._rule_context, facts=frozenset(self._facts), base=self.base
-        )
-
-    @property
     def rule_context(self) -> GroundContext:
         """The ground rules without the facts.  Growing the grounding
         replaces this object rather than mutating it, so a published epoch
@@ -612,11 +602,17 @@ class IncrementalEngine:
         leaves the epoch (like the model) unchanged."""
         return self._epoch
 
-    def modular_result(self) -> ModularResult:
-        """The solved state as a :class:`~repro.core.modular.ModularResult`
-        (per-component reports over the current context)."""
-        reports = tuple(report for report in self._reports if report is not None)
-        return ModularResult(context=self.context, model=self.model, components=reports)
+    def statistics(self) -> dict[str, int]:
+        """The shape of the solved program, read off the engine's own
+        state: the component count and the largest component's size, the
+        ground rules, and the atom universe's size (:attr:`base`, counted
+        without building it)."""
+        return {
+            "components": len(self._components),
+            "largest_component": max(map(len, self._components), default=0),
+            "ground_rules": len(self._rule_context.rules),
+            "atoms": len(self._rule_atoms) + len(self._floating),
+        }
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -707,8 +703,8 @@ class IncrementalEngine:
         meter = current_meter()
         for index in sorted(range(len(self._components)), key=self._rank.__getitem__):
             meter.step("refresh")
-            report = self._resolve_in_place(index, facts)
-            methods[report.method] = methods.get(report.method, 0) + 1
+            method = self._resolve_in_place(index, facts)
+            methods[method] = methods.get(method, 0) + 1
         return UpdateStats(
             mode="initial",
             changed=0,
@@ -722,31 +718,9 @@ class IncrementalEngine:
 
     def _solve_one(
         self, index: int, component: set[Atom], facts: AbstractSet[Atom]
-    ) -> tuple[set[Atom], set[Atom], ComponentReport]:
-        """Dispatch one component, wrapping it in a ``component`` span when
-        a tracing recorder is attached (the null path adds no calls)."""
-        recorder = self._recorder
-        if recorder.enabled:
-            with recorder.span("component") as comp_span:
-                comp_true, comp_false, report = solve_component(
-                    component,
-                    index,
-                    self._rule_context.rules,
-                    self._rule_context.rules_by_head,
-                    facts,
-                    self._true,
-                    self._false,
-                    recorder=recorder,
-                )
-                comp_span.annotate(
-                    index=index,
-                    method=report.method,
-                    size=report.size,
-                    rules=report.rules,
-                    stages=report.stages,
-                )
-                recorder.count(f"components.{report.method}")
-            return comp_true, comp_false, report
+    ) -> tuple[set[Atom], set[Atom], str]:
+        """Dispatch one component against the aggregates, in a
+        ``component`` span of the engine's recorder."""
         return solve_component(
             component,
             index,
@@ -755,6 +729,7 @@ class IncrementalEngine:
             facts,
             self._true,
             self._false,
+            recorder=self._recorder,
         )
 
     def _solve_delta(self, facts: AbstractSet[Atom], changed: set[Atom]) -> UpdateStats:
@@ -819,10 +794,7 @@ class IncrementalEngine:
             # aggregates.  `solve_component` only consults the aggregates
             # for atoms *outside* the component, so the component's own
             # entries stay for the maintainer to diff against.
-            comp_true, comp_false, report = self._solve_one(
-                index, self._components[index], facts
-            )
-            self._reports[index] = report
+            comp_true, comp_false, _ = self._solve_one(index, self._components[index], facts)
             return comp_true, comp_false
 
         # Every verdict flip goes on the view's to-do list.

@@ -619,7 +619,11 @@ class KnowledgeBase:
     def statistics(self) -> dict[str, object]:
         """Session counters plus cumulative refresh history (including
         ``rules_added``, the ground rules incremental grounding appended),
-        store stats and — when incremental — component statistics."""
+        store stats and — when incremental — the solved program's shape
+        (``components``, ``largest_component``, ``ground_rules``,
+        ``atoms``).  How the last refresh solved its components is
+        ``last_update``; a session's per-component log is the
+        ``component`` spans of its recorder."""
         self._refresh()
         stats: dict[str, object] = {
             "rules": len(self._rules),
@@ -644,7 +648,7 @@ class KnowledgeBase:
         stats["store_indexes"] = store_stats["indexes"]
         stats["store_probes"] = store_stats["probes"]
         if self._engine is not None:
-            stats.update(self._engine.modular_result().statistics())
+            stats.update(self._engine.statistics())
         return stats
 
     # ------------------------------------------------------------------ #

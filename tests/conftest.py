@@ -8,6 +8,7 @@ import pytest
 from repro.datalog import parse_program
 from repro.datalog.rules import Program
 from repro.games import figure4a_edges, figure4b_edges, figure4c_edges, win_move_program
+from repro.obs import TraceRecorder
 from repro.session import IncrementalEngine
 
 
@@ -78,19 +79,45 @@ def figure4_programs():
     }
 
 
-def _session_full_solve(program):
-    """Solve *program* the way a session does on its first refresh: the
-    rules go to an :class:`IncrementalEngine`, the facts to its full
-    ``refresh``, and every component to ``solve_component``.  Returns the
-    engine's :class:`~repro.core.modular.ModularResult`."""
-    rules = Program(rule for rule in program if not rule.is_fact)
-    engine = IncrementalEngine(rules)
-    engine.refresh(frozenset(rule.head for rule in program.facts()))
-    return engine.modular_result()
+class SessionSolve:
+    """A session engine's full solve, read back the way a caller reads it:
+    the rules go to an :class:`IncrementalEngine`, the facts to its full
+    ``refresh``, and every component to ``solve_component``.  The model and
+    base come from the engine; the per-component log comes from its
+    recorder — one ``component`` span per component (``components`` holds
+    their attributes) and the ``components.<method>`` counters."""
+
+    def __init__(self, program: Program):
+        self.recorder = TraceRecorder()
+        engine = IncrementalEngine(
+            Program(rule for rule in program if not rule.is_fact), recorder=self.recorder
+        )
+        engine.refresh(frozenset(rule.head for rule in program.facts()))
+        self.model = engine.model
+        self.base = engine.base
+        self.components = [
+            span.attributes for _, span in self.recorder.walk() if span.name == "component"
+        ]
+
+    @property
+    def is_total(self) -> bool:
+        return self.model.is_total_over(self.base)
+
+    @property
+    def undefined_atoms(self) -> frozenset:
+        return self.model.undefined_atoms(self.base)
+
+    def method_counts(self) -> dict[str, int]:
+        totals = self.recorder.counter_totals()
+        return {
+            method: int(totals[f"components.{method}"])
+            for method in ("horn", "stratified", "alternating")
+            if f"components.{method}" in totals
+        }
 
 
 @pytest.fixture(scope="session")
 def session_full_solve():
     """The session engine's full solve (session-scoped, so Hypothesis
     tests may take it)."""
-    return _session_full_solve
+    return SessionSolve

@@ -2,8 +2,10 @@
 
 A session solves every component of its ground program with
 :func:`repro.core.modular.solve_component`; the ``session_full_solve``
-fixture (``tests/conftest.py``) runs that full solve and returns its
-:class:`~repro.core.modular.ModularResult` of per-component reports.
+fixture (``tests/conftest.py``) runs that full solve under a
+:class:`~repro.obs.TraceRecorder` and reads the model from the engine
+and the per-component log — ``component`` spans and
+``components.<method>`` counters — from the trace.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.core.wellfounded import well_founded_model
 from repro.datalog import parse_program
 from repro.datalog.atoms import Atom
 from repro.exceptions import EvaluationError
+from repro.session import KnowledgeBase
 from repro.workloads import layered_program
 
 
@@ -51,7 +54,7 @@ class TestModelEquality:
 
     def test_empty_program(self, session_full_solve):
         modular = session_full_solve(parse_program(""))
-        assert modular.component_count == 0
+        assert modular.components == []
         assert modular.model.true_atoms == frozenset()
         assert modular.model.false_atoms == frozenset()
 
@@ -69,7 +72,7 @@ class TestMethodDispatch:
 
     def test_positive_recursion_is_one_horn_component(self, session_full_solve):
         modular = session_full_solve(parse_program("p :- q. q :- p. r."))
-        sizes = {report.size for report in modular.components}
+        sizes = {component["size"] for component in modular.components}
         assert 2 in sizes  # the {p, q} loop collapses into one component
         assert set(modular.method_counts()) == {"horn"}
         assert modular.model.false_atoms >= {Atom("p"), Atom("q")}
@@ -84,7 +87,7 @@ class TestMethodDispatch:
     def test_negation_through_recursion_is_alternating(self, session_full_solve):
         modular = session_full_solve(parse_program("p :- not q. q :- not p."))
         assert modular.method_counts() == {"alternating": 1}
-        assert modular.model.undefined_atoms(modular.context.base) == {Atom("p"), Atom("q")}
+        assert modular.undefined_atoms == {Atom("p"), Atom("q")}
 
     def test_self_negation_singleton_is_alternating(self, session_full_solve):
         modular = session_full_solve(parse_program("p :- not p."))
@@ -93,18 +96,13 @@ class TestMethodDispatch:
 
     def test_literals_on_undefined_atoms_are_stratified(self, session_full_solve):
         # q (positive) and r (negative) both rest on the undefined p from
-        # the component below; s rests on both observers.
+        # the component below; s rests on both observers.  Only p's
+        # singleton depends on itself, so it is the alternating one.
         modular = session_full_solve(
             parse_program("p :- not p. q :- p. r :- not p. s :- q, r.")
         )
-        methods = {
-            next(iter(report.atoms)).predicate: report.method
-            for report in modular.components
-        }
-        assert methods["p"] == "alternating"
-        assert methods["q"] == "stratified"
-        assert methods["r"] == "stratified"
-        assert methods["s"] == "stratified"
+        assert [component["size"] for component in modular.components] == [1, 1, 1, 1]
+        assert modular.method_counts() == {"alternating": 1, "stratified": 3}
         assert modular.undefined_atoms == {Atom("p"), Atom("q"), Atom("r"), Atom("s")}
 
     def test_killed_rule_does_not_force_alternating(self, session_full_solve):
@@ -113,8 +111,8 @@ class TestMethodDispatch:
         # residual rules are purely positive, so the component must solve
         # as one Horn closure, not a per-component alternating fixpoint.
         modular = session_full_solve(parse_program("a. p :- q. q :- p. p :- not q, not a."))
-        loop = next(report for report in modular.components if report.size == 2)
-        assert loop.method == "horn"
+        loop = next(component for component in modular.components if component["size"] == 2)
+        assert loop["method"] == "horn"
         assert modular.model.false_atoms == {Atom("p"), Atom("q")}
 
     def test_layered_dispatch_counts(self, session_full_solve):
@@ -126,22 +124,23 @@ class TestMethodDispatch:
         # ...watched by one frontier and one shadow observer per layer.
         assert counts["stratified"] == 2 * layers
         # Everything else (chains, bridges, bases) resolves as Horn.
-        assert counts["horn"] == modular.component_count - 3 * layers
+        assert counts["horn"] == len(modular.components) - 3 * layers
 
-    def test_component_reports_are_consistent(self, session_full_solve, example_5_1):
+    def test_component_spans_are_consistent(self, session_full_solve, example_5_1):
         modular = session_full_solve(example_5_1)
-        for report in modular.components:
-            assert report.size >= 1
-            assert report.true_count + report.false_count + report.undefined_count == report.size
-            assert report.method in ("horn", "stratified", "alternating")
-            assert report.stages >= 1
-        total = sum(report.size for report in modular.components)
-        assert total == len(modular.context.base)
+        for index, component in enumerate(modular.components):
+            assert component["index"] == index
+            assert component["size"] >= 1
+            assert component["rules"] >= 0
+            assert component["method"] in ("horn", "stratified", "alternating")
+            assert component["stages"] >= 1
+        total = sum(component["size"] for component in modular.components)
+        assert total == len(modular.base)
 
-    def test_statistics_shape(self, session_full_solve, win_move_4b):
-        stats = session_full_solve(win_move_4b).statistics()
+    def test_statistics_shape(self, win_move_4b):
+        stats = KnowledgeBase(win_move_4b).statistics()
         assert stats["components"] > 0
-        assert "methods" in stats and "stages" in stats
+        assert "methods" not in stats and "stages" not in stats
         assert stats["atoms"] == 8
 
 
@@ -167,7 +166,8 @@ class TestReservedLookingPredicate:
         modular = session_full_solve(program)
         base = alternating_fixpoint(program).context.base
         assert modular.model.true_atoms | modular.model.false_atoms <= base
-        assert {atom for report in modular.components for atom in report.atoms} == base
+        assert modular.base == base
+        assert sum(component["size"] for component in modular.components) == len(base)
         assert modular.undefined_atoms == base
 
 

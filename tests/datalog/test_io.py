@@ -58,6 +58,15 @@ class TestFactsCsv:
         loaded = load_facts_csv(path, "edge")
         assert isinstance(loaded, MemoryStore)
         assert loaded.values("edge") == {(1, 2), (2, 3), ("x", "y")}
+        # A hand-written LF file saves back byte for byte; CRLF still loads.
+        source = tmp_path / "source.csv"
+        source.write_bytes(b"a,b\nb,c\n")
+        saved = tmp_path / "saved.csv"
+        save_facts_csv(load_facts_csv(source, "edge"), "edge", saved)
+        assert saved.read_bytes() == source.read_bytes()
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(b"a,b\r\nb,c\r\n")
+        assert load_facts_csv(crlf, "edge").values("edge") == {("a", "b"), ("b", "c")}
 
     def test_numeric_coercion_can_be_disabled(self, tmp_path):
         path = tmp_path / "edge.csv"

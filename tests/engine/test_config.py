@@ -133,7 +133,6 @@ class TestSolveIntegration:
     def test_entry_points_accept_config(self):
         from repro.core.alternating import alternating_fixpoint
         from repro.core.wellfounded import well_founded_model
-        from repro.kernel import kernel_well_founded
         from repro.semantics.horn import horn_minimum_model
         from repro.semantics.stratified import stratified_model
 
@@ -141,7 +140,9 @@ class TestSolveIntegration:
         afp = alternating_fixpoint(self.GAME_PROGRAM(), config=config)
         wfs = well_founded_model(self.GAME_PROGRAM(), config=config)
         assert afp.model == wfs.model
-        kernel = kernel_well_founded(self.GAME_PROGRAM(), config=config)
+        kernel = alternating_fixpoint(
+            self.GAME_PROGRAM(), config=EngineConfig(strategy="naive", engine="kernel")
+        )
         assert kernel.model == afp.model
         horn = horn_minimum_model(self.HORN_PROGRAM(), config=config)
         stratified = stratified_model(self.HORN_PROGRAM(), config=config)

@@ -309,7 +309,7 @@ class TestFrontEnds:
     def test_every_front_end_lowers_the_same_program(self, text):
         lowered = _front_ends(text)
         reference = lowered["context"]
-        model = evaluate_model(reference)[0]
+        model = evaluate_model(reference)
         for name, compiled in lowered.items():
             _assert_well_formed(compiled)
             assert set(compiled.atoms) == set(reference.atoms), name
@@ -323,7 +323,7 @@ class TestFrontEnds:
             assert self_dep == {
                 reference.atoms[i] for i in range(reference.n_atoms) if reference.self_dep[i]
             }, name
-            assert evaluate_model(compiled)[0] == model, name
+            assert evaluate_model(compiled) == model, name
 
     def test_grounder_ids_facts_first_then_as_bindings_meet_atoms(self):
         program = parse_program(

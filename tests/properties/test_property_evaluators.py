@@ -6,9 +6,10 @@ one-shot solves, and the session engine, whose full solve
 (``IncrementalEngine.refresh`` with no change set) runs
 :func:`~repro.core.modular.solve_component` over every component.  The
 kernel is fed two ways: from a built ground context
-(:func:`kernel_well_founded`), and — the route a well-founded ``solve``
-takes — straight from the grounder's bindings or a ground program's
-rules, with no context built.  Each must produce a partial model
+(:func:`~repro.kernel.kernel_model`), and — the route a well-founded
+``solve`` takes — straight from the grounder's bindings or a ground
+program's rules, with no context built.  Each evaluator's method counts
+are read off its trace's ``components.*`` counters.  Each must produce a partial model
 **byte-identical** to the monolithic alternating fixpoint and to the
 unfounded-set characterisation (:func:`well_founded_model`) on every
 program — Theorem 7.8 plus the splitting property of the well-founded
@@ -45,7 +46,7 @@ from repro.core.context import build_context
 from repro.core.wellfounded import well_founded_model
 from repro.datalog.rules import Program, Rule
 from repro.engine.solver import solve
-from repro.kernel import kernel_well_founded
+from repro.kernel import kernel_model
 from repro.obs import TraceRecorder
 from repro.semantics.horn import horn_minimum_model
 from repro.semantics.stratified import stratified_model
@@ -70,21 +71,13 @@ def _render(model) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-class _SolvedIntoTheKernel:
-    """``solve`` under the well-founded semantics — grounded straight into
-    the kernel's int IR — as an evaluator: its model, and its method
-    counts read off its trace.  It builds no context, and its base is
-    ``build_context``'s."""
+class _Traced:
+    """An evaluator's model, whether it is total over its base, and its
+    method counts read off the trace of the run."""
 
-    def __init__(self, program: Program):
-        recorder = TraceRecorder()
-        solution = solve(
-            program, config=EngineConfig(semantics="well-founded"), recorder=recorder
-        )
-        assert solution.context is None
-        assert solution.base == build_context(program).base, "base vs build_context"
-        self.model = solution.interpretation
-        self.is_total = solution.is_total
+    def __init__(self, model, base, recorder: TraceRecorder):
+        self.model = model
+        self.is_total = model.is_total_over(base)
         self._totals = recorder.counter_totals()
 
     def method_counts(self) -> dict[str, int]:
@@ -95,15 +88,33 @@ class _SolvedIntoTheKernel:
         }
 
 
+def _kernel_over_a_context(program: Program) -> _Traced:
+    """The kernel fed a built ground context."""
+    context = build_context(program)
+    recorder = TraceRecorder()
+    return _Traced(kernel_model(context, recorder), context.base, recorder)
+
+
+def _solved_into_the_kernel(program: Program) -> _Traced:
+    """``solve`` under the well-founded semantics — grounded straight into
+    the kernel's int IR.  It builds no context, and its base is
+    ``build_context``'s."""
+    recorder = TraceRecorder()
+    solution = solve(program, config=EngineConfig(semantics="well-founded"), recorder=recorder)
+    assert solution.context is None
+    assert solution.base == build_context(program).base, "base vs build_context"
+    return _Traced(solution.interpretation, solution.base, recorder)
+
+
 @pytest.fixture(scope="module", params=["kernel", "session", "solve"])
 def evaluate(request, session_full_solve):
     """One production evaluator: the one-shot kernel over a context, a
     session's full solve, or ``solve``'s kernel route (module-scoped, so
     Hypothesis tests may take it)."""
     return {
-        "kernel": kernel_well_founded,
+        "kernel": _kernel_over_a_context,
         "session": session_full_solve,
-        "solve": _SolvedIntoTheKernel,
+        "solve": _solved_into_the_kernel,
     }[request.param]
 
 

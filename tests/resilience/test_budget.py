@@ -38,7 +38,7 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.games import win_move_program
-from repro.kernel import kernel_well_founded
+from repro.kernel import kernel_model
 from repro.obs import TraceRecorder
 from repro.resilience import metered
 from repro.workloads.generators import layered_program, transitive_closure_program
@@ -152,7 +152,7 @@ class TestPhaseAborts:
         chain = "a0. " + " ".join(f"a{i + 1} :- a{i}." for i in range(199))
         config = EngineConfig(budget=Budget(max_steps=1))
         with pytest.raises(BudgetExceeded) as excinfo:
-            kernel_well_founded(parse_program(chain), config=config)
+            alternating_fixpoint(parse_program(chain), config=config)
         assert excinfo.value.phase == "component"
         assert excinfo.value.steps == 2
 
@@ -323,16 +323,16 @@ class TestSingleComponentBudget:
         # keeps a full collection of the rest of the suite's garbage out
         # of the abort latency being measured.
         context = build_context(single_component_game)
-        kernel_well_founded(context)
+        kernel_model(context)
         start = time.monotonic()
-        kernel_well_founded(context)
+        kernel_model(context)
         baseline = time.monotonic() - start
         deadline = max(baseline / 4, 0.05)
         config = EngineConfig(budget=Budget(max_seconds=deadline))
         gc.collect()
         start = time.monotonic()
         with pytest.raises(BudgetExceeded) as excinfo:
-            kernel_well_founded(context, config=config)
+            alternating_fixpoint(context, config=config)
         elapsed = time.monotonic() - start
         assert elapsed < 2 * deadline, (elapsed, deadline)
         assert excinfo.value.phase == "alternating"

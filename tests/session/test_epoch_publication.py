@@ -85,7 +85,6 @@ def test_publication_reads_no_whole_model_structure(monkeypatch):
 
     monkeypatch.setattr(IncrementalEngine, "model", property(whole_model))
     monkeypatch.setattr(IncrementalEngine, "base", property(whole_model))
-    monkeypatch.setattr(IncrementalEngine, "context", property(whole_model))
     kb.assert_fact("move", "c", "d")
     assert set(kb.query("wins")) == {("c",)}
     assert kb.snapshot().rows("wins", truth=TruthValue.UNDEFINED) == [("a",), ("b",)]
@@ -99,7 +98,7 @@ def test_publication_reads_no_whole_model_structure(monkeypatch):
     assert solution.interpretation.true_atoms == scratch.interpretation.true_atoms
     assert solution.base == kb._engine.base
     assert solution.interpretation == kb._engine.model
-    assert solution.context.facts == kb._engine.context.facts
+    assert solution.context.facts == frozenset(kb.store.facts())
     kb.close()
 
 

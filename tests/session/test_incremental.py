@@ -128,13 +128,20 @@ class TestEngineDirect:
         assert stats.mode == "initial"
         assert engine.model.is_true(next(iter(engine.base & {a for a in engine.base if a.predicate == "p"})))
 
-    def test_modular_result_view(self):
-        engine = IncrementalEngine(parse_program("p :- not q. r :- p."))
-        engine.refresh(frozenset(), None)
-        result = engine.modular_result()
-        assert result.component_count == engine.component_count
-        assert result.model == engine.model
-        assert "components" in result.statistics()
+    def test_statistics_read_off_the_engine(self):
+        from repro.datalog import parse_atom
+
+        engine = IncrementalEngine(parse_program("p :- not q. q :- not p. r :- p. s :- r."))
+        facts = frozenset({parse_atom("r"), parse_atom("f")})
+        engine.refresh(facts, None)
+        assert engine.statistics() == {
+            "components": engine.component_count,
+            "largest_component": 2,
+            "ground_rules": len(engine.rule_context.rules),
+            "atoms": len(engine.base),
+        }
+        engine.refresh(frozenset({parse_atom("r")}), {parse_atom("f")})
+        assert engine.statistics()["atoms"] == len(engine.base) == 4
 
     def test_failed_delta_falls_back_to_full_resolve(self, monkeypatch):
         from repro.datalog import parse_atom

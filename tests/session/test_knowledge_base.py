@@ -12,6 +12,7 @@ from repro.delta import DeltaMaintainer
 from repro.engine.solver import solve, solve_configured
 from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
+from repro.obs import TraceRecorder
 from repro.session import KnowledgeBase, ResultSet
 from repro.storage import MemoryStore, SqliteStore
 from repro.workloads import social_graph_program
@@ -387,6 +388,38 @@ class TestWellFoundedEquivalentRouting:
         assert stats["rules"] == 2
         assert stats["facts"] == 2
         assert "components" in stats
+
+    def test_statistics_after_a_delta_match_a_fresh_session(self):
+        # Asserting s re-solves the {r, s} loop and leaves p to the
+        # counting pass: every figure but the refresh history must equal
+        # a session solved from scratch over the same facts.
+        rules = "p :- q, not r. r :- not s. s :- not r."
+        kb = KnowledgeBase(rules)
+        kb.assert_fact("q")
+        kb.solution
+        kb.assert_fact("s")
+        assert kb.is_true("p")
+        recorder = TraceRecorder()
+        fresh = KnowledgeBase(
+            rules, facts=[parse_atom("q"), parse_atom("s")], recorder=recorder
+        )
+        history = {
+            "refreshes",
+            "refresh_total_s",
+            "refresh_mean_s",
+            "refresh_modes",
+            "last_mode",
+            "last_update",
+        }
+        stats, expected = kb.statistics(), fresh.statistics()
+        assert stats.keys() == expected.keys()
+        assert {key: stats[key] for key in stats.keys() - history} == {
+            key: expected[key] for key in expected.keys() - history
+        }
+        totals = recorder.counter_totals()
+        assert {
+            name: count for name, count in totals.items() if name.startswith("components.")
+        } == {"components.horn": 2, "components.alternating": 1}
 
     def test_failed_refresh_keeps_the_delta_queued(self):
         # q true turns the program into an odd loop with no stable model;
