@@ -379,28 +379,34 @@ def build_atom_dependency_graph(
 
     positive: dict[Atom, set[Atom]] = {}
     negative: dict[Atom, set[Atom]] = {}
+    # Successors in rule and body order (positive body, then negative),
+    # each once: a dict is the ordered set, so the SCC walk, and with it
+    # the component numbering, never depends on the hash seed.
+    successors: dict[Atom, dict[Atom, None]] = {}
     meter = current_meter()
     for rule in source.rules:
         meter.tick("condense", stride=512)
         head = rule.head
+        if not (rule.positive_body or rule.negative_body):
+            continue
+        ordered = successors.get(head)
+        if ordered is None:
+            ordered = successors[head] = {}
         if rule.positive_body:
             targets = positive.get(head)
             if targets is None:
                 targets = positive[head] = set()
             targets.update(rule.positive_body)
+            ordered.update(dict.fromkeys(rule.positive_body))
         if rule.negative_body:
             targets = negative.get(head)
             if targets is None:
                 targets = negative[head] = set()
             targets.update(rule.negative_body)
-
-    adjacency: dict[Atom, list[Atom]] = {}
-    for head in positive.keys() | negative.keys():
-        merged = positive.get(head, set()) | negative.get(head, set())
-        adjacency[head] = list(merged)
+            ordered.update(dict.fromkeys(rule.negative_body))
 
     graph.nodes = set(source.base)
-    graph.adjacency = adjacency
+    graph.adjacency = {head: list(ordered) for head, ordered in successors.items()}
     graph._positive = positive
     graph._negative = negative
     return graph

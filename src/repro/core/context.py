@@ -141,12 +141,11 @@ def build_context(
     store:
         An optional :class:`~repro.storage.FactStore` supplying EDB facts
         alongside the program's own fact rules.  With the default
-        ``"relevant"`` grounder and a non-ground program, the store's rows
-        and bound-position indexes are probed in place by the streaming
-        grounder — the per-solve copy of the fact base into a fresh
-        ``RelationStore`` disappears.  Ground programs and the other
-        grounders materialise the store's facts into the program instead
-        (preserving their exact historical rule sets and atom bases).
+        ``"relevant"`` grounder and a non-ground program, the streaming
+        grounder reads the store once, into its own relations.  Ground
+        programs and the other grounders materialise the store's facts
+        into the program instead (preserving their exact historical rule
+        sets and atom bases).
     recorder:
         Optional :class:`~repro.obs.Recorder`; a tracing recorder captures
         the whole grounding-plus-context pass as one ``ground`` span

@@ -36,8 +36,11 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   run over a flat slot list through lazily built argument-position hash
   indexes, a head is a row tuple until it is new to the envelope, and
   ground rules are emitted incrementally — there is no separate
-  re-instantiation pass.  :func:`stream_relevant_ground` exposes
-  the incremental rule stream directly (consumed by
+  re-instantiation pass.  The grounder owns every row it joins: a run
+  reads its EDB (the program's facts, then a store's rows) once, as the
+  first round's delta, into its own relations.
+  :func:`stream_relevant_ground` exposes the incremental rule stream
+  directly (consumed by
   :func:`repro.core.context.build_context` to build evaluation contexts
   without an intermediate program); it is the first run of an
   :class:`IncrementalGrounder`, the same fixpoint as a resumable object a
@@ -57,9 +60,9 @@ the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
   workloads; kept as the differential-testing oracle.
 
 Programs with function symbols have infinite Herbrand universes; the
-``max_depth`` parameter bounds the term nesting considered, which is the
-substitution documented in DESIGN.md (all paper experiments are
-function-free).
+``max_depth`` parameter bounds the term nesting considered (see
+:class:`GroundingLimits` and README's *Grounding* section; all paper
+experiments are function-free).
 """
 
 from __future__ import annotations
@@ -244,100 +247,41 @@ def _validate_matcher(matcher: str) -> None:
         raise GroundingError(f"unknown grounding matcher {matcher!r}; expected one of: {choices}")
 
 
-class _EnvelopeSpace:
-    """The envelope fixpoint's atom space over an optional live base store.
-
-    Without a base this is exactly the :class:`RelationStore` overlay the
-    grounder owns.  With one, the base's rows (and its lazily built,
-    *persistent* indexes) are probed in place through
-    :meth:`~repro.storage.FactStore.candidate_rows` — never copied or
-    re-indexed — and only atoms the base lacks land in the overlay, whose
-    rows follow the base's in one relation's joint row space.  The base's
-    sequence bounds are read once, so a space lives for one run: the base
-    must not be mutated while the run's windows are live.
-    """
-
-    __slots__ = ("base", "overlay", "base_bounds")
-
-    def __init__(self, base: "FactStore | None", overlay: RelationStore):
-        self.base = base
-        self.overlay = overlay
-        self.base_bounds: dict[tuple[str, int], int] = dict(base.sizes()) if base else {}
-
-    def __contains__(self, atom: Atom) -> bool:
-        if self.base is not None and self.base.contains_atom(atom):
-            return True
-        return atom in self.overlay
-
-    def sizes(self) -> dict[tuple[str, int], int]:
-        sizes = dict(self.base_bounds)
-        for key, relation in self.overlay.relations.items():
-            sizes[key] = sizes.get(key, 0) + relation.sequence_bound
-        return sizes
-
-    def probes(
-        self,
-        plan: JoinPlan,
-        old_sizes: dict[tuple[str, int], int],
-        new_sizes: dict[tuple[str, int], int],
-    ) -> Optional[list[Probe]]:
-        """One probe per step of *plan* for the round between *old_sizes*
-        and *new_sizes*, or ``None`` when a step's window is empty.  The
-        delta conjunct ranges over the round's new rows, the conjuncts
-        before it over strictly older rows and those after it over all."""
-        delta = plan.delta
-        probes = []
-        for step in plan.steps:
-            signature = step.signature
-            if step.conjunct < delta:
-                lo, hi = 0, old_sizes.get(signature, 0)
-            elif step.conjunct == delta:
-                lo, hi = old_sizes.get(signature, 0), new_sizes.get(signature, 0)
-            else:
-                lo, hi = 0, new_sizes.get(signature, 0)
-            if hi <= lo:
-                return None
-            probes.append(self._probe(signature, step.positions, lo, hi))
-        return probes
-
-    def _probe(
-        self, signature: tuple[str, int], positions: tuple[int, ...], lo: int, hi: int
-    ) -> Probe:
-        bound = self.base_bounds.get(signature, 0)
-        overlay = _no_rows
-        if hi > bound:
-            overlay = _overlay_probe(
-                self.overlay.relations[signature], positions, max(lo - bound, 0), hi - bound
-            )
-        if lo >= bound:
-            return overlay
-        base, stop = self.base, min(hi, bound)
-        predicate, arity = signature
-
-        def split(key: Row) -> Iterable[Row]:
-            rows = map(_row, base.candidate_rows(predicate, arity, positions, key, lo, stop))
-            return rows if overlay is _no_rows else itertools.chain(rows, overlay(key))
-
-        return split
-
-
-_row = itemgetter(1)
-
-
-def _no_rows(key: Row) -> tuple:
-    return ()
+def _probes(
+    relations: dict[tuple[str, int], Relation],
+    plan: JoinPlan,
+    old_sizes: dict[tuple[str, int], int],
+    new_sizes: dict[tuple[str, int], int],
+) -> Optional[list[Probe]]:
+    """One probe per step of *plan* for the round between *old_sizes* and
+    *new_sizes*, or ``None`` when a step's window is empty.  The delta
+    conjunct ranges over the round's new rows, the conjuncts before it over
+    strictly older rows and those after it over all."""
+    delta = plan.delta
+    probes = []
+    for step in plan.steps:
+        signature = step.signature
+        if step.conjunct < delta:
+            lo, hi = 0, old_sizes.get(signature, 0)
+        elif step.conjunct == delta:
+            lo, hi = old_sizes.get(signature, 0), new_sizes.get(signature, 0)
+        else:
+            lo, hi = 0, new_sizes.get(signature, 0)
+        if hi <= lo:
+            return None
+        probes.append(_overlay_probe(relations[signature], step.positions, lo, hi))
+    return probes
 
 
 def _overlay_probe(
     relation: Relation, positions: tuple[int, ...], lo: int, hi: int
 ) -> Probe:
-    """The probe of one overlay window: rows in ``[lo, hi)`` of *relation*
-    whose projection onto *positions* equals the key.  The overlay only
-    grows, and only between rounds, so it has no tombstones and a window's
-    rows and postings stay put while a round probes them.  Every position
-    bound is a membership test on ``row_ids``; none bound is the window
-    itself; otherwise the lazy hash index's posting list, cut to the
-    window."""
+    """The probe of one window of the grounder's rows: rows in ``[lo, hi)``
+    of *relation* whose projection onto *positions* equals the key.  The
+    relations only grow, and only between rounds, so a window's rows and
+    postings stay put while a round probes them.  Every position bound is
+    a membership test on ``row_ids``; none bound is the window itself;
+    otherwise the lazy hash index's posting list, cut to the window."""
     rows = relation.rows
     if len(positions) == relation.arity:
         row_ids = relation.row_ids
@@ -394,11 +338,9 @@ def relevant_ground(
     original linear-scan oracle.  Both produce the same rule set (the
     property suite asserts this), differing only in enumeration order.
 
-    *store*, when given, supplies EDB facts from a live
+    *store*, when given, supplies EDB facts from a
     :class:`~repro.storage.FactStore` in addition to the program's own fact
-    rules; the indexed matcher probes the store's indexes in place (see
-    :func:`stream_relevant_ground`), the scan oracle materialises the
-    store's facts into the program first.
+    rules; either matcher reads its facts once, up front.
     """
     _validate_matcher(matcher)
     if matcher == "scan":
@@ -423,12 +365,10 @@ def stream_relevant_ground(
     :func:`repro.core.context.build_context` use the stream to build their
     own indexes in the same pass instead of waiting for the full program.
 
-    *store*, when given, is a live :class:`~repro.storage.FactStore` whose
-    facts join the program's own fact rules as the EDB.  Its rows are
-    probed **in place** through the store's bound-position indexes — the
-    store is never copied into a per-run ``RelationStore``, and for the
-    in-memory backend the indexes one run builds are reused by the next.
-    The store must not be mutated while the stream is being consumed.
+    *store*, when given, is a :class:`~repro.storage.FactStore` whose
+    facts join the program's own fact rules as the EDB.  The run reads it
+    once, when the stream starts, into the grounder's own relations; what
+    the store does after that does not reach the stream.
 
     *recorder*, when tracing (see :mod:`repro.obs`), accumulates the
     ``ground.rounds`` / ``ground.delta_atoms`` / ``ground.rules_emitted``
@@ -458,18 +398,15 @@ class IncrementalGrounder:
     grounding over int atom ids.  Every run executes the join plans
     compiled from the rules once, at construction.
 
-    Facts retracted since the last run stay in the envelope
-    (:meth:`retain`).  The instances built on them are kept too; each has a
-    positive body atom outside the current envelope, so it never fires and
-    every verdict equals that of a from-scratch grounding, while the atom
-    base may carry extra atoms that are false.
-
-    With a live *store*, the envelope is the store's rows plus an overlay
-    the grounder owns (derived atoms, program facts, retained facts and
-    each run's asserted delta).  Store rows are probed in place through
-    sequence windows taken afresh at the start of every run and never kept
-    between runs, because :meth:`repro.storage.MemoryStore.compact` may
-    renumber them; the overlay is append-only, so its windows stay valid.
+    The grounder owns every row it joins.  A run reads its EDB once —
+    the program's facts, then the *store*'s rows (:meth:`_facts`) — and
+    queues them as round 0's delta into its own relations, which only ever
+    grow; :meth:`extend` appends the facts asserted since.  Facts retracted
+    since the last run stay among those rows, and so do the instances built
+    on them: each has a positive body atom outside the current EDB's
+    envelope, so it never fires and every verdict equals that of a
+    from-scratch grounding, while the atom base may carry extra atoms that
+    are false.
     """
 
     def __init__(
@@ -482,7 +419,7 @@ class IncrementalGrounder:
         self._limits = limits or GroundingLimits()
         self._store = store
         self._recorder = recorder if recorder is not None else NULL_RECORDER
-        self._overlay = RelationStore()
+        self._rows = RelationStore()
         self._seen: set[Rule] = set()
         self._emitted = 0
         # One pass splits the program: its facts, each once in program
@@ -501,17 +438,11 @@ class IncrementalGrounder:
     def ground(self) -> Iterator[Rule]:
         """The first run: the facts (sorted), then every rule instance the
         moment the round supplying its last positive body atom joins it."""
-        facts = self._facts()
-        space = _EnvelopeSpace(self._store, self._overlay)
-        pending: list[Atom] = []
-        for fact in sorted(facts, key=str):
+        facts = sorted(self._facts(), key=str)
+        for fact in facts:
             self._emitted += 1
             yield Rule(fact)
-            # Facts already present in the base store are part of round 0's
-            # delta windows by construction.
-            if fact not in space:
-                pending.append(fact)
-        yield from self._emit(self._first_run(space, pending), first_run=True)
+        yield from self._emit(self._fixpoint(facts, {}, first_run=True), first_run=True)
 
     def envelope(self) -> tuple[list[Atom], set[Atom]]:
         """The first run without rule instances: ``(facts, atoms)``, the
@@ -526,12 +457,10 @@ class IncrementalGrounder:
         recorded as emitted, so the grounder is not to be extended after.
         """
         facts = self._facts()
-        space = _EnvelopeSpace(self._store, self._overlay)
-        pending = [fact for fact in facts if fact not in space]
         atoms = set(facts)
         counted = len(facts)
         limit = self._limits.max_rules
-        for _, _, new in self._first_run(space, pending):
+        for _, _, new in self._fixpoint(facts, {}, first_run=True):
             counted += 1
             if counted > limit:
                 raise _rule_limit_error(limit)
@@ -558,20 +487,18 @@ class IncrementalGrounder:
         not to be extended after.
         """
         facts = self._facts()
-        space = _EnvelopeSpace(self._store, self._overlay)
         atoms = list(facts)
         ids: dict[tuple[str, int], dict[Row, int]] = {}
         for atom_id, fact in enumerate(facts):
             ids.setdefault((fact.predicate, fact.arity), {})[fact.args] = atom_id
         layouts = {plan: _id_layout(plan, ids) for plan in self._plans}
-        pending = [fact for fact in facts if fact not in space]
 
         seen: set[tuple[int, ...]] = set()
         heads: list[int] = []
         pos_off, pos_atoms, neg_off, neg_atoms = [0], [], [0], []
         limit = self._limits.max_rules
         emitted = len(facts)
-        for plan, slots, new in self._first_run(space, pending):
+        for plan, slots, new in self._fixpoint(facts, {}, first_run=True):
             head_ids, body, repeats = layouts[plan]
             row = plan.head_row(slots) if new is None else new.args
             head = head_ids.get(row)
@@ -612,52 +539,33 @@ class IncrementalGrounder:
             atoms, heads, pos_off, pos_atoms, neg_off, neg_atoms, list(range(len(facts)))
         )
 
-    def retain(self, atoms: Iterable[Atom]) -> None:
-        """Keep facts retracted from the store in the envelope, so later
-        runs still join against them."""
-        for atom in atoms:
-            self._overlay.add_atom(atom)
-
     def extend(self, asserted: Iterable[Atom]) -> Iterator[Rule]:
         """Resume from facts asserted since the last run, yielding only the
         rule instances not emitted before.
 
-        Atoms already in the envelope (a retained fact re-asserted, a
-        derivable atom asserted as a fact) need no work: every instance
-        they support was emitted when they entered it.  The new ones are
-        appended to the overlay as the first round's delta; the store's
-        copy of them also falls into the "older" windows of that round, so
-        a binding through two of them may be enumerated twice, which the
-        emitted set absorbs.
+        Atoms already among the grounder's rows (a retracted fact
+        re-asserted, a derivable atom asserted as a fact) need no work:
+        every instance they support was emitted when they joined them.  The
+        new ones are the first round's delta, joined against every row.
         """
-        new = [atom for atom in asserted if atom not in self._overlay]
-        if not new:
-            return
-        space = _EnvelopeSpace(self._store, self._overlay)
-        old_sizes = space.sizes()
-        for atom in new:
-            self._overlay.add_atom(atom)
-        bindings = self._fixpoint(space, [], old_sizes, first_round=True, first_run=False)
-        yield from self._emit(bindings, first_run=False)
+        rows = self._rows
+        new = [atom for atom in dict.fromkeys(asserted) if atom not in rows]
+        if new:
+            bindings = self._fixpoint(new, rows.sizes(), first_run=False)
+            yield from self._emit(bindings, first_run=False)
 
     def _facts(self) -> list[Atom]:
         """The EDB facts, each once: the program's in program order, then
-        the store's rows in store order."""
+        the store's rows in store order.  This is the run's one read of the
+        store."""
         if self._store is None:
             return list(self._program_facts)
+        stored = list(self._store.facts())
+        if not self._program_facts:
+            return stored  # a store holds each row once
         facts = dict.fromkeys(self._program_facts)
-        facts.update(dict.fromkeys(self._store.facts()))
+        facts.update(dict.fromkeys(stored))
         return list(facts)
-
-    def _first_run(
-        self, space: _EnvelopeSpace, pending: list[Atom]
-    ) -> Iterator[tuple[RulePlan, list, Optional[Atom]]]:
-        # With a base store, round 0 must also sweep the base rows:
-        # `old_sizes` starts all-zero, so the first round's delta windows
-        # cover them even when no program fact added to the overlay.
-        return self._fixpoint(
-            space, pending, {}, first_round=bool(space.base_bounds), first_run=True
-        )
 
     def _emit(
         self, bindings: Iterator[tuple[RulePlan, list, Optional[Atom]]], first_run: bool
@@ -685,10 +593,8 @@ class IncrementalGrounder:
 
     def _fixpoint(
         self,
-        space: _EnvelopeSpace,
-        pending: list[Atom],
+        delta: Iterable[Atom],
         old_sizes: dict[tuple[str, int], int],
-        first_round: bool,
         first_run: bool,
     ) -> Iterator[tuple[RulePlan, list, Optional[Atom]]]:
         """The semi-naive envelope fixpoint every run shares.
@@ -697,47 +603,45 @@ class IncrementalGrounder:
         positive body: the binding sits in *slots* until the loop resumes,
         and *new* is the head's atom when the head is new to the envelope
         (``None`` otherwise).  Heads are row tuples, tested against the
-        overlay's rows and the round's earlier heads, so an :class:`Atom`
+        grounder's rows and the round's earlier heads, so an :class:`Atom`
         is built only for a new one; it joins the next round's delta.  Each
         rule runs its compiled plans (:func:`repro.datalog.joins.join`):
         variant i pins conjunct i to the delta rows, conjuncts before i to
         strictly older rows and conjuncts after i to all rows, so no
-        binding is enumerated twice within a run.  *old_sizes* are the row
-        bounds already joined; *first_round* forces one round even when
-        *pending* is empty (the delta is already in place).  On the
-        *first_run*, the rules without positive conjuncts — ground by
-        safety — fire once first, seeding the envelope with their heads.
+        binding is enumerated twice within a run.  *delta* holds the first
+        round's atoms, none of them among the rows yet, and *old_sizes* the
+        row bounds already joined.  On the *first_run*, the rules without
+        positive conjuncts — ground by safety — fire once first, seeding
+        the envelope with their heads.
         """
         budget = current_meter()
         recorder = self._recorder
-        base = space.base
-        overlay = space.overlay.relations
+        rows = self._rows
+        relations = rows.relations
+        pending = list(delta)
 
-        if first_run:
+        seeds = [plan for plan in self._plans if not plan.variants] if first_run else ()
+        if seeds:
             queued = set(pending)
-            for plan in self._plans:
-                if plan.variants:
-                    continue
+            for plan in seeds:
                 slots = plan.slots()
                 head = Atom(plan.predicate, plan.head_row(slots))
-                fresh = head not in queued and head not in space
+                fresh = head not in queued
                 if fresh:
                     queued.add(head)
                     pending.append(head)
                 yield plan, slots, head if fresh else None
 
-        while pending or first_round:
-            first_round = False
+        while pending:
             batch = pending
             pending = []
-            # Every queued atom was checked against the base store already.
             # A round can queue tens of thousands of heads, so appending
             # them is a stretch that needs its own checkpoint.
             for atom in batch:
-                space.overlay.add_atom(atom)
+                rows.add_atom(atom)
                 budget.tick("ground")
             heads: dict[tuple[str, int], set[Row]] = {}
-            new_sizes = space.sizes()
+            new_sizes = rows.sizes()
             if recorder.enabled:
                 recorder.count("ground.rounds")
                 recorder.count("ground.delta_atoms", len(batch))
@@ -748,13 +652,11 @@ class IncrementalGrounder:
                 budget.check("ground")
                 predicate, head_row = plan.predicate, plan.head_row
                 signature = (predicate, plan.rule.head.arity)
-                relation = overlay.get(signature)
+                relation = relations.get(signature)
                 known = relation.row_ids if relation is not None else {}
                 derived = heads.setdefault(signature, set())
-                # A head can be in the base store only if its relation has rows there.
-                head_store = base if space.base_bounds.get(signature) else None
                 for variant in plan.variants:
-                    probes = space.probes(variant, old_sizes, new_sizes)
+                    probes = _probes(relations, variant, old_sizes, new_sizes)
                     if probes is None:
                         continue
                     slots = plan.slots()
@@ -764,10 +666,7 @@ class IncrementalGrounder:
                         if row not in known and row not in derived:
                             derived.add(row)
                             new = Atom(predicate, row)
-                            if head_store is not None and head_store.contains_atom(new):
-                                new = None
-                            else:
-                                pending.append(new)
+                            pending.append(new)
                         yield plan, slots, new
                         budget.tick("ground")
             old_sizes = new_sizes

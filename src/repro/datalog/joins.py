@@ -14,13 +14,15 @@ specialised relational-algebra machine, gringo's per-rule instantiators):
   builds (once, then maintains incrementally) a dict from the projected
   key tuple to the matching row ids, so subsequent probes cost O(1) plus
   the matches instead of a scan.
-* **Delta windows** — every row carries its insertion sequence number, so
-  a probe can be restricted to rows added before / within / up to a round
-  boundary.  This is what makes semi-naive evaluation cheap: the classic
-  rewriting evaluates, per rule and round, one variant per positive
-  conjunct with that conjunct ranging over the *delta* rows, earlier
-  conjuncts over strictly older rows, and later conjuncts over everything
-  — enumerating every new binding exactly once.
+* **Delta windows** — a row's sequence number is its position in
+  insertion order, so a probe can be restricted to rows added before /
+  within / up to a round boundary.  The relations belong to one grounder,
+  which reads its EDB into them once per run and only ever appends, so a
+  window is a slice of one list.  This is what makes semi-naive
+  evaluation cheap: the classic rewriting evaluates, per rule and round,
+  one variant per positive conjunct with that conjunct ranging over the
+  *delta* rows, earlier conjuncts over strictly older rows, and later
+  conjuncts over everything — enumerating every new binding exactly once.
 * **Compiled join plans** (:func:`compile_rule`) — a rule is compiled once
   into a :class:`RulePlan`.  Its ground arguments and its variables get
   fixed places in one flat slot list, and its head and body literals
@@ -41,8 +43,6 @@ while probing.
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -61,59 +61,39 @@ __all__ = [
 ]
 
 Row = tuple[Term, ...]
-_SEQUENCE, _ROW = itemgetter(0), itemgetter(1)
 #: One join step's probe for a round: the rows of its window whose
 #: projection onto the step's bound positions equals the given key.
 Probe = Callable[[Row], Iterable[Row]]
 
 
 class Relation:
-    """The ground facts of one ``(predicate, arity)`` signature.
+    """The ground facts of one ``(predicate, arity)`` signature, append-only.
 
     Rows are argument tuples kept in insertion order; ``row_ids`` maps a
-    row to its sequence number (doubling as the duplicate filter), and
-    ``indexes`` holds one hash index per binding pattern that has actually
-    been probed.  Indexes are built lazily from the current rows and then
-    maintained incrementally on every :meth:`add`, so the cost of an index
-    is only paid for patterns the workload's rules really use.
-
-    Removal (used by the long-lived :class:`repro.storage.MemoryStore`,
-    never by a grounding run) leaves a ``None`` tombstone in ``rows`` so
-    the sequence numbers of surviving rows — which delta windows and index
-    posting lists are keyed on — stay valid; probes skip tombstones, and
-    :meth:`compact` rebuilds once the garbage dominates.
+    row to its sequence number, its position in ``rows`` (doubling as the
+    duplicate filter), and ``indexes`` holds one hash index per binding
+    pattern that has actually been probed.  Indexes are built lazily from
+    the current rows and then maintained incrementally on every
+    :meth:`add`, so the cost of an index is only paid for patterns the
+    workload's rules really use.  A relation belongs to one grounder,
+    which only adds rows, and only between rounds: a window's rows and
+    posting lists stay put while a round probes them.
     """
 
-    __slots__ = ("predicate", "arity", "rows", "row_ids", "indexes", "dead", "_index_lock")
+    __slots__ = ("predicate", "arity", "rows", "row_ids", "indexes")
 
     def __init__(self, predicate: str, arity: int):
         self.predicate = predicate
         self.arity = arity
-        self.rows: list[Optional[tuple[Term, ...]]] = []
+        self.rows: list[tuple[Term, ...]] = []
         self.row_ids: dict[tuple[Term, ...], int] = {}
         self.indexes: dict[tuple[int, ...], dict[tuple[Term, ...], list[int]]] = {}
-        self.dead = 0
-        # Serialises index *registration* against row insertion.  A store's
-        # relations may be probed on one thread while another appends (a
-        # MemoryStore shared by a session and solves or sessions on other
-        # threads); a thread lazily building an index meanwhile could
-        # otherwise register a posting list missing the new row (the
-        # appender's maintenance loop only sees already-registered
-        # indexes).  Probes take the lock-free fast path once the index
-        # exists.
-        self._index_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self.rows) - self.dead
+        return len(self.rows)
 
     def __contains__(self, args: tuple[Term, ...]) -> bool:
         return args in self.row_ids
-
-    @property
-    def sequence_bound(self) -> int:
-        """Exclusive upper bound on row sequence numbers (tombstones
-        included, so the bound is monotone under removal)."""
-        return len(self.rows)
 
     def add(self, args: tuple[Term, ...]) -> bool:
         """Append a row unless present; returns True when the row is new.
@@ -123,123 +103,24 @@ class Relation:
         """
         if args in self.row_ids:
             return False
-        with self._index_lock:
-            sequence = len(self.rows)
-            self.rows.append(args)
-            self.row_ids[args] = sequence
-            for positions, index in self.indexes.items():
-                key = tuple(args[p] for p in positions)
-                index.setdefault(key, []).append(sequence)
+        sequence = len(self.rows)
+        self.rows.append(args)
+        self.row_ids[args] = sequence
+        for positions, index in self.indexes.items():
+            index.setdefault(tuple(args[p] for p in positions), []).append(sequence)
         return True
-
-    def remove(self, args: tuple[Term, ...]) -> bool:
-        """Tombstone a row if present; returns True when a row was removed."""
-        sequence = self.row_ids.pop(args, None)
-        if sequence is None:
-            return False
-        self.rows[sequence] = None
-        self.dead += 1
-        return True
-
-    def compact(self) -> None:
-        """Drop tombstones, renumbering the surviving rows.
-
-        Invalidates every outstanding sequence number, so callers must only
-        compact between grounding runs — never while delta windows over
-        this relation are live.
-        """
-        if not self.dead:
-            return
-        with self._index_lock:
-            survivors = [args for args in self.rows if args is not None]
-            probed = tuple(self.indexes)
-            self.rows = survivors
-            self.row_ids = {args: sequence for sequence, args in enumerate(survivors)}
-            self.dead = 0
-            self.indexes = {
-                positions: self._build_index(positions) for positions in probed
-            }
-
-    def _build_index(
-        self, positions: tuple[int, ...]
-    ) -> dict[tuple[Term, ...], list[int]]:
-        index: dict[tuple[Term, ...], list[int]] = {}
-        for sequence, args in enumerate(self.rows):
-            if args is None:
-                continue
-            key = tuple(args[p] for p in positions)
-            index.setdefault(key, []).append(sequence)
-        return index
 
     def ensure_index(
         self, positions: tuple[int, ...]
     ) -> dict[tuple[Term, ...], list[int]]:
         """The hash index keyed on the given argument positions, built on
-        first use from the current rows.
-
-        The existing-index fast path is lock-free; building takes the
-        relation's index lock so a concurrent writer cannot slip a row in
-        between the scan and the registration.
-        """
+        first use from the current rows."""
         index = self.indexes.get(positions)
         if index is None:
-            with self._index_lock:
-                index = self.indexes.get(positions)
-                if index is None:
-                    index = self._build_index(positions)
-                    self.indexes[positions] = index
+            index = self.indexes[positions] = {}
+            for sequence, args in enumerate(self.rows):
+                index.setdefault(tuple(args[p] for p in positions), []).append(sequence)
         return index
-
-    def candidates(
-        self,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[int]:
-        """Row ids in ``[lo, hi)`` whose projection onto *positions* is
-        *key* (see :meth:`candidate_rows`)."""
-        return map(_SEQUENCE, self.candidate_rows(positions, key, lo, hi))
-
-    def candidate_rows(
-        self,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterable[tuple[int, tuple[Term, ...]]]:
-        """``(sequence, row)`` for the rows in ``[lo, hi)`` whose projection
-        onto *positions* is *key*, in ascending order — the probe shape of
-        :meth:`repro.storage.FactStore.candidate_rows`, through which the
-        grounder reads a store's rows.
-
-        Three probe shapes: all positions bound is a plain membership test
-        on ``row_ids``; no position bound walks the whole window; otherwise
-        the lazy hash index is consulted and its (ascending) posting list
-        cut to the window with a bisect.  Tombstoned rows never surface.
-        """
-        rows = self.rows
-        if len(positions) == self.arity:
-            sequence = self.row_ids.get(key)
-            if sequence is not None and lo <= sequence < hi:
-                return ((sequence, rows[sequence]),)
-            return ()
-        if positions:
-            postings = self.ensure_index(positions).get(key)
-            if not postings:
-                return ()
-            window = postings[bisect_left(postings, lo) if lo else 0 : bisect_left(postings, hi)]
-        else:
-            window = range(lo, min(hi, len(rows)))
-        # A tombstone is None; a live row here has arity >= 1, so it is truthy.
-        return filter(_ROW, zip(window, map(rows.__getitem__, window)))
-
-    def statistics(self) -> dict[str, int]:
-        return {
-            "rows": len(self),
-            "indexes": len(self.indexes),
-            "index_entries": sum(len(ix) for ix in self.indexes.values()),
-        }
 
 
 class RelationStore:
@@ -265,28 +146,13 @@ class RelationStore:
             relation = self.relations[key] = Relation(atom.predicate, atom.arity)
         return relation.add(atom.args)
 
-    def remove_atom(self, atom: Atom) -> bool:
-        """Remove a ground atom (tombstoning its row); True when present."""
-        relation = self.relations.get((atom.predicate, atom.arity))
-        return relation is not None and relation.remove(atom.args)
-
     def __contains__(self, atom: Atom) -> bool:
         relation = self.relations.get((atom.predicate, atom.arity))
         return relation is not None and atom.args in relation
 
     def sizes(self) -> dict[tuple[str, int], int]:
-        """Sequence bound per relation — a round boundary snapshot.  Equal
-        to the row count under the grounder's add-only usage."""
-        return {key: relation.sequence_bound for key, relation in self.relations.items()}
-
-    def statistics(self) -> dict[str, int]:
-        return {
-            "relations": len(self.relations),
-            "rows": sum(len(r) for r in self.relations.values()),
-            "indexes": sum(len(r.indexes) for r in self.relations.values()),
-        }
-
-
+        """Row count per relation: a round boundary snapshot."""
+        return {key: len(relation.rows) for key, relation in self.relations.items()}
 
 
 # --------------------------------------------------------------------- #

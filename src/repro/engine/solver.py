@@ -190,11 +190,10 @@ def solve_configured(
     engine does not cover.
 
     EDB facts come from *store* (any :class:`~repro.storage.FactStore`,
-    whose live indexes the grounder probes in place) or, without one, from
-    the backend named by ``config.store`` (opened for this call and closed
-    afterwards).  Either way the returned solution's ``program`` includes
-    the facts as fact rules, as ``Program.union(store.as_program(),
-    rules)`` would.
+    which the grounder reads once) or, without one, from the backend named
+    by ``config.store`` (opened for this call and closed afterwards).
+    Either way the returned solution's ``program`` includes the facts as
+    fact rules, as ``Program.union(store.as_program(), rules)`` would.
 
     ``auto`` is resolved by :func:`resolve_auto_semantics`, from the rules
     alone.  A definite non-ground program under the ``relevant`` grounder
@@ -298,12 +297,10 @@ def _solve_with_store(
         if store is not None and (program.is_ground or grounder != "relevant"):
             # The naive grounder and the ground-program passthrough need
             # the facts materialised as fact rules up front.  Everything else
-            # leaves the facts in the store: the streaming grounder probes its
-            # live indexes and emits the fact rules into the context in one
-            # pass — no second enumeration of the EDB.
+            # hands the store to the streaming grounder, which reads it once
+            # and emits the fact rules into the context in the same pass.
             program = Program.union(store.as_program(), program)
             store = None
-        probes_before = store.probes if store is not None else 0
         context = build_context(
             program,
             limits=limits,
@@ -316,8 +313,6 @@ def _solve_with_store(
             # use it as the solution's program so downstream consumers
             # (stable-model re-solves, explainers) see the full program.
             program = context.program
-            if recorder.enabled:
-                recorder.count("store.candidate_probes", store.probes - probes_before)
 
         if semantics in ("alternating-fixpoint", "well-founded"):
             if semantics == "alternating-fixpoint":
@@ -379,7 +374,6 @@ def _solve_from_envelope(
     With a store, the solution's program holds the facts this run read as
     fact rules, so an explainer can ground it later without the store.
     """
-    probes_before = store.probes if store is not None else 0
     with recorder.span("ground", grounder="relevant") as ground_span:
         grounder = IncrementalGrounder(program, config.limits, store=store, recorder=recorder)
         facts, atoms = grounder.envelope()
@@ -389,8 +383,6 @@ def _solve_from_envelope(
         ground_span.annotate(facts=len(facts), atoms=len(atoms))
         recorder.count("ground.facts", len(facts))
         recorder.count("ground.atoms", len(atoms))
-        if store is not None:
-            recorder.count("store.candidate_probes", store.probes - probes_before)
     base = frozenset(atoms)
     return Solution(
         program=program,
@@ -427,7 +419,6 @@ def _solve_into_kernel(
     # `import repro` stays free of the kernel.
     from ..kernel import condense, evaluate_model, lower_program
 
-    probes_before = store.probes if store is not None else 0
     with recorder.span("ground", grounder="relevant") as ground_span:
         if program.is_ground:
             if store is not None:
@@ -446,8 +437,6 @@ def _solve_into_kernel(
         recorder.count("ground.rules", rules)
         recorder.count("ground.facts", facts)
         recorder.count("ground.atoms", len(atoms))
-        if store is not None:
-            recorder.count("store.candidate_probes", store.probes - probes_before)
     with recorder.span("condense") as condense_span:
         compiled = condense(ir, recorder)
     if recorder.enabled:
@@ -500,8 +489,7 @@ def solve(
         overriding the config's.
     store:
         Optional :class:`~repro.storage.FactStore` holding the EDB facts
-        the rules read.  The grounder probes it in place, so repeated
-        solves against the same store reuse its indexes.
+        the rules read.  The grounder reads it once per solve.
     config:
         An :class:`EngineConfig` carrying every evaluation choice
         (semantics / strategy / engine / grounder / store / limits /

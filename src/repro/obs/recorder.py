@@ -12,9 +12,9 @@ vocabulary:
   (``solve`` → ``ground`` → ``condense`` → per-``component`` →
   ``assemble``), carrying arbitrary key/value attributes;
 * a **counter** is a named monotone tally (rules grounded, delta sizes,
-  ``candidate_rows`` probes, Dowling–Gallier counter decrements,
-  unfounded-set iterations, incremental cache hits) attached to the
-  innermost open span.  Budget-governed runs (:mod:`repro.resilience`)
+  Dowling–Gallier counter decrements, unfounded-set iterations,
+  incremental cache hits) attached to the innermost open span.
+  Budget-governed runs (:mod:`repro.resilience`)
   additionally emit ``budget.steps`` (fixpoint steps metered) and
   ``budget.elapsed_ms`` (wall-clock under the meter) when they finish —
   including when they finish by exceeding the budget, so a trace of an

@@ -4,11 +4,12 @@
 and fails chosen operations with :class:`InjectedFault` — a
 :class:`~repro.exceptions.StorageError`, so the injected failures travel
 the exact code paths a real backend failure would (mid-batch rollback,
-refresh abort, grounding probe errors).  Faults are raised *before* the
-inner operation runs, so a failed call never half-mutates the underlying
-store: the wrapper models clean storage-layer rejections (lock timeouts,
-I/O errors surfacing before commit), which is also what the crash-recovery
-contracts of :class:`~repro.session.KnowledgeBase` are written against.
+refresh abort, a grounding run's failed read).  Faults are raised
+*before* the inner operation runs, so a failed call never half-mutates
+the underlying store: the wrapper models clean storage-layer rejections
+(lock timeouts, I/O errors surfacing before commit), which is also what
+the crash-recovery contracts of :class:`~repro.session.KnowledgeBase` are
+written against.
 
 Two deterministic trigger modes, combinable:
 
@@ -52,14 +53,15 @@ class FaultInjectingStore(FactStore):
     """Wrap *inner*, deterministically failing selected operations.
 
     The interceptable operations are ``"add"``, ``"remove"``,
-    ``"savepoint"`` and ``"probe"`` (a :meth:`candidate_rows` index probe,
-    the storage call grounding leans on).  Reads, rollbacks and releases
-    always succeed — a backend that cannot roll back cannot offer the
-    savepoint contract at all, so failing those would test nothing the
-    API promises.
+    ``"savepoint"`` and ``"read"`` (a :meth:`tuples` call: every read of
+    a relation's rows, such as the one read a grounding run makes through
+    :meth:`~repro.storage.FactStore.facts`).  Membership tests, counts,
+    rollbacks and releases always succeed — a backend that cannot roll
+    back cannot offer the savepoint contract at all, so failing those would
+    test nothing the API promises.
     """
 
-    OPERATIONS = ("add", "remove", "savepoint", "probe")
+    OPERATIONS = ("add", "remove", "savepoint", "read")
 
     def __init__(
         self,
@@ -135,18 +137,9 @@ class FaultInjectingStore(FactStore):
         self._maybe_fail("savepoint")
         return self.inner.savepoint()
 
-    def candidate_rows(
-        self,
-        predicate: str,
-        arity: int,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[tuple[int, tuple[Term, ...]]]:
-        self._maybe_fail("probe")
-        self.probes += 1
-        return self.inner.candidate_rows(predicate, arity, positions, key, lo, hi)
+    def tuples(self, predicate: str, arity: int) -> Iterator[tuple[Term, ...]]:
+        self._maybe_fail("read")
+        return self.inner.tuples(predicate, arity)
 
     # ------------------------------------------------------------------ #
     # Transparent delegation
@@ -157,23 +150,14 @@ class FaultInjectingStore(FactStore):
     def signatures(self) -> set[Signature]:
         return self.inner.signatures()
 
-    def tuples(self, predicate: str, arity: int) -> Iterator[tuple[Term, ...]]:
-        return self.inner.tuples(predicate, arity)
-
     def count(self, predicate: str, arity: int) -> int:
         return self.inner.count(predicate, arity)
-
-    def sequence_bound(self, predicate: str, arity: int) -> int:
-        return self.inner.sequence_bound(predicate, arity)
 
     def rollback_to(self, token: object) -> None:
         self.inner.rollback_to(token)
 
     def release(self, token: object) -> None:
         self.inner.release(token)
-
-    def index_count(self) -> int:
-        return self.inner.index_count()
 
     def close(self) -> None:
         self.inner.close()

@@ -56,10 +56,10 @@ Retracted facts keep their instances, which have a false body atom and
 never fire: true and undefined atoms always equal a from-scratch solve,
 while :attr:`IncrementalEngine.base` is an over-approximation whose extra
 atoms are false.  The grounding starts afresh once its
-retracted-but-still-grounded facts outnumber the live ones and exceed the
-store's tombstone threshold (:func:`repro.storage.memory.garbage_dominates`),
-and when its instances pass ``GroundingLimits.max_rules``: only a fresh
-grounding of the current facts reports that limit.
+retracted-but-still-grounded facts outnumber the live ones and exceed
+:data:`_STALE_THRESHOLD` (:func:`garbage_dominates`), and when its
+instances pass ``GroundingLimits.max_rules``: only a fresh grounding of
+the current facts reports that limit.
 
 A session configured with ``engine="kernel"`` runs this same path: the
 compiled kernel of :mod:`repro.kernel` is a one-shot evaluator, so the
@@ -110,9 +110,20 @@ from ..exceptions import BudgetError, GroundingError
 from ..fixpoint.interpretations import PartialInterpretation, TruthValue
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import Budget, current_meter, metered
-from ..storage.memory import garbage_dominates
 
 __all__ = ["UpdateStats", "IncrementalEngine"]
+
+#: Retracted facts a grounding may keep instances for before it can start
+#: afresh (see :func:`garbage_dominates`).
+_STALE_THRESHOLD = 64
+
+
+def garbage_dominates(dead: int, live: int) -> bool:
+    """Whether a grounding's *dead* facts (retracted, still grounded)
+    call for a fresh grounding: more than :data:`_STALE_THRESHOLD` of
+    them, and more than the *live* ones."""
+    return dead > _STALE_THRESHOLD and dead > live
+
 
 #: The grounding of no rules: the seed every engine's rule context grows
 #: from with :func:`~repro.core.context.extend_context`.
@@ -193,7 +204,7 @@ class IncrementalEngine:
     fact status flipped since the last refresh; a
     :class:`~repro.session.KnowledgeBase` derives them from its store's
     change events.  *store*, when given, is the EDB the grounder of
-    non-ground rules probes in place.
+    non-ground rules reads once per grounding.
     """
 
     def __init__(
@@ -237,7 +248,7 @@ class IncrementalEngine:
         # The rule context: decomposed ground rules, head index and the
         # atom universe they span; facts are attached per refresh.  Ground
         # rule sets are their own grounding.  Non-ground ones are grounded
-        # against *store* (the EDB the grounder probes in place) by an
+        # against *store* (which each fresh grounding reads once) by an
         # incremental grounder the engine keeps: `_facts` is then the EDB
         # the grounding covers, `_stale` the retracted facts it still
         # holds instances for.  `_facts` is the engine's own set, kept
@@ -293,14 +304,11 @@ class IncrementalEngine:
         """Resume the grounding from the facts asserted since it last ran
         (retracted ones stay grounded) and install the rule instances it
         emits.  Returns how many it emitted."""
-        grounder = self._grounder
-        retracted = list(retracted)
-        grounder.retain(retracted)
         self._stale.update(retracted)
         asserted = list(asserted)
         self._stale.difference_update(asserted)
         with self._recorder.span("ground") as ground_span:
-            added = list(grounder.extend(asserted))
+            added = list(self._grounder.extend(asserted))
             start = len(self._rule_context.rules)
             if added:
                 self._rule_context = extend_context(self._rule_context, added)

@@ -643,10 +643,7 @@ class KnowledgeBase:
         if self._last_update is not None:
             stats["last_mode"] = self._last_update.mode
             stats["last_update"] = self._last_update.describe()
-        store_stats = self._store.stats()
-        stats["store_rows"] = store_stats["rows"]
-        stats["store_indexes"] = store_stats["indexes"]
-        stats["store_probes"] = store_stats["probes"]
+        stats["store_rows"] = self._store.stats()["rows"]
         if self._engine is not None:
             stats.update(self._engine.statistics())
         return stats
@@ -831,9 +828,9 @@ class KnowledgeBase:
             )
         else:
             started = time.perf_counter()
-            # Rules only: the EDB travels as the live store, so the
-            # grounder probes its indexes instead of re-indexing the facts
-            # (the solution's program still records them as fact rules).
+            # Rules only: the EDB travels as the store, which the grounder
+            # reads once (the solution's program still records the facts
+            # as fact rules).
             solution = solve_configured(
                 self._rules, self._config, store=self._store, recorder=self._recorder
             )

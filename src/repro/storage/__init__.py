@@ -1,10 +1,9 @@
 """Pluggable fact storage: one :class:`FactStore` protocol, two backends.
 
 The protocol (:mod:`repro.storage.base`) is where EDB facts live: what
-the grounder probes, what :func:`repro.engine.solver.solve` reads
+a grounding run reads once, what :func:`repro.engine.solver.solve` takes
 (``store=``) and what a :class:`repro.session.KnowledgeBase` mutates; the
-backends are
-:class:`MemoryStore` (hash-indexed, in-process, the default) and
+backends are :class:`MemoryStore` (in-process, the default) and
 :class:`SqliteStore` (durable, stdlib ``sqlite3``).
 
 Stores are named by *spec strings* — ``"memory"`` or ``"sqlite:PATH"`` —

@@ -2,7 +2,7 @@
 
 The paper frames a logic program as a mapping from EDB instances to IDB
 instances (Section 2.5).  :class:`FactStore` is the one container for such
-an instance: the grounder probes it in place, a
+an instance: a grounding run reads it once (:meth:`FactStore.facts`), a
 :class:`~repro.session.KnowledgeBase` mutates it, and the CSV helpers of
 :mod:`repro.datalog.io` stream through it.  It offers:
 
@@ -10,25 +10,21 @@ an instance: the grounder probes it in place, a
   notification (:meth:`subscribe`), so a session's incremental engine
   learns about every mutation regardless of who performed it;
 * **queries** — membership, per-``(predicate, arity)`` tuple iteration
-  (relations are keyed on the full signature, never the bare name, so
-  ``p/1`` and ``p/2`` cannot collide);
-* **grounding support** — :meth:`candidate_rows` bound-position index
-  probes with ``[lo, hi)`` sequence windows, matching the access pattern
-  of :class:`repro.datalog.joins.Relation`, so the semi-naive grounder
-  probes the live store instead of copying it into a fresh
-  ``RelationStore`` per run;
+  in insertion order (relations are keyed on the full signature, never
+  the bare name, so ``p/1`` and ``p/2`` cannot collide);
 * **transactions** — :meth:`savepoint` / :meth:`rollback_to` /
   :meth:`release`, the substrate of ``KnowledgeBase.batch()``.
 
 Two backends implement the protocol: :class:`~repro.storage.memory.MemoryStore`
-(the hash-join relations of :mod:`repro.datalog.joins`, now with removal
-support) and :class:`~repro.storage.sqlite.SqliteStore` (a durable
-stdlib-``sqlite3`` backend enabling ``KnowledgeBase.open("kb.db")``).
+(insertion-ordered rows in memory) and
+:class:`~repro.storage.sqlite.SqliteStore` (a durable stdlib-``sqlite3``
+backend enabling ``KnowledgeBase.open("kb.db")``).
 
-A store hands out no read views.  Readers of a session's published epochs
-read the epoch's :class:`~repro.engine.view.ModelView`, never the store,
-so nothing pins a store's sequence numbers beyond an open savepoint or a
-running grounding pass.
+How a join windows and indexes its rows is the grounder's business: it
+copies the rows into its own relations (:mod:`repro.datalog.joins`), so a
+store keeps no indexes, sequence windows or probe API for it.  A store
+hands out no read views either: readers of a session's published epochs
+read the epoch's :class:`~repro.engine.view.ModelView`, never the store.
 """
 
 from __future__ import annotations
@@ -73,10 +69,6 @@ class FactStore(ABC):
 
     def __init__(self) -> None:
         self._listeners: list[ChangeListener] = []
-        #: Number of :meth:`candidate_rows` index probes served since the
-        #: store was created — the cheap per-backend tally surfaced by
-        #: :meth:`stats` and sampled by the :mod:`repro.obs` recorders.
-        self.probes: int = 0
         #: Number of transient-failure retries the backend performed (e.g.
         #: :class:`~repro.storage.sqlite.SqliteStore` re-attempting a
         #: statement after ``database is locked``).  Always 0 for backends
@@ -121,43 +113,13 @@ class FactStore(ABC):
 
     @abstractmethod
     def tuples(self, predicate: str, arity: int) -> Iterator[tuple[Term, ...]]:
-        """The argument tuples of one relation, in insertion order."""
+        """The argument tuples of one relation, in insertion order.  All
+        rows are read before the first is yielded, so the store may change
+        while they are iterated."""
 
     @abstractmethod
     def count(self, predicate: str, arity: int) -> int:
         """Number of tuples currently in one relation."""
-
-    # ------------------------------------------------------------------ #
-    # Grounding support: sequence windows and index probes
-    # ------------------------------------------------------------------ #
-    @abstractmethod
-    def sequence_bound(self, predicate: str, arity: int) -> int:
-        """Exclusive upper bound on the row sequence numbers of a relation.
-
-        Sequence numbers are assigned monotonically on insertion and are
-        never reused, so ``[0, sequence_bound())`` always covers every
-        live row — this is the delta-window contract semi-naive probing
-        relies on.  (Removals may leave gaps, so the bound can exceed
-        :meth:`count`.)
-        """
-
-    @abstractmethod
-    def candidate_rows(
-        self,
-        predicate: str,
-        arity: int,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[tuple[int, tuple[Term, ...]]]:
-        """Yield ``(sequence, row)`` for the rows in ``[lo, hi)`` whose
-        projection onto *positions* equals *key*, in ascending sequence
-        order — the bound-position index probe of
-        :class:`repro.datalog.joins.Relation`, generalised over backends.
-        Backends maintain (lazily created) indexes per probed position
-        pattern, so repeated probes cost the matches, not a scan.
-        """
 
     # ------------------------------------------------------------------ #
     # Savepoints
@@ -246,39 +208,25 @@ class FactStore(ABC):
                 added += 1
         return added
 
-    def sizes(self) -> dict[Signature, int]:
-        """Sequence bounds per relation — a delta-window snapshot."""
-        return {
-            signature: self.sequence_bound(*signature) for signature in self.signatures()
-        }
-
-    def index_count(self) -> int:
-        """Number of auxiliary bound-position indexes the backend currently
-        maintains (lazily created by :meth:`candidate_rows` probing)."""
-        return 0
-
     def stats(self) -> dict[str, object]:
         """Uniform backend statistics, identical in shape for every backend.
 
-        Returns the backend name, a per-relation map of row counts and
-        sequence bounds (``"pred/arity" -> {"rows", "sequence_bound"}``),
-        the total row count, the number of auxiliary indexes, the
-        cumulative :meth:`candidate_rows` probe count, and the transient
-        retry count.
+        Returns the backend name, a per-relation map of row counts
+        (``"pred/arity" -> {"rows"}``), the total row count, ``probes``
+        (always 0) and the transient retry count.
         """
         relations = {
-            f"{name}/{arity}": {
-                "rows": self.count(name, arity),
-                "sequence_bound": self.sequence_bound(name, arity),
-            }
+            f"{name}/{arity}": {"rows": self.count(name, arity)}
             for name, arity in sorted(self.signatures())
         }
         return {
             "backend": type(self).__name__,
             "relations": relations,
             "rows": sum(info["rows"] for info in relations.values()),
-            "indexes": self.index_count(),
-            "probes": self.probes,
+            # Always 0: a grounding run reads the store once and probes its
+            # own relations, never the store.  The key stays because the
+            # end-to-end benchmark's traced pass still reads it.
+            "probes": 0,
             "retries": self.retries,
         }
 

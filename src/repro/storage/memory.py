@@ -1,47 +1,33 @@
 """The in-memory :class:`FactStore` backend.
 
-:class:`MemoryStore` keeps EDB facts in the lazily hash-indexed
-:class:`~repro.datalog.joins.Relation` objects the grounder joins over,
-one per ``(predicate, arity)``; the bound-position indexes built by one
-grounding run survive into the next, so the semi-naive grounder probes the
-live EDB instead of re-inserting and re-indexing every fact per solve.
-
-Removal tombstones the row (keeping outstanding sequence numbers valid —
-see :meth:`Relation.remove`) and compacts a relation once tombstones
-outnumber live rows, so long assert/retract sessions stay bounded.
+:class:`MemoryStore` keeps EDB facts as one insertion-ordered row dict per
+``(predicate, arity)``: membership, insertion and removal are hash
+lookups, and :meth:`MemoryStore.tuples` reads a relation in the order its
+rows arrived.  The store keeps no indexes — a grounding run
+reads the rows once into the grounder's own relations, which index what
+its joins probe.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..datalog.atoms import Atom
-from ..datalog.joins import Relation, RelationStore
 from ..datalog.terms import Term
 from ..exceptions import StorageError
-from .base import FactStore
+from .base import FactStore, Signature
 
-__all__ = ["MemoryStore", "garbage_dominates"]
-
-#: Tombstones tolerated in a relation before :meth:`Relation.compact` runs.
-_COMPACT_THRESHOLD = 64
-
-
-def garbage_dominates(dead: int, live: int) -> bool:
-    """The collection rule for dead entries: more than
-    ``_COMPACT_THRESHOLD`` of them, and more than live ones.  A relation's
-    tombstones trigger :meth:`Relation.compact` by it, and a non-ground
-    session's retracted-but-still-grounded facts trigger a re-ground
-    (:mod:`repro.session.incremental`)."""
-    return dead > _COMPACT_THRESHOLD and dead > live
+__all__ = ["MemoryStore"]
 
 
 class MemoryStore(FactStore):
-    """Hash-indexed in-memory fact storage (the default backend)."""
+    """In-memory fact storage (the default backend)."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._relations = RelationStore()
+        # Signature -> rows in insertion order (a dict used as an ordered
+        # set); an emptied relation is dropped.
+        self._relations: dict[Signature, dict[tuple[Term, ...], None]] = {}
         # Journal of (atom, added) while savepoints are open; savepoint
         # tokens are journal marks.
         self._journal: list[tuple[Atom, bool]] = []
@@ -50,9 +36,26 @@ class MemoryStore(FactStore):
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
+    def _put(self, atom: Atom) -> bool:
+        rows = self._relations.setdefault((atom.predicate, atom.arity), {})
+        if atom.args in rows:
+            return False
+        rows[atom.args] = None
+        return True
+
+    def _drop(self, atom: Atom) -> bool:
+        signature = (atom.predicate, atom.arity)
+        rows = self._relations.get(signature)
+        if rows is None or atom.args not in rows:
+            return False
+        del rows[atom.args]
+        if not rows:
+            del self._relations[signature]
+        return True
+
     def add_atom(self, atom: Atom) -> bool:
         self._check_ground(atom)
-        if not self._relations.add_atom(atom):
+        if not self._put(atom):
             return False
         if self._savepoints:
             self._journal.append((atom, True))
@@ -60,15 +63,8 @@ class MemoryStore(FactStore):
         return True
 
     def remove_atom(self, atom: Atom) -> bool:
-        relation = self._relations.relation(atom.predicate, atom.arity)
-        if relation is None or not relation.remove(atom.args):
+        if not self._drop(atom):
             return False
-        # Compact eagerly when garbage dominates — but never while a
-        # savepoint is open, whose rollback replays journal entries that
-        # assume stable sequence numbers are irrelevant (it re-adds by
-        # value), yet an open grounding run may still hold windows.
-        if not self._savepoints and garbage_dominates(relation.dead, len(relation)):
-            relation.compact()
         if self._savepoints:
             self._journal.append((atom, False))
         self._notify(atom, False)
@@ -78,62 +74,17 @@ class MemoryStore(FactStore):
     # Queries
     # ------------------------------------------------------------------ #
     def contains_atom(self, atom: Atom) -> bool:
-        return atom in self._relations
+        rows = self._relations.get((atom.predicate, atom.arity))
+        return rows is not None and atom.args in rows
 
-    def signatures(self) -> set[tuple[str, int]]:
-        return {
-            signature
-            for signature, relation in self._relations.relations.items()
-            if len(relation)
-        }
+    def signatures(self) -> set[Signature]:
+        return set(self._relations)
 
     def tuples(self, predicate: str, arity: int) -> Iterator[tuple[Term, ...]]:
-        relation = self._relations.relation(predicate, arity)
-        if relation is None:
-            return
-        for row in relation.rows:
-            if row is not None:
-                yield row
+        return iter(tuple(self._relations.get((predicate, arity), ())))
 
     def count(self, predicate: str, arity: int) -> int:
-        relation = self._relations.relation(predicate, arity)
-        return len(relation) if relation is not None else 0
-
-    # ------------------------------------------------------------------ #
-    # Grounding support
-    # ------------------------------------------------------------------ #
-    def relation(self, predicate: str, arity: int) -> Optional[Relation]:
-        """The live :class:`Relation` of one signature (``None`` when the
-        signature has never been stored) — the zero-copy view grounding
-        probes go through."""
-        return self._relations.relation(predicate, arity)
-
-    def sequence_bound(self, predicate: str, arity: int) -> int:
-        relation = self._relations.relation(predicate, arity)
-        return relation.sequence_bound if relation is not None else 0
-
-    def candidate_rows(
-        self,
-        predicate: str,
-        arity: int,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[tuple[int, tuple[Term, ...]]]:
-        relation = self._relations.relation(predicate, arity)
-        if relation is None:
-            return iter(())
-        self.probes += 1
-        return relation.candidate_rows(positions, key, lo, hi)
-
-    def statistics(self) -> dict[str, int]:
-        return self._relations.statistics()
-
-    def index_count(self) -> int:
-        return sum(
-            len(relation.indexes) for relation in self._relations.relations.values()
-        )
+        return len(self._relations.get((predicate, arity), ()))
 
     # ------------------------------------------------------------------ #
     # Savepoints
@@ -165,10 +116,9 @@ class MemoryStore(FactStore):
         while len(self._journal) > mark:
             atom, added = self._journal.pop()
             if added:
-                relation = self._relations.relation(atom.predicate, atom.arity)
-                relation.remove(atom.args)
+                self._drop(atom)
             else:
-                self._relations.add_atom(atom)
+                self._put(atom)
             self._notify(atom, not added)
         if not self._savepoints:
             self._journal.clear()

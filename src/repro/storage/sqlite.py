@@ -4,22 +4,18 @@
 relation (a catalogue table maps signatures to table names, so arbitrary
 predicate names never reach SQL identifiers).  Each row carries a
 monotonically increasing ``seq`` (``INTEGER PRIMARY KEY AUTOINCREMENT``,
-never reused) — the delta-window sequence number of the
-:class:`~repro.storage.FactStore` protocol — plus one encoded column per
-argument position, with a uniqueness constraint over the argument columns
-standing in for the hash-set semantics of the in-memory backend.
-
-Bound-position probes (:meth:`candidate_rows`) become ``SELECT`` statements
-over the argument columns and the ``seq`` window; a SQL index per probed
-position pattern is created lazily, mirroring the lazily built hash
-indexes of :class:`repro.datalog.joins.Relation`.  Savepoints map onto SQL
-``SAVEPOINT`` / ``ROLLBACK TO`` / ``RELEASE``, with a Python-side journal
-replayed on rollback so change listeners observe the inverse mutations.
+never reused), which orders :meth:`SqliteStore.tuples` by insertion, plus
+one encoded column per argument position, with a uniqueness constraint
+over the argument columns standing in for the set semantics of the
+in-memory backend.  A grounding run reads each relation once with one
+``SELECT ... ORDER BY seq``; the store creates no other index.  Savepoints
+map onto SQL ``SAVEPOINT`` / ``ROLLBACK TO`` / ``RELEASE``, with a
+Python-side journal replayed on rollback so change listeners observe the
+inverse mutations.
 
 Because facts live on disk, a :class:`~repro.session.KnowledgeBase`
 opened over this backend (``KnowledgeBase.open("kb.db")``) survives
-process exit, and EDBs larger than memory stream through the same probe
-API the grounder uses for the in-memory backend.
+process exit.
 """
 
 from __future__ import annotations
@@ -71,7 +67,8 @@ CREATE TABLE IF NOT EXISTS repro_relations (
 
 # --------------------------------------------------------------------- #
 # Term encoding: a deterministic, order-stable text form per column, so
-# equality probes and SQL indexes work on the encoded values directly.
+# equality lookups and the uniqueness constraint work on the encoded
+# values directly.
 # --------------------------------------------------------------------- #
 def encode_term(term: Term) -> str:
     """Encode a ground term as deterministic JSON text."""
@@ -161,12 +158,12 @@ class SqliteStore(FactStore):
         self._connection: Optional[sqlite3.Connection] = None
         # One connection shared across threads: a session opens the store
         # and solves its first epoch on the caller's thread, the query
-        # service's writer thread then mutates and probes it, and the
+        # service's writer thread then mutates and reads it, and the
         # caller's thread closes it after the drain; a store may also back
         # other sessions or solves on other threads.
         # check_same_thread=False permits the sharing; the mutex serialises
-        # statement execution at the Python level so catalogue caches, the
-        # probe counter and cursor materialisation stay consistent
+        # statement execution at the Python level so the catalogue cache
+        # and cursor materialisation stay consistent
         # regardless of the compiled SQLite thread mode.
         self._mutex = threading.RLock()
         try:
@@ -210,7 +207,6 @@ class SqliteStore(FactStore):
                 self._connection.close()
                 self._connection = None
             raise
-        self._sql_indexes: set[tuple[int, tuple[int, ...]]] = set()
         self._journal: list[tuple[Atom, bool]] = []
         self._savepoints: list[tuple[str, int]] = []
         self._savepoint_counter = 0
@@ -297,7 +293,7 @@ class SqliteStore(FactStore):
         Execution *and* fetch happen under the store mutex, so a reader's
         result set can never interleave with (or be aborted by) a writer
         statement or savepoint rollback on the shared connection — each
-        probe observes a point-in-time state.
+        read observes a point-in-time state.
         """
         with self._mutex:
             return self._execute(sql, parameters).fetchall()
@@ -456,61 +452,6 @@ class SqliteStore(FactStore):
         return count
 
     # ------------------------------------------------------------------ #
-    # Grounding support
-    # ------------------------------------------------------------------ #
-    def sequence_bound(self, predicate: str, arity: int) -> int:
-        table = self._table(predicate, arity)
-        if table is None:
-            return 0
-        [(bound,)] = self._query_all(f"SELECT COALESCE(MAX(seq), 0) FROM {table}")
-        return bound  # AUTOINCREMENT seq starts at 1, so MAX is the bound + window hi.
-
-    def _ensure_sql_index(self, table_id: int, arity: int, positions: tuple[int, ...]) -> None:
-        if not positions or len(positions) == arity:
-            return  # full scans and unique-constraint probes need no extra index
-        key = (table_id, positions)
-        if key in self._sql_indexes:
-            return
-        name = f"ix_{table_id}_" + "_".join(str(p) for p in positions)
-        columns = ", ".join(f"c{p}" for p in positions)
-        self._execute(f"CREATE INDEX IF NOT EXISTS {name} ON facts_{table_id} ({columns})")
-        self._sql_indexes.add(key)
-
-    def candidate_rows(
-        self,
-        predicate: str,
-        arity: int,
-        positions: tuple[int, ...],
-        key: tuple[Term, ...],
-        lo: int,
-        hi: int,
-    ) -> Iterator[tuple[int, tuple[Term, ...]]]:
-        table_id = self._tables.get((predicate, arity))
-        if table_id is None:
-            return iter(())
-        self.probes += 1
-        self._ensure_sql_index(table_id, arity, positions)
-        # The protocol's windows are 0-based exclusive bounds over sequence
-        # numbers; AUTOINCREMENT seq is 1-based, so shift by one.
-        conditions = ["seq > ?", "seq <= ?"]
-        parameters: list[object] = [lo, hi]
-        for position, term in zip(positions, key):
-            conditions.append(f"c{position} = ?")
-            parameters.append(encode_term(term))
-        columns = ", ".join(["seq"] + [f"c{i}" for i in range(arity)])
-        # Materialised atomically (_query_all): a lazily-stepped cursor
-        # could otherwise be aborted by a concurrent writer's rollback on
-        # the shared connection; decoding stays lazy.
-        rows = self._query_all(
-            f"SELECT {columns} FROM facts_{table_id} "
-            f"WHERE {' AND '.join(conditions)} ORDER BY seq",
-            parameters,
-        )
-        return (
-            (row[0] - 1, tuple(decode_term(text) for text in row[1:])) for row in rows
-        )
-
-    # ------------------------------------------------------------------ #
     # Savepoints
     # ------------------------------------------------------------------ #
     def savepoint(self) -> object:
@@ -530,17 +471,14 @@ class SqliteStore(FactStore):
         mark = self._pop_savepoint(token)
         self._execute(f"ROLLBACK TO {token}")
         self._execute(f"RELEASE {token}")
-        # The rollback may have undone CREATE TABLE / CREATE INDEX issued
-        # inside the savepoint: re-sync the catalogue caches from SQL truth.
+        # The rollback may have undone a CREATE TABLE issued inside the
+        # savepoint: re-sync the catalogue cache from SQL truth.
         self._tables = {
             (predicate, arity): table_id
             for table_id, predicate, arity in self._execute(
                 "SELECT id, predicate, arity FROM repro_relations"
             )
         }
-        # Index creations inside the savepoint were undone too; clearing
-        # the cache lets CREATE INDEX IF NOT EXISTS re-issue them cheaply.
-        self._sql_indexes.clear()
         # Replay the journal inverse so listeners track the store.
         while len(self._journal) > mark:
             atom, added = self._journal.pop()
@@ -553,9 +491,6 @@ class SqliteStore(FactStore):
         self._execute(f"RELEASE {token}")
         if not self._savepoints:
             self._journal.clear()
-
-    def index_count(self) -> int:
-        return len(self._sql_indexes)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

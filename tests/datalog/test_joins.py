@@ -5,7 +5,7 @@ import pytest
 
 from repro.datalog import grounding
 from repro.datalog.atoms import atom
-from repro.datalog.grounding import IncrementalGrounder, relevant_ground
+from repro.datalog.grounding import IncrementalGrounder, _overlay_probe, relevant_ground
 from repro.datalog.joins import Relation, RelationStore, compile_rule, join
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.terms import Compound, Constant
@@ -15,6 +15,11 @@ from repro.storage import MemoryStore
 
 def ground(predicate, *values):
     return atom(predicate, *(Constant(v) for v in values))
+
+
+def window(relation, positions, key, lo, hi):
+    """The rows the grounder's probe of ``[lo, hi)`` yields for *key*."""
+    return list(_overlay_probe(relation, positions, lo, hi)(key))
 
 
 class TestRelation:
@@ -37,30 +42,32 @@ class TestRelation:
 
     def test_candidates_respect_windows(self):
         relation = Relation("e", 2)
-        for pair in [(1, 2), (1, 3), (1, 4)]:
-            relation.add((Constant(pair[0]), Constant(pair[1])))
+        rows = [row(1, 2), row(1, 3), row(1, 4), row(2, 5)]
+        for args in rows:
+            relation.add(args)
         key = (Constant(1),)
-        assert list(relation.candidates((0,), key, 0, 3)) == [0, 1, 2]
-        assert list(relation.candidates((0,), key, 1, 3)) == [1, 2]
-        assert list(relation.candidates((0,), key, 0, 1)) == [0]
-        assert list(relation.candidates((0,), key, 2, 2)) == []
+        assert window(relation, (0,), key, 0, 4) == rows[:3]
+        assert window(relation, (0,), key, 1, 3) == rows[1:3]
+        assert window(relation, (0,), key, 0, 1) == rows[:1]
+        assert window(relation, (0,), key, 2, 2) == []
+        assert window(relation, (0,), (Constant(2),), 0, 3) == []
+        assert window(relation, (0,), (Constant(9),), 0, 4) == []
 
     def test_candidates_fully_bound_is_membership(self):
         relation = Relation("e", 2)
-        relation.add((Constant(1), Constant(2)))
-        row = (Constant(1), Constant(2))
-        assert list(relation.candidates((0, 1), row, 0, 1)) == [0]
-        assert list(relation.candidates((0, 1), row, 1, 1)) == []
-        assert list(relation.candidates((0, 1), (Constant(9), Constant(9)), 0, 1)) == []
+        relation.add(row(1, 2))
+        assert window(relation, (0, 1), row(1, 2), 0, 1) == [row(1, 2)]
+        assert window(relation, (0, 1), row(1, 2), 1, 1) == []
+        assert window(relation, (0, 1), row(9, 9), 0, 1) == []
         # The membership fast path never builds an index.
         assert relation.indexes == {}
 
     def test_candidates_unbound_walks_window(self):
         relation = Relation("p", 1)
-        relation.add((Constant("a"),))
-        relation.add((Constant("b"),))
-        assert list(relation.candidates((), (), 0, 2)) == [0, 1]
-        assert list(relation.candidates((), (), 1, 2)) == [1]
+        relation.add(row("a"))
+        relation.add(row("b"))
+        assert window(relation, (), (), 0, 2) == [row("a"), row("b")]
+        assert window(relation, (), (), 1, 2) == [row("b")]
 
 
 class TestRelationStore:
@@ -190,10 +197,14 @@ class TestJoinSteps:
         store.load([atom("e", 1, 2), atom("e", 2, 3)])
         rules = relevant_ground(parse_program(text), store=store)
         assert len([rule for rule in rules if rule.body]) == 2
-        assert store.index_count() == 0
-        grounder = IncrementalGrounder(parse_program("e(1, 2). e(2, 3). " + text))
-        list(grounder.ground())
-        assert grounder._overlay.relation("e", 2).indexes == {}
+        # Store rows and program facts alike land in the grounder's rows.
+        for program, backing in [
+            (parse_program(text), store),
+            (parse_program("e(1, 2). e(2, 3). " + text), None),
+        ]:
+            grounder = IncrementalGrounder(program, store=backing)
+            list(grounder.ground())
+            assert grounder._rows.relation("e", 2).indexes == {}
 
     def test_duplicated_conjunct(self):
         program = parse_program("e(1, 2). e(2, 3). e(3, 3). p(X, Y) :- e(X, Y), e(X, Y).")

@@ -187,13 +187,13 @@ class TestRegressions:
             config=WFS,
         )
         _check(kb)
-        # Transient churn leaves enough tombstones to compact e/2, which
-        # renumbers its rows before the next refresh joins against them.
+        # Transient churn between refreshes: the store keeps only the live
+        # rows, while the next refresh joins against the grounder's own.
         for i in range(100):
             kb.assert_fact("e", 100 + i, 200 + i)
             kb.retract_fact("e", 100 + i, 200 + i)
         kb.assert_fact("e", 3, 4)
-        assert store.relation("e", 2).sequence_bound < 103  # compacted
+        assert store.values("e") == {(1, 2), (2, 3), (3, 4)}
         _check(kb)
         assert kb.is_true("h", 2, 4)
         kb.assert_fact("e", 4, 5)

@@ -3,7 +3,7 @@
 The injected failures are ordinary :class:`~repro.exceptions.StorageError`
 subclasses raised *before* the wrapped store mutates, so these tests
 exercise exactly the recovery paths a flaky real backend would: mid-batch
-rollback, aborted refreshes falling back to a full re-solve, and probe
+rollback, aborted refreshes falling back to a full re-solve, and read
 failures surfacing through grounding.
 """
 
@@ -13,8 +13,12 @@ import pytest
 
 from repro import KnowledgeBase, MemoryStore, solve
 from repro.datalog import parse_atom
+from repro.datalog.rules import Program
+from repro.engine.solver import solve_configured
 from repro.exceptions import StorageError
 from repro.resilience import FaultInjectingStore, InjectedFault
+
+pytestmark = pytest.mark.faultinject
 
 WIN_MOVE = """
 wins(X) :- move(X, Y), not wins(Y).
@@ -96,15 +100,26 @@ class TestFaultScheduling:
         # The wrapper's stats ride on top of the inner store's.
         assert stats["backend"] == "MemoryStore"
 
-    def test_probe_fault_surfaces_from_grounding(self):
-        store = FaultInjectingStore(MemoryStore(), script={"probe": {1}})
+    def test_read_fault_surfaces_from_grounding(self):
+        # The first solve's grounding reads the store: its first relation
+        # read is the injected fault.
+        store = FaultInjectingStore(MemoryStore(), script={"read": {1}})
         kb = KnowledgeBase(WIN_MOVE, store=store)
         kb.load({"move": EDGES})
-        with pytest.raises(InjectedFault):
+        with pytest.raises(InjectedFault) as excinfo:
             list(kb.query("wins"))
+        assert excinfo.value.operation == "read"
         # The store itself is intact: disarmed, the same session recovers.
         store.armed = False
         assert sorted(kb.query("wins")) == [("b",)]
+
+    def test_read_fault_fails_a_one_shot_solve(self):
+        store = FaultInjectingStore(MemoryStore(), script={"read": {1}})
+        store.load({"move": EDGES})
+        with pytest.raises(InjectedFault):
+            solve(WIN_MOVE, store=store)
+        store.armed = False
+        assert solve(WIN_MOVE, store=store).relation("wins") == {("b",)}
 
 
 class TestBatchRollbackUnderFaults:
@@ -156,29 +171,31 @@ class TestBatchRollbackUnderFaults:
         assert ("c", "d") in set(kb.query("move"))
         assert _model_lines(kb.solution) == self._oracle(kb)
 
-    def test_refresh_fault_then_recovery_serves_consistent_model(self):
-        # The fault trips inside the refresh: the incremental grounder joins
-        # the asserted move against the store's rows and the probe fails.
-        # The KB must keep the delta queued and, once the storage layer
-        # heals, serve the correct model without missing a rule instance.
+    def test_regrounding_read_fault_then_recovery_serves_scratch_model(self):
+        # Retracting more facts than remain makes the next refresh ground
+        # afresh, and the fresh grounding's read of the store fails.  The
+        # KB must keep the change queued and, once the storage layer heals,
+        # serve the from-scratch model without missing a rule instance.
         rules = WIN_MOVE + "two(X, Z) :- move(X, Y), move(Y, Z).\n"
-        counting = FaultInjectingStore(MemoryStore())
-        dry_run = KnowledgeBase(rules, store=counting)
-        dry_run.load({"move": EDGES})
-        dry_run.solution
-        first_solve_probes = counting.counts["probe"]
-
-        store = FaultInjectingStore(
-            MemoryStore(), script={"probe": {first_solve_probes + 1}}
-        )
+        store = FaultInjectingStore(MemoryStore(), script={"read": set(range(1, 100))})
+        store.armed = False  # every read is scripted; arm only for the refresh
         kb = KnowledgeBase(rules, store=store)
         kb.load({"move": EDGES})
-        kb.solution  # clean
+        kb.solution
+        churn = [(f"x{i}", f"x{i + 1}") for i in range(70)]
+        kb.load({"move": churn})
+        assert kb.is_true("two", "x0", "x2")
+        with kb.batch():
+            for move in churn:
+                kb.retract_fact("move", *move)
         kb.assert_fact("move", "c", "d")
+        reads = store.counts["read"]
+        store.armed = True
         with pytest.raises(InjectedFault):
-            kb.solution  # the delta refresh's first probe — injected fault
+            kb.solution  # the re-grounding's read of the store
+        assert store.counts["read"] == reads + 1
         store.armed = False
-        assert _model_lines(kb.solution) == _model_lines(
-            solve(kb.solution.program, config=kb.config)
-        )
-        assert kb.is_true("two", "b", "d")
+        oracle = solve_configured(Program.union(kb.store.as_program(), kb.rules), kb.config)
+        assert _model_lines(kb.solution) == _model_lines(oracle)
+        assert kb.is_true("two", "b", "d") and not kb.is_true("two", "x0", "x2")
+        assert kb.last_update.mode != "delta"

@@ -112,10 +112,10 @@ def _check_against_oracle(kb, store, shadow, config=None):
     assert _model_bytes(kb.solution) == _model_bytes(oracle)
 
 
-# A non-ground program: the session grounds incrementally, and the join
-# rule makes each refresh probe the store, so "probe" faults land inside
-# refreshes.  The grounding outlives retractions, so the base may carry
-# extra atoms; they must all be false.
+# A non-ground program: the session grounds incrementally.  Its first solve
+# and every fresh grounding read the store, so "read" faults land inside
+# those refreshes; a delta refresh reads nothing.  The grounding outlives
+# retractions, so the base may carry extra atoms; they must all be false.
 NON_GROUND = """
 wins(X) :- move(X, Y), not wins(Y).
 two(X, Z) :- move(X, Y), move(Y, Z).
@@ -133,7 +133,7 @@ _moves = st.sampled_from(
 )
 _move_operations = st.lists(st.tuples(st.booleans(), _moves), min_size=1, max_size=8)
 _refresh_scripts = st.dictionaries(
-    st.sampled_from(["add", "remove", "savepoint", "probe"]),
+    st.sampled_from(["add", "remove", "savepoint", "read"]),
     st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
     max_size=3,
 )
@@ -281,8 +281,8 @@ class TestLockstep:
     )
     def test_non_ground_refresh_faults_match_oracle(self, operations, script):
         """Incremental grounding under faults: a mutation applies fully or
-        not at all, a refresh that faults (a store probe inside the
-        grounder) leaves the delta queued, and the session never misses a
+        not at all, a refresh that faults (a fresh grounding's read of the
+        store) leaves the delta queued, and the session never misses a
         rule instance afterwards."""
         kb, store, shadow = _non_ground_kb(script)
         _apply(kb, operations, shadow, read=True)

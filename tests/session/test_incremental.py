@@ -2,6 +2,7 @@
 touches, forced full solves, recovery from a failed refresh, and
 incremental grounding of non-ground rules."""
 
+import json
 import os
 import random
 import subprocess
@@ -355,3 +356,42 @@ class TestNoReferenceEvaluator:
             env={**os.environ, "PYTHONPATH": source},
         )
         assert completed.returncode == 0, completed.stderr
+
+
+_COMPONENT_SPANS_SCRIPT = """
+import json
+from repro import KnowledgeBase
+from repro.obs import TraceRecorder
+
+recorder = TraceRecorder()
+kb = KnowledgeBase("p :- q, not r. r :- not s. s :- not r.", recorder=recorder)
+kb.assert_fact("q")
+kb.solution
+print(json.dumps([
+    [span.attributes["index"], span.attributes["method"], span.attributes["size"]]
+    for _, span in recorder.walk()
+    if span.name == "component"
+]))
+"""
+
+
+class TestComponentNumbering:
+    def test_component_spans_do_not_depend_on_the_hash_seed(self):
+        # The condensation walks successors in rule and body order, so two
+        # processes number a session's components alike.
+        source = str(Path(repro.__file__).resolve().parents[1])
+        traces = []
+        for seed in ("0", "1"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _COMPONENT_SPANS_SCRIPT],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+                env={**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": seed},
+            )
+            traces.append(json.loads(completed.stdout))
+        assert sorted(method for _, method, _ in traces[0]) == [
+            "alternating", "horn", "stratified"
+        ]
+        assert traces[0] == traces[1]

@@ -10,6 +10,7 @@ import importlib
 import pytest
 
 import repro
+from repro import solve
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Compound, Constant
 from repro.exceptions import NotGroundError, StorageError
@@ -78,7 +79,6 @@ class TestMutationAndQueries:
         assert not store.contains("ghost", 1)
         assert store.count("ghost", 1) == 0
         assert list(store.tuples("ghost", 1)) == []
-        assert list(store.candidate_rows("ghost", 1, (), (), 0, 10)) == []
         assert store.signatures() == set()
         assert len(store) == 0
 
@@ -105,6 +105,8 @@ class TestMutationAndQueries:
         assert store.relation_names() == {"node"}
         assert store.values("edge") == set()
         assert store.signatures() == {("node", 1)}
+        store.add("edge", 5, 6)
+        assert list(store.tuples("edge", 2)) == [(Constant(5), Constant(6))]
 
     def test_constants(self, store):
         store.load({"edge": [(1, 2)], "label": [("a",)]})
@@ -129,49 +131,29 @@ class TestOneFactContainer:
             importlib.import_module("repro.datalog.database")
 
 
-class TestProbes:
-    def test_bound_position_probe(self, store):
-        store.load({"edge": [(1, 2), (1, 3), (2, 3)]})
-        hi = store.sequence_bound("edge", 2)
-        rows = [
-            row for _, row in store.candidate_rows("edge", 2, (0,), (Constant(1),), 0, hi)
-        ]
-        assert rows == [(Constant(1), Constant(2)), (Constant(1), Constant(3))]
+def rows(*pairs):
+    return [tuple(Constant(value) for value in pair) for pair in pairs]
 
-    def test_probe_sequences_ascend_and_respect_windows(self, store):
-        store.load({"edge": [(1, 2), (1, 3), (1, 4)]})
-        hi = store.sequence_bound("edge", 2)
-        full = list(store.candidate_rows("edge", 2, (0,), (Constant(1),), 0, hi))
-        sequences = [seq for seq, _ in full]
-        assert sequences == sorted(sequences)
-        # A window starting past the first row excludes it.
-        windowed = list(
-            store.candidate_rows("edge", 2, (0,), (Constant(1),), sequences[0] + 1, hi)
-        )
-        assert [row for _, row in windowed] == [r for _, r in full[1:]]
 
-    def test_delta_window_sees_only_new_rows(self, store):
+class TestReads:
+    def test_tuples_in_insertion_order(self, store):
+        # A grounding's first round, and so its atom ids, follow this order.
+        store.load({"edge": [(3, 1), (1, 2), (2, 9)]})
+        assert list(store.tuples("edge", 2)) == rows((3, 1), (1, 2), (2, 9))
+        store.remove("edge", 3, 1)
+        store.add("edge", 3, 1)
+        assert list(store.tuples("edge", 2)) == rows((1, 2), (2, 9), (3, 1))
+
+    def test_mutating_while_iterating_tuples(self, store):
         store.load({"edge": [(1, 2), (2, 3)]})
-        mark = store.sequence_bound("edge", 2)
-        store.add("edge", 3, 4)
-        delta = list(
-            store.candidate_rows("edge", 2, (), (), mark, store.sequence_bound("edge", 2))
-        )
-        assert [row for _, row in delta] == [(Constant(3), Constant(4))]
-
-    def test_sequence_bound_monotone_under_removal(self, store):
-        store.load({"edge": [(1, 2), (2, 3)]})
-        bound = store.sequence_bound("edge", 2)
-        store.remove("edge", 2, 3)
-        assert store.sequence_bound("edge", 2) <= bound
-        store.add("edge", 5, 6)
-        rows = [
-            row
-            for _, row in store.candidate_rows(
-                "edge", 2, (), (), 0, store.sequence_bound("edge", 2)
-            )
-        ]
-        assert rows == [(Constant(1), Constant(2)), (Constant(5), Constant(6))]
+        seen = []
+        for row in store.tuples("edge", 2):
+            seen.append(row)
+            store.add("edge", 9, len(seen))
+            store.remove("edge", 2, 3)
+        # The rows were read before the first was yielded.
+        assert seen == rows((1, 2), (2, 3))
+        assert list(store.tuples("edge", 2)) == rows((1, 2), (9, 1), (9, 2))
 
 
 class TestStats:
@@ -180,10 +162,9 @@ class TestStats:
         assert stats["backend"] == type(store).__name__
         assert stats["relations"] == {}
         assert stats["rows"] == 0
-        assert stats["indexes"] == 0
         assert stats["probes"] == 0
 
-    def test_per_relation_rows_and_sequence_bounds(self, store):
+    def test_per_relation_rows(self, store):
         store.load({"edge": [(1, 2), (2, 3)], "node": [(1,), (2,), (3,)]})
         store.add("flag")
         stats = store.stats()
@@ -191,29 +172,22 @@ class TestStats:
         assert stats["relations"]["edge/2"]["rows"] == 2
         assert stats["relations"]["node/1"]["rows"] == 3
         assert stats["rows"] == 6
-        for info in stats["relations"].values():
-            # Sequences are allocated per row and never reused, so the
-            # bound covers at least the live rows.
-            assert info["sequence_bound"] >= info["rows"]
+        assert stats["relations"]["flag/0"] == {"rows": 1}
 
-    def test_probe_and_index_counters_advance(self, store):
+    def test_grounding_leaves_probes_at_zero(self, store):
         store.load({"edge": [(1, 2), (1, 3), (2, 3)]})
-        assert store.stats()["probes"] == 0
-        hi = store.sequence_bound("edge", 2)
-        list(store.candidate_rows("edge", 2, (0,), (Constant(1),), 0, hi))
+        solve("tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y).", store=store)
+        # The grounder read the rows into its own relations; the store
+        # keeps no index and served no probe.
         stats = store.stats()
-        assert stats["probes"] == 1
-        # The bound-position probe lazily built one auxiliary index.
-        assert stats["indexes"] >= 1
-        list(store.candidate_rows("edge", 2, (0,), (Constant(2),), 0, hi))
-        assert store.stats()["probes"] == 2
+        assert stats["probes"] == 0
+        assert "indexes" not in stats
 
     def test_stats_shape_identical_across_backends(self):
         with MemoryStore() as memory, SqliteStore(":memory:") as sqlite:
             for backend in (memory, sqlite):
                 backend.load({"edge": [(1, 2), (2, 3)]})
-                hi = backend.sequence_bound("edge", 2)
-                list(backend.candidate_rows("edge", 2, (0,), (Constant(1),), 0, hi))
+                solve("p(X) :- edge(X, 2).", store=backend)
             memory_stats, sqlite_stats = memory.stats(), sqlite.stats()
             assert set(memory_stats) == set(sqlite_stats)
             for field in ("relations", "rows", "probes"):

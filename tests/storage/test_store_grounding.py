@@ -1,7 +1,9 @@
-"""Grounding directly off a FactStore: equivalence and zero-copy probing."""
+"""Grounding off a FactStore: equivalence with facts in the program, one
+read of the store per grounding, and none per delta refresh."""
 
 import pytest
 
+from repro import KnowledgeBase
 from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.datalog.grounding import relevant_ground, stream_relevant_ground
@@ -9,6 +11,7 @@ from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
 from repro.engine.solver import solve, solve_configured
 from repro.config import EngineConfig
+from repro.games import random_game_edges
 from repro.semantics.horn import horn_minimum_model
 from repro.storage import MemoryStore, SqliteStore
 
@@ -32,6 +35,37 @@ LEGACY = parse_program(
     blocked(X) :- node(X), not tc(a, X).
     """
 )
+
+
+#: Every read of the FactStore protocol.
+READS = ("signatures", "tuples", "count", "contains_atom")
+
+
+def counting(backend_class):
+    """A subclass of *backend_class* counting the calls of each read method
+    in ``reads``."""
+
+    class Counting(backend_class):
+        def __init__(self, *args):
+            self.reads = dict.fromkeys(READS, 0)
+            super().__init__(*args)
+
+    def counted(name, method):
+        def read(self, *args):
+            self.reads[name] += 1
+            return method(self, *args)
+
+        return read
+
+    for name in READS:
+        setattr(Counting, name, counted(name, getattr(backend_class, name)))
+    return Counting
+
+
+def open_backend(kind):
+    if kind == "memory":
+        return counting(MemoryStore)()
+    return counting(SqliteStore)(":memory:")
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -58,17 +92,19 @@ class TestGroundingEquivalence:
         assert len(store) == len(EDGES) + len(NODES)
         assert store.signatures() == {("edge", 2), ("node", 1)}
 
-    def test_repeated_runs_reuse_live_indexes(self):
-        backend = MemoryStore()
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_each_run_reads_each_relation_once(self, kind):
+        backend = open_backend(kind)
         backend.load({"edge": EDGES, "node": NODES})
         first = set(stream_relevant_ground(RULES, store=backend))
-        indexed = backend.relation("edge", 2).indexes
-        assert indexed, "grounding should have built bound-position indexes"
-        # The second run probes the same Relation objects (same indexes
-        # dict identity) and produces the same rules.
+        # One read of the store per run: its signatures, then each
+        # relation's rows; the joins probe the grounder's own relations.
+        assert backend.reads["tuples"] == 2
+        assert backend.reads["contains_atom"] == 0
         second = set(stream_relevant_ground(RULES, store=backend))
-        assert backend.relation("edge", 2).indexes is indexed
+        assert backend.reads["tuples"] == 4
         assert first == second
+        backend.close()
 
     def test_grounding_sees_store_updates_between_runs(self):
         backend = MemoryStore()
@@ -120,16 +156,17 @@ class TestSolveEquivalence:
         assert via_store.program.fact_atoms() == legacy.fact_atoms()
         assert build_context(via_store.program).base == via_store.base
 
-    def test_store_backed_solve_probes_the_live_store(self):
-        backend = MemoryStore()
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_store_backed_solve_reads_the_store_once(self, kind):
+        backend = open_backend(kind)
         backend.load({"edge": EDGES, "node": NODES})
         solution = solve(RULES, store=backend)
         oracle = solve(LEGACY)
         assert solution.interpretation.true_atoms == oracle.interpretation.true_atoms
         assert solution.base == oracle.base
-        # The grounder probed the live store: its relations now carry the
-        # bound-position indexes the join built.
-        assert backend.relation("edge", 2).indexes
+        assert backend.reads["tuples"] == 2
+        assert backend.reads["contains_atom"] == 0
+        backend.close()
 
     def test_config_store_spec_opens_backend(self, tmp_path):
         path = tmp_path / "solve.db"
@@ -140,3 +177,31 @@ class TestSolveEquivalence:
         solution = solve_configured(RULES, config)
         oracle = solve_configured(LEGACY, EngineConfig())
         assert solution.interpretation.true_atoms == oracle.interpretation.true_atoms
+
+
+class TestDeltaRefreshReads:
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_delta_refresh_reads_nothing_from_the_store(self, kind):
+        # The grounder holds every row it joins, so once a non-ground
+        # session has solved, its updates only write to the store.
+        backend = open_backend(kind)
+        moves = random_game_edges(30, 2, seed=1)
+        kb = KnowledgeBase(
+            "wins(X) :- move(X, Y), not wins(Y).\ntwo(X, Z) :- move(X, Y), move(Y, Z).",
+            store=backend,
+            facts={"move": moves},
+        )
+        list(kb.query("wins"))
+        assert kb.is_incremental
+        before = dict(backend.reads)
+        for step in range(20):
+            if step % 2:
+                assert kb.retract_fact("move", *moves[step])
+            else:
+                assert kb.assert_fact("move", f"n{step}", f"n{step + 1}")
+            list(kb.query("wins"))
+            list(kb.query("two"))
+            assert kb.last_update.mode == "delta", step
+        assert backend.reads == before
+        kb.close()
+        backend.close()
