@@ -2,8 +2,9 @@
 
 Since PR 1 the *ground* fixpoints are semi-naive and indexed, so on
 non-ground workloads the runtime is dominated by ``relevant_ground``.  The
-indexed matcher (``repro.datalog.joins``) replaces the naive envelope
-fixpoint + per-conjunct linear scans of the original matcher with
+indexed grounder (``repro.datalog.joins``) replaces the naive envelope
+fixpoint + per-conjunct linear scans of the original matcher
+(``scan_relevant_ground``, kept as the reference) with
 delta-driven grounding over lazily built argument-position hash indexes
 and greedy join ordering.  This benchmark sweeps the three non-ground
 workloads the ISSUE names:
@@ -30,7 +31,7 @@ import pytest
 
 from _metrics import emit
 from _smoke import trim
-from repro.datalog.grounding import relevant_ground
+from repro.datalog.grounding import relevant_ground, scan_relevant_ground
 from repro.exceptions import GroundingTimeout
 from repro.games import binary_tree_edges, chain_edges, random_game_edges, win_move_program
 from repro.resilience import Budget, metered
@@ -57,11 +58,11 @@ def _best_time(function) -> float:
 def _compare(program):
     """Return (scan seconds, indexed seconds) after asserting the two
     matchers ground the program to the identical rule set."""
-    indexed_rules = set(relevant_ground(program, matcher="indexed").rules)
-    scan_rules = set(relevant_ground(program, matcher="scan").rules)
+    indexed_rules = set(relevant_ground(program).rules)
+    scan_rules = set(scan_relevant_ground(program).rules)
     assert indexed_rules == scan_rules
-    scan = _best_time(lambda: relevant_ground(program, matcher="scan"))
-    indexed = _best_time(lambda: relevant_ground(program, matcher="indexed"))
+    scan = _best_time(lambda: scan_relevant_ground(program))
+    indexed = _best_time(lambda: relevant_ground(program))
     return scan, indexed
 
 
@@ -105,13 +106,13 @@ def test_transitive_closure_chain300_acceptance(report):
     """
     program = transitive_closure_program(chain_edges(ACCEPTANCE_CHAIN_SIZE))
     start = time.perf_counter()
-    grounded = relevant_ground(program, matcher="indexed")
+    grounded = relevant_ground(program)
     indexed = time.perf_counter() - start
     budget = max(5 * indexed * 1.5, 2.0)
     start = time.perf_counter()
     try:
         with metered(Budget(max_seconds=budget)):
-            relevant_ground(program, matcher="scan")
+            scan_relevant_ground(program)
         scan = time.perf_counter() - start
         timed_out = False
     except GroundingTimeout as timeout:
@@ -200,9 +201,11 @@ def test_win_move_no_regression(report):
 
 
 @pytest.mark.repro("E14")
-@pytest.mark.parametrize("matcher", ["indexed", "scan"])
-def test_timed_grounding_chain40(benchmark, matcher):
+@pytest.mark.parametrize(
+    "ground", [relevant_ground, scan_relevant_ground], ids=["indexed", "scan"]
+)
+def test_timed_grounding_chain40(benchmark, ground):
     """pytest-benchmark recording for EXPERIMENTS.md-style comparison."""
     program = transitive_closure_program(chain_edges(40))
-    grounded = benchmark(lambda: relevant_ground(program, matcher=matcher))
+    grounded = benchmark(lambda: ground(program))
     assert grounded.is_ground

@@ -35,9 +35,9 @@ import pytest
 from _metrics import emit
 from _paired import paired_ratios
 from _smoke import trim
-from repro.datalog.grounding import stream_relevant_ground
+from repro.datalog.grounding import IncrementalGrounder
 from repro.datalog.parser import parse_program
-from repro.datalog.rules import Program
+from repro.datalog.rules import Program, Rule
 from repro.games import chain_edges
 from repro.storage import MemoryStore, SqliteStore
 from repro.workloads import transitive_closure_program
@@ -52,6 +52,13 @@ PARITY_BATCH = 3
 
 CHAIN_SIZES = trim([40])
 LAYERED_SHAPES = trim([(20, 100)])
+
+
+def _ground(program: Program, store=None) -> list[Rule]:
+    """One relevant grounding run: the facts it read as fact rules, then
+    every rule instance."""
+    facts, instances = IncrementalGrounder(program, store=store).ground()
+    return [*map(Rule, facts), *instances]
 
 
 def _best(function, repeat: int = REPEAT) -> float:
@@ -95,21 +102,21 @@ def _compare(program: Program, paired: bool = False):
     for fact in facts:
         durable.add_atom(fact)
 
-    legacy_rules = set(stream_relevant_ground(program))
-    shared_rules = set(stream_relevant_ground(rules, store=memory))  # warms the indexes
-    sqlite_rules = set(stream_relevant_ground(rules, store=durable))
+    legacy_rules = set(_ground(program))
+    shared_rules = set(_ground(rules, store=memory))
+    sqlite_rules = set(_ground(rules, store=durable))
     assert shared_rules == legacy_rules
     assert sqlite_rules == legacy_rules
 
     def rebuild():
-        return list(stream_relevant_ground(program))
+        return _ground(program)
 
     def shared_store():
-        return list(stream_relevant_ground(rules, store=memory))
+        return _ground(rules, store=memory)
 
     legacy = _best(rebuild)
     shared = _best(shared_store)
-    sqlite = _best(lambda: list(stream_relevant_ground(rules, store=durable)), repeat=3)
+    sqlite = _best(lambda: _ground(rules, store=durable), repeat=3)
     durable.close()
     ratios = None
     if paired:

@@ -12,12 +12,13 @@ Two instantiations of the same structure live here:
   driving stratification, strictness and the Section 8.2 analyses;
 * :class:`AtomDependencyGraph` — the *ground-atom-level* graph of a ground
   program (or :class:`~repro.core.context.GroundContext`), driving local
-  stratification and the component-wise maintenance of
-  :mod:`repro.session.incremental`.
+  stratification.
 
 Both share one iterative Tarjan SCC implementation (:func:`tarjan_scc`),
 which emits components callees-first — i.e. already in the bottom-up
-condensation order the component-wise evaluator consumes.
+condensation order the component-wise evaluator consumes.  A session
+(:mod:`repro.session.incremental`) runs it over its own rules' successor
+lists, with no polarity labels.
 """
 
 from __future__ import annotations
@@ -359,54 +360,22 @@ def build_atom_dependency_graph(
 
     From a context, every atom of the base becomes a node (facts and
     body-only atoms included), so isolated atoms still receive their own
-    singleton components; from a raw program, the occurring atoms do.  The
-    context path is the hot one (the component-wise evaluator calls it per
-    run), so it builds the per-source target sets in bulk instead of going
-    through :meth:`AtomDependencyGraph.add_arc`.
+    singleton components, and the arcs are those of its rules; from a raw
+    program, the occurring atoms do.
     """
     graph = AtomDependencyGraph()
     if isinstance(source, Program):
         source.require_ground()
-        for rule in source:
-            graph.add_node(rule.head)
-            for literal in rule.body:
-                graph.add_arc(
-                    rule.head,
-                    literal.atom,
-                    ArcPolarity.POSITIVE if literal.positive else ArcPolarity.NEGATIVE,
-                )
-        return graph
-
-    positive: dict[Atom, set[Atom]] = {}
-    negative: dict[Atom, set[Atom]] = {}
-    # Successors in rule and body order (positive body, then negative),
-    # each once: a dict is the ordered set, so the SCC walk, and with it
-    # the component numbering, never depends on the hash seed.
-    successors: dict[Atom, dict[Atom, None]] = {}
-    meter = current_meter()
-    for rule in source.rules:
-        meter.tick("condense", stride=512)
-        head = rule.head
-        if not (rule.positive_body or rule.negative_body):
-            continue
-        ordered = successors.get(head)
-        if ordered is None:
-            ordered = successors[head] = {}
-        if rule.positive_body:
-            targets = positive.get(head)
-            if targets is None:
-                targets = positive[head] = set()
-            targets.update(rule.positive_body)
-            ordered.update(dict.fromkeys(rule.positive_body))
-        if rule.negative_body:
-            targets = negative.get(head)
-            if targets is None:
-                targets = negative[head] = set()
-            targets.update(rule.negative_body)
-            ordered.update(dict.fromkeys(rule.negative_body))
-
-    graph.nodes = set(source.base)
-    graph.adjacency = {head: list(ordered) for head, ordered in successors.items()}
-    graph._positive = positive
-    graph._negative = negative
+        rules: Iterable[Rule] = source
+    else:
+        graph.nodes.update(source.base)
+        rules = (rule.source for rule in source.rules)
+    for rule in rules:
+        graph.add_node(rule.head)
+        for literal in rule.body:
+            graph.add_arc(
+                rule.head,
+                literal.atom,
+                ArcPolarity.POSITIVE if literal.positive else ArcPolarity.NEGATIVE,
+            )
     return graph

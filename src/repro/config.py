@@ -78,8 +78,9 @@ DEFAULT_ENGINE = "kernel"
 #: Grounders accepted by :func:`repro.core.context.build_context`: the
 #: relevant instantiation (indexed semi-naive joins) and the literal
 #: Herbrand instantiation Fitting's semantics needs.  The linear-scan
-#: matcher stays reachable as ``relevant_ground(..., matcher="scan")``,
-#: the differential oracle of the indexed one.
+#: matcher is no grounder: it is the reference
+#: :func:`repro.datalog.grounding.scan_relevant_ground`, the differential
+#: oracle of the indexed one, called by name.
 SUPPORTED_GROUNDERS = ("relevant", "naive")
 DEFAULT_GROUNDER = "relevant"
 

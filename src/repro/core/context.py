@@ -30,22 +30,21 @@ tables list every ``p(x)`` atom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..config import DEFAULT_GROUNDER, validate_grounder
 from ..datalog.atoms import Atom
 from ..datalog.grounding import (
     GroundingLimits,
+    IncrementalGrounder,
     herbrand_base,
     naive_ground,
-    stream_relevant_ground,
 )
 from ..datalog.rules import Program, Rule
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..resilience.budget import current_meter
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import EngineConfig
     from ..storage.base import FactStore
 
 __all__ = ["GroundRule", "GroundContext", "build_context", "extend_context"]
@@ -104,7 +103,6 @@ def build_context(
     full_base: bool = False,
     extra_atoms: Iterable[Atom] = (),
     grounder: str | None = None,
-    config: "EngineConfig | None" = None,
     store: "FactStore | None" = None,
     recorder: Recorder | None = None,
 ) -> GroundContext:
@@ -126,75 +124,55 @@ def build_context(
     grounder:
         ``"relevant"`` (default) instantiates only rules whose positive body
         is supportable — equivalent for the well-founded, stable, stratified,
-        Horn and inflationary semantics.  It runs the indexed semi-naive
-        grounder and consumes its rule stream incrementally: facts are
-        split off in the same pass that grounds, with no intermediate
-        program materialised first, and the rules are then decomposed and
-        indexed by :func:`extend_context`.
+        Horn and inflationary semantics; ``None`` means it.  It runs an
+        :class:`~repro.datalog.grounding.IncrementalGrounder`, takes its
+        facts as atoms and consumes its rule stream incrementally, with no
+        intermediate program materialised first; the rules are then
+        decomposed and indexed by :func:`extend_context`.  The context's
+        program is the facts as fact rules, in read order, then the
+        instances.
         ``"naive"`` is the literal Herbrand instantiation ``P_H``; the
         Fitting semantics needs it because it can leave *underivable* atoms
         undefined rather than false.
-    config:
-        An :class:`~repro.config.EngineConfig` supplying ``grounder`` and
-        ``limits`` together; the per-field keywords, when given, take
-        precedence.
     store:
         An optional :class:`~repro.storage.FactStore` supplying EDB facts
         alongside the program's own fact rules.  With the default
-        ``"relevant"`` grounder and a non-ground program, the streaming
-        grounder reads the store once, into its own relations.  Ground
-        programs and the other grounders materialise the store's facts
-        into the program instead (preserving their exact historical rule
-        sets and atom bases).
+        ``"relevant"`` grounder and a non-ground program, the grounder
+        reads the store once, into its own relations.  Ground programs and
+        the naive grounder materialise the store's facts into the program
+        instead (preserving their exact historical rule sets and atom
+        bases).
     recorder:
         Optional :class:`~repro.obs.Recorder`; a tracing recorder captures
         the whole grounding-plus-context pass as one ``ground`` span
         (annotated with the resulting rule/fact/atom counts) and the
         grounder's round/delta counters.
     """
-    if config is not None:
-        if grounder is None:
-            grounder = config.grounder
-        if limits is None:
-            limits = config.limits
-    validate_grounder(grounder if grounder is not None else DEFAULT_GROUNDER)
-    if grounder is None:
-        grounder = DEFAULT_GROUNDER
+    grounder = validate_grounder(grounder if grounder is not None else DEFAULT_GROUNDER)
     recorder = recorder if recorder is not None else NULL_RECORDER
     with recorder.span("ground", grounder=grounder) as ground_span:
         if store is not None and (program.is_ground or grounder != "relevant"):
             program = Program.union(store.as_program(), program)
             store = None
-        grounded: Program | None
-        if program.is_ground:
-            grounded = program
-            rule_stream: Iterable[Rule] = program
-        elif grounder == "naive":
-            grounded = naive_ground(program, limits)
-            rule_stream = grounded
+        if program.is_ground or grounder == "naive":
+            grounded = program if program.is_ground else naive_ground(program, limits)
+            facts: list[Atom] = []
+            rules: list[Rule] = []
+            # Already-ground programs bypass the grounder's own budget
+            # ticks, so the split checkpoints the ambient meter itself.
+            meter = current_meter()
+            for rule in grounded:
+                meter.tick("ground", stride=256)
+                if rule.is_fact:
+                    facts.append(rule.head)
+                else:
+                    rules.append(rule)
         else:
-            # Consume the indexed grounder's incremental stream directly.
-            grounded = None
-            rule_stream = stream_relevant_ground(
+            facts, instances = IncrementalGrounder(
                 program, limits, store=store, recorder=recorder
-            )
-
-        collected: list[Rule] | None = [] if grounded is None else None
-        facts: set[Atom] = set()
-        rules: list[Rule] = []
-        # Already-ground programs bypass the grounder's own budget ticks,
-        # so the collection loop checkpoints the ambient meter itself.
-        meter = current_meter()
-        for rule in rule_stream:
-            meter.tick("ground", stride=256)
-            if collected is not None:
-                collected.append(rule)
-            if rule.is_fact:
-                facts.add(rule.head)
-            else:
-                rules.append(rule)
-        if grounded is None:
-            grounded = Program(collected)
+            ).ground()
+            rules = list(instances)
+            grounded = Program([*map(Rule, facts), *rules])
 
         base: set[Atom] = set(facts)
         base.update(extra_atoms)

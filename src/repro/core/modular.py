@@ -7,8 +7,9 @@ stages × whole-program ``S_P`` cost.  But the well-founded semantics is
 *relevant*: an atom's verdict only depends on the atoms it transitively
 depends on (the Section 8 dependency-graph analyses, here at ground-atom
 granularity).  So the model can be assembled over the strongly connected
-components of the atom dependency graph
-(:func:`repro.analysis.dependency.build_atom_dependency_graph`), solved
+components of the atom dependency graph (the kernel condenses its int IR,
+:func:`repro.kernel.condense`; a session runs
+:func:`repro.analysis.dependency.tarjan_scc` over its own rules), solved
 callees first, each solved component's true/false atoms frozen as fixed
 context for the components above it.
 

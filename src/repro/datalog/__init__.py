@@ -12,15 +12,13 @@ and the query answerers.
 from .atoms import Atom, Literal, Predicate, atom, neg, pos
 from .builder import ProgramBuilder, build_program
 from .grounding import (
-    DEFAULT_GROUNDING_MATCHER,
-    GROUNDING_MATCHERS,
     GroundingLimits,
     ground_program,
     herbrand_base,
     herbrand_universe,
     naive_ground,
     relevant_ground,
-    stream_relevant_ground,
+    scan_relevant_ground,
 )
 from .joins import Relation, RelationStore
 from .io import (
@@ -45,15 +43,13 @@ __all__ = [
     "neg",
     "ProgramBuilder",
     "build_program",
-    "DEFAULT_GROUNDING_MATCHER",
-    "GROUNDING_MATCHERS",
     "GroundingLimits",
     "ground_program",
     "herbrand_base",
     "herbrand_universe",
     "naive_ground",
     "relevant_ground",
-    "stream_relevant_ground",
+    "scan_relevant_ground",
     "Relation",
     "RelationStore",
     "load_facts_csv",

@@ -21,43 +21,40 @@ Two grounding strategies are provided:
   over-approximation are false in every partial model considered), and it is
   the default used by :func:`ground_program`.
 
-:func:`relevant_ground` itself dispatches between two matchers, mirroring
-the ``"seminaive"`` / ``"naive"`` strategy split of :mod:`repro.evaluation`:
+:func:`relevant_ground` is the first run of an :class:`IncrementalGrounder`,
+a fused semi-naive grounder built on the hash-join relations of
+:mod:`repro.datalog.joins`.  The envelope fixpoint is delta-driven: each
+round evaluates, per rule, one variant per positive conjunct with that
+conjunct restricted to the rows derived in the previous round (earlier
+conjuncts to strictly older rows, later ones to everything), so every rule
+instance is enumerated exactly once, the moment its last supporting atom
+appears.  Each rule is compiled once per grounder
+(:func:`repro.datalog.joins.compile_rule`) into one join plan per variant,
+with a static most-bound-first conjunct order; the plans run over a flat
+slot list through lazily built argument-position hash indexes, a head is a
+row tuple until it is new to the envelope, and ground rules are emitted
+incrementally — there is no separate re-instantiation pass.  The grounder
+owns every row it joins: a run reads its EDB (the program's facts, then a
+store's rows) once, as the first round's delta, into its own relations.
+The EDB stays atoms: :meth:`IncrementalGrounder.ground` returns the facts
+in that read order next to the lazy stream of rule instances, which
+:func:`repro.core.context.build_context` consumes without an intermediate
+program; a session keeps the grounder and resumes it from newly asserted
+facts.  For a definite program the envelope *is* the minimum model
+``T_P↑ω(∅)`` (Section 3.4), so :meth:`IncrementalGrounder.envelope` runs
+the same join loop reading heads only and returns it, with no rule
+instance built; :func:`repro.engine.solver.solve_configured` solves
+definite non-ground programs that way.  :meth:`IncrementalGrounder.ground_ir`
+runs it once more, turning each binding straight into int atom ids (a
+:class:`GroundIR`, the kernel's input, with no :class:`Rule` per
+instance); a well-founded ``solve`` grounds that way.
 
-* ``"indexed"`` (default) — a fused semi-naive grounder built on the
-  hash-join relations of :mod:`repro.datalog.joins`.  The envelope fixpoint
-  is delta-driven: each round evaluates, per rule, one variant per positive
-  conjunct with that conjunct restricted to the rows derived in the
-  previous round (earlier conjuncts to strictly older rows, later ones to
-  everything), so every rule instance is enumerated exactly once, the
-  moment its last supporting atom appears.  Each rule is compiled once per
-  grounder (:func:`repro.datalog.joins.compile_rule`) into one join plan
-  per variant, with a static most-bound-first conjunct order; the plans
-  run over a flat slot list through lazily built argument-position hash
-  indexes, a head is a row tuple until it is new to the envelope, and
-  ground rules are emitted incrementally — there is no separate
-  re-instantiation pass.  The grounder owns every row it joins: a run
-  reads its EDB (the program's facts, then a store's rows) once, as the
-  first round's delta, into its own relations.
-  :func:`stream_relevant_ground` exposes the incremental rule stream
-  directly (consumed by
-  :func:`repro.core.context.build_context` to build evaluation contexts
-  without an intermediate program); it is the first run of an
-  :class:`IncrementalGrounder`, the same fixpoint as a resumable object a
-  session keeps and resumes from newly asserted facts.  For a definite
-  program the envelope *is* the minimum model ``T_P↑ω(∅)`` (Section 3.4),
-  so :meth:`IncrementalGrounder.envelope` runs the same join loop
-  reading heads only and returns it, with no rule instance built;
-  :func:`repro.engine.solver.solve_configured` solves definite non-ground
-  programs that way.  :meth:`IncrementalGrounder.ground_ir` runs it once
-  more, turning each binding straight into int atom ids (a
-  :class:`GroundIR`, the kernel's input, with no :class:`Rule` per
-  instance); a well-founded ``solve`` grounds that way.
-* ``"scan"`` — the original matcher: a naive envelope fixpoint that
-  re-matches every rule against the whole derivable set each round by
-  linear scan over per-signature fact lists, then a second pass that
-  re-instantiates every rule.  Quadratically slower on recursive
-  workloads; kept as the differential-testing oracle.
+:func:`scan_relevant_ground` is the original matcher, kept as the
+reference the indexed grounder is differentially tested against: a naive
+envelope fixpoint that re-matches every rule against the whole derivable
+set each round by linear scan over per-signature fact lists, then a second
+pass that re-instantiates every rule.  Quadratically slower on recursive
+workloads.
 
 Programs with function symbols have infinite Herbrand universes; the
 ``max_depth`` parameter bounds the term nesting considered (see
@@ -70,7 +67,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ..exceptions import GroundingError
@@ -86,25 +82,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "GroundingLimits",
-    "GROUNDING_MATCHERS",
-    "DEFAULT_GROUNDING_MATCHER",
     "herbrand_universe",
     "herbrand_base",
     "naive_ground",
     "relevant_ground",
-    "stream_relevant_ground",
+    "scan_relevant_ground",
     "IncrementalGrounder",
     "GroundIR",
     "ground_program",
 ]
 
 DEFAULT_MAX_GROUND_RULES = 2_000_000
-
-#: Matchers accepted by :func:`relevant_ground`: ``"indexed"`` is the
-#: semi-naive hash-join grounder, ``"scan"`` the original linear-scan
-#: matcher kept as the differential oracle.
-GROUNDING_MATCHERS = ("indexed", "scan")
-DEFAULT_GROUNDING_MATCHER = "indexed"
 
 
 @dataclass(frozen=True)
@@ -241,12 +229,6 @@ def naive_ground(program: Program, limits: GroundingLimits | None = None) -> Pro
     return Program(ground_rules)
 
 
-def _validate_matcher(matcher: str) -> None:
-    if matcher not in GROUNDING_MATCHERS:
-        choices = ", ".join(GROUNDING_MATCHERS)
-        raise GroundingError(f"unknown grounding matcher {matcher!r}; expected one of: {choices}")
-
-
 def _probes(
     relations: dict[tuple[str, int], Relation],
     plan: JoinPlan,
@@ -310,7 +292,6 @@ def _overlay_probe(
 def relevant_ground(
     program: Program,
     limits: GroundingLimits | None = None,
-    matcher: str = DEFAULT_GROUNDING_MATCHER,
     store: "FactStore | None" = None,
 ) -> Program:
     """Instantiate rules only where their positive body is supportable.
@@ -333,61 +314,25 @@ def relevant_ground(
     fails), so :func:`repro.semantics.fitting.fitting_model` grounds naively
     by default.
 
-    *matcher* selects the implementation (see the module docstring):
-    ``"indexed"`` — the semi-naive hash-join grounder — or ``"scan"`` — the
-    original linear-scan oracle.  Both produce the same rule set (the
-    property suite asserts this), differing only in enumeration order.
-
     *store*, when given, supplies EDB facts from a
     :class:`~repro.storage.FactStore` in addition to the program's own fact
-    rules; either matcher reads its facts once, up front.
+    rules.  The result is the facts as fact rules, in read order (the
+    program's, then the store's), then the rule instances as the
+    :class:`IncrementalGrounder` emits them; :func:`scan_relevant_ground`
+    grounds the same rule set by the original matcher.
     """
-    _validate_matcher(matcher)
-    if matcher == "scan":
-        if store is not None:
-            program = Program.union(store.as_program(), program)
-        return _scan_relevant_ground(program, limits)
-    return Program(stream_relevant_ground(program, limits, store=store))
-
-
-def stream_relevant_ground(
-    program: Program,
-    limits: GroundingLimits | None = None,
-    store: "FactStore | None" = None,
-    recorder: Recorder | None = None,
-) -> Iterator[Rule]:
-    """Stream the relevant grounding incrementally (indexed matcher).
-
-    Yields the ground rules of ``relevant_ground(program)`` one at a time,
-    as the fused semi-naive envelope fixpoint derives them: facts first
-    (sorted), then each rule instance the moment the delta round supplying
-    its last positive body atom completes its join.  Consumers such as
-    :func:`repro.core.context.build_context` use the stream to build their
-    own indexes in the same pass instead of waiting for the full program.
-
-    *store*, when given, is a :class:`~repro.storage.FactStore` whose
-    facts join the program's own fact rules as the EDB.  The run reads it
-    once, when the stream starts, into the grounder's own relations; what
-    the store does after that does not reach the stream.
-
-    *recorder*, when tracing (see :mod:`repro.obs`), accumulates the
-    ``ground.rounds`` / ``ground.delta_atoms`` / ``ground.rules_emitted``
-    counters — one tally per envelope round, never per row.
-
-    This is the first run of an :class:`IncrementalGrounder`; a caller
-    that wants to resume the grounding after the EDB grows holds the
-    grounder itself.
-    """
-    yield from IncrementalGrounder(program, limits, store=store, recorder=recorder).ground()
+    facts, instances = IncrementalGrounder(program, limits, store=store).ground()
+    return Program([*map(Rule, facts), *instances])
 
 
 class IncrementalGrounder:
     """The relevant grounder as a resumable semi-naive envelope fixpoint.
 
-    :meth:`ground` runs the grounding from scratch — exactly the stream of
-    :func:`stream_relevant_ground` — and leaves the envelope (the atoms
-    derivable in the program with negation erased) and the set of emitted
-    instances behind.  :meth:`extend` then resumes the same fixpoint from
+    :meth:`ground` runs the grounding from scratch — the grounding of
+    :func:`relevant_ground`, its facts apart and its rule instances as a
+    lazy stream — and leaves the envelope (the atoms derivable in the
+    program with negation erased) and the set of emitted instances
+    behind.  :meth:`extend` then resumes the same fixpoint from
     facts asserted since: they are the first round's delta, joined against
     the whole envelope, and only instances never emitted before come out.
     This is multi-shot incremental grounding in the style of clingo: the
@@ -435,14 +380,19 @@ class IncrementalGrounder:
         # Checks every rule's safety, facts being safe by definition.
         self._plans = tuple(compile_rule(rule) for rule in rules)
 
-    def ground(self) -> Iterator[Rule]:
-        """The first run: the facts (sorted), then every rule instance the
-        moment the round supplying its last positive body atom joins it."""
-        facts = sorted(self._facts(), key=str)
-        for fact in facts:
-            self._emitted += 1
-            yield Rule(fact)
-        yield from self._emit(self._fixpoint(facts, {}, first_run=True), first_run=True)
+    def ground(self) -> tuple[list[Atom], Iterator[Rule]]:
+        """The first run: ``(facts, instances)``, the EDB facts (the
+        program's, then the store's, each once) and the lazy stream of
+        rule instances, each the moment the round supplying its last
+        positive body atom joins it.
+
+        The store is read here, before the stream starts.  ``max_rules``
+        and the ``ground.rules_emitted`` tally count the facts with the
+        instances, as every run does on its first pass.
+        """
+        facts = self._facts()
+        self._emitted = len(facts)
+        return facts, self._emit(self._fixpoint(facts, {}, first_run=True), first_run=True)
 
     def envelope(self) -> tuple[list[Atom], set[Atom]]:
         """The first run without rule instances: ``(facts, atoms)``, the
@@ -694,14 +644,23 @@ def _id_layout(plan: RulePlan, ids: dict[tuple[str, int], dict[Row, int]]) -> tu
     return head, body, len(set(literals)) < len(literals)
 
 
-def _scan_relevant_ground(program: Program, limits: GroundingLimits | None = None) -> Program:
+def scan_relevant_ground(
+    program: Program,
+    limits: GroundingLimits | None = None,
+    store: "FactStore | None" = None,
+) -> Program:
     """The original matcher: naive envelope fixpoint + linear-scan joins.
 
     Kept verbatim (modulo the ``(predicate, arity)`` fact index and the
-    wall-clock budget) as the differential oracle for the indexed grounder.
+    wall-clock budget) as the reference the indexed grounder of
+    :func:`relevant_ground` is differentially tested against: the two
+    ground the same rule set.  *store*'s facts join the program's as fact
+    rules, read once, up front.
     """
     from .unification import match_atom  # local import to avoid a cycle at import time
 
+    if store is not None:
+        program = Program.union(store.as_program(), program)
     limits = limits or GroundingLimits()
     budget = current_meter()
     program.check_safety()
@@ -765,19 +724,15 @@ def _scan_relevant_ground(program: Program, limits: GroundingLimits | None = Non
     return Program(ground_rules)
 
 
-def ground_program(
-    program: Program,
-    limits: GroundingLimits | None = None,
-    matcher: str = DEFAULT_GROUNDING_MATCHER,
-) -> Program:
+def ground_program(program: Program, limits: GroundingLimits | None = None) -> Program:
     """Ground *program*, returning it unchanged when it is already ground.
 
-    This is the entry point the semantics modules use; it currently
-    delegates to :func:`relevant_ground` with the given matcher.
+    This is the entry point the semantics modules use; it delegates to
+    :func:`relevant_ground`.
     """
     if program.is_ground:
         return program
-    return relevant_ground(program, limits, matcher=matcher)
+    return relevant_ground(program, limits)
 
 
 def _match_body(atoms: Sequence[Atom], facts: set[Atom], match_atom) -> Iterable[dict]:

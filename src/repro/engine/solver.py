@@ -456,10 +456,8 @@ def _solve_into_kernel(
 
 def _with_read_facts(program: Program, facts: Iterable[Atom]) -> Program:
     """*program*'s non-fact rules after *facts*, the EDB a solve read from
-    its store, as fact rules."""
-    return Program(
-        [*(Rule(fact) for fact in sorted(facts, key=str)), *program.non_fact_rules()]
-    )
+    its store, as fact rules in read order."""
+    return Program([*map(Rule, facts), *program.non_fact_rules()])
 
 
 def solve(

@@ -16,8 +16,8 @@ four primitives:
 :mod:`repro.evaluation.seminaive` and is the default everywhere.
 :class:`NaiveEngine` evaluates each primitive by literally re-scanning the
 ground rules, exactly as the paper's definitions read; it is kept as the
-differential-testing oracle, mirroring the existing ``naive_ground`` /
-``relevant_ground`` split in the grounder.
+differential-testing oracle, as
+:func:`~repro.datalog.grounding.scan_relevant_ground` is the grounder's.
 """
 
 from __future__ import annotations

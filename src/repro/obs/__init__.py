@@ -6,7 +6,7 @@ One telemetry vocabulary for the whole pipeline: hierarchical timed
 exportable as JSONL traces or human-readable span-tree tables.
 
 Entry points accept ``recorder=`` throughout the stack —
-``solve_configured``, ``build_context`` / ``stream_relevant_ground``,
+``solve_configured``, ``build_context`` / ``IncrementalGrounder``,
 ``alternating_fixpoint`` / ``well_founded_model``, ``kernel_model``,
 ``IncrementalEngine``, ``KnowledgeBase`` — and the CLI surfaces the
 subsystem as ``repro profile`` and ``--trace-out``.  Results carry the

@@ -98,7 +98,7 @@ from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.base import FactStore
 
-from ..analysis.dependency import build_atom_dependency_graph
+from ..analysis.dependency import tarjan_scc
 from ..core.context import GroundContext, extend_context
 from ..core.modular import solve_component
 from ..datalog.atoms import Atom
@@ -276,29 +276,25 @@ class IncrementalEngine:
     # ------------------------------------------------------------------ #
     def _reground(self) -> int:
         """Ground the non-ground rules from scratch, in one pass: the
-        grounder's stream is the rule context's only source.  Returns the
-        number of ground rules."""
+        grounder's instance stream is the rule context's only source and
+        its facts are the EDB the grounding covers.  Returns the number of
+        ground rules."""
         grounder = IncrementalGrounder(
             self._source, self._limits, store=self._grounding_store, recorder=self._recorder
         )
-        facts: set[Atom] = set()
-        rules = []
         with self._recorder.span("ground") as ground_span:
-            for rule in grounder.ground():
-                if rule.is_fact:
-                    facts.add(rule.head)
-                else:
-                    rules.append(rule)
-            context = extend_context(_EMPTY_CONTEXT, rules)
+            facts, instances = grounder.ground()
+            context = extend_context(_EMPTY_CONTEXT, instances)
+        count = len(context.rules)
         if self._recorder.enabled:
-            ground_span.annotate(rules=len(rules), facts=len(facts), atoms=len(context.base))
+            ground_span.annotate(rules=count, facts=len(facts), atoms=len(context.base))
         current_meter().check("refresh")
         self._grounder = grounder
         self._stale = set()
-        self._facts = facts
+        self._facts = set(facts)
         self._rule_context = context
         self._install()
-        return len(rules)
+        return count
 
     def _sync_grounding(self, asserted: Iterable[Atom], retracted: Iterable[Atom]) -> int:
         """Resume the grounding from the facts asserted since it last ran
@@ -334,9 +330,20 @@ class IncrementalEngine:
         self._components = []
         self._rule_atoms = context.base
 
-        graph = build_atom_dependency_graph(context)
+        # The condensation of the rules' atom dependency graph: successors
+        # in rule and body order, and the heads as roots in first-seen
+        # order (every body atom is reached from its rule's head), so the
+        # component numbering never depends on the hash seed.
+        successors: dict[Atom, list[Atom]] = {}
+        for rule in context.rules:
+            meter.tick("condense", stride=512)
+            targets = successors.get(rule.head)
+            if targets is None:
+                targets = successors[rule.head] = []
+            targets += rule.positive_body
+            targets += rule.negative_body
         meter.check("refresh")
-        self._components = graph.condensation_order()
+        self._components = tarjan_scc(successors, successors)
         meter.check("refresh")
         self._component_of = {}
         for index, component in enumerate(self._components):
@@ -347,7 +354,7 @@ class IncrementalEngine:
         # repairs it as dependencies arrive.
         self._rank = list(range(len(self._components)))
         self._dependents = None
-        del graph
+        del successors
         if self._solved:
             self._carry_over(old_atoms, old_component_of)
 

@@ -116,7 +116,8 @@ def _alternating_result(solution: Solution) -> AlternatingFixpointResult:
     if context is None:
         from ..core.context import build_context
 
-        context = build_context(solution.program, config=solution.config)
+        config = solution.config
+        context = build_context(solution.program, limits=config.limits, grounder=config.grounder)
     model = solution.interpretation
     negative = NegativeSet(model.false_atoms)
     return AlternatingFixpointResult(
@@ -183,7 +184,15 @@ class _EpochSolution(Solution):
 
     @cached_property
     def context(self) -> GroundContext:
-        return dataclasses.replace(self._rule_context, facts=self._facts, base=self.base)
+        # The epoch's ground program: its facts as fact rules, then the
+        # rule instances.
+        rule_context = self._rule_context
+        return dataclasses.replace(
+            rule_context,
+            program=Program([*map(Rule, self._facts), *rule_context.program]),
+            facts=self._facts,
+            base=self.base,
+        )
 
 
 def _match_row(row: Sequence[object], pattern: Sequence[object]) -> bool:

@@ -8,8 +8,6 @@ from repro import solve
 from repro.core.context import build_context
 from repro.datalog.atoms import atom, neg, pos
 from repro.datalog.grounding import (
-    DEFAULT_GROUNDING_MATCHER,
-    GROUNDING_MATCHERS,
     GroundingLimits,
     IncrementalGrounder,
     ground_program,
@@ -17,14 +15,16 @@ from repro.datalog.grounding import (
     herbrand_universe,
     naive_ground,
     relevant_ground,
-    stream_relevant_ground,
+    scan_relevant_ground,
 )
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Compound, Constant
 from repro.exceptions import GroundingError, GroundingTimeout, SafetyError
+from repro.obs import TraceRecorder
 from repro.resilience import Budget, metered
 from repro.semantics.horn import horn_minimum_model
+from repro.storage import MemoryStore
 
 
 TC = """
@@ -95,75 +95,81 @@ class TestNaiveGround:
         assert excinfo.value.phase == "ground"
 
 
-@pytest.mark.parametrize("matcher", GROUNDING_MATCHERS)
+#: The indexed grounder and the scan oracle, which must agree.
+GROUNDERS = pytest.mark.parametrize(
+    "ground", [relevant_ground, scan_relevant_ground], ids=["indexed", "scan"]
+)
+
+
+@GROUNDERS
 class TestRelevantGround:
-    def test_only_supported_instances_kept(self, matcher):
-        grounded = relevant_ground(parse_program(TC), matcher=matcher)
+    def test_only_supported_instances_kept(self, ground):
+        grounded = ground(parse_program(TC))
         heads = {rule.head for rule in grounded if rule.head.predicate == "tc"}
         assert heads == {atom("tc", 1, 2), atom("tc", 2, 3), atom("tc", 1, 3)}
 
-    def test_agrees_with_naive_on_derivable_atoms(self, matcher):
+    def test_agrees_with_naive_on_derivable_atoms(self, ground):
         program = parse_program(TC)
-        relevant_heads = {r.head for r in relevant_ground(program, matcher=matcher)}
+        relevant_heads = {r.head for r in ground(program)}
         naive_heads = {r.head for r in naive_ground(program)}
         assert relevant_heads <= naive_heads
 
-    def test_negative_literals_preserved(self, matcher):
+    def test_negative_literals_preserved(self, ground):
         program = parse_program(
             "move(c, d). wins(X) :- move(X, Y), not wins(Y)."
         )
-        grounded = relevant_ground(program, matcher=matcher)
+        grounded = ground(program)
         rule = next(r for r in grounded if r.head == atom("wins", "c"))
         assert neg("wins", "d") in rule.body
 
-    def test_unsafe_rule_rejected(self, matcher):
+    def test_unsafe_rule_rejected(self, ground):
         with pytest.raises(SafetyError):
-            relevant_ground(parse_program("p(X) :- not q(X)."), matcher=matcher)
+            ground(parse_program("p(X) :- not q(X)."))
 
-    def test_duplicate_instances_deduplicated(self, matcher):
+    def test_duplicate_instances_deduplicated(self, ground):
         program = parse_program("e(1, 1). p(X) :- e(X, X). p(X) :- e(X, X).")
-        grounded = relevant_ground(program, matcher=matcher)
+        grounded = ground(program)
         assert len([r for r in grounded if r.head == atom("p", 1)]) == 1
 
-    def test_limit_enforced(self, matcher):
+    def test_limit_enforced(self, ground):
         program = parse_program(
             "e(1, 2). e(2, 3). e(3, 1). tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y)."
         )
         with pytest.raises(GroundingError):
-            relevant_ground(program, GroundingLimits(max_rules=3), matcher=matcher)
+            ground(program, GroundingLimits(max_rules=3))
 
-    def test_mixed_arity_predicates_kept_apart(self, matcher):
+    def test_mixed_arity_predicates_kept_apart(self, ground):
         # p occurs with two arities; the fact index must key on the full
         # (predicate, arity) signature.
         program = parse_program("p(1). p(1, 2). q(X) :- p(X). r(X, Y) :- p(X, Y).")
-        grounded = relevant_ground(program, matcher=matcher)
+        grounded = ground(program)
         heads = {rule.head for rule in grounded}
         assert atom("q", 1) in heads
         assert atom("r", 1, 2) in heads
         assert atom("q", 2) not in heads
 
-    def test_negative_only_body_rules_fire(self, matcher):
+    def test_negative_only_body_rules_fire(self, ground):
         program = parse_program("p :- not q. r :- p.")
-        grounded = relevant_ground(program, matcher=matcher)
+        grounded = ground(program)
         assert {rule.head for rule in grounded} == {atom("p"), atom("r")}
 
-    def test_wall_clock_budget_enforced(self, matcher):
+    def test_wall_clock_budget_enforced(self, ground):
         program = parse_program(
             "e(1, 2). e(2, 3). e(3, 4). e(4, 1). "
             "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y)."
         )
         with metered(Budget(max_seconds=1e-9)):
             with pytest.raises(GroundingTimeout) as excinfo:
-                relevant_ground(program, matcher=matcher)
+                ground(program)
         assert excinfo.value.elapsed is not None
         assert excinfo.value.phase == "ground"
 
-    def test_enclosing_deadline_trips_inside_a_nested_budget(self, matcher):
+    def test_enclosing_deadline_trips_inside_a_nested_budget(self, ground):
         program = parse_program(TC)
         with metered(Budget(max_seconds=1e-9)):
             with metered(Budget(max_seconds=60.0)):
                 with pytest.raises(GroundingTimeout) as excinfo:
-                    relevant_ground(program, matcher=matcher)
+                    ground(program)
         assert excinfo.value.phase == "ground"
 
 
@@ -176,19 +182,11 @@ class TestGroundingLimits:
             GroundingLimits(max_seconds=1.0)
 
 
-class TestMatcherDispatch:
-    def test_matchers_and_default(self):
-        assert DEFAULT_GROUNDING_MATCHER == "indexed"
-        assert set(GROUNDING_MATCHERS) == {"indexed", "scan"}
-
-    def test_unknown_matcher_rejected(self):
-        with pytest.raises(GroundingError, match="unknown grounding matcher"):
-            relevant_ground(parse_program(TC), matcher="quantum")
-
+class TestScanReference:
     def test_matchers_produce_identical_rule_sets(self):
         program = parse_program(TC)
-        indexed = relevant_ground(program, matcher="indexed")
-        scan = relevant_ground(program, matcher="scan")
+        indexed = relevant_ground(program)
+        scan = scan_relevant_ground(program)
         assert set(indexed.rules) == set(scan.rules)
 
 
@@ -217,14 +215,14 @@ class TestFunctionSymbols:
     def test_indexed_rule_set_equals_the_scan_matchers(self, text, fact):
         program = parse_program(text)
         indexed = relevant_ground(program)
-        assert set(indexed) == set(relevant_ground(program, matcher="scan"))
+        assert set(indexed) == set(scan_relevant_ground(program))
         assert any(not rule.is_fact for rule in indexed)
 
     def test_envelope_model_equals_the_scan_groundings_minimum_model(self, text, fact):
         program = parse_program(text)
         solution = solve(program)
         assert solution.context is None  # solved from the envelope
-        reference = horn_minimum_model(build_context(relevant_ground(program, matcher="scan")))
+        reference = horn_minimum_model(build_context(scan_relevant_ground(program)))
         assert _rendered(solution.interpretation.true_atoms) == _rendered(
             reference.interpretation.true_atoms
         )
@@ -233,33 +231,55 @@ class TestFunctionSymbols:
     def test_extend_matches_grounding_from_scratch(self, text, fact):
         program = parse_program(text)
         grounder = IncrementalGrounder(program)
-        rules = set(grounder.ground())
+        facts, instances = grounder.ground()
+        rules = {*map(Rule, facts), *instances}
         added = set(grounder.extend([parse_atom(fact)]))
         assert added and not added & rules
         grown = program.with_facts([parse_atom(fact)])
         scratch = set(relevant_ground(grown))
         assert rules | added | {Rule(parse_atom(fact))} == scratch
-        assert scratch == set(relevant_ground(grown, matcher="scan"))
+        assert scratch == set(scan_relevant_ground(grown))
 
 
-class TestStreamRelevantGround:
-    def test_stream_matches_materialised_grounding(self):
+class TestGroundRun:
+    def test_facts_and_instances_are_the_materialised_grounding(self):
         program = parse_program(TC)
-        streamed = list(stream_relevant_ground(program))
-        assert set(streamed) == set(relevant_ground(program).rules)
+        facts, instances = IncrementalGrounder(program).ground()
+        assert [*map(Rule, facts), *instances] == list(relevant_ground(program))
 
-    def test_facts_streamed_first_in_sorted_order(self):
-        program = parse_program(TC)
-        streamed = list(stream_relevant_ground(program))
-        fact_block = [rule for rule in streamed if rule.is_fact]
-        assert streamed[: len(fact_block)] == fact_block
-        assert fact_block == sorted(fact_block, key=lambda rule: str(rule.head))
+    def test_instances_are_grounded_as_they_are_read(self):
+        # The facts come back at once; no envelope round runs before the
+        # first instance is pulled.
+        recorder = TraceRecorder()
+        facts, instances = IncrementalGrounder(parse_program(TC), recorder=recorder).ground()
+        assert facts == [atom("edge", 1, 2), atom("edge", 2, 3)]
+        assert "ground.rounds" not in recorder.counter_totals()
+        assert next(instances).body
+        assert recorder.counter_totals()["ground.rounds"] == 1
 
-    def test_stream_is_incremental(self):
-        # Pulling the first rule must not require grounding everything.
-        stream = stream_relevant_ground(parse_program(TC))
-        first = next(stream)
-        assert first.is_fact
+
+class TestReadOrder:
+    #: Program facts out of printed order, one of them twice.
+    TEXT = "e(3, 1). e(1, 2). e(3, 1). p(X) :- e(X, Y), not q(Y). q(Y) :- e(Y, Y)."
+
+    @pytest.mark.parametrize("backed", [False, True], ids=["program", "store"])
+    def test_every_run_reads_program_then_store_facts(self, backed):
+        program = parse_program(self.TEXT)
+        expected = [atom("e", 3, 1), atom("e", 1, 2)]
+        store = None
+        if backed:
+            store = MemoryStore()
+            store.load([atom("e", 2, 2), atom("e", 1, 2), atom("e", 0, 5), atom("f", 9)])
+            expected += [fact for fact in store.facts() if fact not in expected]
+        facts, _ = IncrementalGrounder(program, store=store).ground()
+        enveloped, _ = IncrementalGrounder(program, store=store).envelope()
+        ir = IncrementalGrounder(program, store=store).ground_ir()
+        assert facts == expected
+        assert enveloped == expected
+        assert [ir.atoms[atom_id] for atom_id in ir.fact_ids] == expected
+        grounded = list(relevant_ground(program, store=store))
+        assert grounded[: len(expected)] == [Rule(fact) for fact in expected]
+        assert expected != sorted(expected, key=str)
 
 
 class TestGroundProgram:

@@ -5,7 +5,12 @@ import pytest
 
 from repro.datalog import grounding
 from repro.datalog.atoms import atom
-from repro.datalog.grounding import IncrementalGrounder, _overlay_probe, relevant_ground
+from repro.datalog.grounding import (
+    IncrementalGrounder,
+    _overlay_probe,
+    relevant_ground,
+    scan_relevant_ground,
+)
 from repro.datalog.joins import Relation, RelationStore, compile_rule, join
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.terms import Compound, Constant
@@ -151,7 +156,8 @@ class TestJoinOrder:
         monkeypatch.setattr(grounding, "compile_rule", counting)
         program = parse_program("e(1, 2). p(X, Y) :- e(X, Y). q(X) :- p(X, X).")
         grounder = IncrementalGrounder(program)
-        list(grounder.ground())
+        _, instances = grounder.ground()
+        list(instances)
         list(grounder.extend([atom("e", 3, 3)]))
         list(grounder.extend([atom("e", 4, 4)]))
         assert len(compiled) == 2
@@ -203,15 +209,16 @@ class TestJoinSteps:
             (parse_program("e(1, 2). e(2, 3). " + text), None),
         ]:
             grounder = IncrementalGrounder(program, store=backing)
-            list(grounder.ground())
+            _, instances = grounder.ground()
+            list(instances)
             assert grounder._rows.relation("e", 2).indexes == {}
 
     def test_duplicated_conjunct(self):
         program = parse_program("e(1, 2). e(2, 3). e(3, 3). p(X, Y) :- e(X, Y), e(X, Y).")
         indexed = set(relevant_ground(program))
-        assert indexed == set(relevant_ground(program, matcher="scan"))
-        instances = [rule for rule in IncrementalGrounder(program).ground() if rule.body]
-        assert len(instances) == 3
+        assert indexed == set(scan_relevant_ground(program))
+        _, instances = IncrementalGrounder(program).ground()
+        assert len(list(instances)) == 3
 
     def test_two_way_join(self):
         found = run_plan(

@@ -44,7 +44,7 @@ class TestValidation:
                 "unknown evaluation engine 'modular'; expected one of kernel, monolithic",
             ),
             ("grounder", "psychic", GroundingError, "unknown grounder 'psychic'"),
-            # The scan matcher is only relevant_ground's oracle, not a grounder.
+            # The scan matcher is the reference scan_relevant_ground, not a grounder.
             ("grounder", "relevant-scan", GroundingError, "unknown grounder 'relevant-scan'"),
         ],
     )

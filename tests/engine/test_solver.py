@@ -55,9 +55,10 @@ def _max_rules_trips_at_the_context_paths_size(text: str, source: str) -> int:
     solution = solve(program, limits=fits, store=store)
     assert solution.context is None
     if store is not None:
-        # The facts the solve read, as fact rules, then the rules.
+        # The facts the solve read, as fact rules in read order, then the
+        # rules.
         assert list(solution.program) == [
-            *(Rule(fact) for fact in sorted(store.facts(), key=str)),
+            *(Rule(fact) for fact in store.facts()),
             *program.non_fact_rules(),
         ]
     build_context(program, limits=fits, store=store)

@@ -18,7 +18,7 @@ from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
 from repro.core.stable import stable_models
 from repro.core.wellfounded import well_founded_model
-from repro.datalog.grounding import naive_ground, relevant_ground
+from repro.datalog.grounding import naive_ground, relevant_ground, scan_relevant_ground
 from repro.games import binary_tree_edges, chain_edges, random_game_edges, win_move_program
 from repro.semantics.horn import horn_minimum_model
 from repro.semantics.stratified import stratified_model
@@ -52,7 +52,7 @@ def contexts(program):
     the scan matcher's relevant grounding, and by naive instantiation."""
     return {
         "relevant": build_context(program, grounder="relevant"),
-        "scan": build_context(relevant_ground(program, matcher="scan")),
+        "scan": build_context(scan_relevant_ground(program)),
         "naive": build_context(program, grounder="naive"),
     }
 
@@ -61,15 +61,15 @@ class TestGroundRuleSets:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_indexed_and_scan_rule_sets_identical(self, seed):
         program = generated(seed)
-        indexed = relevant_ground(program, matcher="indexed")
-        scan = relevant_ground(program, matcher="scan")
+        indexed = relevant_ground(program)
+        scan = scan_relevant_ground(program)
         assert set(indexed.rules) == set(scan.rules)
 
     @pytest.mark.parametrize("index", range(4))
     def test_workload_rule_sets_identical(self, index):
         program = named_workloads()[index]
-        indexed = relevant_ground(program, matcher="indexed")
-        scan = relevant_ground(program, matcher="scan")
+        indexed = relevant_ground(program)
+        scan = scan_relevant_ground(program)
         assert set(indexed.rules) == set(scan.rules)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -85,7 +85,7 @@ class TestWellFoundedEquivalence:
     def test_indexed_vs_scan_contexts(self, seed):
         program = generated(seed)
         fast = alternating_fixpoint(build_context(program, grounder="relevant"))
-        slow = alternating_fixpoint(build_context(relevant_ground(program, matcher="scan")))
+        slow = alternating_fixpoint(build_context(scan_relevant_ground(program)))
         assert fast.true_atoms() == slow.true_atoms()
         assert fast.false_atoms() == slow.false_atoms()
 
@@ -123,7 +123,7 @@ class TestHornEquivalence:
         program = generated(seed, negation_probability=0.0)
         assert program.is_definite
         fast = horn_minimum_model(build_context(program, grounder="relevant"))
-        slow = horn_minimum_model(build_context(relevant_ground(program, matcher="scan")))
+        slow = horn_minimum_model(build_context(scan_relevant_ground(program)))
         naive = horn_minimum_model(build_context(program, grounder="naive"))
         assert fast.true_atoms == slow.true_atoms == naive.true_atoms
 

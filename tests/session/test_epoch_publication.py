@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.config import EngineConfig
+from repro.core.context import build_context
 from repro.datalog.rules import Program
 from repro.datalog.terms import Constant
 from repro.engine.solver import solve_configured
@@ -100,6 +101,23 @@ def test_publication_reads_no_whole_model_structure(monkeypatch):
     assert solution.base == kb._engine.base
     assert solution.interpretation == kb._engine.model
     assert solution.context.facts == frozenset(kb.store.facts())
+    kb.close()
+
+
+@pytest.mark.parametrize("ground", [False, True], ids=["non-ground", "ground"])
+def test_an_epochs_context_program_holds_its_facts(ground):
+    rules = _ground(RULES, FACTS) if ground else RULES
+    kb = KnowledgeBase(rules, facts=FACTS)
+    assert kb.is_incremental
+    solution = kb.solution
+    # The epoch's ground program: its facts as fact rules, then the rules.
+    assert set(solution.context.program) == set(build_context(solution.program).program)
+    kb.retract_fact("move", "b", "c")
+    context = kb.solution.context
+    assert kb.last_update.mode == "delta"
+    fact_rules = {rule.head for rule in context.program if rule.is_fact}
+    assert fact_rules == context.facts == set(kb.store.facts())
+    assert len(fact_rules) == sum(map(len, FACTS.values())) - 1
     kb.close()
 
 

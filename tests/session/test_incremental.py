@@ -375,23 +375,61 @@ print(json.dumps([
 """
 
 
+_GROWING_SESSION_SPANS_SCRIPT = """
+import json
+from repro import KnowledgeBase
+from repro.games import random_game_edges
+from repro.obs import TraceRecorder
+
+moves = random_game_edges(18, 2, seed=1)
+held_out = moves.pop(7)
+recorder = TraceRecorder()
+kb = KnowledgeBase(
+    "wins(X) :- move(X, Y), not wins(Y).", facts={"move": moves}, recorder=recorder
+)
+kb.solution
+kb.assert_fact("move", *held_out)
+kb.solution
+assert kb.last_update.mode == "delta" and kb.last_update.rules_added >= 1
+print(json.dumps([
+    [span.attributes["index"], span.attributes["method"], span.attributes["size"]]
+    for _, span in recorder.walk()
+    if span.name == "component"
+]))
+"""
+
+
+def _component_spans_under_hash_seeds(script: str) -> list[list]:
+    """The component spans *script* prints, run under ``PYTHONHASHSEED``
+    0 and 1."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    traces = []
+    for seed in ("0", "1"):
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+            env={**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": seed},
+        )
+        traces.append(json.loads(completed.stdout))
+    return traces
+
+
 class TestComponentNumbering:
     def test_component_spans_do_not_depend_on_the_hash_seed(self):
         # The condensation walks successors in rule and body order, so two
         # processes number a session's components alike.
-        source = str(Path(repro.__file__).resolve().parents[1])
-        traces = []
-        for seed in ("0", "1"):
-            completed = subprocess.run(
-                [sys.executable, "-c", _COMPONENT_SPANS_SCRIPT],
-                capture_output=True,
-                text=True,
-                timeout=120,
-                check=True,
-                env={**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": seed},
-            )
-            traces.append(json.loads(completed.stdout))
+        traces = _component_spans_under_hash_seeds(_COMPONENT_SPANS_SCRIPT)
         assert sorted(method for _, method, _ in traces[0]) == [
             "alternating", "horn", "stratified"
         ]
+        assert traces[0] == traces[1]
+
+    def test_a_growing_sessions_component_spans_do_not_depend_on_the_hash_seed(self):
+        # A non-ground session's first grounding and a delta refresh that
+        # grows it, with components solved in both.
+        traces = _component_spans_under_hash_seeds(_GROWING_SESSION_SPANS_SCRIPT)
+        assert len(traces[0]) > 20
         assert traces[0] == traces[1]

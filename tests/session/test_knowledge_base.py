@@ -9,11 +9,11 @@ from repro.datalog import parse_atom
 from repro.datalog.rules import Program
 from repro.datalog.terms import Variable
 from repro.delta import DeltaMaintainer
-from repro.engine.solver import solve, solve_configured
+from repro.engine.solver import Solution, solve, solve_configured
 from repro.exceptions import EvaluationError, NotGroundError, NotStratifiedError
 from repro.fixpoint.interpretations import TruthValue
 from repro.obs import TraceRecorder
-from repro.session import KnowledgeBase, ResultSet
+from repro.session import KnowledgeBase, ResultSet, SessionSnapshot
 from repro.storage import MemoryStore, SqliteStore
 from repro.workloads import social_graph_program
 
@@ -246,6 +246,28 @@ class TestQueries:
             assert snapshot.explain("tc(a, c)").verdict == "true"
         finally:
             kb.close()
+
+    def test_explainer_of_a_naive_grounder_session_grounds_naively(self):
+        # wins(d) has no move: the relevant grounding has no rule for it,
+        # the naive one an instance per constant, each blocked.
+        config = EngineConfig(grounder="naive")
+        kb = KnowledgeBase(GAME_TEXT, config=config)
+        assert len(kb.explain("wins(d)").blocked_rules) == 4
+        # A solution without a context is grounded under its config too.
+        solution = solve(GAME_TEXT)
+        assert solution.context is None
+        unsolved = Solution(
+            program=solution.program,
+            semantics=solution.semantics,
+            interpretation=solution.interpretation,
+            base=solution.base,
+            strategy=solution.strategy,
+            engine=solution.engine,
+            config=config,
+        )
+        snapshot = SessionSnapshot(1, unsolved, 4)
+        assert len(snapshot.explain("wins(d)").blocked_rules) == 4
+        assert snapshot.explain("wins(c)").verdict == "true"
 
     def test_explain_under_non_wfs_semantics_uses_wfs(self):
         kb = KnowledgeBase(

@@ -6,7 +6,7 @@ import pytest
 from repro import KnowledgeBase
 from repro.core.alternating import alternating_fixpoint
 from repro.core.context import build_context
-from repro.datalog.grounding import relevant_ground, stream_relevant_ground
+from repro.datalog.grounding import relevant_ground, scan_relevant_ground
 from repro.datalog.parser import parse_program
 from repro.datalog.rules import Program
 from repro.engine.solver import solve, solve_configured
@@ -83,12 +83,12 @@ class TestGroundingEquivalence:
         )
 
     def test_scan_matcher_accepts_store(self, store):
-        assert set(relevant_ground(RULES, matcher="scan", store=store).rules) == set(
-            relevant_ground(LEGACY, matcher="scan").rules
+        assert set(scan_relevant_ground(RULES, store=store).rules) == set(
+            scan_relevant_ground(LEGACY).rules
         )
 
     def test_store_is_not_polluted_by_derived_atoms(self, store):
-        list(stream_relevant_ground(RULES, store=store))
+        relevant_ground(RULES, store=store)
         assert len(store) == len(EDGES) + len(NODES)
         assert store.signatures() == {("edge", 2), ("node", 1)}
 
@@ -96,12 +96,12 @@ class TestGroundingEquivalence:
     def test_each_run_reads_each_relation_once(self, kind):
         backend = open_backend(kind)
         backend.load({"edge": EDGES, "node": NODES})
-        first = set(stream_relevant_ground(RULES, store=backend))
+        first = set(relevant_ground(RULES, store=backend))
         # One read of the store per run: its signatures, then each
         # relation's rows; the joins probe the grounder's own relations.
         assert backend.reads["tuples"] == 2
         assert backend.reads["contains_atom"] == 0
-        second = set(stream_relevant_ground(RULES, store=backend))
+        second = set(relevant_ground(RULES, store=backend))
         assert backend.reads["tuples"] == 4
         assert first == second
         backend.close()
@@ -109,9 +109,9 @@ class TestGroundingEquivalence:
     def test_grounding_sees_store_updates_between_runs(self):
         backend = MemoryStore()
         backend.load({"edge": EDGES, "node": NODES})
-        before = set(stream_relevant_ground(RULES, store=backend))
+        before = set(relevant_ground(RULES, store=backend))
         backend.add("edge", "d", "e")
-        after = set(stream_relevant_ground(RULES, store=backend))
+        after = set(relevant_ground(RULES, store=backend))
         assert before < after
 
     def test_build_context_over_store(self, store):
